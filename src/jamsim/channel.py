@@ -1,11 +1,9 @@
-"""Channel, pilot codebook, and jamming-sequence generation."""
+"""Channel, pilot codebook, and the jamming scenario with its sequence draws."""
 
 import functools
 from dataclasses import dataclass
 
 import numpy as np
-
-JAMMER_KINDS = ("absent", "random_gaussian", "random_unit_sphere", "deterministic")
 
 
 def crandn(rng, *shape) -> np.ndarray:
@@ -57,68 +55,47 @@ def make_codebook(tau: int) -> PilotCodebook:
 
 
 @dataclass(frozen=True)
-class JammerModel:
-    """What the jammer transmits during training.
+class JammerSpec:
+    """Jamming scenario of one trial.
 
-    Random kinds redraw a fresh sequence on every call; the deterministic
-    kind replays a fixed sequence; absent yields the zero sequence. The
-    data_phase_active flag says whether the jammer also transmits during
-    payload symbols.
+    kind fixes the distribution the training-phase jamming sequence is
+    drawn from: gaussian and sphere draw a fresh random sequence on every
+    draw, codeword pins it to pilot codeword codeword_index, absent
+    disables the jammer. data_phase_active controls whether the jammer also
+    hits the payload symbols.
     """
 
-    kind: str = "random_gaussian"
-    sequence: np.ndarray | None = None
+    kind: str = "gaussian"
+    codeword_index: int = 0
     data_phase_active: bool = True
 
     def __post_init__(self):
-        if self.kind not in JAMMER_KINDS:
+        if self.kind not in ("absent", "gaussian", "sphere", "codeword"):
             raise ValueError(f"unknown jammer kind {self.kind!r}")
-        if self.kind == "deterministic":
-            if self.sequence is None:
-                raise ValueError("deterministic jammer needs a sequence")
-            if not np.all(np.isfinite(self.sequence)):
-                raise ValueError("deterministic jamming sequence must be finite")
-        elif self.sequence is not None:
-            raise ValueError(f"jammer kind {self.kind!r} does not take a stored sequence")
-
-    @classmethod
-    def absent(cls) -> "JammerModel":
-        return cls(kind="absent", data_phase_active=False)
-
-    @classmethod
-    def random_gaussian(cls, data_phase_active: bool = True) -> "JammerModel":
-        return cls(kind="random_gaussian", data_phase_active=data_phase_active)
-
-    @classmethod
-    def random_unit_sphere(cls, data_phase_active: bool = True) -> "JammerModel":
-        return cls(kind="random_unit_sphere", data_phase_active=data_phase_active)
-
-    @classmethod
-    def deterministic(cls, sequence, data_phase_active: bool = True) -> "JammerModel":
-        seq = np.asarray(sequence, dtype=np.complex128)
-        return cls(kind="deterministic", sequence=seq, data_phase_active=data_phase_active)
+        if self.codeword_index < 0:
+            raise ValueError("codeword_index must be nonnegative")
 
 
-def draw_jammer_sequence(rng, model: JammerModel, tau: int) -> np.ndarray:
+def draw_jammer_sequence(rng, jammer: JammerSpec, tau: int) -> np.ndarray:
     """One training-phase jamming sequence of length tau.
 
-    random_gaussian draws i.i.d. CN(0, 1/tau) entries and
-    random_unit_sphere normalizes a Gaussian draw to unit norm, so both
-    satisfy E{||s_j||^2} = 1.
+    gaussian draws i.i.d. CN(0, 1/tau) entries and sphere normalizes a
+    Gaussian draw to unit norm, so both satisfy E{||s_j||^2} = 1. absent
+    and codeword draw nothing from rng.
     """
     if tau < 1:
         raise ValueError(f"pilot length must be positive, got {tau}")
-    if model.kind == "absent":
+    if jammer.kind == "absent":
         return np.zeros(tau, dtype=np.complex128)
-    if model.kind == "random_gaussian":
-        return crandn(rng, tau) / np.sqrt(tau)
-    if model.kind == "random_unit_sphere":
-        seq = crandn(rng, tau)
-        return seq / np.linalg.norm(seq)
-    if len(model.sequence) != tau:
-        raise ValueError(
-            f"stored jamming sequence has length {len(model.sequence)}, expected {tau}")
-    return model.sequence
+    if jammer.kind == "codeword":
+        if jammer.codeword_index >= tau:
+            raise ValueError(f"codeword_index {jammer.codeword_index} out of range "
+                             f"for tau={tau}")
+        return make_codebook(tau)[jammer.codeword_index]
+    seq = crandn(rng, tau)
+    if jammer.kind == "gaussian":
+        return seq / np.sqrt(tau)
+    return seq / np.linalg.norm(seq)
 
 
 def jamming_overlap_sq(s_j: np.ndarray, s_u: np.ndarray) -> float:

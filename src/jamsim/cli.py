@@ -10,8 +10,9 @@ import argparse
 import csv
 import sys
 
+from .channel import JammerSpec
 from .config import SystemConfig, snr_db_to_power
-from .montecarlo import SCHEMES, JammerSpec, average_rate, verify_moments
+from .montecarlo import SCHEMES, average_rate, verify_moments
 from .sweep import (AXES, PRESET_NAMES, SweepRow, SweepSpec, run_preset,
                     run_sweep, write_csv)
 

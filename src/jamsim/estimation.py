@@ -7,14 +7,11 @@ received pilot block alone.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import crandn, jamming_overlap_sq
+from .channel import crandn
 from .config import SystemConfig
-
-MMSE_MODES = ("oracle", "blind")
 
 
 def receive_pilot_block(cfg: SystemConfig, g_u, g_j, s_u, s_j, rng) -> np.ndarray:
@@ -109,47 +106,11 @@ def estimate_jammer_gram(block: np.ndarray, s_u: np.ndarray, cfg: SystemConfig) 
     return (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.conj().T
 
 
-@dataclass(frozen=True)
-class TrainingOutcome:
-    """Everything one training round produces.
+def run_training(cfg: SystemConfig, g_u, g_j, s_u, s_j, rng) -> tuple[np.ndarray, float]:
+    """One training round as the receiver sees it.
 
-    overlap_true is simulation-only ground truth; overlap_est is what the
-    receiver can actually compute (None when q_t = 0, where the blind
-    estimator is undefined). jammer_gram_est is filled only on request.
+    Returns the received M x tau pilot block and the blind estimate of the
+    squared pilot/jammer overlap computed from it.
     """
-
-    block: np.ndarray           # M x tau received pilot block
-    y_t: np.ndarray             # de-spread observation, length M
-    c_u: float
-    g_hat: np.ndarray
-    gamma_u: float
-    overlap_true: float
-    overlap_est: float | None
-    jammer_gram_est: np.ndarray | None = None
-
-
-def run_training(cfg: SystemConfig, g_u, g_j, s_u, s_j, rng,
-                 mmse_mode: str = "oracle", with_gram: bool = False) -> TrainingOutcome:
-    """One full training round.
-
-    mmse_mode picks the overlap fed to the MMSE filter: 'oracle' uses the
-    true squared overlap (matches the closed-form rate analysis), 'blind'
-    uses the receiver-side estimate (what a real array would do).
-    """
-    if mmse_mode not in MMSE_MODES:
-        raise ValueError(f"unknown mmse_mode {mmse_mode!r}")
     block = receive_pilot_block(cfg, g_u, g_j, s_u, s_j, rng)
-    y_t = despread(block, s_u)
-    overlap_true = jamming_overlap_sq(s_j, s_u)
-    overlap_est = estimate_overlap_sq(y_t, cfg) if cfg.q_t > 0 else None
-    if mmse_mode == "blind":
-        if overlap_est is None:
-            raise ValueError("blind MMSE mode needs q_t > 0")
-        overlap_for_mmse = overlap_est
-    else:
-        overlap_for_mmse = overlap_true
-    c_u, g_hat, gamma_u = mmse_estimate(y_t, cfg, overlap_for_mmse)
-    gram = estimate_jammer_gram(block, s_u, cfg) if with_gram else None
-    return TrainingOutcome(block=block, y_t=y_t, c_u=c_u, g_hat=g_hat, gamma_u=gamma_u,
-                           overlap_true=overlap_true, overlap_est=overlap_est,
-                           jammer_gram_est=gram)
+    return block, estimate_overlap_sq(despread(block, s_u), cfg)

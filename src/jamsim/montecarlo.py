@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (JammerModel, crandn, draw_jammer_sequence, gen_channel,
+from .channel import (JammerSpec, crandn, draw_jammer_sequence, gen_channel,
                       jamming_overlap_sq, make_codebook)
 from .config import SystemConfig
 from .estimation import mmse_coefficients, run_training
@@ -28,55 +28,11 @@ from .rates import effective_sinr, rate_from_overlap, rate_random_jamming
 from .rng import substream
 
 SCHEMES = ("conventional", "alg1", "alg2")
-JAMMER_SPEC_KINDS = ("absent", "gaussian", "sphere", "codeword")
 
 _TAG_CHANNEL = 0
 _TAG_PROTOCOL = 1
 _TAG_MOMENTS = 2
 _MOMENT_CHUNK = 20000
-
-
-@dataclass(frozen=True)
-class JammerSpec:
-    """Per-trial jamming scenario.
-
-    kind fixes the distribution the trial's jamming sequence is drawn from:
-    gaussian and sphere draw a fresh sequence per trial (and per round for
-    the random-jamming protocol), codeword pins it to one pilot codeword,
-    absent disables the jammer. data_phase_active controls whether the
-    jammer also hits the payload symbols.
-    """
-
-    kind: str = "gaussian"
-    codeword_index: int = 0
-    data_phase_active: bool = True
-
-    def __post_init__(self):
-        if self.kind not in JAMMER_SPEC_KINDS:
-            raise ValueError(f"unknown jammer kind {self.kind!r}")
-        if self.codeword_index < 0:
-            raise ValueError("codeword_index must be nonnegative")
-
-    def round_model(self) -> JammerModel:
-        """Jammer model that redraws per round (random-jamming protocol)."""
-        if self.kind == "absent":
-            return JammerModel.absent()
-        if self.kind == "gaussian":
-            return JammerModel.random_gaussian(self.data_phase_active)
-        if self.kind == "sphere":
-            return JammerModel.random_unit_sphere(self.data_phase_active)
-        raise ValueError("a codeword jammer is deterministic; the random-jamming "
-                         "protocol needs a per-round random jammer")
-
-    def draw_sequence(self, rng, cfg: SystemConfig) -> np.ndarray:
-        """One trial's jamming sequence (fixed within the trial)."""
-        if self.kind == "codeword":
-            codebook = make_codebook(cfg.tau)
-            if self.codeword_index >= cfg.tau:
-                raise ValueError(f"codeword_index {self.codeword_index} out of range "
-                                 f"for tau={cfg.tau}")
-            return codebook[self.codeword_index]
-        return draw_jammer_sequence(rng, self.round_model(), cfg.tau)
 
 
 @dataclass(frozen=True)
@@ -145,13 +101,12 @@ def simulate_one_trial(cfg: SystemConfig, scheme: str, jammer: JammerSpec, index
     if scheme == "conventional":
         k = first_pilot if first_pilot is not None else int(rng_proto.integers(cfg.tau))
         s_u = codebook[k]
-        s_j = jammer.draw_sequence(rng_proto, cfg)
+        s_j = draw_jammer_sequence(rng_proto, jammer, cfg.tau)
         if estimated:
             rng_chan = _trial_stream(cfg, index, _TAG_CHANNEL)
             g_u = gen_channel(rng_chan, cfg.M, cfg.beta_u)
             g_j = gen_channel(rng_chan, cfg.M, cfg.beta_j)
-            outcome = run_training(cfg, g_u, g_j, s_u, s_j, rng_proto, mmse_mode="blind")
-            overlap = outcome.overlap_est
+            _, overlap = run_training(cfg, g_u, g_j, s_u, s_j, rng_proto)
         else:
             overlap = jamming_overlap_sq(s_j, s_u)
         report = rate_from_overlap(rate_cfg, overlap, 1)
@@ -162,17 +117,15 @@ def simulate_one_trial(cfg: SystemConfig, scheme: str, jammer: JammerSpec, index
     g_j = gen_channel(rng_chan, cfg.M, cfg.beta_j)
 
     if scheme == "alg1":
-        trace = run_algorithm1(cfg, g_u, g_j, jammer.round_model(), rng_proto)
+        trace = run_algorithm1(cfg, g_u, g_j, jammer, rng_proto)
         overlaps = [r.overlap_est if estimated else r.overlap_true for r in trace.rounds]
         report = rate_random_jamming(rate_cfg, overlaps, trace.n_used)
         return TrialResult(scheme, report.rate, trace.n_used, report.overlap_sq_used)
 
     # alg2: the jamming sequence is frozen for the whole trial
     k = first_pilot if first_pilot is not None else int(rng_proto.integers(cfg.tau))
-    seq = jammer.draw_sequence(rng_proto, cfg)
-    model = (JammerModel.absent() if jammer.kind == "absent"
-             else JammerModel.deterministic(seq, jammer.data_phase_active))
-    trace = run_algorithm2(cfg, g_u, g_j, model, rng_proto, opt_mode=opt_mode, first_pilot=k)
+    s_j = draw_jammer_sequence(rng_proto, jammer, cfg.tau)
+    trace = run_algorithm2(cfg, g_u, g_j, s_j, rng_proto, opt_mode=opt_mode, first_pilot=k)
     final = trace.rounds[trace.n_used - 1]
     overlap = final.overlap_est if estimated else final.overlap_true
     report = rate_from_overlap(rate_cfg, overlap, trace.n_used)

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PilotCodebook, JammerModel, draw_jammer_sequence, make_codebook
+from .channel import (JammerSpec, PilotCodebook, draw_jammer_sequence, jamming_overlap_sq,
+                      make_codebook)
 from .config import SystemConfig
 from .estimation import estimate_jammer_gram, run_training
 
@@ -65,7 +66,7 @@ def select_retransmission_pilot(gram: np.ndarray, codebook: PilotCodebook,
     raise ValueError(f"unknown opt_mode {opt_mode!r}")
 
 
-def run_algorithm1(cfg: SystemConfig, g_u, g_j, jammer: JammerModel, rng) -> ProtocolTrace:
+def run_algorithm1(cfg: SystemConfig, g_u, g_j, jammer: JammerSpec, rng) -> ProtocolTrace:
     """Retransmission loop against random jamming.
 
     Each round the user sends a uniformly drawn codeword and the jammer a
@@ -73,7 +74,7 @@ def run_algorithm1(cfg: SystemConfig, g_u, g_j, jammer: JammerModel, rng) -> Pro
     estimate meets the threshold or n_max transmissions are spent. All
     rounds are buffered and chosen_round marks the best estimate.
     """
-    if jammer.kind == "deterministic":
+    if jammer.kind == "codeword":
         raise ValueError("the random-jamming protocol expects a random or absent jammer")
     codebook = make_codebook(cfg.tau)
     rounds = []
@@ -82,9 +83,9 @@ def run_algorithm1(cfg: SystemConfig, g_u, g_j, jammer: JammerModel, rng) -> Pro
         k = int(rng.integers(cfg.tau))
         s_u = codebook[k]
         s_j = draw_jammer_sequence(rng, jammer, cfg.tau)
-        outcome = run_training(cfg, g_u, g_j, s_u, s_j, rng, mmse_mode="blind")
-        rounds.append(RoundRecord(k, outcome.overlap_true, outcome.overlap_est))
-        if cfg.overlap_below_threshold(outcome.overlap_est):
+        _, overlap_est = run_training(cfg, g_u, g_j, s_u, s_j, rng)
+        rounds.append(RoundRecord(k, jamming_overlap_sq(s_j, s_u), overlap_est))
+        if cfg.overlap_below_threshold(overlap_est):
             stop_reason = "threshold_met"
             break
     chosen = int(np.argmin([r.overlap_est for r in rounds]))
@@ -92,20 +93,18 @@ def run_algorithm1(cfg: SystemConfig, g_u, g_j, jammer: JammerModel, rng) -> Pro
                          stop_reason=stop_reason, chosen_round=chosen, opt_pilot=None)
 
 
-def run_algorithm2(cfg: SystemConfig, g_u, g_j, jammer: JammerModel, rng,
+def run_algorithm2(cfg: SystemConfig, g_u, g_j, s_j: np.ndarray, rng,
                    opt_mode: str = "codebook",
                    first_pilot: int | None = None) -> ProtocolTrace:
-    """Pilot adaptation against a jammer whose sequence is fixed.
+    """Pilot adaptation against a jammer whose sequence s_j is fixed.
 
     Round 1 sends a codeword (uniform unless first_pilot pins it). If the
     blind overlap estimate exceeds the threshold, the receiver estimates the
     jammer gram from the same block, searches for the pilot with minimal
     predicted overlap, and requests exactly one retransmission, but only if
     that prediction improves on round 1. At most one retransmission ever
-    happens.
+    happens; the jammer replays s_j under fresh noise.
     """
-    if jammer.kind in ("random_gaussian", "random_unit_sphere"):
-        raise ValueError("the deterministic-jamming protocol expects a fixed (or absent) jammer")
     if opt_mode not in OPT_MODES:
         raise ValueError(f"unknown opt_mode {opt_mode!r}")
     if 2 * cfg.tau >= cfg.T:
@@ -116,16 +115,14 @@ def run_algorithm2(cfg: SystemConfig, g_u, g_j, jammer: JammerModel, rng,
     elif not 0 <= first_pilot < cfg.tau:
         raise ValueError(f"first_pilot must lie in [0, tau), got {first_pilot}")
     s_u = codebook[first_pilot]
-    s_j = draw_jammer_sequence(rng, jammer, cfg.tau)
-    out1 = run_training(cfg, g_u, g_j, s_u, s_j, rng, mmse_mode="blind")
-    rounds = [RoundRecord(first_pilot, out1.overlap_true, out1.overlap_est)]
-    if cfg.overlap_below_threshold(out1.overlap_est):
+    block, overlap_est = run_training(cfg, g_u, g_j, s_u, s_j, rng)
+    rounds = [RoundRecord(first_pilot, jamming_overlap_sq(s_j, s_u), overlap_est)]
+    if cfg.overlap_below_threshold(overlap_est):
         return ProtocolTrace(tuple(rounds), 1, "threshold_met", 0, None)
-    gram = estimate_jammer_gram(out1.block, s_u, cfg)
+    gram = estimate_jammer_gram(block, s_u, cfg)
     opt_idx, opt_pilot, predicted = select_retransmission_pilot(gram, codebook, opt_mode)
-    if not predicted < out1.overlap_est:
+    if not predicted < overlap_est:
         return ProtocolTrace(tuple(rounds), 1, "opt_no_better", 0, opt_pilot)
-    s_j2 = draw_jammer_sequence(rng, jammer, cfg.tau)  # fixed sequence, fresh noise below
-    out2 = run_training(cfg, g_u, g_j, opt_pilot, s_j2, rng, mmse_mode="blind")
-    rounds.append(RoundRecord(opt_idx, out2.overlap_true, out2.overlap_est))
+    _, overlap_est2 = run_training(cfg, g_u, g_j, opt_pilot, s_j, rng)
+    rounds.append(RoundRecord(opt_idx, jamming_overlap_sq(s_j, opt_pilot), overlap_est2))
     return ProtocolTrace(tuple(rounds), 2, "n_max_reached", 1, opt_pilot)

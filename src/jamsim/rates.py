@@ -106,22 +106,3 @@ def rate_random_jamming(cfg: SystemConfig, overlaps, n_used: int | None = None) 
         raise ValueError(f"n_used must lie in [1, n_max={cfg.n_max}], got {n_used}")
     return rate_from_overlap(cfg, min(overlaps), n_used)
 
-
-def rate_deterministic_jamming(cfg: SystemConfig, overlap_first: float,
-                               overlap_opt: float | None = None) -> RateReport:
-    """Rate of the pilot-adaptation scheme against a deterministic jammer.
-
-    If the first pilot already meets the threshold there is no
-    retransmission (N = 1); otherwise the optimized pilot is sent once more
-    and its overlap drives the SINR at the N = 2 prelog. The threshold
-    comparison honors cfg.threshold_on.
-    """
-    if overlap_first < 0:
-        raise ValueError("overlap_first must be nonnegative")
-    if cfg.overlap_below_threshold(overlap_first):
-        return rate_from_overlap(cfg, overlap_first, 1)
-    if overlap_opt is None:
-        raise ValueError("threshold exceeded: overlap_opt is required for the N=2 branch")
-    if overlap_opt < 0:
-        raise ValueError("overlap_opt must be nonnegative")
-    return rate_from_overlap(cfg, overlap_opt, 2)

@@ -6,7 +6,8 @@ import math
 from dataclasses import dataclass
 
 from .config import SystemConfig, snr_db_to_power
-from .montecarlo import SCHEMES, JammerSpec, average_rate
+from .channel import JammerSpec
+from .montecarlo import SCHEMES, average_rate
 
 AXES = ("tau_over_T", "M", "snr_db", "epsilon")
 PRESET_NAMES = ("fig2", "fig3")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jamsim import (JammerModel, draw_jammer_sequence, gen_channel,
+from jamsim import (JammerSpec, draw_jammer_sequence, gen_channel,
                     jamming_overlap_sq, make_codebook, substream)
 
 
@@ -84,13 +84,13 @@ def test_codebook_orthonormal_large(tau):
 
 
 def test_jammer_absent_is_zero():
-    seq = draw_jammer_sequence(substream(0, 0), JammerModel.absent(), 5)
+    seq = draw_jammer_sequence(substream(0, 0), JammerSpec(kind="absent"), 5)
     assert np.array_equal(seq, np.zeros(5))
 
 
 def test_jammer_gaussian_unit_expected_energy():
     rng = substream(11, 0)
-    model = JammerModel.random_gaussian()
+    model = JammerSpec(kind="gaussian")
     total = 0.0
     draws = 100000
     for _ in range(draws):
@@ -101,23 +101,23 @@ def test_jammer_gaussian_unit_expected_energy():
 
 def test_jammer_sphere_exact_norm():
     rng = substream(12, 0)
-    model = JammerModel.random_unit_sphere()
+    model = JammerSpec(kind="sphere")
     for _ in range(20):
         s = draw_jammer_sequence(rng, model, 6)
         assert np.vdot(s, s).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_jammer_deterministic_replays_and_validates():
-    seq = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    model = JammerModel.deterministic(seq)
-    out = draw_jammer_sequence(substream(0, 0), model, 4)
-    assert np.array_equal(out, seq)
+    jammer = JammerSpec(kind="codeword", codeword_index=1)
+    out = draw_jammer_sequence(substream(0, 0), jammer, 4)
+    assert np.array_equal(out, make_codebook(4)[1])
+    assert np.array_equal(draw_jammer_sequence(substream(1, 0), jammer, 4), out)
     with pytest.raises(ValueError):
-        draw_jammer_sequence(substream(0, 0), model, 5)
+        draw_jammer_sequence(substream(0, 0), jammer, 1)    # index 1 needs tau >= 2
     with pytest.raises(ValueError):
-        JammerModel.deterministic(np.array([np.nan + 0j]))
+        JammerSpec(kind="codeword", codeword_index=-1)
     with pytest.raises(ValueError):
-        JammerModel(kind="random_gaussian", sequence=seq)
+        JammerSpec(kind="deterministic")
 
 
 def test_overlap_mean_is_one_over_tau():
@@ -126,7 +126,7 @@ def test_overlap_mean_is_one_over_tau():
     tau = 8
     cb = make_codebook(tau)
     rng = substream(13, 0)
-    model = JammerModel.random_gaussian()
+    model = JammerSpec(kind="gaussian")
     total = 0.0
     draws = 100000
     for _ in range(draws):

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jamsim import (SystemConfig, despread, estimate_jammer_gram,
-                    estimate_overlap_sq, gen_channel, jamming_overlap_sq,
-                    make_codebook, mmse_coefficients, mmse_estimate,
-                    receive_pilot_block, run_training, substream)
+                    estimate_overlap_sq, gen_channel, make_codebook,
+                    mmse_coefficients, mmse_estimate, receive_pilot_block,
+                    run_training, substream)
 from jamsim.channel import crandn
 
 
@@ -311,43 +311,27 @@ def test_gram_estimate_needs_jammer_power():
 # full training round
 # ---------------------------------------------------------------------------
 
-def test_run_training_oracle_fields_consistent():
-    cfg = _cfg(M=16, tau=4, T=50, P=1.0, Q=1.0)
-    cb = make_codebook(4)
-    rng = substream(88, 0)
-    g_u = gen_channel(rng, 16, 1.0)
-    g_j = gen_channel(rng, 16, 1.0)
-    s_j = crandn(rng, 4) / 2.0
-    out = run_training(cfg, g_u, g_j, cb[2], s_j, rng, mmse_mode="oracle", with_gram=True)
-    assert out.overlap_true == pytest.approx(jamming_overlap_sq(s_j, cb[2]))
-    c_u, gamma = mmse_coefficients(cfg, out.overlap_true)
-    assert out.c_u == pytest.approx(c_u)
-    assert out.gamma_u == pytest.approx(gamma)
-    assert np.allclose(out.g_hat, c_u * out.y_t)
-    assert np.allclose(out.y_t, despread(out.block, cb[2]))
-    assert out.jammer_gram_est is not None
-    assert 0.0 <= out.overlap_est <= 1.0
-
-
 def test_run_training_blind_uses_estimate():
+    # the round's overlap is the blind estimate from its own block
     cfg = _cfg(M=16, tau=4, T=50, P=1.0, Q=1.0)
     cb = make_codebook(4)
     rng = substream(89, 0)
     g_u = gen_channel(rng, 16, 1.0)
     g_j = gen_channel(rng, 16, 1.0)
-    out = run_training(cfg, g_u, g_j, cb[0], cb[1], rng, mmse_mode="blind")
-    c_u, _ = mmse_coefficients(cfg, out.overlap_est)
-    assert out.c_u == pytest.approx(c_u)
+    block, overlap_est = run_training(cfg, g_u, g_j, cb[0], cb[1], substream(89, 1))
+    assert np.array_equal(block, receive_pilot_block(cfg, g_u, g_j, cb[0], cb[1],
+                                                     substream(89, 1)))
+    assert overlap_est == estimate_overlap_sq(despread(block, cb[0]), cfg)
+    assert 0.0 <= overlap_est <= 1.0
 
 
 def test_run_training_without_jammer_power():
+    # no training-phase jamming power leaves the blind estimator undefined
     cfg = _cfg(M=8, tau=4, T=50, P=1.0, Q=1.0, power_policy="explicit",
                powers=(1.0, 1.0, 0.0, 0.0))
     cb = make_codebook(4)
     rng = substream(90, 0)
     g_u = gen_channel(rng, 8, 1.0)
     g_j = gen_channel(rng, 8, 1.0)
-    out = run_training(cfg, g_u, g_j, cb[0], np.zeros(4), rng, mmse_mode="oracle")
-    assert out.overlap_est is None
     with pytest.raises(ValueError):
-        run_training(cfg, g_u, g_j, cb[0], np.zeros(4), rng, mmse_mode="blind")
+        run_training(cfg, g_u, g_j, cb[0], np.zeros(4), rng)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from jamsim import (JammerModel, SystemConfig, estimate_overlap_sq,
+from jamsim import (JammerSpec, SystemConfig, estimate_overlap_sq,
                     gen_channel, gram_quad_form, jamming_overlap_sq,
                     make_codebook, run_algorithm1, run_algorithm2,
                     select_retransmission_pilot, substream)
@@ -28,7 +28,7 @@ def _channels(cfg, seed):
 def test_alg1_absent_jammer_stops_first_round():
     cfg = _cfg(M=4096, tau=4)
     g_u, g_j = _channels(cfg, 1)
-    trace = run_algorithm1(cfg, g_u, g_j, JammerModel.absent(), substream(1, 1))
+    trace = run_algorithm1(cfg, g_u, g_j, JammerSpec(kind="absent"), substream(1, 1))
     assert trace.n_used == 1
     assert trace.stop_reason == "threshold_met"
     assert trace.rounds[0].overlap_true == 0.0
@@ -39,7 +39,7 @@ def test_alg1_threshold_one_never_retransmits():
     cfg = _cfg(epsilon=1.0)
     g_u, g_j = _channels(cfg, 2)
     for k in range(5):
-        trace = run_algorithm1(cfg, g_u, g_j, JammerModel.random_gaussian(), substream(2, k))
+        trace = run_algorithm1(cfg, g_u, g_j, JammerSpec(), substream(2, k))
         assert trace.n_used == 1
         assert trace.stop_reason == "threshold_met"
 
@@ -50,7 +50,7 @@ def test_alg1_zero_threshold_forces_full_budget_and_matches_hand_steps():
     # the trace is then checked against a manual replay of the same stream
     cfg = _cfg(M=10000, tau=8, epsilon=0.0)
     g_u, g_j = _channels(cfg, 3)
-    jam = JammerModel.random_gaussian()
+    jam = JammerSpec()
     trace = run_algorithm1(cfg, g_u, g_j, jam, substream(3, 1))
     assert trace.n_used == cfg.n_max == 2
     assert trace.stop_reason == "n_max_reached"
@@ -77,7 +77,7 @@ def test_alg1_zero_threshold_forces_full_budget_and_matches_hand_steps():
 
 def test_alg1_round_one_success_means_single_round():
     cfg = _cfg(M=2048, tau=4)
-    jam = JammerModel.random_gaussian()
+    jam = JammerSpec()
     for k in range(20):
         g_u, g_j = _channels(cfg, 100 + k)
         trace = run_algorithm1(cfg, g_u, g_j, jam, substream(100 + k, 1))
@@ -90,9 +90,8 @@ def test_alg1_round_one_success_means_single_round():
 def test_alg1_rejects_deterministic_jammer():
     cfg = _cfg()
     g_u, g_j = _channels(cfg, 4)
-    jam = JammerModel.deterministic(make_codebook(cfg.tau)[0])
     with pytest.raises(ValueError):
-        run_algorithm1(cfg, g_u, g_j, jam, substream(4, 1))
+        run_algorithm1(cfg, g_u, g_j, JammerSpec(kind="codeword"), substream(4, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +103,7 @@ def test_alg2_escapes_codeword_jammer_exactly(zero_noise):
     # pilot is any other codeword, orthogonal by construction
     cfg = _cfg(M=1024, tau=4)
     g_u, g_j = _channels(cfg, 5)
-    jam = JammerModel.deterministic(make_codebook(4)[1])
-    trace = run_algorithm2(cfg, g_u, g_j, jam, zero_noise, first_pilot=1)
+    trace = run_algorithm2(cfg, g_u, g_j, make_codebook(4)[1], zero_noise, first_pilot=1)
     assert trace.n_used == 2
     assert trace.rounds[0].overlap_true == pytest.approx(1.0)
     assert trace.rounds[1].overlap_true < 1e-24   # orthogonal codeword
@@ -117,8 +115,7 @@ def test_alg2_escapes_codeword_jammer_exactly(zero_noise):
 def test_alg2_orthogonal_jammer_stops_immediately():
     cfg = _cfg(M=2048, tau=4)
     g_u, g_j = _channels(cfg, 6)
-    jam = JammerModel.deterministic(make_codebook(4)[2])
-    trace = run_algorithm2(cfg, g_u, g_j, jam, substream(6, 1), first_pilot=0)
+    trace = run_algorithm2(cfg, g_u, g_j, make_codebook(4)[2], substream(6, 1), first_pilot=0)
     assert trace.n_used == 1
     assert trace.stop_reason == "threshold_met"
     assert trace.opt_pilot is None
@@ -126,30 +123,29 @@ def test_alg2_orthogonal_jammer_stops_immediately():
 
 def test_alg2_absent_jammer_concentrates_on_one_round():
     cfg = _cfg(M=2048, tau=4)
-    jam = JammerModel.absent()
+    silent = np.zeros(cfg.tau, dtype=complex)
     n_used = []
     for k in range(30):
         g_u, g_j = _channels(cfg, 300 + k)
-        trace = run_algorithm2(cfg, g_u, g_j, jam, substream(300 + k, 1))
+        trace = run_algorithm2(cfg, g_u, g_j, silent, substream(300 + k, 1))
         n_used.append(trace.n_used)
     assert all(n == 1 for n in n_used)
 
 
-def test_alg2_rejects_random_jammer_and_bad_args():
+def test_alg2_rejects_bad_args():
     cfg = _cfg()
     g_u, g_j = _channels(cfg, 7)
+    s_j = make_codebook(cfg.tau)[0]
     with pytest.raises(ValueError):
-        run_algorithm2(cfg, g_u, g_j, JammerModel.random_gaussian(), substream(7, 1))
-    jam = JammerModel.deterministic(make_codebook(cfg.tau)[0])
+        run_algorithm2(cfg, g_u, g_j, s_j, substream(7, 1), opt_mode="psychic")
     with pytest.raises(ValueError):
-        run_algorithm2(cfg, g_u, g_j, jam, substream(7, 1), opt_mode="psychic")
+        run_algorithm2(cfg, g_u, g_j, s_j, substream(7, 1), first_pilot=99)
     with pytest.raises(ValueError):
-        run_algorithm2(cfg, g_u, g_j, jam, substream(7, 1), first_pilot=99)
+        run_algorithm2(cfg, g_u, g_j, s_j[:-1], substream(7, 1))
     tight = SystemConfig(M=8, T=200, tau=120, n_max=1)
     g_u2, g_j2 = _channels(tight, 8)
-    jam2 = JammerModel.deterministic(make_codebook(120)[0])
     with pytest.raises(ValueError):
-        run_algorithm2(tight, g_u2, g_j2, jam2, substream(8, 1))
+        run_algorithm2(tight, g_u2, g_j2, make_codebook(120)[0], substream(8, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +211,7 @@ def test_noise_free_selection_never_worse_than_first_pilot():
 def test_trace_round_bookkeeping():
     cfg = _cfg(M=256, tau=4)
     g_u, g_j = _channels(cfg, 11)
-    jam = JammerModel.random_gaussian()
+    jam = JammerSpec()
     trace = run_algorithm1(cfg, g_u, g_j, jam, substream(11, 1))
     assert len(trace.rounds) == trace.n_used
     assert 0 <= trace.chosen_round < trace.n_used

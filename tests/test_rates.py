@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jamsim import (SystemConfig, asymptotic_rate_limit, effective_sinr,
-                    mmse_coefficients, rate, rate_deterministic_jamming,
-                    rate_from_overlap, rate_random_jamming)
+                    mmse_coefficients, rate, rate_from_overlap,
+                    rate_random_jamming)
 
 
 def _cfg(**kw):
@@ -213,30 +213,3 @@ def test_random_jamming_validation():
     with pytest.raises(ValueError):
         rate_random_jamming(cfg, [0.1], n_used=2)
 
-
-def test_deterministic_jamming_below_threshold():
-    report = rate_deterministic_jamming(_cfg(), 0.0)
-    assert report.n_used == 1
-    assert report.alpha == 0.0
-
-
-def test_deterministic_jamming_amplitude_threshold_cases():
-    cfg = _cfg(threshold_on="amplitude", epsilon=0.1)
-    two = rate_deterministic_jamming(cfg, 0.04, overlap_opt=0.001)  # amplitude 0.2
-    assert two.n_used == 2
-    assert two.overlap_sq_used == 0.001
-    one = rate_deterministic_jamming(cfg, 0.0064)                   # amplitude 0.08
-    assert one.n_used == 1
-
-
-def test_deterministic_jamming_squared_threshold_default():
-    cfg = _cfg(epsilon=0.1)
-    assert rate_deterministic_jamming(cfg, 0.04).n_used == 1
-    assert rate_deterministic_jamming(cfg, 0.2, overlap_opt=0.0).n_used == 2
-
-
-def test_deterministic_jamming_requires_opt_overlap():
-    with pytest.raises(ValueError):
-        rate_deterministic_jamming(_cfg(epsilon=0.1), 0.5)
-    with pytest.raises(ValueError):
-        rate_deterministic_jamming(_cfg(), -0.5)
