@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 POWER_POLICIES = ("uniform", "explicit")
@@ -46,6 +47,14 @@ class SystemConfig:
     rate_accounting: str = "true_overlap"   # overlaps fed to the closed-form rate
 
     def __post_init__(self):
+        for name in ("M", "T", "tau", "n_max"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("beta_u", "beta_j", "P", "Q", "epsilon"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.M < 1:
             raise ValueError("M must be a positive antenna count")
         if self.T < 2:
@@ -78,6 +87,8 @@ class SystemConfig:
             if self.powers is None or len(self.powers) != 4:
                 raise ValueError("explicit power policy needs powers=(p_t, p_d, q_t, q_d)")
             p_t, p_d, q_t, q_d = self.powers
+            if not all(math.isfinite(v) for v in self.powers):
+                raise ValueError(f"explicit powers must be finite, got {self.powers!r}")
             if min(p_t, p_d, q_t, q_d) < 0:
                 raise ValueError("explicit powers must be nonnegative")
             user = self.tau * p_t + (self.T - self.tau) * p_d

@@ -14,6 +14,7 @@ bit-reproducible.
 """
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -159,22 +160,26 @@ def run_trials(cfg: SystemConfig, scheme: str, jammer: JammerSpec, n_trials: int
     """All trial outcomes for one scheme.
 
     Results are keyed by trial index, so the worker count only changes wall
-    time, never values.
+    time, never values. The pool never starts more workers than the machine
+    has CPUs or the run has chunks.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
+    if n_workers < 1:
+        raise ValueError(f"worker count must be positive, got {n_workers}")
     _validate_combination(cfg, scheme, jammer, first_pilot)
     rates = np.empty(n_trials)
     n_used = np.empty(n_trials, dtype=np.int64)
     overlaps = np.empty(n_trials)
-    if n_workers <= 1:
+    n_workers = min(n_workers, os.cpu_count() or 1)
+    if n_workers == 1:
         chunks = [(cfg, scheme, jammer, first_pilot, opt_mode, 0, n_trials)]
         results = map(_trial_chunk, chunks)
     else:
         step = max(1, math.ceil(n_trials / (4 * n_workers)))
         chunks = [(cfg, scheme, jammer, first_pilot, opt_mode, s, min(s + step, n_trials))
                   for s in range(0, n_trials, step)]
-        pool = ProcessPoolExecutor(max_workers=n_workers)
+        pool = ProcessPoolExecutor(max_workers=min(n_workers, len(chunks)))
         try:
             results = list(pool.map(_trial_chunk, chunks))
         finally:

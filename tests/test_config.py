@@ -42,6 +42,16 @@ def test_explicit_policy_budget_enforced():
     dict(rate_accounting="psychic"),
     dict(master_seed=-1),
     dict(master_seed=2**64),
+    dict(P=math.nan),
+    dict(Q=math.inf),
+    dict(beta_u=math.nan),
+    dict(beta_j=math.inf),
+    dict(epsilon=math.nan),
+    dict(power_policy="explicit", powers=(1.0, math.nan, 0.0, 0.0)),
+    dict(M=50.5),
+    dict(T=200.0),
+    dict(tau=10.5),
+    dict(n_max=2.0),
 ])
 def test_invalid_configs_rejected(kwargs):
     with pytest.raises(ValueError):

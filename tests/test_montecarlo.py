@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import jamsim.montecarlo
 from jamsim import (JammerSpec, SystemConfig, average_rate, mmse_coefficients,
                     rate_from_overlap, run_trials, simulate_one_trial,
                     substream, verify_moments)
@@ -48,6 +49,39 @@ def test_worker_count_does_not_change_values():
     parallel = run_trials(cfg, "alg1", jam, 240, n_workers=2)
     assert np.array_equal(serial.rates, parallel.rates)
     assert np.array_equal(serial.n_used, parallel.n_used)
+
+
+def test_pool_size_is_capped_by_cpus_and_chunks(monkeypatch):
+    # a recording stand-in for the pool: it runs chunks in-process, so no
+    # worker process starts whatever the requested count
+    pool_sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(jamsim.montecarlo, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(jamsim.montecarlo.os, "cpu_count", lambda: 8)
+    cfg = _cfg(M=8, tau=4, master_seed=31)
+    jam = JammerSpec()
+    serial = run_trials(cfg, "alg1", jam, 40)
+    huge = run_trials(cfg, "alg1", jam, 40, n_workers=10**6)
+    few_chunks = run_trials(cfg, "alg1", jam, 3, n_workers=6)
+    assert pool_sizes == [8, 3]
+    assert np.array_equal(huge.rates, serial.rates)
+    assert np.array_equal(few_chunks.rates, serial.rates[:3])
+    monkeypatch.setattr(jamsim.montecarlo.os, "cpu_count", lambda: 1)
+    assert np.array_equal(run_trials(cfg, "alg1", jam, 40, n_workers=4).rates, serial.rates)
+    assert pool_sizes == [8, 3]     # one CPU runs serially
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="worker count"):
+            run_trials(cfg, "alg1", jam, 10, n_workers=bad)
 
 
 def test_schemes_share_first_round_draws():

@@ -145,6 +145,13 @@ def test_cli_bad_value_is_diagnosed(tmp_path):
     proc = _run_cli("simulate", "--config", str(cfg))
     assert proc.returncode == 2
     assert "'m'" in proc.stderr
+    cfg.write_text("p = nan\n")
+    proc = _run_cli("simulate", "--config", str(cfg))
+    assert proc.returncode == 2
+    assert "P must be finite" in proc.stderr
+    proc = _run_cli("simulate", "--threads", "0", "--trials", "5")
+    assert proc.returncode == 2
+    assert "worker count" in proc.stderr
 
 
 def test_cli_sweep_and_reproducibility(tmp_path):
