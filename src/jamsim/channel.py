@@ -24,34 +24,20 @@ def gen_channel(rng, m: int, beta: float) -> np.ndarray:
     return np.sqrt(beta) * crandn(rng, m)
 
 
-@dataclass(frozen=True)
-class PilotCodebook:
-    """tau orthonormal pilot sequences of length tau, one per row."""
-
-    tau: int
-    codewords: np.ndarray  # (tau, tau), read-only
-
-    def __len__(self) -> int:
-        return self.tau
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        return self.codewords[k]
-
-
 @functools.lru_cache(maxsize=None)
-def make_codebook(tau: int) -> PilotCodebook:
-    """Deterministic orthonormal constant-modulus pilot family.
+def make_codebook(tau: int) -> np.ndarray:
+    """Deterministic orthonormal constant-modulus pilot family, read-only (tau, tau).
 
-    Rows of the normalized DFT matrix: unit norm, pairwise orthogonal, and
-    every entry has modulus 1/sqrt(tau) so pilot energy is spread evenly
-    over the training symbols.
+    Row k is pilot k: a row of the normalized DFT matrix, so rows have unit
+    norm, are pairwise orthogonal, and every entry has modulus 1/sqrt(tau)
+    so pilot energy is spread evenly over the training symbols.
     """
     if tau < 1:
         raise ValueError(f"pilot length must be positive, got {tau}")
     grid = np.arange(tau)
     codewords = np.exp(-2j * np.pi * np.outer(grid, grid) / tau) / np.sqrt(tau)
     codewords.setflags(write=False)
-    return PilotCodebook(tau=tau, codewords=codewords)
+    return codewords
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ file values. Exit codes: 0 success, 1 moment check outside tolerance,
 
 import argparse
 import csv
+import math
 import sys
 
 from .channel import JammerSpec
@@ -16,9 +17,9 @@ from .montecarlo import SCHEMES, average_rate, verify_moments
 from .sweep import (AXES, PRESET_NAMES, SweepRow, SweepSpec, run_preset,
                     run_sweep, write_csv)
 
-_SYSTEM_KEYS = ("m", "t", "tau", "beta_u", "beta_j", "p", "q", "snr_db",
-                "power_policy", "p_t", "p_d", "q_t", "q_d", "epsilon", "n_max",
-                "seed", "threshold_on", "rate_accounting")
+_POWER_KEYS = ("p_t", "p_d", "q_t", "q_d")
+_SYSTEM_KEYS = ("m", "t", "tau", "beta_u", "beta_j", "p", "q", "snr_db", *_POWER_KEYS,
+                "epsilon", "n_max", "seed", "rate_accounting")
 _SCENARIO_KEYS = ("jammer", "jammer_data_phase", "first_pilot", "opt_mode",
                   "scheme", "schemes", "trials", "threads", "out")
 _SWEEP_KEYS = ("axis", "values")
@@ -100,7 +101,6 @@ def system_config_from_mapping(mapping: dict) -> SystemConfig:
         epsilon=_get_float(mapping, "epsilon", 0.1),
         n_max=_get_int(mapping, "n_max", 2),
         master_seed=_get_int(mapping, "seed", 0),
-        threshold_on=mapping.get("threshold_on", "squared"),
         rate_accounting=mapping.get("rate_accounting", "true_overlap"),
     )
     if "snr_db" in mapping:
@@ -111,16 +111,11 @@ def system_config_from_mapping(mapping: dict) -> SystemConfig:
     else:
         kwargs["P"] = _get_float(mapping, "p", 1.0)
         kwargs["Q"] = _get_float(mapping, "q", 1.0)
-    policy = mapping.get("power_policy", "uniform")
-    kwargs["power_policy"] = policy
-    if policy == "explicit":
-        missing = [k for k in ("p_t", "p_d", "q_t", "q_d") if k not in mapping]
+    if any(k in mapping for k in _POWER_KEYS):
+        missing = [k for k in _POWER_KEYS if k not in mapping]
         if missing:
-            raise ConfigError(f"explicit power policy needs keys: {', '.join(missing)}")
-        kwargs["powers"] = tuple(_get_float(mapping, k, None)
-                                 for k in ("p_t", "p_d", "q_t", "q_d"))
-    elif any(k in mapping for k in ("p_t", "p_d", "q_t", "q_d")):
-        raise ConfigError("per-phase power keys need power_policy = explicit")
+            raise ConfigError(f"explicit per-phase powers need keys: {', '.join(missing)}")
+        kwargs["powers"] = tuple(_get_float(mapping, k, None) for k in _POWER_KEYS)
     try:
         return SystemConfig(**kwargs)
     except ValueError as err:
@@ -224,12 +219,12 @@ def _cmd_sweep(ns) -> int:
                      base=system_config_from_mapping(mapping),
                      jammer=jammer_from_mapping(mapping),
                      n_trials=_get_int(mapping, "trials", 1000),
-                     output_path=mapping["out"],
                      n_workers=_get_int(mapping, "threads", 1),
                      first_pilot=_first_pilot_from_mapping(mapping),
                      opt_mode=mapping.get("opt_mode", "codebook"))
     rows = run_sweep(spec)
-    print(f"wrote {len(rows)} rows to {spec.output_path}")
+    write_csv(rows, mapping["out"])
+    print(f"wrote {len(rows)} rows to {mapping['out']}")
     return 0
 
 
@@ -242,6 +237,10 @@ def _cmd_verify(ns) -> int:
     trials = _get_int(mapping, "trials", 100000)
     tolerance = _get_float(mapping, "tolerance", 0.03)
     sinr_tolerance = _get_float(mapping, "sinr_tolerance", 0.05)
+    for key, tol in (("tolerance", tolerance), ("sinr_tolerance", sinr_tolerance)):
+        if not 0 <= tol < math.inf:
+            raise ConfigError(f"config key {key!r}: expected a finite nonnegative number, "
+                              f"got {mapping[key]!r}")
     reports = [verify_moments(cfg, overlap, trials) for overlap in overlaps]
     all_ok = True
     csv_rows = []
@@ -274,10 +273,10 @@ def _cmd_verify(ns) -> int:
 def _cmd_preset(ns) -> int:
     mapping = _load_mapping(ns)
     out = mapping.get("out", f"{ns.name}.csv")
-    rows = run_preset(ns.name, output_path=out,
-                      n_trials=_get_int(mapping, "trials", 50000),
+    rows = run_preset(ns.name, n_trials=_get_int(mapping, "trials", 50000),
                       master_seed=_get_int(mapping, "seed", 0),
                       n_workers=_get_int(mapping, "threads", 1))
+    write_csv(rows, out)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (JammerSpec, PilotCodebook, draw_jammer_sequence, jamming_overlap_sq,
-                      make_codebook)
+from .channel import JammerSpec, draw_jammer_sequence, jamming_overlap_sq, make_codebook
 from .config import SystemConfig
 from .estimation import estimate_jammer_gram, run_training
 
@@ -40,25 +39,19 @@ class ProtocolTrace:
     opt_pilot: np.ndarray | None
 
 
-def gram_quad_form(gram: np.ndarray, pilot: np.ndarray) -> float:
-    """Re(pilot^T gram pilot*): predicted squared overlap of a candidate pilot."""
-    return float(np.real(pilot @ gram @ np.conj(pilot)))
-
-
-def select_retransmission_pilot(gram: np.ndarray, codebook: PilotCodebook,
+def select_retransmission_pilot(gram: np.ndarray, codebook: np.ndarray,
                                 opt_mode: str = "codebook"):
-    """Pilot minimizing the quadratic form against the jammer gram estimate.
+    """Pilot minimizing Re(s^T gram s*) against the jammer gram estimate.
 
-    codebook mode searches the finite pilot family exhaustively (ties break
-    to the lowest index); eigen mode takes the conjugated eigenvector of the
-    smallest eigenvalue, the unconstrained unit-norm minimizer. Returns
+    codebook mode searches the rows of the pilot family exhaustively (ties
+    break to the lowest index); eigen mode takes the conjugated eigenvector
+    of the smallest eigenvalue, the unconstrained unit-norm minimizer. Returns
     (index or None, pilot, predicted quadratic form).
     """
     if opt_mode == "codebook":
-        cw = codebook.codewords
-        quad = np.einsum("ij,jk,ik->i", cw, gram, cw.conj()).real
+        quad = np.einsum("ij,jk,ik->i", codebook, gram, codebook.conj()).real
         idx = int(np.argmin(quad))
-        return idx, cw[idx], float(max(quad[idx], 0.0))
+        return idx, codebook[idx], float(max(quad[idx], 0.0))
     if opt_mode == "eigen":
         eigvals, eigvecs = np.linalg.eigh(gram)
         pilot = np.conj(eigvecs[:, 0])

@@ -25,6 +25,8 @@ _FIG3_SNR_DB = 5.0
 def derive_config(base: SystemConfig, axis: str, value: float) -> SystemConfig:
     """Config for one sweep point, with the offending value in any error."""
     try:
+        if not math.isfinite(value):
+            raise ValueError("sweep values must be finite")
         if axis == "tau_over_T":
             tau_exact = value * base.T
             tau = round(tau_exact)
@@ -37,8 +39,8 @@ def derive_config(base: SystemConfig, axis: str, value: float) -> SystemConfig:
                 raise ValueError(f"antenna count must be a positive integer, got {value:g}")
             return dataclasses.replace(base, M=m)
         if axis == "snr_db":
-            if base.power_policy != "uniform":
-                raise ValueError("an SNR sweep needs the uniform power policy")
+            if base.powers is not None:
+                raise ValueError("an SNR sweep needs a base without explicit powers")
             power = snr_db_to_power(value)
             return dataclasses.replace(base, P=power, Q=power)
         if axis == "epsilon":
@@ -58,7 +60,6 @@ class SweepSpec:
     base: SystemConfig
     jammer: JammerSpec = JammerSpec()
     n_trials: int = 1000
-    output_path: str | None = None
     n_workers: int = 1
     first_pilot: int | None = None
     opt_mode: str = "codebook"
@@ -96,8 +97,8 @@ class SweepRow:
     seed: int
 
 
-def run_sweep(spec: SweepSpec, write: bool = True) -> list[SweepRow]:
-    """One CSV row per (axis value, scheme), deterministic in the master seed.
+def run_sweep(spec: SweepSpec) -> list[SweepRow]:
+    """One row per (axis value, scheme), deterministic in the master seed.
 
     Every point reuses trial indices 0..n_trials-1 under the same master
     seed, so any row re-run individually reproduces its mean exactly and
@@ -115,8 +116,6 @@ def run_sweep(spec: SweepSpec, write: bool = True) -> list[SweepRow]:
                                  mean_rate=summary.mean_rate, stderr=summary.stderr,
                                  mean_n_used=summary.mean_n_used,
                                  n_trials=summary.n_trials, seed=cfg.master_seed))
-    if write and spec.output_path is not None:
-        write_csv(rows, spec.output_path)
     return rows
 
 
@@ -161,12 +160,10 @@ def preset_specs(name: str, n_trials: int = 50000, master_seed: int = 0,
     raise ValueError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
 
 
-def run_preset(name: str, output_path: str | None = None, n_trials: int = 50000,
-               master_seed: int = 0, n_workers: int = 1) -> list[SweepRow]:
+def run_preset(name: str, n_trials: int = 50000, master_seed: int = 0,
+               n_workers: int = 1) -> list[SweepRow]:
     rows = []
     for spec in preset_specs(name, n_trials=n_trials, master_seed=master_seed,
                              n_workers=n_workers):
-        rows.extend(run_sweep(spec, write=False))
-    if output_path is not None:
-        write_csv(rows, output_path)
+        rows.extend(run_sweep(spec))
     return rows

@@ -70,9 +70,9 @@ def test_criterion_3_unbounded_growth_without_training_jamming():
     gains = []
     for m in (10**3, 10**4, 10**5):
         low = SystemConfig(M=m, T=200, tau=10, P=1.0, Q=1.0,
-                           power_policy="explicit", powers=(1.0, 1.0, 0.0, 1.0))
+                           powers=(1.0, 1.0, 0.0, 1.0))
         high = SystemConfig(M=2 * m, T=200, tau=10, P=1.0, Q=1.0,
-                            power_policy="explicit", powers=(1.0, 1.0, 0.0, 1.0))
+                            powers=(1.0, 1.0, 0.0, 1.0))
         gains.append(rate_from_overlap(high, 0.5, 1).rate
                      - rate_from_overlap(low, 0.5, 1).rate)
     ok = all(0.90 <= g <= 0.95 for g in gains)
@@ -178,14 +178,13 @@ def test_criterion_7_exact_gram_selection_is_perfect():
     assert ok, line
 
 
-def test_criterion_8_sweeps_reproduce_across_worker_counts(tmp_path):
+def test_criterion_8_sweeps_reproduce_across_worker_counts():
     def sweep_rows(workers):
         spec = SweepSpec(axis="M", values=(8.0, 16.0),
                          schemes=("conventional", "alg1"),
                          base=SystemConfig(M=8, T=40, tau=4, P=1.0, Q=1.0,
                                            epsilon=0.1, n_max=2, master_seed=108),
                          jammer=JammerSpec(), n_trials=400,
-                         output_path=str(tmp_path / f"sweep_{workers}.csv"),
                          n_workers=workers)
         return run_sweep(spec)
 

@@ -50,17 +50,18 @@ def test_substream_reproducible():
 
 def test_codebook_trivial_and_small():
     cb = make_codebook(1)
-    assert cb.tau == 1
+    assert cb.shape == (1, 1)
+    assert not cb.flags.writeable
     assert cb[0] == pytest.approx([1.0])
 
     cb4 = make_codebook(4)
-    gram = cb4.codewords @ cb4.codewords.conj().T
+    gram = cb4 @ cb4.conj().T
     assert np.max(np.abs(gram - np.eye(4))) < 1e-12
 
 
 def test_codebook_constant_modulus():
     cb = make_codebook(8)
-    assert np.max(np.abs(np.abs(cb.codewords) - 1 / np.sqrt(8))) < 1e-12
+    assert np.max(np.abs(np.abs(cb) - 1 / np.sqrt(8))) < 1e-12
 
 
 def test_codebook_rejects_bad_tau():
@@ -72,14 +73,14 @@ def test_codebook_rejects_bad_tau():
 @given(st.integers(min_value=1, max_value=128))
 def test_codebook_orthonormal(tau):
     cb = make_codebook(tau)
-    gram = cb.codewords @ cb.codewords.conj().T
+    gram = cb @ cb.conj().T
     assert np.max(np.abs(gram - np.eye(tau))) < 1e-12
 
 
 @pytest.mark.parametrize("tau", [512, 1024])
 def test_codebook_orthonormal_large(tau):
     cb = make_codebook(tau)
-    gram = cb.codewords @ cb.codewords.conj().T
+    gram = cb @ cb.conj().T
     assert np.max(np.abs(gram - np.eye(tau))) < 1e-12
 
 

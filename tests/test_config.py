@@ -15,14 +15,12 @@ def test_uniform_policy_saturates_budgets():
 
 def test_explicit_policy_budget_enforced():
     cfg = SystemConfig(M=4, T=100, tau=5, P=1.0, Q=1.0,
-                       power_policy="explicit", powers=(2.0, 0.9, 1.0, 1.0))
+                       powers=(2.0, 0.9, 1.0, 1.0))
     assert cfg.p_t == 2.0 and cfg.p_d == 0.9
     with pytest.raises(ValueError, match="user power budget"):
-        SystemConfig(M=4, T=100, tau=5, P=1.0, power_policy="explicit",
-                     powers=(2.0, 1.1, 1.0, 1.0))
+        SystemConfig(M=4, T=100, tau=5, P=1.0, powers=(2.0, 1.1, 1.0, 1.0))
     with pytest.raises(ValueError, match="jammer power budget"):
-        SystemConfig(M=4, T=100, tau=5, Q=0.1, power_policy="explicit",
-                     powers=(1.0, 1.0, 1.0, 1.0))
+        SystemConfig(M=4, T=100, tau=5, Q=0.1, powers=(1.0, 1.0, 1.0, 1.0))
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -35,10 +33,6 @@ def test_explicit_policy_budget_enforced():
     dict(beta_j=-1.0),
     dict(epsilon=-0.1),
     dict(P=-1.0),
-    dict(power_policy="banana"),
-    dict(power_policy="uniform", powers=(1, 1, 1, 1)),
-    dict(power_policy="explicit"),
-    dict(threshold_on="cubed"),
     dict(rate_accounting="psychic"),
     dict(master_seed=-1),
     dict(master_seed=2**64),
@@ -47,7 +41,11 @@ def test_explicit_policy_budget_enforced():
     dict(beta_u=math.nan),
     dict(beta_j=math.inf),
     dict(epsilon=math.nan),
-    dict(power_policy="explicit", powers=(1.0, math.nan, 0.0, 0.0)),
+    dict(powers=(1.0, math.nan, 0.0, 0.0)),
+    dict(powers=(1.0, math.inf, 0.0, 0.0)),
+    dict(powers=(1.0, -0.5, 0.0, 0.0)),
+    dict(powers=(1.0, 1.0, 0.0)),
+    dict(powers=(1.0, 1.0, 0.0, 0.0, 0.0)),
     dict(M=50.5),
     dict(T=200.0),
     dict(tau=10.5),
@@ -59,12 +57,9 @@ def test_invalid_configs_rejected(kwargs):
 
 
 def test_threshold_modes():
-    squared = SystemConfig(epsilon=0.1, threshold_on="squared")
-    amplitude = SystemConfig(epsilon=0.1, threshold_on="amplitude")
-    # overlap_sq = 0.04 means amplitude 0.2
+    # epsilon bounds the squared overlap; an amplitude threshold e is epsilon = e**2
+    squared = SystemConfig(epsilon=0.1)
     assert squared.overlap_below_threshold(0.04)
-    assert not amplitude.overlap_below_threshold(0.04)
-    assert amplitude.overlap_below_threshold(0.0064)    # amplitude 0.08
     assert not squared.overlap_below_threshold(0.2)
 
 

@@ -30,7 +30,7 @@ def test_block_zero_when_powerless_and_noiseless(zero_noise):
 
 
 def test_block_rank_one_without_jamming(zero_noise):
-    cfg = _cfg(P=2.0, power_policy="explicit", powers=(2.0, 2.0, 0.0, 0.0), Q=0.0)
+    cfg = _cfg(P=2.0, powers=(2.0, 2.0, 0.0, 0.0), Q=0.0)
     rng = substream(3, 0)
     g_u = gen_channel(rng, 4, 1.0)
     g_j = gen_channel(rng, 4, 1.0)
@@ -327,8 +327,7 @@ def test_run_training_blind_uses_estimate():
 
 def test_run_training_without_jammer_power():
     # no training-phase jamming power leaves the blind estimator undefined
-    cfg = _cfg(M=8, tau=4, T=50, P=1.0, Q=1.0, power_policy="explicit",
-               powers=(1.0, 1.0, 0.0, 0.0))
+    cfg = _cfg(M=8, tau=4, T=50, P=1.0, Q=1.0, powers=(1.0, 1.0, 0.0, 0.0))
     cb = make_codebook(4)
     rng = substream(90, 0)
     g_u = gen_channel(rng, 8, 1.0)

@@ -84,6 +84,34 @@ def test_pool_size_is_capped_by_cpus_and_chunks(monkeypatch):
             run_trials(cfg, "alg1", jam, 10, n_workers=bad)
 
 
+# recorded mean_rate of 200 trials per (config, scheme). A change that alters
+# the seed->value mapping on purpose updates these values and says so in
+# CHANGES.md; rel=1e-9 leaves room for another BLAS's rounding only.
+_PINNED_BASE = dict(M=16, T=60, tau=6, P=10.0, Q=10.0, epsilon=0.1, n_max=2, master_seed=7)
+_PINNED_MEANS = {
+    ("true_overlap", "conventional"): 2.00490187660912,
+    ("true_overlap", "alg1"): 2.0708167343682446,
+    ("true_overlap", "alg2"): 2.2049807886728714,
+    ("estimated_overlap", "conventional"): 2.0462014134886073,
+    ("estimated_overlap", "alg1"): 2.167581507028726,
+    ("estimated_overlap", "alg2"): 2.215518012854309,
+    ("explicit_powers", "conventional"): 1.6653497966863124,
+    ("explicit_powers", "alg1"): 1.739013493934365,
+    ("explicit_powers", "alg2"): 1.8558677021901355,
+}
+
+
+@pytest.mark.parametrize("mode,scheme", sorted(_PINNED_MEANS))
+def test_seed_to_value_mapping_is_pinned(mode, scheme):
+    if mode == "explicit_powers":
+        cfg = SystemConfig(**{**_PINNED_BASE, "P": 1.0, "Q": 1.0},
+                           powers=(1.2, 0.95, 2.0, 0.7))
+    else:
+        cfg = SystemConfig(**_PINNED_BASE, rate_accounting=mode)
+    mean = run_trials(cfg, scheme, JammerSpec(), 200).rates.mean()
+    assert mean == pytest.approx(_PINNED_MEANS[mode, scheme], rel=1e-9)
+
+
 def test_schemes_share_first_round_draws():
     # paired comparisons rely on equal trial indices seeing the same
     # round-one sequences
@@ -203,8 +231,8 @@ def test_moment_oracle_sinr_across_random_parameter_draws():
 
 
 def test_moment_oracle_silent_jammer_moment_is_exactly_zero():
-    cfg = SystemConfig(M=16, T=50, tau=4, master_seed=1, power_policy="explicit",
-                       powers=(1.0, 1.0, 0.0, 0.0), P=1.0, Q=1.0)
+    cfg = SystemConfig(M=16, T=50, tau=4, master_seed=1, powers=(1.0, 1.0, 0.0, 0.0),
+                       P=1.0, Q=1.0)
     rep = verify_moments(cfg, 0.0, 2000)
     assert rep.e2_th == 0.0
     assert rep.e2_emp == 0.0
@@ -216,7 +244,7 @@ def test_moment_e1_does_not_depend_on_jammer():
     # moment agrees within twice its combined standard error
     jammed = SystemConfig(M=20, T=50, tau=8, master_seed=21)
     silent = SystemConfig(M=20, T=50, tau=8, master_seed=22,
-                          power_policy="explicit", powers=(0.2, 1.0, 0.0, 0.0))
+                          powers=(0.2, 1.0, 0.0, 0.0))
     assert mmse_coefficients(jammed, 0.5)[1] == pytest.approx(
         mmse_coefficients(silent, 0.0)[1], rel=1e-12)
     rep_j = verify_moments(jammed, 0.5, 10000)

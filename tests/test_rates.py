@@ -63,7 +63,7 @@ def test_sinr_monotone_in_overlap_and_jammer_power(ov, bump, p, q):
     # rho never improves when the overlap or either jammer power grows
     def cfg_with(q_t, q_d):
         return SystemConfig(M=32, T=200, tau=10, P=p, Q=max(q_t, q_d),
-                            power_policy="explicit", powers=(p, p, q_t, q_d))
+                            powers=(p, p, q_t, q_d))
 
     def rho_at(config, overlap):
         _, gamma = mmse_coefficients(config, overlap)
@@ -126,7 +126,7 @@ def test_limit_zero_at_balanced_powers():
 
 
 def test_limit_balanced_ratio_value():
-    cfg = _cfg(P=2.0, Q=1.0, power_policy="explicit", powers=(2.0, 2.0, 1.0, 1.0))
+    cfg = _cfg(P=2.0, Q=1.0, powers=(2.0, 2.0, 1.0, 1.0))
     # power ratio 4, equal fading, full overlap: 0.95 * log2(4)
     assert asymptotic_rate_limit(cfg, 1.0) == pytest.approx(1.9, rel=1e-12)
 
@@ -157,7 +157,7 @@ def test_rate_doubling_without_contamination(powers, overlap):
     # with a clean training phase, doubling M adds one bit times the prelog
     def at(m):
         cfg = SystemConfig(M=m, T=200, tau=10, P=1.0, Q=1.0,
-                           power_policy="explicit", powers=powers)
+                           powers=powers)
         return rate_from_overlap(cfg, overlap, 1).rate
 
     prelog = _cfg().prelog(1)

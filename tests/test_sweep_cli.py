@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from jamsim import (JammerSpec, SystemConfig, SweepSpec, average_rate,
-                    derive_config, preset_specs, run_preset, run_sweep)
+                    derive_config, preset_specs, run_preset, run_sweep, write_csv)
 from jamsim.sweep import CSV_HEADER
 
 
@@ -56,14 +56,11 @@ def test_derive_config_reports_offending_value():
 def test_run_sweep_writes_schema_and_is_deterministic(tmp_path):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
-    spec_a = SweepSpec(axis="M", values=(8.0, 16.0), schemes=("conventional", "alg1"),
-                       base=_base(), jammer=JammerSpec(), n_trials=150,
-                       output_path=str(out_a))
-    spec_b = SweepSpec(axis="M", values=(8.0, 16.0), schemes=("conventional", "alg1"),
-                       base=_base(), jammer=JammerSpec(), n_trials=150,
-                       output_path=str(out_b))
-    rows_a = run_sweep(spec_a)
-    run_sweep(spec_b)
+    spec = SweepSpec(axis="M", values=(8.0, 16.0), schemes=("conventional", "alg1"),
+                     base=_base(), jammer=JammerSpec(), n_trials=150)
+    rows_a = run_sweep(spec)
+    write_csv(rows_a, str(out_a))
+    write_csv(run_sweep(spec), str(out_b))
     assert len(rows_a) == 4
     assert out_a.read_text() == out_b.read_text()
     parsed = _read_csv(out_a)
@@ -71,11 +68,10 @@ def test_run_sweep_writes_schema_and_is_deterministic(tmp_path):
     assert {row["scheme"] for row in parsed} == {"conventional", "alg1"}
 
 
-def test_sweep_rows_round_trip_exactly(tmp_path):
+def test_sweep_rows_round_trip_exactly():
     # re-running one row's parameters reproduces its mean bit for bit
     spec = SweepSpec(axis="M", values=(8.0, 16.0), schemes=("alg1",),
-                     base=_base(), jammer=JammerSpec(), n_trials=120,
-                     output_path=str(tmp_path / "sweep.csv"))
+                     base=_base(), jammer=JammerSpec(), n_trials=120)
     rows = run_sweep(spec)
     for row in rows:
         cfg = derive_config(spec.base, spec.axis, row.value)
@@ -98,7 +94,8 @@ def test_presets_shape():
 
 def test_run_preset_row_count(tmp_path):
     out = tmp_path / "fig3.csv"
-    rows = run_preset("fig3", output_path=str(out), n_trials=20)
+    rows = run_preset("fig3", n_trials=20)
+    write_csv(rows, str(out))
     assert len(rows) == 3 * 9
     assert len(_read_csv(out)) == len(rows)
 
@@ -154,6 +151,45 @@ def test_cli_bad_value_is_diagnosed(tmp_path):
     assert "worker count" in proc.stderr
 
 
+@pytest.mark.parametrize("command,text,named", [
+    ("sweep", "axis = M\nvalues = 8,inf\n", "M=inf"),
+    ("sweep", "axis = tau_over_T\nvalues = 0.05,inf\n", "tau_over_T=inf"),
+    ("sweep", "axis = snr_db\nvalues = 0,4000\n", "snr_db=4000"),
+    ("simulate", "snr_db = 4000\n", "snr_db=4000"),
+])
+def test_cli_overflowing_values_are_usage_errors(tmp_path, command, text, named):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(text + "schemes = conventional\ntrials = 5\n")
+    proc = _run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
+    assert proc.returncode == 2
+    assert named in proc.stderr
+
+
+def test_cli_per_phase_powers(tmp_path):
+    cfg = tmp_path / "powers.cfg"
+    cfg.write_text("m = 16\nt = 40\ntau = 4\np = 2\nq = 1\n"
+                   "p_t = 2\np_d = 2\nq_t = 1\nq_d = 0.5\n"
+                   "schemes = conventional,alg1\ntrials = 60\nseed = 3\n")
+    out = tmp_path / "powers.csv"
+    assert _run_cli("simulate", "--config", str(cfg), "--out", str(out)).returncode == 0
+    explicit = SystemConfig(M=16, T=40, tau=4, P=2.0, Q=1.0, master_seed=3,
+                            powers=(2.0, 2.0, 1.0, 0.5))
+    for row in _read_csv(out):
+        summary = average_rate(explicit, row["scheme"], JammerSpec(), 60)
+        assert float(row["mean_rate"]) == summary.mean_rate
+    # a partial set of per-phase keys names the missing ones
+    cfg.write_text("p_t = 0.5\ntrials = 5\n")
+    proc = _run_cli("simulate", "--config", str(cfg))
+    assert proc.returncode == 2
+    assert "p_d, q_t, q_d" in proc.stderr
+    # the policy and threshold switches are gone: unknown keys
+    for key, value in (("power_policy", "explicit"), ("threshold_on", "amplitude")):
+        cfg.write_text(f"{key} = {value}\ntrials = 5\n")
+        proc = _run_cli("simulate", "--config", str(cfg))
+        assert proc.returncode == 2
+        assert f"unknown config key {key!r}" in proc.stderr
+
+
 def test_cli_sweep_and_reproducibility(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("axis = M\nvalues = 8,16\nschemes = conventional\n"
@@ -183,6 +219,17 @@ def test_cli_verify_appendix_exit_codes(tmp_path):
     strict = _run_cli("verify-appendix", "--config", str(cfg), "--trials", "2000")
     assert strict.returncode == 1
     assert "RESULT: FAIL" in strict.stdout
+
+
+@pytest.mark.parametrize("line", ["tolerance = nan", "tolerance = -1",
+                                  "sinr_tolerance = inf", "sinr_tolerance = -0.5"])
+def test_cli_verify_appendix_rejects_bad_tolerance(tmp_path, line):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text(line + "\n")
+    proc = _run_cli("verify-appendix", "--config", str(cfg), "--trials", "100")
+    assert proc.returncode == 2
+    assert repr(line.split(" = ")[0]) in proc.stderr
+    assert "RESULT" not in proc.stdout
 
 
 def test_cli_verify_appendix_csv(tmp_path):
