@@ -13,7 +13,7 @@ import sys
 
 from .channel import JammerSpec
 from .config import SystemConfig, snr_db_to_power
-from .montecarlo import SCHEMES, average_rate, verify_moments
+from .montecarlo import SCHEMES, _validate_combination, average_rate, verify_moments
 from .sweep import (AXES, PRESET_NAMES, SweepRow, SweepSpec, run_preset,
                     run_sweep, write_csv)
 
@@ -21,7 +21,7 @@ _POWER_KEYS = ("p_t", "p_d", "q_t", "q_d")
 _SYSTEM_KEYS = ("m", "t", "tau", "beta_u", "beta_j", "p", "q", "snr_db", *_POWER_KEYS,
                 "epsilon", "n_max", "seed", "rate_accounting")
 _SCENARIO_KEYS = ("jammer", "jammer_data_phase", "first_pilot", "opt_mode",
-                  "scheme", "schemes", "trials", "threads", "out")
+                  "schemes", "trials", "threads", "out")
 _SWEEP_KEYS = ("axis", "values")
 _VERIFY_KEYS = ("overlaps", "tolerance", "sinr_tolerance")
 KNOWN_KEYS = frozenset(_SYSTEM_KEYS + _SCENARIO_KEYS + _SWEEP_KEYS + _VERIFY_KEYS)
@@ -102,6 +102,8 @@ def system_config_from_mapping(mapping: dict) -> SystemConfig:
         n_max=_get_int(mapping, "n_max", 2),
         master_seed=_get_int(mapping, "seed", 0),
         rate_accounting=mapping.get("rate_accounting", "true_overlap"),
+        first_pilot=_first_pilot_from_mapping(mapping),
+        opt_mode=mapping.get("opt_mode", "codebook"),
     )
     if "snr_db" in mapping:
         if "p" in mapping or "q" in mapping:
@@ -141,7 +143,7 @@ def jammer_from_mapping(mapping: dict) -> JammerSpec:
 
 
 def schemes_from_mapping(mapping: dict) -> tuple[str, ...]:
-    text = mapping.get("schemes", mapping.get("scheme", "conventional"))
+    text = mapping.get("schemes", "conventional")
     schemes = tuple(s.strip() for s in text.split(",") if s.strip())
     if not schemes:
         raise ConfigError("config key 'schemes': at least one scheme is required")
@@ -152,9 +154,7 @@ def schemes_from_mapping(mapping: dict) -> tuple[str, ...]:
 
 
 def _first_pilot_from_mapping(mapping: dict):
-    if "first_pilot" not in mapping:
-        return None
-    text = mapping["first_pilot"]
+    text = mapping.get("first_pilot", "random")
     if text.lower() == "random":
         return None
     try:
@@ -184,12 +184,11 @@ def _cmd_simulate(ns) -> int:
     schemes = schemes_from_mapping(mapping)
     trials = _get_int(mapping, "trials", 1000)
     threads = _get_int(mapping, "threads", 1)
-    first_pilot = _first_pilot_from_mapping(mapping)
-    opt_mode = mapping.get("opt_mode", "codebook")
+    for scheme in schemes:
+        _validate_combination(cfg, scheme, jammer)     # fail before the first trial
     rows = []
     for scheme in schemes:
-        summary = average_rate(cfg, scheme, jammer, trials, n_workers=threads,
-                               first_pilot=first_pilot, opt_mode=opt_mode)
+        summary = average_rate(cfg, scheme, jammer, trials, n_workers=threads)
         print(f"scheme={scheme} mean_rate={summary.mean_rate:.6f} "
               f"stderr={summary.stderr:.6f} mean_n_used={summary.mean_n_used:.4f} "
               f"trials={summary.n_trials} seed={cfg.master_seed}")
@@ -219,9 +218,7 @@ def _cmd_sweep(ns) -> int:
                      base=system_config_from_mapping(mapping),
                      jammer=jammer_from_mapping(mapping),
                      n_trials=_get_int(mapping, "trials", 1000),
-                     n_workers=_get_int(mapping, "threads", 1),
-                     first_pilot=_first_pilot_from_mapping(mapping),
-                     opt_mode=mapping.get("opt_mode", "codebook"))
+                     n_workers=_get_int(mapping, "threads", 1))
     rows = run_sweep(spec)
     write_csv(rows, mapping["out"])
     print(f"wrote {len(rows)} rows to {mapping['out']}")

@@ -6,6 +6,7 @@ import numbers
 from dataclasses import dataclass
 
 RATE_ACCOUNTING_MODES = ("true_overlap", "estimated_overlap")
+OPT_MODES = ("codebook", "eigen")
 
 _MAX_SEED = 2**64 - 1
 # slack for the energy-budget inequalities, which are checked on floats
@@ -44,6 +45,8 @@ class SystemConfig:
     n_max: int = 2              # max transmissions per coherence block
     master_seed: int = 0
     rate_accounting: str = "true_overlap"   # overlaps fed to the closed-form rate
+    first_pilot: int | None = None  # codeword the user opens with; None draws it uniformly
+    opt_mode: str = "codebook"      # alg2's search for the retransmission pilot
 
     def __post_init__(self):
         for name in ("M", "T", "tau", "n_max"):
@@ -75,10 +78,15 @@ class SystemConfig:
             raise ValueError("master_seed must fit in 64 bits")
         if self.rate_accounting not in RATE_ACCOUNTING_MODES:
             raise ValueError(f"unknown rate_accounting mode {self.rate_accounting!r}")
+        k = self.first_pilot
+        if k is not None and not (isinstance(k, numbers.Integral) and 0 <= k < self.tau):
+            raise ValueError(f"first_pilot must be an index in [0, tau={self.tau}), got {k!r}")
+        if self.opt_mode not in OPT_MODES:
+            raise ValueError(f"unknown opt_mode {self.opt_mode!r}")
         if self.powers is None:
             return
-        if len(self.powers) != 4:
-            raise ValueError(f"powers must be (p_t, p_d, q_t, q_d), got {self.powers!r}")
+        if not isinstance(self.powers, tuple) or len(self.powers) != 4:
+            raise ValueError(f"powers must be a tuple (p_t, p_d, q_t, q_d), got {self.powers!r}")
         p_t, p_d, q_t, q_d = self.powers
         if not all(math.isfinite(v) for v in self.powers):
             raise ValueError(f"explicit powers must be finite, got {self.powers!r}")

@@ -13,6 +13,7 @@ comparisons paired and keeps any execution order or worker count
 bit-reproducible.
 """
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -63,6 +64,7 @@ class RateSummary:
     n_trials: int
 
 
+@functools.lru_cache
 def _rate_config(cfg: SystemConfig, jammer: JammerSpec) -> SystemConfig:
     """Config used for rate formulas: q_d is zero when no data-phase jamming."""
     if jammer.kind == "absent" or not jammer.data_phase_active:
@@ -70,93 +72,74 @@ def _rate_config(cfg: SystemConfig, jammer: JammerSpec) -> SystemConfig:
     return cfg
 
 
-def _validate_combination(cfg: SystemConfig, scheme: str, jammer: JammerSpec,
-                          first_pilot: int | None):
+def _validate_combination(cfg: SystemConfig, scheme: str, jammer: JammerSpec):
+    """Reject a (config, scheme, jammer) triple that no trial could run."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
+    if jammer.kind == "codeword" and jammer.codeword_index >= cfg.tau:
+        raise ValueError(f"codeword_index {jammer.codeword_index} out of range for tau={cfg.tau}")
     if scheme == "alg1":
         if jammer.kind == "codeword":
             raise ValueError("alg1 assumes random jamming; a codeword jammer is deterministic")
-        if first_pilot is not None:
+        if cfg.first_pilot is not None:
             raise ValueError("alg1 always draws its pilots uniformly; first_pilot is not supported")
-    if first_pilot is not None and not 0 <= first_pilot < cfg.tau:
-        raise ValueError(f"first_pilot must lie in [0, tau), got {first_pilot}")
+    if scheme == "alg2" and 2 * cfg.tau >= cfg.T:
+        raise ValueError(f"a retransmission needs 2*tau < T, got tau={cfg.tau}, T={cfg.T}")
 
 
-def simulate_one_trial(cfg: SystemConfig, scheme: str, jammer: JammerSpec, index: int,
-                       first_pilot: int | None = None, opt_mode: str = "codebook",
-                       rate_cfg: SystemConfig | None = None) -> TrialResult:
+def simulate_one_trial(cfg: SystemConfig, scheme: str, jammer: JammerSpec,
+                       index: int) -> TrialResult:
     """One independent realization of one scheme.
 
     Reproducible from (cfg.master_seed, index) alone. The reported rate is
     the closed-form achievable rate at the overlaps selected by
     cfg.rate_accounting.
     """
-    _validate_combination(cfg, scheme, jammer, first_pilot)
-    if rate_cfg is None:
-        rate_cfg = _rate_config(cfg, jammer)
+    _validate_combination(cfg, scheme, jammer)
+    rate_config = _rate_config(cfg, jammer)
     estimated = cfg.rate_accounting == "estimated_overlap"
-    rng_proto = _trial_stream(cfg, index, _TAG_PROTOCOL)
-    codebook = make_codebook(cfg.tau)
-
-    if scheme == "conventional":
-        k = first_pilot if first_pilot is not None else int(rng_proto.integers(cfg.tau))
-        s_u = codebook[k]
-        s_j = draw_jammer_sequence(rng_proto, jammer, cfg.tau)
-        if estimated:
-            rng_chan = _trial_stream(cfg, index, _TAG_CHANNEL)
-            g_u = gen_channel(rng_chan, cfg.M, cfg.beta_u)
-            g_j = gen_channel(rng_chan, cfg.M, cfg.beta_j)
-            _, overlap = run_training(cfg, g_u, g_j, s_u, s_j, rng_proto)
-        else:
-            overlap = jamming_overlap_sq(s_j, s_u)
-        report = rate_from_overlap(rate_cfg, overlap, 1)
-        return TrialResult(scheme, report.rate, 1, overlap)
-
-    rng_chan = _trial_stream(cfg, index, _TAG_CHANNEL)
-    g_u = gen_channel(rng_chan, cfg.M, cfg.beta_u)
-    g_j = gen_channel(rng_chan, cfg.M, cfg.beta_j)
+    rng_proto = substream(cfg.master_seed, index, _TAG_PROTOCOL)
 
     if scheme == "alg1":
-        trace = run_algorithm1(cfg, g_u, g_j, jammer, rng_proto)
+        trace = run_algorithm1(cfg, *_channels(cfg, index), jammer, rng_proto)
         overlaps = [r.overlap_est if estimated else r.overlap_true for r in trace.rounds]
-        report = rate_random_jamming(rate_cfg, overlaps, trace.n_used)
+        report = rate_random_jamming(rate_config, overlaps, trace.n_used)
         return TrialResult(scheme, report.rate, trace.n_used, report.overlap_sq_used)
 
-    # alg2: the jamming sequence is frozen for the whole trial
-    k = first_pilot if first_pilot is not None else int(rng_proto.integers(cfg.tau))
+    # round one: the pilot index, then the jamming sequence, which alg2's
+    # jammer replays for the whole trial
+    k = cfg.first_pilot if cfg.first_pilot is not None else int(rng_proto.integers(cfg.tau))
     s_j = draw_jammer_sequence(rng_proto, jammer, cfg.tau)
-    trace = run_algorithm2(cfg, g_u, g_j, s_j, rng_proto, opt_mode=opt_mode, first_pilot=k)
-    final = trace.rounds[trace.n_used - 1]
-    overlap = final.overlap_est if estimated else final.overlap_true
-    report = rate_from_overlap(rate_cfg, overlap, trace.n_used)
-    return TrialResult(scheme, report.rate, trace.n_used, overlap)
+    if scheme == "alg2":
+        trace = run_algorithm2(cfg, *_channels(cfg, index), s_j, rng_proto, first_pilot=k)
+        n_used, final = trace.n_used, trace.rounds[-1]
+        overlap = final.overlap_est if estimated else final.overlap_true
+    elif estimated:
+        n_used = 1
+        s_u = make_codebook(cfg.tau)[k]
+        _, overlap = run_training(cfg, *_channels(cfg, index), s_u, s_j, rng_proto)
+    else:
+        n_used, overlap = 1, jamming_overlap_sq(s_j, make_codebook(cfg.tau)[k])
+    report = rate_from_overlap(rate_config, overlap, n_used)
+    return TrialResult(scheme, report.rate, n_used, overlap)
 
 
-def _trial_stream(cfg: SystemConfig, index: int, tag: int):
-    return substream(cfg.master_seed, index, tag)
+def _channels(cfg: SystemConfig, index: int):
+    """User and jammer channel vectors of one trial."""
+    rng = substream(cfg.master_seed, index, _TAG_CHANNEL)
+    return gen_channel(rng, cfg.M, cfg.beta_u), gen_channel(rng, cfg.M, cfg.beta_j)
 
 
 def _trial_chunk(args):
-    cfg, scheme, jammer, first_pilot, opt_mode, start, stop = args
-    n = stop - start
-    rates = np.empty(n)
-    n_used = np.empty(n, dtype=np.int64)
-    overlaps = np.empty(n)
-    rate_cfg = _rate_config(cfg, jammer)
-    for i in range(n):
-        res = simulate_one_trial(cfg, scheme, jammer, start + i,
-                                 first_pilot=first_pilot, opt_mode=opt_mode,
-                                 rate_cfg=rate_cfg)
-        rates[i] = res.rate
-        n_used[i] = res.n_used
-        overlaps[i] = res.overlap_sq
-    return start, rates, n_used, overlaps
+    cfg, scheme, jammer, start, stop = args
+    trials = [simulate_one_trial(cfg, scheme, jammer, i) for i in range(start, stop)]
+    return (np.array([t.rate for t in trials]),
+            np.array([t.n_used for t in trials], dtype=np.int64),
+            np.array([t.overlap_sq for t in trials]))
 
 
 def run_trials(cfg: SystemConfig, scheme: str, jammer: JammerSpec, n_trials: int,
-               n_workers: int = 1, first_pilot: int | None = None,
-               opt_mode: str = "codebook") -> TrialData:
+               n_workers: int = 1) -> TrialData:
     """All trial outcomes for one scheme.
 
     Results are keyed by trial index, so the worker count only changes wall
@@ -167,27 +150,20 @@ def run_trials(cfg: SystemConfig, scheme: str, jammer: JammerSpec, n_trials: int
         raise ValueError("n_trials must be positive")
     if n_workers < 1:
         raise ValueError(f"worker count must be positive, got {n_workers}")
-    _validate_combination(cfg, scheme, jammer, first_pilot)
-    rates = np.empty(n_trials)
-    n_used = np.empty(n_trials, dtype=np.int64)
-    overlaps = np.empty(n_trials)
+    _validate_combination(cfg, scheme, jammer)
     n_workers = min(n_workers, os.cpu_count() or 1)
+    step = n_trials if n_workers == 1 else max(1, math.ceil(n_trials / (4 * n_workers)))
+    chunks = [(cfg, scheme, jammer, s, min(s + step, n_trials))
+              for s in range(0, n_trials, step)]
     if n_workers == 1:
-        chunks = [(cfg, scheme, jammer, first_pilot, opt_mode, 0, n_trials)]
-        results = map(_trial_chunk, chunks)
+        results = list(map(_trial_chunk, chunks))
     else:
-        step = max(1, math.ceil(n_trials / (4 * n_workers)))
-        chunks = [(cfg, scheme, jammer, first_pilot, opt_mode, s, min(s + step, n_trials))
-                  for s in range(0, n_trials, step)]
         pool = ProcessPoolExecutor(max_workers=min(n_workers, len(chunks)))
         try:
             results = list(pool.map(_trial_chunk, chunks))
         finally:
             pool.shutdown()
-    for start, r, n, o in results:
-        rates[start:start + len(r)] = r
-        n_used[start:start + len(n)] = n
-        overlaps[start:start + len(o)] = o
+    rates, n_used, overlaps = map(np.concatenate, zip(*results))
     return TrialData(scheme=scheme, rates=rates, n_used=n_used, overlap_sq=overlaps)
 
 
@@ -202,11 +178,9 @@ def summarize(data: TrialData) -> RateSummary:
 
 
 def average_rate(cfg: SystemConfig, scheme: str, jammer: JammerSpec, n_trials: int,
-                 n_workers: int = 1, first_pilot: int | None = None,
-                 opt_mode: str = "codebook") -> RateSummary:
+                 n_workers: int = 1) -> RateSummary:
     """Mean closed-form rate, its standard error, and the retransmission counts."""
-    return summarize(run_trials(cfg, scheme, jammer, n_trials, n_workers=n_workers,
-                                first_pilot=first_pilot, opt_mode=opt_mode))
+    return summarize(run_trials(cfg, scheme, jammer, n_trials, n_workers=n_workers))
 
 
 @dataclass(frozen=True)

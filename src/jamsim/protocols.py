@@ -14,9 +14,6 @@ from .channel import JammerSpec, draw_jammer_sequence, jamming_overlap_sq, make_
 from .config import SystemConfig
 from .estimation import estimate_jammer_gram, run_training
 
-OPT_MODES = ("codebook", "eigen")
-
-
 @dataclass(frozen=True)
 class RoundRecord:
     """One pilot transmission as seen by the simulator.
@@ -87,22 +84,21 @@ def run_algorithm1(cfg: SystemConfig, g_u, g_j, jammer: JammerSpec, rng) -> Prot
 
 
 def run_algorithm2(cfg: SystemConfig, g_u, g_j, s_j: np.ndarray, rng,
-                   opt_mode: str = "codebook",
                    first_pilot: int | None = None) -> ProtocolTrace:
     """Pilot adaptation against a jammer whose sequence s_j is fixed.
 
-    Round 1 sends a codeword (uniform unless first_pilot pins it). If the
-    blind overlap estimate exceeds the threshold, the receiver estimates the
-    jammer gram from the same block, searches for the pilot with minimal
-    predicted overlap, and requests exactly one retransmission, but only if
-    that prediction improves on round 1. At most one retransmission ever
-    happens; the jammer replays s_j under fresh noise.
+    Round 1 sends codeword first_pilot (cfg.first_pilot if None, uniform if
+    that is None too). If the blind overlap estimate exceeds the threshold,
+    the receiver estimates the jammer gram from the same block, searches
+    (cfg.opt_mode) for the pilot with minimal predicted overlap, and
+    requests one retransmission, but only if that prediction improves on
+    round 1. The jammer replays s_j under fresh noise.
     """
-    if opt_mode not in OPT_MODES:
-        raise ValueError(f"unknown opt_mode {opt_mode!r}")
     if 2 * cfg.tau >= cfg.T:
         raise ValueError(f"a retransmission needs 2*tau < T, got tau={cfg.tau}, T={cfg.T}")
     codebook = make_codebook(cfg.tau)
+    if first_pilot is None:
+        first_pilot = cfg.first_pilot
     if first_pilot is None:
         first_pilot = int(rng.integers(cfg.tau))
     elif not 0 <= first_pilot < cfg.tau:
@@ -113,7 +109,7 @@ def run_algorithm2(cfg: SystemConfig, g_u, g_j, s_j: np.ndarray, rng,
     if cfg.overlap_below_threshold(overlap_est):
         return ProtocolTrace(tuple(rounds), 1, "threshold_met", 0, None)
     gram = estimate_jammer_gram(block, s_u, cfg)
-    opt_idx, opt_pilot, predicted = select_retransmission_pilot(gram, codebook, opt_mode)
+    opt_idx, opt_pilot, predicted = select_retransmission_pilot(gram, codebook, cfg.opt_mode)
     if not predicted < overlap_est:
         return ProtocolTrace(tuple(rounds), 1, "opt_no_better", 0, opt_pilot)
     _, overlap_est2 = run_training(cfg, g_u, g_j, opt_pilot, s_j, rng)

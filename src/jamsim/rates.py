@@ -37,7 +37,8 @@ def effective_sinr(cfg: SystemConfig, gamma_u: float, overlap_sq: float) -> floa
 
     M p_d gamma_u over (p_d beta_u + q_d beta_j + contamination + 1). The
     contamination term grows with M, which is what ultimately saturates the
-    rate when the training phase is hit by a non-orthogonal jammer.
+    rate when the training phase is hit by a non-orthogonal jammer. Powers
+    so large that the SINR's terms overflow raise ValueError.
     """
     if cfg.p_t <= 0:
         raise ValueError("effective SINR is undefined for p_t = 0")
@@ -45,9 +46,13 @@ def effective_sinr(cfg: SystemConfig, gamma_u: float, overlap_sq: float) -> floa
         raise ValueError("gamma_u must be nonnegative")
     if overlap_sq < 0:
         raise ValueError("overlap_sq must be nonnegative")
-    alpha = contamination_term(cfg, gamma_u, overlap_sq)
-    return (cfg.M * cfg.p_d * gamma_u
-            / (cfg.p_d * cfg.beta_u + cfg.q_d * cfg.beta_j + alpha + 1.0))
+    den = (cfg.p_d * cfg.beta_u + cfg.q_d * cfg.beta_j
+           + contamination_term(cfg, gamma_u, overlap_sq) + 1.0)
+    sinr = cfg.M * cfg.p_d * gamma_u / den
+    if not (math.isfinite(den) and math.isfinite(sinr)):
+        raise ValueError(
+            f"powers p_d={cfg.p_d:g}, q_t={cfg.q_t:g}, q_d={cfg.q_d:g} overflow the SINR")
+    return sinr
 
 
 def rate(cfg: SystemConfig, rho: float, n_used: int = 1) -> float:

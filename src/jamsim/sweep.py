@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .config import SystemConfig, snr_db_to_power
 from .channel import JammerSpec
-from .montecarlo import SCHEMES, average_rate
+from .montecarlo import SCHEMES, _validate_combination, average_rate
 
 AXES = ("tau_over_T", "M", "snr_db", "epsilon")
 PRESET_NAMES = ("fig2", "fig3")
@@ -61,24 +61,25 @@ class SweepSpec:
     jammer: JammerSpec = JammerSpec()
     n_trials: int = 1000
     n_workers: int = 1
-    first_pilot: int | None = None
-    opt_mode: str = "codebook"
     label: str | None = None    # axis name written to the CSV, defaults to axis
 
     def __post_init__(self):
         if not self.schemes:
             raise ValueError("schemes must be a nonempty subset of " + ", ".join(SCHEMES))
-        for scheme in self.schemes:
-            if scheme not in SCHEMES:
-                raise ValueError(f"unknown scheme {scheme!r}")
         if not self.values:
             raise ValueError("values must be nonempty")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("values must be strictly increasing")
         if self.n_trials < 1:
             raise ValueError("n_trials must be positive")
+        # fail before the first trial, naming the value
         for value in self.values:
-            derive_config(self.base, self.axis, value)  # fail early, names the value
+            cfg = derive_config(self.base, self.axis, value)
+            for scheme in self.schemes:
+                try:
+                    _validate_combination(cfg, scheme, self.jammer)
+                except ValueError as err:
+                    raise ValueError(f"axis {self.axis}={value:g}: {err}") from None
 
     @property
     def axis_label(self) -> str:
@@ -109,9 +110,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         cfg = derive_config(spec.base, spec.axis, value)
         for scheme in spec.schemes:
             summary = average_rate(cfg, scheme, spec.jammer, spec.n_trials,
-                                   n_workers=spec.n_workers,
-                                   first_pilot=spec.first_pilot,
-                                   opt_mode=spec.opt_mode)
+                                   n_workers=spec.n_workers)
             rows.append(SweepRow(axis=spec.axis_label, value=float(value), scheme=scheme,
                                  mean_rate=summary.mean_rate, stderr=summary.stderr,
                                  mean_n_used=summary.mean_n_used,

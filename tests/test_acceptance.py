@@ -134,12 +134,11 @@ def test_criterion_6_adaptation_restores_scaling_with_m():
     for scheme in ("alg2", "conventional"):
         for m in (100, 400):
             cfg = SystemConfig(M=m, T=200, tau=10, P=power, Q=power,
-                               epsilon=0.1, n_max=2, master_seed=106)
+                               epsilon=0.1, n_max=2, master_seed=106, first_pilot=0)
             # worst-case deterministic attack: the jammer sits exactly on the
             # codeword the user opens with
             jam = JammerSpec(kind="codeword", codeword_index=0)
-            data = run_trials(cfg, scheme, jam, trials, first_pilot=0,
-                              opt_mode="codebook")
+            data = run_trials(cfg, scheme, jam, trials)
             means[scheme, m] = float(data.rates.mean())
     adapt_gain = means["alg2", 400] - means["alg2", 100]
     conv_gain = means["conventional", 400] - means["conventional", 100]

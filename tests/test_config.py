@@ -50,6 +50,11 @@ def test_explicit_policy_budget_enforced():
     dict(T=200.0),
     dict(tau=10.5),
     dict(n_max=2.0),
+    dict(powers=[1.0, 1.0, 0.0, 0.0]),    # a list is not hashable
+    dict(first_pilot=10),                 # == tau
+    dict(first_pilot=-1),
+    dict(first_pilot=1.5),
+    dict(opt_mode="psychic"),
 ])
 def test_invalid_configs_rejected(kwargs):
     with pytest.raises(ValueError):

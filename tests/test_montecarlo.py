@@ -170,6 +170,19 @@ def test_alg1_beats_conventional_at_small_training_payload():
     assert diff.mean() > 3 * stderr
 
 
+def test_alg2_eigen_search_escapes_codeword_jammer():
+    # the jammer sits on the codeword the user opens with; the eigenvector
+    # pilot all but nulls it, so alg2 keeps scaling where conventional saturates
+    power = snr_db_to_power(5.0)
+    cfg = _cfg(M=400, P=power, Q=power, first_pilot=0, opt_mode="eigen")
+    jam = JammerSpec(kind="codeword", codeword_index=0)
+    alg2 = run_trials(cfg, "alg2", jam, 300)
+    conv = run_trials(cfg, "conventional", jam, 300)
+    assert np.all(alg2.n_used == 2)
+    assert alg2.overlap_sq.max() < 0.01
+    assert alg2.rates.mean() > conv.rates.mean() + 5
+
+
 def test_estimated_overlap_accounting_runs():
     cfg = _cfg(rate_accounting="estimated_overlap", master_seed=8)
     jam = JammerSpec()
@@ -190,7 +203,7 @@ def test_invalid_scheme_and_jammer_combinations():
     with pytest.raises(ValueError):
         average_rate(cfg, "alg1", JammerSpec(kind="codeword"), 10)
     with pytest.raises(ValueError):
-        average_rate(cfg, "alg1", JammerSpec(), 10, first_pilot=0)
+        average_rate(_cfg(first_pilot=0), "alg1", JammerSpec(), 10)
     with pytest.raises(ValueError):
         average_rate(cfg, "waterfilling", JammerSpec(), 10)
     with pytest.raises(ValueError):

@@ -136,7 +136,7 @@ def test_alg2_rejects_bad_args():
     g_u, g_j = _channels(cfg, 7)
     s_j = make_codebook(cfg.tau)[0]
     with pytest.raises(ValueError):
-        run_algorithm2(cfg, g_u, g_j, s_j, substream(7, 1), opt_mode="psychic")
+        _cfg(opt_mode="psychic")
     with pytest.raises(ValueError):
         run_algorithm2(cfg, g_u, g_j, s_j, substream(7, 1), first_pilot=99)
     with pytest.raises(ValueError):

@@ -56,6 +56,14 @@ def test_sinr_rejects_bad_inputs():
         effective_sinr(cfg, 0.5, -0.2)
 
 
+def test_sinr_overflow_raises():
+    # q_d*q_t overflows from P = Q ~ 1e155; below that the saturated rate stands
+    with pytest.raises(ValueError, match="overflow the SINR"):
+        rate_from_overlap(SystemConfig(P=1e160, Q=1e160), 0.1)
+    report = rate_from_overlap(SystemConfig(P=1e150, Q=1e150), 0.1)
+    assert report.rate == pytest.approx(2.840449018569273, rel=1e-12)
+
+
 @settings(max_examples=60, deadline=None)
 @given(ov=st.floats(0.0, 1.0), bump=st.floats(0.01, 1.0),
        p=st.floats(0.1, 10.0), q=st.floats(0.1, 10.0))

@@ -36,6 +36,13 @@ def test_spec_validation():
         SweepSpec(axis="M", values=(8.0,), schemes=("magic",), base=base)
     with pytest.raises(ValueError, match="axis"):
         SweepSpec(axis="carrier", values=(8.0,), schemes=("conventional",), base=base)
+    # every (point, scheme) is checked before the first trial
+    with pytest.raises(ValueError, match="tau_over_T=0.6: a retransmission needs"):
+        SweepSpec(axis="tau_over_T", values=(0.1, 0.6), schemes=("alg2",),
+                  base=_base(T=200, tau=20, n_max=1))
+    with pytest.raises(ValueError, match="tau_over_T=0.02: first_pilot"):
+        SweepSpec(axis="tau_over_T", values=(0.02, 0.1), schemes=("conventional",),
+                  base=_base(T=200, tau=20, first_pilot=5))
 
 
 def test_derive_config_reports_offending_value():
@@ -134,6 +141,10 @@ def test_cli_unknown_key_is_diagnosed(tmp_path):
     proc = _run_cli("simulate", "--config", str(cfg))
     assert proc.returncode == 2
     assert "warp_factor" in proc.stderr
+    cfg.write_text("scheme = alg1\n")       # the alias of 'schemes' is gone
+    proc = _run_cli("simulate", "--config", str(cfg))
+    assert proc.returncode == 2
+    assert "unknown config key 'scheme'" in proc.stderr
 
 
 def test_cli_bad_value_is_diagnosed(tmp_path):
@@ -156,6 +167,8 @@ def test_cli_bad_value_is_diagnosed(tmp_path):
     ("sweep", "axis = tau_over_T\nvalues = 0.05,inf\n", "tau_over_T=inf"),
     ("sweep", "axis = snr_db\nvalues = 0,4000\n", "snr_db=4000"),
     ("simulate", "snr_db = 4000\n", "snr_db=4000"),
+    ("simulate", "snr_db = 3000\n", "overflow the SINR"),
+    ("simulate", "snr_db = 3000\nrate_accounting = estimated_overlap\n", "overflow the SINR"),
 ])
 def test_cli_overflowing_values_are_usage_errors(tmp_path, command, text, named):
     cfg = tmp_path / "big.cfg"
@@ -163,6 +176,19 @@ def test_cli_overflowing_values_are_usage_errors(tmp_path, command, text, named)
     proc = _run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
     assert proc.returncode == 2
     assert named in proc.stderr
+
+
+@pytest.mark.parametrize("text,named", [
+    ("schemes = alg2,alg1\nfirst_pilot = 2\n", "first_pilot is not supported"),
+    ("schemes = conventional,alg2\nopt_mode = banana\n", "unknown opt_mode 'banana'"),
+])
+def test_cli_simulate_rejects_a_bad_scheme_before_any_trial(tmp_path, text, named):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text + "m = 16\nt = 40\ntau = 4\ntrials = 5\n")
+    proc = _run_cli("simulate", "--config", str(cfg))
+    assert proc.returncode == 2
+    assert named in proc.stderr
+    assert "scheme=" not in proc.stdout
 
 
 def test_cli_per_phase_powers(tmp_path):
