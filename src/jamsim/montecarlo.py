@@ -7,10 +7,10 @@ decomposition behind the SINR formula.
 
 Every trial draws from two substreams keyed by (master_seed, trial, tag):
 one for channels, one for the pilot/jammer/noise draws of the protocol.
-Schemes consume the protocol stream in the same leading order, so at equal
-trial indices they see identical first-round sequences. That makes scheme
-comparisons paired and keeps any execution order or worker count
-bit-reproducible.
+The engine draws round one (the pilot index, then the jamming sequence)
+from the protocol stream for every scheme, so at equal trial indices all
+schemes see identical first-round sequences. That makes scheme comparisons
+paired and keeps any execution order or worker count bit-reproducible.
 """
 
 import functools
@@ -26,7 +26,7 @@ from .channel import (JammerSpec, crandn, draw_jammer_sequence, gen_channel,
 from .config import SystemConfig
 from .estimation import mmse_coefficients, run_training
 from .protocols import run_algorithm1, run_algorithm2
-from .rates import effective_sinr, rate_from_overlap, rate_random_jamming
+from .rates import effective_sinr, rate_from_overlap
 from .rng import substream
 
 SCHEMES = ("conventional", "alg1", "alg2")
@@ -35,14 +35,6 @@ _TAG_CHANNEL = 0
 _TAG_PROTOCOL = 1
 _TAG_MOMENTS = 2
 _MOMENT_CHUNK = 20000
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    scheme: str
-    rate: float
-    n_used: int
-    overlap_sq: float
 
 
 @dataclass(frozen=True)
@@ -88,40 +80,35 @@ def _validate_combination(cfg: SystemConfig, scheme: str, jammer: JammerSpec):
 
 
 def simulate_one_trial(cfg: SystemConfig, scheme: str, jammer: JammerSpec,
-                       index: int) -> TrialResult:
-    """One independent realization of one scheme.
+                       index: int) -> tuple[float, int, float]:
+    """One independent realization of one scheme: (rate, n_used, overlap_sq).
 
-    Reproducible from (cfg.master_seed, index) alone. The reported rate is
-    the closed-form achievable rate at the overlaps selected by
-    cfg.rate_accounting.
+    Reproducible from (cfg.master_seed, index) alone. Round one is drawn
+    here for every scheme, so schemes are paired at equal indices. The rate
+    is the closed-form achievable rate at the overlap of the round the
+    receiver decodes with, true or blind as cfg.rate_accounting selects,
+    and pays for every transmission spent.
     """
     _validate_combination(cfg, scheme, jammer)
-    rate_config = _rate_config(cfg, jammer)
     estimated = cfg.rate_accounting == "estimated_overlap"
     rng_proto = substream(cfg.master_seed, index, _TAG_PROTOCOL)
-
-    if scheme == "alg1":
-        trace = run_algorithm1(cfg, *_channels(cfg, index), jammer, rng_proto)
-        overlaps = [r.overlap_est if estimated else r.overlap_true for r in trace.rounds]
-        report = rate_random_jamming(rate_config, overlaps, trace.n_used)
-        return TrialResult(scheme, report.rate, trace.n_used, report.overlap_sq_used)
-
     # round one: the pilot index, then the jamming sequence, which alg2's
     # jammer replays for the whole trial
     k = cfg.first_pilot if cfg.first_pilot is not None else int(rng_proto.integers(cfg.tau))
     s_j = draw_jammer_sequence(rng_proto, jammer, cfg.tau)
-    if scheme == "alg2":
-        trace = run_algorithm2(cfg, *_channels(cfg, index), s_j, rng_proto, first_pilot=k)
-        n_used, final = trace.n_used, trace.rounds[-1]
-        overlap = final.overlap_est if estimated else final.overlap_true
-    elif estimated:
-        n_used = 1
-        s_u = make_codebook(cfg.tau)[k]
-        _, overlap = run_training(cfg, *_channels(cfg, index), s_u, s_j, rng_proto)
+    if scheme == "conventional":
+        n_used, s_u = 1, make_codebook(cfg.tau)[k]
+        if estimated:
+            _, overlap = run_training(cfg, *_channels(cfg, index), s_u, s_j, rng_proto)
+        else:
+            overlap = jamming_overlap_sq(s_j, s_u)
     else:
-        n_used, overlap = 1, jamming_overlap_sq(s_j, make_codebook(cfg.tau)[k])
-    report = rate_from_overlap(rate_config, overlap, n_used)
-    return TrialResult(scheme, report.rate, n_used, overlap)
+        g_u, g_j = _channels(cfg, index)
+        trace = (run_algorithm1(cfg, g_u, g_j, k, s_j, jammer, rng_proto) if scheme == "alg1"
+                 else run_algorithm2(cfg, g_u, g_j, k, s_j, rng_proto))
+        chosen = trace.rounds[trace.chosen_round]
+        n_used, overlap = trace.n_used, chosen.overlap_est if estimated else chosen.overlap_true
+    return rate_from_overlap(_rate_config(cfg, jammer), overlap, n_used).rate, n_used, overlap
 
 
 def _channels(cfg: SystemConfig, index: int):
@@ -132,10 +119,9 @@ def _channels(cfg: SystemConfig, index: int):
 
 def _trial_chunk(args):
     cfg, scheme, jammer, start, stop = args
-    trials = [simulate_one_trial(cfg, scheme, jammer, i) for i in range(start, stop)]
-    return (np.array([t.rate for t in trials]),
-            np.array([t.n_used for t in trials], dtype=np.int64),
-            np.array([t.overlap_sq for t in trials]))
+    rates, n_used, overlaps = zip(*(simulate_one_trial(cfg, scheme, jammer, i)
+                                    for i in range(start, stop)))
+    return np.array(rates), np.array(n_used, dtype=np.int64), np.array(overlaps)
 
 
 def run_trials(cfg: SystemConfig, scheme: str, jammer: JammerSpec, n_trials: int,

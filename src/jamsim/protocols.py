@@ -56,23 +56,28 @@ def select_retransmission_pilot(gram: np.ndarray, codebook: np.ndarray,
     raise ValueError(f"unknown opt_mode {opt_mode!r}")
 
 
-def run_algorithm1(cfg: SystemConfig, g_u, g_j, jammer: JammerSpec, rng) -> ProtocolTrace:
+def run_algorithm1(cfg: SystemConfig, g_u, g_j, k: int, s_j: np.ndarray,
+                   jammer: JammerSpec, rng) -> ProtocolTrace:
     """Retransmission loop against random jamming.
 
-    Each round the user sends a uniformly drawn codeword and the jammer a
-    fresh random sequence; the receiver stops once its blind overlap
+    Round 1 sends codeword k against the jamming sequence s_j. Each later
+    round the user sends a uniformly drawn codeword and the jammer a fresh
+    sequence drawn from its spec; the receiver stops once its blind overlap
     estimate meets the threshold or n_max transmissions are spent. All
     rounds are buffered and chosen_round marks the best estimate.
     """
     if jammer.kind == "codeword":
         raise ValueError("the random-jamming protocol expects a random or absent jammer")
+    if not 0 <= k < cfg.tau:
+        raise ValueError(f"pilot index must lie in [0, tau={cfg.tau}), got {k}")
     codebook = make_codebook(cfg.tau)
     rounds = []
     stop_reason = "n_max_reached"
-    for n in range(1, cfg.n_max + 1):
-        k = int(rng.integers(cfg.tau))
+    for n in range(cfg.n_max):
+        if n:
+            k = int(rng.integers(cfg.tau))
+            s_j = draw_jammer_sequence(rng, jammer, cfg.tau)
         s_u = codebook[k]
-        s_j = draw_jammer_sequence(rng, jammer, cfg.tau)
         _, overlap_est = run_training(cfg, g_u, g_j, s_u, s_j, rng)
         rounds.append(RoundRecord(k, jamming_overlap_sq(s_j, s_u), overlap_est))
         if cfg.overlap_below_threshold(overlap_est):
@@ -83,29 +88,24 @@ def run_algorithm1(cfg: SystemConfig, g_u, g_j, jammer: JammerSpec, rng) -> Prot
                          stop_reason=stop_reason, chosen_round=chosen, opt_pilot=None)
 
 
-def run_algorithm2(cfg: SystemConfig, g_u, g_j, s_j: np.ndarray, rng,
-                   first_pilot: int | None = None) -> ProtocolTrace:
+def run_algorithm2(cfg: SystemConfig, g_u, g_j, k: int, s_j: np.ndarray,
+                   rng) -> ProtocolTrace:
     """Pilot adaptation against a jammer whose sequence s_j is fixed.
 
-    Round 1 sends codeword first_pilot (cfg.first_pilot if None, uniform if
-    that is None too). If the blind overlap estimate exceeds the threshold,
-    the receiver estimates the jammer gram from the same block, searches
-    (cfg.opt_mode) for the pilot with minimal predicted overlap, and
-    requests one retransmission, but only if that prediction improves on
-    round 1. The jammer replays s_j under fresh noise.
+    Round 1 sends codeword k. If the blind overlap estimate exceeds the
+    threshold, the receiver estimates the jammer gram from the same block,
+    searches (cfg.opt_mode) for the pilot with minimal predicted overlap,
+    and requests one retransmission, but only if that prediction improves
+    on round 1. The jammer replays s_j under fresh noise.
     """
     if 2 * cfg.tau >= cfg.T:
         raise ValueError(f"a retransmission needs 2*tau < T, got tau={cfg.tau}, T={cfg.T}")
+    if not 0 <= k < cfg.tau:
+        raise ValueError(f"pilot index must lie in [0, tau={cfg.tau}), got {k}")
     codebook = make_codebook(cfg.tau)
-    if first_pilot is None:
-        first_pilot = cfg.first_pilot
-    if first_pilot is None:
-        first_pilot = int(rng.integers(cfg.tau))
-    elif not 0 <= first_pilot < cfg.tau:
-        raise ValueError(f"first_pilot must lie in [0, tau), got {first_pilot}")
-    s_u = codebook[first_pilot]
+    s_u = codebook[k]
     block, overlap_est = run_training(cfg, g_u, g_j, s_u, s_j, rng)
-    rounds = [RoundRecord(first_pilot, jamming_overlap_sq(s_j, s_u), overlap_est)]
+    rounds = [RoundRecord(k, jamming_overlap_sq(s_j, s_u), overlap_est)]
     if cfg.overlap_below_threshold(overlap_est):
         return ProtocolTrace(tuple(rounds), 1, "threshold_met", 0, None)
     gram = estimate_jammer_gram(block, s_u, cfg)

@@ -1,4 +1,4 @@
-"""Closed-form effective SINR, achievable rates, and their large-array limits.
+"""Closed-form effective SINR and achievable rates.
 
 The achievable rate treats residual channel-estimation error and jamming as
 worst-case Gaussian noise, so every rate here is prelog * log2(1 + sinr)
@@ -19,7 +19,6 @@ class RateReport:
     rho: float              # effective SINR
     rate: float             # bits/s/Hz
     n_used: int             # pilot transmissions spent
-    alpha: float            # jamming-pilot contamination term in the SINR denominator
     overlap_sq_used: float  # squared overlap the formulas were evaluated at
     prelog: float
 
@@ -65,40 +64,19 @@ def rate(cfg: SystemConfig, rho: float, n_used: int = 1) -> float:
 def rate_from_overlap(cfg: SystemConfig, overlap_sq: float, n_used: int = 1) -> RateReport:
     """Full chain overlap -> gamma_u -> SINR -> rate for one transmission count."""
     _, gamma_u = mmse_coefficients(cfg, overlap_sq)
-    alpha = contamination_term(cfg, gamma_u, overlap_sq)
     rho = effective_sinr(cfg, gamma_u, overlap_sq)
     return RateReport(rho=rho, rate=rate(cfg, rho, n_used), n_used=n_used,
-                      alpha=alpha, overlap_sq_used=overlap_sq, prelog=cfg.prelog(n_used))
-
-
-def asymptotic_rate_limit(cfg: SystemConfig, overlap_sq: float) -> float:
-    """Large-SINR form of the large-array rate for a single pilot transmission.
-
-    With no training-phase contamination (q_t = 0 or zero overlap) the rate
-    grows without bound in M, returned as +inf so tests can tell divergence
-    from saturation. Otherwise the SINR tends to
-    L = (p_t p_d / (q_t q_d)) (beta_u / beta_j)^2 / overlap^2 as M grows, and
-    this returns the large-SINR expression (1 - tau/T) log2(L), which may be
-    negative when jamming dominates. The exact limit of rate_from_overlap is
-    (1 - tau/T) log2(1 + L); the two agree only when L is large.
-    """
-    if overlap_sq < 0:
-        raise ValueError("overlap_sq must be nonnegative")
-    if cfg.q_t * overlap_sq == 0 or cfg.q_d == 0:
-        return math.inf
-    if cfg.p_t == 0 or cfg.p_d == 0:
-        return 0.0  # no training or no payload power: the rate is pinned at zero
-    value = (cfg.p_t * cfg.p_d / (cfg.q_t * cfg.q_d)
-             * (cfg.beta_u / cfg.beta_j) ** 2 / overlap_sq)
-    return cfg.prelog(1) * math.log2(value)
+                      overlap_sq_used=overlap_sq, prelog=cfg.prelog(n_used))
 
 
 def rate_random_jamming(cfg: SystemConfig, overlaps, n_used: int | None = None) -> RateReport:
-    """Rate of the buffered random-jamming retransmission scheme.
+    """Min-overlap bound on the rate of the buffered random-jamming scheme.
 
-    The receiver buffers every pilot round and decodes with the best one,
-    so the SINR is evaluated at the smallest squared overlap seen while the
-    prelog pays for all n_used transmissions.
+    The SINR is evaluated at the smallest squared overlap among the rounds
+    while the prelog pays for all n_used transmissions. That is the rate of
+    a receiver that always decodes with its truly best round; the trial
+    engine does not call this, it rates alg1 at the round its receiver
+    picks from blind estimates (ProtocolTrace.chosen_round).
     """
     overlaps = list(overlaps)
     if not overlaps:

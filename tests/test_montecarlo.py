@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import jamsim.montecarlo
-from jamsim import (JammerSpec, SystemConfig, average_rate, mmse_coefficients,
-                    rate_from_overlap, run_trials, simulate_one_trial,
-                    substream, verify_moments)
+from jamsim import (JammerSpec, SystemConfig, average_rate, draw_jammer_sequence,
+                    gen_channel, mmse_coefficients, rate_from_overlap, run_algorithm1,
+                    run_trials, simulate_one_trial, substream, verify_moments)
 from jamsim.channel import crandn
 from jamsim.config import snr_db_to_power
 
@@ -37,9 +37,10 @@ def test_single_trial_matches_batch_position():
     jam = JammerSpec()
     batch = run_trials(cfg, "alg1", jam, 50)
     for k in (0, 7, 49):
-        solo = simulate_one_trial(cfg, "alg1", jam, k)
-        assert solo.rate == batch.rates[k]
-        assert solo.n_used == batch.n_used[k]
+        rate, n_used, overlap = simulate_one_trial(cfg, "alg1", jam, k)
+        assert rate == batch.rates[k]
+        assert n_used == batch.n_used[k]
+        assert overlap == batch.overlap_sq[k]
 
 
 def test_worker_count_does_not_change_values():
@@ -90,13 +91,13 @@ def test_pool_size_is_capped_by_cpus_and_chunks(monkeypatch):
 _PINNED_BASE = dict(M=16, T=60, tau=6, P=10.0, Q=10.0, epsilon=0.1, n_max=2, master_seed=7)
 _PINNED_MEANS = {
     ("true_overlap", "conventional"): 2.00490187660912,
-    ("true_overlap", "alg1"): 2.0708167343682446,
+    ("true_overlap", "alg1"): 2.0216429568181997,
     ("true_overlap", "alg2"): 2.2049807886728714,
     ("estimated_overlap", "conventional"): 2.0462014134886073,
     ("estimated_overlap", "alg1"): 2.167581507028726,
     ("estimated_overlap", "alg2"): 2.215518012854309,
     ("explicit_powers", "conventional"): 1.6653497966863124,
-    ("explicit_powers", "alg1"): 1.739013493934365,
+    ("explicit_powers", "alg1"): 1.7003218243423117,
     ("explicit_powers", "alg2"): 1.8558677021901355,
 }
 
@@ -118,10 +119,34 @@ def test_schemes_share_first_round_draws():
     cfg = _cfg(master_seed=77)
     jam = JammerSpec()
     conv = run_trials(cfg, "conventional", jam, 100)
-    alg2 = run_trials(cfg, "alg2", jam, 100)
-    single = alg2.n_used == 1
-    assert single.any()
-    assert np.array_equal(conv.overlap_sq[single], alg2.overlap_sq[single])
+    for scheme in ("alg1", "alg2"):
+        data = run_trials(cfg, scheme, jam, 100)
+        single = data.n_used == 1
+        assert single.any() and not single.all()
+        assert np.array_equal(conv.overlap_sq[single], data.overlap_sq[single])
+
+
+def test_alg1_is_rated_at_the_round_its_receiver_picks():
+    # hand replay of the engine: round one from the protocol stream, the
+    # channels from the channel stream, then the protocol; the rate is taken
+    # at the true overlap of the round chosen by blind estimates, which at
+    # M=50 is not always the round with the smallest true overlap
+    cfg = _cfg(master_seed=13)
+    jam = JammerSpec()
+    not_min = 0
+    for i in range(200):
+        rng = substream(cfg.master_seed, i, 1)
+        k = int(rng.integers(cfg.tau))
+        s_j = draw_jammer_sequence(rng, jam, cfg.tau)
+        channels = substream(cfg.master_seed, i, 0)
+        g_u = gen_channel(channels, cfg.M, cfg.beta_u)
+        g_j = gen_channel(channels, cfg.M, cfg.beta_j)
+        trace = run_algorithm1(cfg, g_u, g_j, k, s_j, jam, rng)
+        overlap = trace.rounds[trace.chosen_round].overlap_true
+        expected = rate_from_overlap(cfg, overlap, trace.n_used).rate
+        assert simulate_one_trial(cfg, "alg1", jam, i) == (expected, trace.n_used, overlap)
+        not_min += overlap > min(r.overlap_true for r in trace.rounds)
+    assert not_min > 0
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from jamsim import (JammerSpec, SystemConfig, estimate_overlap_sq, gen_channel,
-                    jamming_overlap_sq, make_codebook, run_algorithm1, run_algorithm2,
-                    select_retransmission_pilot, substream)
+from jamsim import (JammerSpec, SystemConfig, draw_jammer_sequence, estimate_overlap_sq,
+                    gen_channel, jamming_overlap_sq, make_codebook, run_algorithm1,
+                    run_algorithm2, select_retransmission_pilot, substream)
 from jamsim.channel import crandn
 
 
@@ -20,6 +20,13 @@ def _channels(cfg, seed):
     return gen_channel(rng, cfg.M, cfg.beta_u), gen_channel(rng, cfg.M, cfg.beta_j)
 
 
+def _alg1(cfg, g_u, g_j, jammer, rng):
+    # round one drawn as the trial engine draws it: pilot index, then jamming
+    k = int(rng.integers(cfg.tau))
+    return run_algorithm1(cfg, g_u, g_j, k, draw_jammer_sequence(rng, jammer, cfg.tau),
+                          jammer, rng)
+
+
 # ---------------------------------------------------------------------------
 # random-jamming protocol
 # ---------------------------------------------------------------------------
@@ -27,7 +34,7 @@ def _channels(cfg, seed):
 def test_alg1_absent_jammer_stops_first_round():
     cfg = _cfg(M=4096, tau=4)
     g_u, g_j = _channels(cfg, 1)
-    trace = run_algorithm1(cfg, g_u, g_j, JammerSpec(kind="absent"), substream(1, 1))
+    trace = _alg1(cfg, g_u, g_j, JammerSpec(kind="absent"), substream(1, 1))
     assert trace.n_used == 1
     assert trace.stop_reason == "threshold_met"
     assert trace.rounds[0].overlap_true == 0.0
@@ -38,7 +45,7 @@ def test_alg1_threshold_one_never_retransmits():
     cfg = _cfg(epsilon=1.0)
     g_u, g_j = _channels(cfg, 2)
     for k in range(5):
-        trace = run_algorithm1(cfg, g_u, g_j, JammerSpec(), substream(2, k))
+        trace = _alg1(cfg, g_u, g_j, JammerSpec(), substream(2, k))
         assert trace.n_used == 1
         assert trace.stop_reason == "threshold_met"
 
@@ -50,7 +57,7 @@ def test_alg1_zero_threshold_forces_full_budget_and_matches_hand_steps():
     cfg = _cfg(M=10000, tau=8, epsilon=0.0)
     g_u, g_j = _channels(cfg, 3)
     jam = JammerSpec()
-    trace = run_algorithm1(cfg, g_u, g_j, jam, substream(3, 1))
+    trace = _alg1(cfg, g_u, g_j, jam, substream(3, 1))
     assert trace.n_used == cfg.n_max == 2
     assert trace.stop_reason == "n_max_reached"
 
@@ -79,7 +86,7 @@ def test_alg1_round_one_success_means_single_round():
     jam = JammerSpec()
     for k in range(20):
         g_u, g_j = _channels(cfg, 100 + k)
-        trace = run_algorithm1(cfg, g_u, g_j, jam, substream(100 + k, 1))
+        trace = _alg1(cfg, g_u, g_j, jam, substream(100 + k, 1))
         assert 1 <= trace.n_used <= cfg.n_max
         assert len(trace.rounds) == trace.n_used
         if trace.rounds[0].overlap_est <= cfg.epsilon:
@@ -89,8 +96,18 @@ def test_alg1_round_one_success_means_single_round():
 def test_alg1_rejects_deterministic_jammer():
     cfg = _cfg()
     g_u, g_j = _channels(cfg, 4)
+    s_j = make_codebook(cfg.tau)[0]
     with pytest.raises(ValueError):
-        run_algorithm1(cfg, g_u, g_j, JammerSpec(kind="codeword"), substream(4, 1))
+        run_algorithm1(cfg, g_u, g_j, 0, s_j, JammerSpec(kind="codeword"), substream(4, 1))
+
+
+def test_alg1_rejects_bad_pilot_index():
+    cfg = _cfg()
+    g_u, g_j = _channels(cfg, 4)
+    s_j = make_codebook(cfg.tau)[0]
+    for k in (-1, cfg.tau):
+        with pytest.raises(ValueError, match="pilot index"):
+            run_algorithm1(cfg, g_u, g_j, k, s_j, JammerSpec(), substream(4, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +119,7 @@ def test_alg2_escapes_codeword_jammer_exactly(zero_noise):
     # pilot is any other codeword, orthogonal by construction
     cfg = _cfg(M=1024, tau=4)
     g_u, g_j = _channels(cfg, 5)
-    trace = run_algorithm2(cfg, g_u, g_j, make_codebook(4)[1], zero_noise, first_pilot=1)
+    trace = run_algorithm2(cfg, g_u, g_j, 1, make_codebook(4)[1], zero_noise)
     assert trace.n_used == 2
     assert trace.rounds[0].overlap_true == pytest.approx(1.0)
     assert trace.rounds[1].overlap_true < 1e-24   # orthogonal codeword
@@ -114,7 +131,7 @@ def test_alg2_escapes_codeword_jammer_exactly(zero_noise):
 def test_alg2_orthogonal_jammer_stops_immediately():
     cfg = _cfg(M=2048, tau=4)
     g_u, g_j = _channels(cfg, 6)
-    trace = run_algorithm2(cfg, g_u, g_j, make_codebook(4)[2], substream(6, 1), first_pilot=0)
+    trace = run_algorithm2(cfg, g_u, g_j, 0, make_codebook(4)[2], substream(6, 1))
     assert trace.n_used == 1
     assert trace.stop_reason == "threshold_met"
     assert trace.opt_pilot is None
@@ -126,7 +143,8 @@ def test_alg2_absent_jammer_concentrates_on_one_round():
     n_used = []
     for k in range(30):
         g_u, g_j = _channels(cfg, 300 + k)
-        trace = run_algorithm2(cfg, g_u, g_j, silent, substream(300 + k, 1))
+        rng = substream(300 + k, 1)
+        trace = run_algorithm2(cfg, g_u, g_j, int(rng.integers(cfg.tau)), silent, rng)
         n_used.append(trace.n_used)
     assert all(n == 1 for n in n_used)
 
@@ -137,14 +155,15 @@ def test_alg2_rejects_bad_args():
     s_j = make_codebook(cfg.tau)[0]
     with pytest.raises(ValueError):
         _cfg(opt_mode="psychic")
+    for k in (-1, 99):
+        with pytest.raises(ValueError, match="pilot index"):
+            run_algorithm2(cfg, g_u, g_j, k, s_j, substream(7, 1))
     with pytest.raises(ValueError):
-        run_algorithm2(cfg, g_u, g_j, s_j, substream(7, 1), first_pilot=99)
-    with pytest.raises(ValueError):
-        run_algorithm2(cfg, g_u, g_j, s_j[:-1], substream(7, 1))
+        run_algorithm2(cfg, g_u, g_j, 0, s_j[:-1], substream(7, 1))
     tight = SystemConfig(M=8, T=200, tau=120, n_max=1)
     g_u2, g_j2 = _channels(tight, 8)
     with pytest.raises(ValueError):
-        run_algorithm2(tight, g_u2, g_j2, make_codebook(120)[0], substream(8, 1))
+        run_algorithm2(tight, g_u2, g_j2, 0, make_codebook(120)[0], substream(8, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +229,7 @@ def test_trace_round_bookkeeping():
     cfg = _cfg(M=256, tau=4)
     g_u, g_j = _channels(cfg, 11)
     jam = JammerSpec()
-    trace = run_algorithm1(cfg, g_u, g_j, jam, substream(11, 1))
+    trace = _alg1(cfg, g_u, g_j, jam, substream(11, 1))
     assert len(trace.rounds) == trace.n_used
     assert 0 <= trace.chosen_round < trace.n_used
     for rec in trace.rounds:
