@@ -3,7 +3,7 @@ under a jamming attack, with blind jammer-statistics estimation and two
 pilot retransmission counter-attack protocols."""
 
 from .channel import (JammerSpec, crandn, draw_jammer_sequence, gen_channel,
-                      jamming_overlap_sq, make_codebook)
+                      gen_channel_factor, jamming_overlap_sq, make_codebook)
 from .config import SystemConfig, snr_db_to_power
 from .estimation import (despread, estimate_jammer_gram, estimate_overlap_sq,
                          mmse_coefficients, mmse_estimate, receive_pilot_block,

@@ -24,6 +24,27 @@ def gen_channel(rng, m: int, beta: float) -> np.ndarray:
     return np.sqrt(beta) * crandn(rng, m)
 
 
+def gen_channel_factor(rng, m: int, beta_u: float, beta_j: float) -> np.ndarray:
+    """Triangular factor R of the user and jammer channels, [g_u g_j] = Q R.
+
+    Q has orthonormal columns and is independent of R, and every statistic
+    the receiver reads sees the channels through R alone. Bartlett's
+    factorization gives R11^2 ~ beta_u Gamma(m), R12 ~ CN(0, beta_j) and
+    R22^2 ~ beta_j Gamma(m - 1). R is 2 x 2, or the 1 x 2 row
+    [R11, R12] when m = 1, where g_j lies in the span of g_u.
+    """
+    if m < 1:
+        raise ValueError(f"antenna count must be positive, got {m}")
+    if beta_u <= 0 or beta_j <= 0:
+        raise ValueError(f"large-scale fading must be positive, got {beta_u}, {beta_j}")
+    r = np.zeros((min(m, 2), 2), dtype=np.complex128)
+    r[0, 0] = np.sqrt(beta_u * rng.gamma(m))
+    r[0, 1] = np.sqrt(beta_j) * crandn(rng)
+    if m > 1:
+        r[1, 1] = np.sqrt(beta_j * rng.gamma(m - 1))
+    return r
+
+
 @functools.lru_cache(maxsize=None)
 def make_codebook(tau: int) -> np.ndarray:
     """Deterministic orthonormal constant-modulus pilot family, read-only (tau, tau).

@@ -5,12 +5,19 @@ conventional single-shot scheme and both retransmission protocols, and
 provides the brute-force moment oracle that validates the effective-noise
 decomposition behind the SINR formula.
 
-Every trial draws from two substreams keyed by (master_seed, trial, tag):
-one for channels, one for the pilot/jammer/noise draws of the protocol.
-The engine draws round one (the pilot index, then the jamming sequence)
-from the protocol stream for every scheme, so at equal trial indices all
-schemes see identical first-round sequences. That makes scheme comparisons
-paired and keeps any execution order or worker count bit-reproducible.
+Every trial draws from two substreams keyed by (master_seed, trial, tag).
+The channel stream draws the triangular factor R of [g_u g_j]
+(gen_channel_factor): the receiver's statistics see the channels only
+through it. The protocol stream draws round one (the pilot index, then the
+jamming sequence) for every scheme, so at equal trial indices all schemes
+see identical first-round sequences. It then draws, round by round, the
+statistic the receiver decides from: ||y_t||^2 (receive_despread_power)
+for the conventional scheme, each alg1 round and alg2's retransmission,
+and the tau x tau block gram (receive_block_gram) for alg2's first round.
+Both follow the exact law of the M-antenna draws at a cost that does not
+grow with M. Conventional under true_overlap draws neither channels nor
+noise. Keyed streams make scheme comparisons paired and keep any execution
+order or worker count bit-reproducible.
 """
 
 import functools
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (JammerSpec, crandn, draw_jammer_sequence, gen_channel,
+from .channel import (JammerSpec, crandn, draw_jammer_sequence, gen_channel_factor,
                       jamming_overlap_sq, make_codebook)
 from .config import SystemConfig
 from .estimation import mmse_coefficients, run_training
@@ -99,22 +106,22 @@ def simulate_one_trial(cfg: SystemConfig, scheme: str, jammer: JammerSpec,
     if scheme == "conventional":
         n_used, s_u = 1, make_codebook(cfg.tau)[k]
         if estimated:
-            _, overlap = run_training(cfg, *_channels(cfg, index), s_u, s_j, rng_proto)
+            overlap = run_training(cfg, _channels(cfg, index), s_u, s_j, rng_proto)
         else:
             overlap = jamming_overlap_sq(s_j, s_u)
     else:
-        g_u, g_j = _channels(cfg, index)
-        trace = (run_algorithm1(cfg, g_u, g_j, k, s_j, jammer, rng_proto) if scheme == "alg1"
-                 else run_algorithm2(cfg, g_u, g_j, k, s_j, rng_proto))
+        r = _channels(cfg, index)
+        trace = (run_algorithm1(cfg, r, k, s_j, jammer, rng_proto) if scheme == "alg1"
+                 else run_algorithm2(cfg, r, k, s_j, rng_proto))
         chosen = trace.rounds[trace.chosen_round]
         n_used, overlap = trace.n_used, chosen.overlap_est if estimated else chosen.overlap_true
     return rate_from_overlap(_rate_config(cfg, jammer), overlap, n_used).rate, n_used, overlap
 
 
-def _channels(cfg: SystemConfig, index: int):
-    """User and jammer channel vectors of one trial."""
+def _channels(cfg: SystemConfig, index: int) -> np.ndarray:
+    """Triangular factor R of one trial's user and jammer channels."""
     rng = substream(cfg.master_seed, index, _TAG_CHANNEL)
-    return gen_channel(rng, cfg.M, cfg.beta_u), gen_channel(rng, cfg.M, cfg.beta_j)
+    return gen_channel_factor(rng, cfg.M, cfg.beta_u, cfg.beta_j)
 
 
 def _trial_chunk(args):

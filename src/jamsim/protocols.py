@@ -12,7 +12,8 @@ import numpy as np
 
 from .channel import JammerSpec, draw_jammer_sequence, jamming_overlap_sq, make_codebook
 from .config import SystemConfig
-from .estimation import estimate_jammer_gram, run_training
+from .estimation import (estimate_jammer_gram, estimate_overlap_sq, receive_block_gram,
+                         run_training)
 
 @dataclass(frozen=True)
 class RoundRecord:
@@ -46,7 +47,7 @@ def select_retransmission_pilot(gram: np.ndarray, codebook: np.ndarray,
     (index or None, pilot, predicted quadratic form).
     """
     if opt_mode == "codebook":
-        quad = np.einsum("ij,jk,ik->i", codebook, gram, codebook.conj()).real
+        quad = ((codebook @ gram) * codebook.conj()).sum(axis=1).real
         idx = int(np.argmin(quad))
         return idx, codebook[idx], float(max(quad[idx], 0.0))
     if opt_mode == "eigen":
@@ -56,15 +57,16 @@ def select_retransmission_pilot(gram: np.ndarray, codebook: np.ndarray,
     raise ValueError(f"unknown opt_mode {opt_mode!r}")
 
 
-def run_algorithm1(cfg: SystemConfig, g_u, g_j, k: int, s_j: np.ndarray,
+def run_algorithm1(cfg: SystemConfig, r: np.ndarray, k: int, s_j: np.ndarray,
                    jammer: JammerSpec, rng) -> ProtocolTrace:
     """Retransmission loop against random jamming.
 
-    Round 1 sends codeword k against the jamming sequence s_j. Each later
-    round the user sends a uniformly drawn codeword and the jammer a fresh
-    sequence drawn from its spec; the receiver stops once its blind overlap
-    estimate meets the threshold or n_max transmissions are spent. All
-    rounds are buffered and chosen_round marks the best estimate.
+    r is the channel factor of the trial (see gen_channel_factor). Round 1
+    sends codeword k against the jamming sequence s_j. Each later round the
+    user sends a uniformly drawn codeword and the jammer a fresh sequence
+    drawn from its spec; the receiver stops once its blind overlap estimate
+    meets the threshold or n_max transmissions are spent. All rounds are
+    buffered and chosen_round marks the best estimate.
     """
     if jammer.kind == "codeword":
         raise ValueError("the random-jamming protocol expects a random or absent jammer")
@@ -78,25 +80,27 @@ def run_algorithm1(cfg: SystemConfig, g_u, g_j, k: int, s_j: np.ndarray,
             k = int(rng.integers(cfg.tau))
             s_j = draw_jammer_sequence(rng, jammer, cfg.tau)
         s_u = codebook[k]
-        _, overlap_est = run_training(cfg, g_u, g_j, s_u, s_j, rng)
+        overlap_est = run_training(cfg, r, s_u, s_j, rng)
         rounds.append(RoundRecord(k, jamming_overlap_sq(s_j, s_u), overlap_est))
         if cfg.overlap_below_threshold(overlap_est):
             stop_reason = "threshold_met"
             break
-    chosen = int(np.argmin([r.overlap_est for r in rounds]))
+    chosen = int(np.argmin([rec.overlap_est for rec in rounds]))
     return ProtocolTrace(rounds=tuple(rounds), n_used=len(rounds),
                          stop_reason=stop_reason, chosen_round=chosen, opt_pilot=None)
 
 
-def run_algorithm2(cfg: SystemConfig, g_u, g_j, k: int, s_j: np.ndarray,
+def run_algorithm2(cfg: SystemConfig, r: np.ndarray, k: int, s_j: np.ndarray,
                    rng) -> ProtocolTrace:
     """Pilot adaptation against a jammer whose sequence s_j is fixed.
 
-    Round 1 sends codeword k. If the blind overlap estimate exceeds the
-    threshold, the receiver estimates the jammer gram from the same block,
-    searches (cfg.opt_mode) for the pilot with minimal predicted overlap,
-    and requests one retransmission, but only if that prediction improves
-    on round 1. The jammer replays s_j under fresh noise.
+    r is the channel factor of the trial (see gen_channel_factor). Round 1
+    sends codeword k, and the receiver reads both blind estimates from the
+    round's block gram. If the overlap estimate exceeds the threshold, the
+    receiver estimates the jammer gram, searches (cfg.opt_mode) for the
+    pilot with minimal predicted overlap, and requests one retransmission,
+    but only if that prediction improves on round 1. The jammer replays s_j
+    under fresh noise.
     """
     if 2 * cfg.tau >= cfg.T:
         raise ValueError(f"a retransmission needs 2*tau < T, got tau={cfg.tau}, T={cfg.T}")
@@ -104,14 +108,16 @@ def run_algorithm2(cfg: SystemConfig, g_u, g_j, k: int, s_j: np.ndarray,
         raise ValueError(f"pilot index must lie in [0, tau={cfg.tau}), got {k}")
     codebook = make_codebook(cfg.tau)
     s_u = codebook[k]
-    block, overlap_est = run_training(cfg, g_u, g_j, s_u, s_j, rng)
+    block_gram = receive_block_gram(cfg, r, s_u, s_j, rng)
+    # ||y_t||^2 = ||block s_u*||^2 = s_u^T (block^H block) s_u*
+    overlap_est = estimate_overlap_sq(float(np.real(s_u @ block_gram @ np.conj(s_u))), cfg)
     rounds = [RoundRecord(k, jamming_overlap_sq(s_j, s_u), overlap_est)]
     if cfg.overlap_below_threshold(overlap_est):
         return ProtocolTrace(tuple(rounds), 1, "threshold_met", 0, None)
-    gram = estimate_jammer_gram(block, s_u, cfg)
+    gram = estimate_jammer_gram(block_gram, s_u, cfg)
     opt_idx, opt_pilot, predicted = select_retransmission_pilot(gram, codebook, cfg.opt_mode)
     if not predicted < overlap_est:
         return ProtocolTrace(tuple(rounds), 1, "opt_no_better", 0, opt_pilot)
-    _, overlap_est2 = run_training(cfg, g_u, g_j, opt_pilot, s_j, rng)
+    overlap_est2 = run_training(cfg, r, opt_pilot, s_j, rng)
     rounds.append(RoundRecord(opt_idx, jamming_overlap_sq(s_j, opt_pilot), overlap_est2))
     return ProtocolTrace(tuple(rounds), 2, "n_max_reached", 1, opt_pilot)

@@ -3,12 +3,15 @@ import pytest
 
 
 class ZeroNoise:
-    """rng stand-in whose Gaussian draws are all zero (disables noise)."""
+    """rng stand-in whose Gaussian and Gamma draws are all zero (disables noise)."""
 
     def standard_normal(self, size=None):
         if size is None:
             return 0.0
         return np.zeros(size)
+
+    def gamma(self, shape):
+        return np.zeros(np.shape(shape))
 
 
 @pytest.fixture

@@ -10,10 +10,9 @@ import time
 
 import numpy as np
 
-from jamsim import (JammerSpec, SweepSpec, SystemConfig, despread,
-                    estimate_overlap_sq, gen_channel, jamming_overlap_sq,
-                    make_codebook, rate_from_overlap, receive_pilot_block,
-                    run_sweep, run_trials, select_retransmission_pilot,
+from jamsim import (JammerSpec, SweepSpec, SystemConfig, gen_channel_factor,
+                    jamming_overlap_sq, make_codebook, rate_from_overlap,
+                    run_sweep, run_training, run_trials, select_retransmission_pilot,
                     substream, verify_moments)
 from jamsim.config import snr_db_to_power
 
@@ -82,6 +81,8 @@ def test_criterion_3_unbounded_growth_without_training_jamming():
 
 
 def test_criterion_4_overlap_estimator_convergence():
+    # the training round the trial engine runs: channel factor, then the
+    # blind estimate from the exact draw of ||y_t||^2
     overlap = 0.25
     trials = 1000
     rmse = {}
@@ -93,10 +94,8 @@ def test_criterion_4_overlap_estimator_convergence():
         rng = substream(cfg.master_seed, m)
         sq_err = 0.0
         for _ in range(trials):
-            g_u = gen_channel(rng, m, cfg.beta_u)
-            g_j = gen_channel(rng, m, cfg.beta_j)
-            block = receive_pilot_block(cfg, g_u, g_j, s_u, s_j, rng)
-            est = estimate_overlap_sq(despread(block, s_u), cfg)
+            r = gen_channel_factor(rng, m, cfg.beta_u, cfg.beta_j)
+            est = run_training(cfg, r, s_u, s_j, rng)
             sq_err += (est - overlap) ** 2
         rmse[m] = math.sqrt(sq_err / trials)
     ok = rmse[100] > rmse[1000] > rmse[10000] and rmse[10000] < 0.03

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jamsim import (SystemConfig, despread, estimate_jammer_gram,
-                    estimate_overlap_sq, gen_channel, make_codebook,
+                    estimate_overlap_sq, gen_channel, gen_channel_factor, make_codebook,
                     mmse_coefficients, mmse_estimate, receive_pilot_block,
                     run_training, substream)
 from jamsim.channel import crandn
+from jamsim.estimation import receive_despread_power
 
 
 def _cfg(**kw):
@@ -182,27 +183,37 @@ def test_mmse_statistics_match_gamma():
 # blind overlap estimation
 # ---------------------------------------------------------------------------
 
+def _norm_sq(y):
+    return float(np.vdot(y, y).real)
+
+
 def test_overlap_estimate_inverts_exactly():
     cfg = _cfg(M=4, tau=10, T=50, P=1.0, Q=1.0)
     target = cfg.tau * cfg.p_t * cfg.beta_u + cfg.tau * cfg.q_t * 0.3 * cfg.beta_j + 1.0
-    y = np.full(4, np.sqrt(target), dtype=complex)   # ||y||^2 / M == target
-    assert estimate_overlap_sq(y, cfg) == pytest.approx(0.3, rel=1e-12)
+    assert estimate_overlap_sq(cfg.M * target, cfg) == pytest.approx(0.3, rel=1e-12)
 
 
 def test_overlap_estimate_clamps():
     cfg = _cfg(M=4, tau=10, T=50, P=1.0, Q=1.0)
     floor = cfg.tau * cfg.p_t * cfg.beta_u + 1.0
-    y_low = np.full(4, np.sqrt(floor * 0.9), dtype=complex)
-    assert estimate_overlap_sq(y_low, cfg) == 0.0
+    assert estimate_overlap_sq(cfg.M * floor * 0.9, cfg) == 0.0
     ceil = floor + cfg.tau * cfg.q_t * cfg.beta_j * 1.5
-    y_high = np.full(4, np.sqrt(ceil), dtype=complex)
-    assert estimate_overlap_sq(y_high, cfg) == 1.0
+    assert estimate_overlap_sq(cfg.M * ceil, cfg) == 1.0
 
 
 def test_overlap_estimate_needs_jammer_power():
     cfg = _cfg(Q=0.0)
     with pytest.raises(ValueError):
-        estimate_overlap_sq(np.ones(4, dtype=complex), cfg)
+        estimate_overlap_sq(4.0, cfg)
+
+
+def test_estimators_reject_malformed_statistics():
+    # ||y_t||^2 must be a nonnegative number and the gram tau x tau
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="nonnegative"):
+            estimate_overlap_sq(bad, _cfg())
+    with pytest.raises(ValueError, match="tau x tau"):
+        estimate_jammer_gram(np.zeros((4, 2), dtype=complex), np.ones(2), _cfg())
 
 
 def test_overlap_estimate_converges_with_antennas():
@@ -222,9 +233,9 @@ def test_overlap_estimate_converges_with_antennas():
             g_u = gen_channel(rng, m, 1.0)
             g_j = gen_channel(rng, m, 1.0)
             block = receive_pilot_block(cfg, g_u, g_j, s_u, s_j, rng)
-            sq.append((estimate_overlap_sq(despread(block, s_u), cfg) - overlap) ** 2)
+            sq.append((estimate_overlap_sq(_norm_sq(despread(block, s_u)), cfg) - overlap) ** 2)
             silent = receive_pilot_block(cfg, g_u, g_j, s_u, np.zeros(4), rng)
-            zs.append(estimate_overlap_sq(despread(silent, s_u), cfg))
+            zs.append(estimate_overlap_sq(_norm_sq(despread(silent, s_u)), cfg))
         errors[m] = np.sqrt(np.mean(sq))
         zero_means[m] = np.mean(zs)
     assert errors[2500] < errors[100]
@@ -236,15 +247,6 @@ def test_overlap_estimate_converges_with_antennas():
 # blind jammer gram estimation
 # ---------------------------------------------------------------------------
 
-def _block_with_exact_gram(cfg, gram_limit):
-    """M x tau block whose sample gram block^H block / M equals gram_limit."""
-    eigvals, eigvecs = np.linalg.eigh(gram_limit)
-    root = (eigvecs * np.sqrt(np.maximum(eigvals, 0.0))) @ eigvecs.conj().T
-    block = np.zeros((cfg.M, cfg.tau), dtype=complex)
-    block[:cfg.tau, :] = np.sqrt(cfg.M) * root
-    return block
-
-
 def test_gram_estimate_inverts_limit_exactly():
     cfg = _cfg(M=6, tau=3, T=50, P=1.2, Q=0.8)
     cb = make_codebook(3)
@@ -253,8 +255,7 @@ def test_gram_estimate_inverts_limit_exactly():
     target = np.outer(np.conj(s_j), s_j)
     limit = (cfg.tau * cfg.p_t * cfg.beta_u * np.outer(np.conj(s_u), s_u)
              + cfg.tau * cfg.q_t * cfg.beta_j * target + np.eye(3))
-    block = _block_with_exact_gram(cfg, limit)
-    est = estimate_jammer_gram(block, s_u, cfg)
+    est = estimate_jammer_gram(cfg.M * limit, s_u, cfg)   # gram / M at its limit
     assert np.allclose(est, target, atol=1e-10)
 
 
@@ -264,7 +265,7 @@ def test_gram_estimate_rank_one_basis_case():
     s_j = np.array([1.0, 0.0], dtype=complex)
     limit = (cfg.tau * cfg.p_t * np.outer(np.conj(s_u), s_u)
              + cfg.tau * cfg.q_t * np.outer(np.conj(s_j), s_j) + np.eye(2))
-    est = estimate_jammer_gram(_block_with_exact_gram(cfg, limit), s_u, cfg)
+    est = estimate_jammer_gram(cfg.M * limit, s_u, cfg)
     assert np.allclose(est, [[1.0, 0.0], [0.0, 0.0]], atol=1e-10)
 
 
@@ -276,7 +277,7 @@ def test_gram_estimate_hermitian_psd_on_noisy_data():
     g_j = gen_channel(rng, 64, 1.0)
     s_j = crandn(rng, 4) / 2.0
     block = receive_pilot_block(cfg, g_u, g_j, cb[1], s_j, rng)
-    est = estimate_jammer_gram(block, cb[1], cfg)
+    est = estimate_jammer_gram(block.conj().T @ block, cb[1], cfg)
     assert np.max(np.abs(est - est.conj().T)) < 1e-12
     assert np.linalg.eigvalsh(est).min() >= -1e-12
 
@@ -295,7 +296,7 @@ def test_gram_estimate_error_shrinks_with_antennas():
             g_u = gen_channel(rng, m, 1.0)
             g_j = gen_channel(rng, m, 1.0)
             block = receive_pilot_block(cfg, g_u, g_j, s_u, s_j, rng)
-            est = estimate_jammer_gram(block, s_u, cfg)
+            est = estimate_jammer_gram(block.conj().T @ block, s_u, cfg)
             errs.append(np.linalg.norm(est - target))
         medians[m] = np.median(errs)
     assert medians[10000] < medians[100]
@@ -304,7 +305,7 @@ def test_gram_estimate_error_shrinks_with_antennas():
 def test_gram_estimate_needs_jammer_power():
     cfg = _cfg(Q=0.0)
     with pytest.raises(ValueError):
-        estimate_jammer_gram(np.zeros((4, 2), dtype=complex), np.ones(2), cfg)
+        estimate_jammer_gram(np.zeros((2, 2), dtype=complex), np.ones(2), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +313,13 @@ def test_gram_estimate_needs_jammer_power():
 # ---------------------------------------------------------------------------
 
 def test_run_training_blind_uses_estimate():
-    # the round's overlap is the blind estimate from its own block
+    # the round's overlap is the blind estimate from its own ||y_t||^2
     cfg = _cfg(M=16, tau=4, T=50, P=1.0, Q=1.0)
     cb = make_codebook(4)
-    rng = substream(89, 0)
-    g_u = gen_channel(rng, 16, 1.0)
-    g_j = gen_channel(rng, 16, 1.0)
-    block, overlap_est = run_training(cfg, g_u, g_j, cb[0], cb[1], substream(89, 1))
-    assert np.array_equal(block, receive_pilot_block(cfg, g_u, g_j, cb[0], cb[1],
-                                                     substream(89, 1)))
-    assert overlap_est == estimate_overlap_sq(despread(block, cb[0]), cfg)
+    r = gen_channel_factor(substream(89, 0), 16, 1.0, 1.0)
+    overlap_est = run_training(cfg, r, cb[0], cb[1], substream(89, 1))
+    power = receive_despread_power(cfg, r, cb[0], cb[1], substream(89, 1))
+    assert overlap_est == estimate_overlap_sq(power, cfg)
     assert 0.0 <= overlap_est <= 1.0
 
 
@@ -330,7 +328,6 @@ def test_run_training_without_jammer_power():
     cfg = _cfg(M=8, tau=4, T=50, P=1.0, Q=1.0, powers=(1.0, 1.0, 0.0, 0.0))
     cb = make_codebook(4)
     rng = substream(90, 0)
-    g_u = gen_channel(rng, 8, 1.0)
-    g_j = gen_channel(rng, 8, 1.0)
+    r = gen_channel_factor(rng, 8, 1.0, 1.0)
     with pytest.raises(ValueError):
-        run_training(cfg, g_u, g_j, cb[0], np.zeros(4), rng)
+        run_training(cfg, r, cb[0], np.zeros(4), rng)

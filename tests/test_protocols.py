@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jamsim import (JammerSpec, SystemConfig, draw_jammer_sequence, estimate_overlap_sq,
-                    gen_channel, jamming_overlap_sq, make_codebook, run_algorithm1,
+                    gen_channel_factor, jamming_overlap_sq, make_codebook, run_algorithm1,
                     run_algorithm2, select_retransmission_pilot, substream)
 from jamsim.channel import crandn
 
@@ -16,15 +16,13 @@ def _cfg(**kw):
 
 
 def _channels(cfg, seed):
-    rng = substream(seed, 0)
-    return gen_channel(rng, cfg.M, cfg.beta_u), gen_channel(rng, cfg.M, cfg.beta_j)
+    return gen_channel_factor(substream(seed, 0), cfg.M, cfg.beta_u, cfg.beta_j)
 
 
-def _alg1(cfg, g_u, g_j, jammer, rng):
+def _alg1(cfg, r, jammer, rng):
     # round one drawn as the trial engine draws it: pilot index, then jamming
     k = int(rng.integers(cfg.tau))
-    return run_algorithm1(cfg, g_u, g_j, k, draw_jammer_sequence(rng, jammer, cfg.tau),
-                          jammer, rng)
+    return run_algorithm1(cfg, r, k, draw_jammer_sequence(rng, jammer, cfg.tau), jammer, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -33,8 +31,8 @@ def _alg1(cfg, g_u, g_j, jammer, rng):
 
 def test_alg1_absent_jammer_stops_first_round():
     cfg = _cfg(M=4096, tau=4)
-    g_u, g_j = _channels(cfg, 1)
-    trace = _alg1(cfg, g_u, g_j, JammerSpec(kind="absent"), substream(1, 1))
+    r = _channels(cfg, 1)
+    trace = _alg1(cfg, r, JammerSpec(kind="absent"), substream(1, 1))
     assert trace.n_used == 1
     assert trace.stop_reason == "threshold_met"
     assert trace.rounds[0].overlap_true == 0.0
@@ -43,9 +41,9 @@ def test_alg1_absent_jammer_stops_first_round():
 
 def test_alg1_threshold_one_never_retransmits():
     cfg = _cfg(epsilon=1.0)
-    g_u, g_j = _channels(cfg, 2)
+    r = _channels(cfg, 2)
     for k in range(5):
-        trace = _alg1(cfg, g_u, g_j, JammerSpec(), substream(2, k))
+        trace = _alg1(cfg, r, JammerSpec(), substream(2, k))
         assert trace.n_used == 1
         assert trace.stop_reason == "threshold_met"
 
@@ -53,11 +51,12 @@ def test_alg1_threshold_one_never_retransmits():
 def test_alg1_zero_threshold_forces_full_budget_and_matches_hand_steps():
     # epsilon = 0 never triggers the stop rule (estimates stay positive with
     # an active jammer at this array size), so every run spends n_max rounds;
-    # the trace is then checked against a manual replay of the same stream
+    # the trace is then checked against a manual replay of the same stream:
+    # ||y_t||^2 = |R11 c1 + R12 c2 + z1|^2 + |R22 c2 + z2|^2 + Gamma(M - 2)
     cfg = _cfg(M=10000, tau=8, epsilon=0.0)
-    g_u, g_j = _channels(cfg, 3)
+    r = _channels(cfg, 3)
     jam = JammerSpec()
-    trace = _alg1(cfg, g_u, g_j, jam, substream(3, 1))
+    trace = _alg1(cfg, r, jam, substream(3, 1))
     assert trace.n_used == cfg.n_max == 2
     assert trace.stop_reason == "n_max_reached"
 
@@ -67,12 +66,13 @@ def test_alg1_zero_threshold_forces_full_budget_and_matches_hand_steps():
     for _ in range(2):
         k = int(replay.integers(cfg.tau))
         s_j = crandn(replay, cfg.tau) / np.sqrt(cfg.tau)
-        noise = crandn(replay, cfg.M, cfg.tau)
-        block = (np.sqrt(cfg.tau * cfg.p_t) * np.outer(g_u, cb[k])
-                 + np.sqrt(cfg.tau * cfg.q_t) * np.outer(g_j, s_j) + noise)
-        y = block @ np.conj(cb[k])
+        z = crandn(replay, 2)
+        c1 = np.sqrt(cfg.tau * cfg.p_t)
+        c2 = np.sqrt(cfg.tau * cfg.q_t) * np.sum(s_j * np.conj(cb[k]))
+        y_norm_sq = (abs(r[0, 0] * c1 + r[0, 1] * c2 + z[0]) ** 2
+                     + abs(r[1, 1] * c2 + z[1]) ** 2 + replay.gamma(cfg.M - 2))
         expected_rounds.append((k, jamming_overlap_sq(s_j, cb[k]),
-                                estimate_overlap_sq(y, cfg)))
+                                estimate_overlap_sq(y_norm_sq, cfg)))
     for rec, (k, ov, est) in zip(trace.rounds, expected_rounds):
         assert rec.pilot_index == k
         assert rec.overlap_true == pytest.approx(ov, rel=1e-12)
@@ -85,8 +85,8 @@ def test_alg1_round_one_success_means_single_round():
     cfg = _cfg(M=2048, tau=4)
     jam = JammerSpec()
     for k in range(20):
-        g_u, g_j = _channels(cfg, 100 + k)
-        trace = _alg1(cfg, g_u, g_j, jam, substream(100 + k, 1))
+        r = _channels(cfg, 100 + k)
+        trace = _alg1(cfg, r, jam, substream(100 + k, 1))
         assert 1 <= trace.n_used <= cfg.n_max
         assert len(trace.rounds) == trace.n_used
         if trace.rounds[0].overlap_est <= cfg.epsilon:
@@ -95,19 +95,19 @@ def test_alg1_round_one_success_means_single_round():
 
 def test_alg1_rejects_deterministic_jammer():
     cfg = _cfg()
-    g_u, g_j = _channels(cfg, 4)
+    r = _channels(cfg, 4)
     s_j = make_codebook(cfg.tau)[0]
     with pytest.raises(ValueError):
-        run_algorithm1(cfg, g_u, g_j, 0, s_j, JammerSpec(kind="codeword"), substream(4, 1))
+        run_algorithm1(cfg, r, 0, s_j, JammerSpec(kind="codeword"), substream(4, 1))
 
 
 def test_alg1_rejects_bad_pilot_index():
     cfg = _cfg()
-    g_u, g_j = _channels(cfg, 4)
+    r = _channels(cfg, 4)
     s_j = make_codebook(cfg.tau)[0]
     for k in (-1, cfg.tau):
         with pytest.raises(ValueError, match="pilot index"):
-            run_algorithm1(cfg, g_u, g_j, k, s_j, JammerSpec(), substream(4, 1))
+            run_algorithm1(cfg, r, k, s_j, JammerSpec(), substream(4, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +118,8 @@ def test_alg2_escapes_codeword_jammer_exactly(zero_noise):
     # jammer sits on the very codeword the user sends first; the adapted
     # pilot is any other codeword, orthogonal by construction
     cfg = _cfg(M=1024, tau=4)
-    g_u, g_j = _channels(cfg, 5)
-    trace = run_algorithm2(cfg, g_u, g_j, 1, make_codebook(4)[1], zero_noise)
+    r = _channels(cfg, 5)
+    trace = run_algorithm2(cfg, r, 1, make_codebook(4)[1], zero_noise)
     assert trace.n_used == 2
     assert trace.rounds[0].overlap_true == pytest.approx(1.0)
     assert trace.rounds[1].overlap_true < 1e-24   # orthogonal codeword
@@ -130,8 +130,8 @@ def test_alg2_escapes_codeword_jammer_exactly(zero_noise):
 
 def test_alg2_orthogonal_jammer_stops_immediately():
     cfg = _cfg(M=2048, tau=4)
-    g_u, g_j = _channels(cfg, 6)
-    trace = run_algorithm2(cfg, g_u, g_j, 0, make_codebook(4)[2], substream(6, 1))
+    r = _channels(cfg, 6)
+    trace = run_algorithm2(cfg, r, 0, make_codebook(4)[2], substream(6, 1))
     assert trace.n_used == 1
     assert trace.stop_reason == "threshold_met"
     assert trace.opt_pilot is None
@@ -142,28 +142,28 @@ def test_alg2_absent_jammer_concentrates_on_one_round():
     silent = np.zeros(cfg.tau, dtype=complex)
     n_used = []
     for k in range(30):
-        g_u, g_j = _channels(cfg, 300 + k)
+        r = _channels(cfg, 300 + k)
         rng = substream(300 + k, 1)
-        trace = run_algorithm2(cfg, g_u, g_j, int(rng.integers(cfg.tau)), silent, rng)
+        trace = run_algorithm2(cfg, r, int(rng.integers(cfg.tau)), silent, rng)
         n_used.append(trace.n_used)
     assert all(n == 1 for n in n_used)
 
 
 def test_alg2_rejects_bad_args():
     cfg = _cfg()
-    g_u, g_j = _channels(cfg, 7)
+    r = _channels(cfg, 7)
     s_j = make_codebook(cfg.tau)[0]
     with pytest.raises(ValueError):
         _cfg(opt_mode="psychic")
     for k in (-1, 99):
         with pytest.raises(ValueError, match="pilot index"):
-            run_algorithm2(cfg, g_u, g_j, k, s_j, substream(7, 1))
+            run_algorithm2(cfg, r, k, s_j, substream(7, 1))
     with pytest.raises(ValueError):
-        run_algorithm2(cfg, g_u, g_j, 0, s_j[:-1], substream(7, 1))
+        run_algorithm2(cfg, r, 0, s_j[:-1], substream(7, 1))
     tight = SystemConfig(M=8, T=200, tau=120, n_max=1)
-    g_u2, g_j2 = _channels(tight, 8)
+    r2 = _channels(tight, 8)
     with pytest.raises(ValueError):
-        run_algorithm2(tight, g_u2, g_j2, 0, make_codebook(120)[0], substream(8, 1))
+        run_algorithm2(tight, r2, 0, make_codebook(120)[0], substream(8, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +188,23 @@ def test_codebook_selection_matches_brute_force():
     assert idx == best_idx
     assert predicted == pytest.approx(best_val, abs=1e-12)
     assert np.array_equal(pilot, cb[idx])
+
+
+@pytest.mark.parametrize("tau", [1, 4, 20, 90])
+def test_codebook_quadratic_forms_match_einsum(tau):
+    # the search's one-product quadratic forms equal the tau^3 einsum form
+    cb = make_codebook(tau)
+    rng = substream(12, tau)
+    for _ in range(5):
+        x = crandn(rng, tau + 3, tau)
+        gram = x.conj().T @ x / tau      # random Hermitian PSD
+        quad = np.einsum("ij,jk,ik->i", cb, gram, cb.conj()).real
+        idx, pilot, predicted = select_retransmission_pilot(gram, cb, "codebook")
+        assert idx == int(np.argmin(quad))
+        assert predicted == pytest.approx(max(quad[idx], 0.0), abs=1e-12)
+        assert np.array_equal(pilot, cb[idx])
+    # an exact tie breaks to the lowest index
+    assert select_retransmission_pilot(np.eye(tau), cb, "codebook")[0] == 0
 
 
 def test_eigen_selection_nulls_rank_one_gram():
@@ -227,9 +244,9 @@ def test_noise_free_selection_never_worse_than_first_pilot():
 
 def test_trace_round_bookkeeping():
     cfg = _cfg(M=256, tau=4)
-    g_u, g_j = _channels(cfg, 11)
+    r = _channels(cfg, 11)
     jam = JammerSpec()
-    trace = _alg1(cfg, g_u, g_j, jam, substream(11, 1))
+    trace = _alg1(cfg, r, jam, substream(11, 1))
     assert len(trace.rounds) == trace.n_used
     assert 0 <= trace.chosen_round < trace.n_used
     for rec in trace.rounds:

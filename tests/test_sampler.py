@@ -1,0 +1,200 @@
+"""Exactness of the reduced training-round sampler.
+
+The trial engine draws the channel factor R (gen_channel_factor), then
+||y_t||^2 (receive_despread_power) or the block gram (receive_block_gram)
+in O(1) or O(tau^3). The reference is the full M x tau path: gen_channel,
+receive_pilot_block and despread. Each statistic is compared between the
+two by a two-sample z in units of its Monte Carlo standard error.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from jamsim import (JammerSpec, SystemConfig, despread, draw_jammer_sequence,
+                    estimate_jammer_gram, estimate_overlap_sq, gen_channel,
+                    gen_channel_factor, make_codebook, rate_from_overlap,
+                    receive_pilot_block, run_trials, select_retransmission_pilot, substream)
+from jamsim.estimation import receive_block_gram, receive_despread_power
+
+Z_BOUND = 4.0
+N_BATCHES = 20
+
+
+def _z(a, b):
+    """Two-sample z of the means of two independent sample sets."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    se = math.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
+    return (a.mean() - b.mean()) / se
+
+
+def _batches(x, stat):
+    """stat of each of N_BATCHES equal batches, the samples of a batch-means z."""
+    return [stat(part) for part in np.array_split(np.asarray(x), N_BATCHES)]
+
+
+def _var(x):
+    return np.var(x, ddof=1)
+
+
+def _corr(pair):
+    return np.corrcoef(pair[:, 0], pair[:, 1])[0, 1]
+
+
+def _sequences(tau):
+    # round one sends codeword 1 against a jammer with squared overlap 0.3
+    # and a complex phase; round two another codeword against a random jammer
+    cb = make_codebook(tau)
+    s_j = math.sqrt(0.3) * cb[1] + math.sqrt(0.7) * np.exp(0.7j) * cb[0]
+    s_j2 = draw_jammer_sequence(substream(3, tau), JammerSpec(kind="sphere"), tau)
+    return cb[1], s_j, cb[tau - 1], s_j2
+
+
+def _cfg(m, tau):
+    return SystemConfig(M=m, T=200, tau=tau, beta_u=1.3, beta_j=0.7, P=2.0, Q=1.5)
+
+
+# (M, tau): Bartlett branch (M - 2 >= tau), direct branch (M - 2 < tau), and
+# M = 1, 2, 3, where the span of the channels and the noise residual shrink
+CASES = [(12, 4), (6, 8), (1, 4), (2, 4), (3, 4)]
+
+
+def _despread_powers(cfg, n, seed, reduced):
+    """||y_t||^2 of two rounds sharing the channels, for n trials: (n, 2)."""
+    s_u, s_j, s_u2, s_j2 = _sequences(cfg.tau)
+    rng = substream(seed, 0)
+    out = np.empty((n, 2))
+    for i in range(n):
+        if reduced:
+            r = gen_channel_factor(rng, cfg.M, cfg.beta_u, cfg.beta_j)
+            out[i] = [receive_despread_power(cfg, r, s_u, s_j, rng),
+                      receive_despread_power(cfg, r, s_u2, s_j2, rng)]
+        else:
+            g_u = gen_channel(rng, cfg.M, cfg.beta_u)
+            g_j = gen_channel(rng, cfg.M, cfg.beta_j)
+            for k, (pilot, jam) in enumerate(((s_u, s_j), (s_u2, s_j2))):
+                y = despread(receive_pilot_block(cfg, g_u, g_j, pilot, jam, rng), pilot)
+                out[i, k] = np.vdot(y, y).real
+    return out
+
+
+@pytest.mark.parametrize("m,tau", CASES)
+def test_despread_power_matches_the_full_block(m, tau):
+    cfg = _cfg(m, tau)
+    n = 8000
+    reduced = _despread_powers(cfg, n, 1, True)
+    full = _despread_powers(cfg, n, 2, False)
+    zs = {
+        "mean round 1": _z(reduced[:, 0], full[:, 0]),
+        "mean round 2": _z(reduced[:, 1], full[:, 1]),
+        "variance round 1": _z(_batches(reduced[:, 0], _var), _batches(full[:, 0], _var)),
+        "variance round 2": _z(_batches(reduced[:, 1], _var), _batches(full[:, 1], _var)),
+        "cross-round correlation": _z(_batches(reduced, _corr), _batches(full, _corr)),
+    }
+    assert max(map(abs, zs.values())) <= Z_BOUND, zs
+
+
+def _grams(cfg, n, seed, reduced):
+    s_u, s_j, _, _ = _sequences(cfg.tau)
+    rng = substream(seed, 0)
+    out = np.empty((n, cfg.tau, cfg.tau), dtype=complex)
+    for i in range(n):
+        if reduced:
+            r = gen_channel_factor(rng, cfg.M, cfg.beta_u, cfg.beta_j)
+            out[i] = receive_block_gram(cfg, r, s_u, s_j, rng)
+        else:
+            g_u = gen_channel(rng, cfg.M, cfg.beta_u)
+            g_j = gen_channel(rng, cfg.M, cfg.beta_j)
+            block = receive_pilot_block(cfg, g_u, g_j, s_u, s_j, rng)
+            out[i] = block.conj().T @ block
+    return out
+
+
+@pytest.mark.parametrize("m,tau", CASES)
+def test_block_gram_matches_the_full_block(m, tau):
+    cfg = _cfg(m, tau)
+    n = 6000
+    reduced = _grams(cfg, n, 3, True)
+    full = _grams(cfg, n, 4, False)
+    zs = {}
+    for i in range(tau):
+        zs[f"G[{i},{i}]"] = _z(reduced[:, i, i].real, full[:, i, i].real)
+        for j in range(tau):
+            zs[f"|G[{i},{j}]|^2"] = _z(np.abs(reduced[:, i, j]) ** 2,
+                                      np.abs(full[:, i, j]) ** 2)
+    worst = max(zs, key=lambda key: abs(zs[key]))
+    assert abs(zs[worst]) <= Z_BOUND, (worst, zs[worst])
+    # the diagonal of the gram is where the pilot's ||y_t||^2 comes from
+    s_u = _sequences(tau)[0]
+    quad = np.einsum("j,njk,k->n", s_u, reduced, np.conj(s_u)).real
+    assert abs(_z(quad, _despread_powers(cfg, n, 5, True)[:, 0])) <= Z_BOUND
+
+
+def test_small_arrays_shrink_the_channel_factor():
+    rng = substream(8, 0)
+    assert gen_channel_factor(rng, 1, 1.0, 1.0).shape == (1, 2)
+    r = gen_channel_factor(rng, 2, 1.0, 1.0)
+    assert r.shape == (2, 2) and r[1, 0] == 0 and r[0, 0].real > 0 and r[1, 1].real > 0
+    with pytest.raises(ValueError):
+        gen_channel_factor(rng, 0, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        gen_channel_factor(rng, 4, 1.0, 0.0)
+    # with M = 1 the block has rank one: its gram has no noise residual
+    cfg = _cfg(1, 4)
+    s_u, s_j, _, _ = _sequences(4)
+    gram = receive_block_gram(cfg, gen_channel_factor(rng, 1, 1.0, 1.0), s_u, s_j, rng)
+    assert np.linalg.matrix_rank(gram, tol=1e-9) == 1
+
+
+# ---------------------------------------------------------------------------
+# engine level: both protocols against a brute-force engine
+# ---------------------------------------------------------------------------
+
+def _reference_trial(cfg, scheme, jammer, rng):
+    """One trial of alg1 or alg2 on the full M x tau blocks: (rate, n_used)."""
+    codebook = make_codebook(cfg.tau)
+    k = int(rng.integers(cfg.tau))
+    s_j = draw_jammer_sequence(rng, jammer, cfg.tau)
+    g_u = gen_channel(rng, cfg.M, cfg.beta_u)
+    g_j = gen_channel(rng, cfg.M, cfg.beta_j)
+
+    def round_estimate(pilot, jam):
+        block = receive_pilot_block(cfg, g_u, g_j, pilot, jam, rng)
+        y = despread(block, pilot)
+        return block, estimate_overlap_sq(np.vdot(y, y).real, cfg)
+
+    if scheme == "alg1":
+        estimates = []
+        for n in range(cfg.n_max):
+            if n:
+                k = int(rng.integers(cfg.tau))
+                s_j = draw_jammer_sequence(rng, jammer, cfg.tau)
+            estimates.append(round_estimate(codebook[k], s_j)[1])
+            if cfg.overlap_below_threshold(estimates[-1]):
+                break
+        return rate_from_overlap(cfg, min(estimates), len(estimates)).rate, len(estimates)
+    block, estimate = round_estimate(codebook[k], s_j)
+    if not cfg.overlap_below_threshold(estimate):
+        gram = estimate_jammer_gram(block.conj().T @ block, codebook[k], cfg)
+        _, pilot, predicted = select_retransmission_pilot(gram, codebook, cfg.opt_mode)
+        if predicted < estimate:
+            return rate_from_overlap(cfg, round_estimate(pilot, s_j)[1], 2).rate, 2
+    return rate_from_overlap(cfg, estimate, 1).rate, 1
+
+
+@pytest.mark.parametrize("scheme,m", [("alg1", 24), ("alg2", 24), ("alg2", 6)])
+def test_engine_matches_a_brute_force_engine(scheme, m):
+    # rated at the blind estimate, so the rate reads every draw of the trial;
+    # M = 24 takes alg2's Bartlett branch, M = 6 its direct one
+    cfg = SystemConfig(M=m, T=60, tau=6, P=10.0, Q=10.0, epsilon=0.1, n_max=2,
+                       master_seed=17, rate_accounting="estimated_overlap")
+    jam = JammerSpec()
+    n = 4000
+    engine = run_trials(cfg, scheme, jam, n)
+    rng = substream(18, 0)
+    rates, n_used = np.array([_reference_trial(cfg, scheme, jam, rng) for _ in range(n)]).T
+    z_rate = _z(engine.rates, rates)
+    z_n_used = _z(engine.n_used, n_used)
+    assert 1.1 < n_used.mean() < 1.9
+    assert abs(z_rate) <= Z_BOUND and abs(z_n_used) <= Z_BOUND, (z_rate, z_n_used)
