@@ -2,13 +2,15 @@
 
 Linear MMSE channel estimation, the two blind large-array estimators that
 recover jammer statistics (the squared pilot/jammer overlap from ||y_t||^2,
-the jammer sequence outer product from the block gram), and the exact
-low-dimensional draws of those two statistics that a training round makes.
+the jammer sequence outer product from a factor of the block gram), and
+the exact low-dimensional draws of those two statistics that a training
+round makes: the de-spread statistics first, the gram factor given them.
 receive_pilot_block and despread build the full M x tau block; the trial
 engine does not call them, and the tests keep them as the brute-force
 reference for the reduced draws.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -89,44 +91,73 @@ def estimate_overlap_sq(y_norm_sq: float, cfg: SystemConfig) -> float:
     return min(max(raw, 0.0), 1.0)
 
 
-def estimate_jammer_gram(gram: np.ndarray, s_u: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+def estimate_jammer_gram(factor: np.ndarray, s_u: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """Blind estimate of the jammer sequence outer product s_j* s_j^T.
 
-    Takes the block gram block^H block, removes the pilot and noise
-    contributions from gram / M, then repairs the finite-M result:
-    symmetrize to Hermitian and project onto the PSD cone by clipping
-    negative eigenvalues (the limit is Hermitian PSD of rank one, and
-    PSD-ness keeps downstream quadratic forms nonnegative).
+    Takes any factor A of the block gram, A^H A = block^H block (the block
+    itself qualifies), removes the pilot and noise contributions from
+    A^H A / M, then repairs the finite-M result: symmetrize to Hermitian and
+    project onto the PSD cone by clipping negative eigenvalues (the limit is
+    Hermitian PSD of rank one, and PSD-ness keeps downstream quadratic forms
+    nonnegative). When A has m rows and m + 1 < tau, the raw estimate is
+    -I / (tau q_t beta_j) off span(range(A^H), s_u*), where clipping zeroes
+    it, so only its restriction to that span, taken from a thin QR, is
+    eigen-decomposed.
     """
     if cfg.q_t <= 0:
         raise ValueError("jammer gram estimation needs q_t > 0")
-    if gram.shape != (cfg.tau, cfg.tau):
-        raise ValueError(f"gram must be tau x tau = {cfg.tau} x {cfg.tau}, got {gram.shape}")
+    if factor.ndim != 2 or factor.shape[1] != cfg.tau:
+        raise ValueError(f"gram factor must have tau={cfg.tau} columns, got shape {factor.shape}")
     if len(s_u) != cfg.tau:
         raise ValueError(f"pilot must have length tau={cfg.tau}")
     scale = cfg.tau * cfg.q_t * cfg.beta_j
-    raw = (gram / (scale * cfg.M)
-           - (cfg.p_t * cfg.beta_u / (cfg.q_t * cfg.beta_j)) * np.outer(np.conj(s_u), s_u)
-           - np.eye(cfg.tau) / scale)
+    u = np.conj(s_u)
+    basis = None
+    if len(factor) + 1 < cfg.tau:
+        # [A^H u] = basis @ coords: A and u in coordinates of the span
+        basis, coords = np.linalg.qr(np.column_stack((factor.conj().T, u)))
+        factor, u = coords[:, :-1].conj().T, coords[:, -1]
+    raw = (factor.conj().T @ factor / (scale * cfg.M)
+           - (cfg.p_t * cfg.beta_u / (cfg.q_t * cfg.beta_j)) * np.outer(u, np.conj(u))
+           - np.eye(len(u)) / scale)
     herm = (raw + raw.conj().T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(herm)
+    if basis is not None:
+        eigvecs = basis @ eigvecs
     return (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.conj().T
 
 
-def receive_despread_power(cfg: SystemConfig, r: np.ndarray, s_u, s_j, rng) -> float:
-    """||y_t||^2 of one training round, drawn from its exact law in O(1).
+def receive_despread(cfg: SystemConfig, r: np.ndarray, s_u, s_j,
+                     rng) -> tuple[np.ndarray, float]:
+    """De-spread statistics of one training round, drawn from their exact law in O(1).
 
     With [g_u g_j] = Q R (see gen_channel_factor) and a unit-norm pilot s_u,
     y_t = despread(block, s_u) is Q R c plus CN(0, I_M) noise, where
     c = (sqrt(tau p_t), sqrt(tau q_t) s_j^T s_u*). The noise splits into
     z ~ CN(0, I) in the span of Q and a residual whose squared norm is
-    Gamma(M - 2), so ||y_t||^2 = ||R c + z||^2 + Gamma(M - 2).
+    Gamma(M - 2). Returns (y_q, resid) with y_q = R c + z, so
+    ||y_t||^2 = ||y_q||^2 + resid.
     """
     _check_sequences(cfg, s_u, s_j)
     c = np.array((math.sqrt(cfg.tau * cfg.p_t),
                   math.sqrt(cfg.tau * cfg.q_t) * np.dot(s_j, np.conj(s_u))))
-    y = r @ c + crandn(rng, len(r))
-    return float(np.vdot(y, y).real) + rng.gamma(max(cfg.M - 2, 0))
+    y_q = r @ c + crandn(rng, len(r))
+    return y_q, rng.gamma(max(cfg.M - 2, 0))
+
+
+def despread_power(y_q: np.ndarray, resid: float) -> float:
+    """||y_t||^2 from the statistics receive_despread draws."""
+    return float(np.vdot(y_q, y_q).real) + resid
+
+
+def receive_despread_power(cfg: SystemConfig, r: np.ndarray, s_u, s_j, rng) -> float:
+    """||y_t||^2 of one training round (see receive_despread)."""
+    return despread_power(*receive_despread(cfg, r, s_u, s_j, rng))
+
+
+@functools.lru_cache(maxsize=None)
+def _upper_indices(tau: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.triu_indices(tau, 1)
 
 
 def _wishart_factor(rng, n: int, tau: int) -> np.ndarray:
@@ -138,24 +169,40 @@ def _wishart_factor(rng, n: int, tau: int) -> np.ndarray:
     """
     if n < tau:
         return crandn(rng, n, tau)
-    b = np.triu(crandn(rng, tau, tau), 1)
+    b = np.zeros((tau, tau), dtype=np.complex128)
+    b[_upper_indices(tau)] = crandn(rng, tau * (tau - 1) // 2)
     b[np.diag_indices(tau)] = np.sqrt(rng.gamma(n - np.arange(tau)))
     return b
 
 
-def receive_block_gram(cfg: SystemConfig, r: np.ndarray, s_u, s_j, rng) -> np.ndarray:
-    """Gram block^H block (tau x tau) of one training round, drawn from its exact law.
+def receive_block_factor(cfg: SystemConfig, r: np.ndarray, s_u, s_j, y_q: np.ndarray,
+                         resid: float, rng) -> np.ndarray:
+    """A factor A of the round's block gram, A^H A = block^H block, drawn given receive_despread.
 
-    The block is Q R C + N with C the 2 x tau rows sqrt(tau p_t) s_u^T and
-    sqrt(tau q_t) s_j^T. In the span of Q it reads R C + Z with Z i.i.d.
-    CN(0, 1); the rest of the noise adds a complex Wishart CW_tau(M - 2, I).
-    So the gram costs O(tau^3) whatever M is once M - 2 >= tau.
+    Write block = y_t s_u^T + block P with P = I - s_u* s_u^T; block P is
+    independent of y_t = block s_u*. In the basis of Q the block reads
+    R C + Z, with C the 2 x tau rows sqrt(tau p_t) s_u^T and
+    sqrt(tau q_t) s_j^T and Z i.i.d. CN(0, 1), above an (M - 2) x tau noise
+    residual; rotating the residual so that its de-spread output lies on
+    the first axis gives the stacked rows of A:
+      y_q s_u^T + (R C + Z') P        (the span of Q)
+      sqrt(resid) s_u^T + n0 P        (when M >= 3)
+      X P, X^H X ~ CW_tau(M - 3, I)   (Bartlett's factor when M - 3 >= tau)
+    with Z', n0 and X drawn fresh. The cost does not grow with M once
+    M - 3 >= tau.
     """
     _check_sequences(cfg, s_u, s_j)
     pilots = np.stack((math.sqrt(cfg.tau * cfg.p_t) * s_u, math.sqrt(cfg.tau * cfg.q_t) * s_j))
-    factor = np.vstack((r @ pilots + crandn(rng, len(r), cfg.tau),
-                        _wishart_factor(rng, max(cfg.M - 2, 0), cfg.tau)))
-    return factor.conj().T @ factor
+    parts = [r @ pilots + crandn(rng, len(r), cfg.tau)]
+    lead = list(y_q)
+    if cfg.M >= 3:
+        parts.append(crandn(rng, 1, cfg.tau))
+        lead.append(math.sqrt(resid))
+    parts.append(_wishart_factor(rng, max(cfg.M - 3, 0), cfg.tau))
+    factor = np.vstack(parts)
+    factor -= np.outer(factor @ np.conj(s_u), s_u)
+    factor[:len(lead)] += np.outer(lead, s_u)
+    return factor
 
 
 def run_training(cfg: SystemConfig, r: np.ndarray, s_u, s_j, rng) -> float:

@@ -12,10 +12,10 @@ through it. The protocol stream draws round one (the pilot index, then the
 jamming sequence) for every scheme, so at equal trial indices all schemes
 see identical first-round sequences. It then draws, round by round, the
 statistic the receiver decides from: ||y_t||^2 (receive_despread_power)
-for the conventional scheme, each alg1 round and alg2's retransmission,
-and the tau x tau block gram (receive_block_gram) for alg2's first round.
-Both follow the exact law of the M-antenna draws at a cost that does not
-grow with M. Conventional under true_overlap draws neither channels nor
+for every round of every scheme, drawn the same way in round one, and for
+alg2, only when it goes on to retransmit, a factor of round one's tau x tau
+block gram drawn given that ||y_t||^2 (receive_block_factor). Both follow
+the exact law of the M-antenna draws at a cost that does not grow with M. Conventional under true_overlap draws neither channels nor
 noise. Keyed streams make scheme comparisons paired and keep any execution
 order or worker count bit-reproducible.
 """

@@ -12,8 +12,8 @@ import numpy as np
 
 from .channel import JammerSpec, draw_jammer_sequence, jamming_overlap_sq, make_codebook
 from .config import SystemConfig
-from .estimation import (estimate_jammer_gram, estimate_overlap_sq, receive_block_gram,
-                         run_training)
+from .estimation import (despread_power, estimate_jammer_gram, estimate_overlap_sq,
+                         receive_block_factor, receive_despread, run_training)
 
 @dataclass(frozen=True)
 class RoundRecord:
@@ -95,12 +95,14 @@ def run_algorithm2(cfg: SystemConfig, r: np.ndarray, k: int, s_j: np.ndarray,
     """Pilot adaptation against a jammer whose sequence s_j is fixed.
 
     r is the channel factor of the trial (see gen_channel_factor). Round 1
-    sends codeword k, and the receiver reads both blind estimates from the
-    round's block gram. If the overlap estimate exceeds the threshold, the
-    receiver estimates the jammer gram, searches (cfg.opt_mode) for the
-    pilot with minimal predicted overlap, and requests one retransmission,
-    but only if that prediction improves on round 1. The jammer replays s_j
-    under fresh noise.
+    sends codeword k, and the receiver reads its blind overlap estimate from
+    ||y_t||^2, drawn exactly as the conventional scheme draws it. If the
+    estimate exceeds the threshold, the round's block gram is drawn given
+    that draw (receive_block_factor), the receiver estimates the jammer
+    gram from it, searches (cfg.opt_mode) for the pilot with minimal
+    predicted overlap, and requests one retransmission, but only if that
+    prediction improves on round 1. The jammer replays s_j under fresh
+    noise.
     """
     if 2 * cfg.tau >= cfg.T:
         raise ValueError(f"a retransmission needs 2*tau < T, got tau={cfg.tau}, T={cfg.T}")
@@ -108,13 +110,13 @@ def run_algorithm2(cfg: SystemConfig, r: np.ndarray, k: int, s_j: np.ndarray,
         raise ValueError(f"pilot index must lie in [0, tau={cfg.tau}), got {k}")
     codebook = make_codebook(cfg.tau)
     s_u = codebook[k]
-    block_gram = receive_block_gram(cfg, r, s_u, s_j, rng)
-    # ||y_t||^2 = ||block s_u*||^2 = s_u^T (block^H block) s_u*
-    overlap_est = estimate_overlap_sq(float(np.real(s_u @ block_gram @ np.conj(s_u))), cfg)
+    y_q, resid = receive_despread(cfg, r, s_u, s_j, rng)
+    overlap_est = estimate_overlap_sq(despread_power(y_q, resid), cfg)
     rounds = [RoundRecord(k, jamming_overlap_sq(s_j, s_u), overlap_est)]
     if cfg.overlap_below_threshold(overlap_est):
         return ProtocolTrace(tuple(rounds), 1, "threshold_met", 0, None)
-    gram = estimate_jammer_gram(block_gram, s_u, cfg)
+    factor = receive_block_factor(cfg, r, s_u, s_j, y_q, resid, rng)
+    gram = estimate_jammer_gram(factor, s_u, cfg)
     opt_idx, opt_pilot, predicted = select_retransmission_pilot(gram, codebook, cfg.opt_mode)
     if not predicted < overlap_est:
         return ProtocolTrace(tuple(rounds), 1, "opt_no_better", 0, opt_pilot)

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from jamsim import (SystemConfig, despread, estimate_jammer_gram,
                     estimate_overlap_sq, gen_channel, gen_channel_factor, make_codebook,
                     mmse_coefficients, mmse_estimate, receive_pilot_block,
-                    run_training, substream)
+                    run_training, select_retransmission_pilot, substream)
 from jamsim.channel import crandn
-from jamsim.estimation import receive_despread_power
+from jamsim.estimation import receive_block_factor, receive_despread, receive_despread_power
 
 
 def _cfg(**kw):
@@ -208,12 +208,18 @@ def test_overlap_estimate_needs_jammer_power():
 
 
 def test_estimators_reject_malformed_statistics():
-    # ||y_t||^2 must be a nonnegative number and the gram tau x tau
+    # ||y_t||^2 must be a nonnegative number, the gram factor must have tau
+    # columns, the pilot length tau, and the jammer some training power
     for bad in (-1.0, float("nan")):
         with pytest.raises(ValueError, match="nonnegative"):
             estimate_overlap_sq(bad, _cfg())
-    with pytest.raises(ValueError, match="tau x tau"):
-        estimate_jammer_gram(np.zeros((4, 2), dtype=complex), np.ones(2), _cfg())
+    for bad in (np.zeros((4, 3), dtype=complex), np.zeros(2, dtype=complex)):
+        with pytest.raises(ValueError, match="tau=2 columns"):
+            estimate_jammer_gram(bad, np.ones(2), _cfg())
+    with pytest.raises(ValueError, match="pilot must have length"):
+        estimate_jammer_gram(np.zeros((4, 2), dtype=complex), np.ones(3), _cfg())
+    with pytest.raises(ValueError, match="q_t > 0"):
+        estimate_jammer_gram(np.zeros((4, 2), dtype=complex), np.ones(2), _cfg(Q=0.0))
 
 
 def test_overlap_estimate_converges_with_antennas():
@@ -255,7 +261,8 @@ def test_gram_estimate_inverts_limit_exactly():
     target = np.outer(np.conj(s_j), s_j)
     limit = (cfg.tau * cfg.p_t * cfg.beta_u * np.outer(np.conj(s_u), s_u)
              + cfg.tau * cfg.q_t * cfg.beta_j * target + np.eye(3))
-    est = estimate_jammer_gram(cfg.M * limit, s_u, cfg)   # gram / M at its limit
+    # gram / M at its limit, passed as a factor of the gram
+    est = estimate_jammer_gram(np.linalg.cholesky(cfg.M * limit).conj().T, s_u, cfg)
     assert np.allclose(est, target, atol=1e-10)
 
 
@@ -265,7 +272,7 @@ def test_gram_estimate_rank_one_basis_case():
     s_j = np.array([1.0, 0.0], dtype=complex)
     limit = (cfg.tau * cfg.p_t * np.outer(np.conj(s_u), s_u)
              + cfg.tau * cfg.q_t * np.outer(np.conj(s_j), s_j) + np.eye(2))
-    est = estimate_jammer_gram(cfg.M * limit, s_u, cfg)
+    est = estimate_jammer_gram(np.linalg.cholesky(cfg.M * limit).conj().T, s_u, cfg)
     assert np.allclose(est, [[1.0, 0.0], [0.0, 0.0]], atol=1e-10)
 
 
@@ -277,7 +284,7 @@ def test_gram_estimate_hermitian_psd_on_noisy_data():
     g_j = gen_channel(rng, 64, 1.0)
     s_j = crandn(rng, 4) / 2.0
     block = receive_pilot_block(cfg, g_u, g_j, cb[1], s_j, rng)
-    est = estimate_jammer_gram(block.conj().T @ block, cb[1], cfg)
+    est = estimate_jammer_gram(block, cb[1], cfg)
     assert np.max(np.abs(est - est.conj().T)) < 1e-12
     assert np.linalg.eigvalsh(est).min() >= -1e-12
 
@@ -296,10 +303,53 @@ def test_gram_estimate_error_shrinks_with_antennas():
             g_u = gen_channel(rng, m, 1.0)
             g_j = gen_channel(rng, m, 1.0)
             block = receive_pilot_block(cfg, g_u, g_j, s_u, s_j, rng)
-            est = estimate_jammer_gram(block.conj().T @ block, s_u, cfg)
+            est = estimate_jammer_gram(block, s_u, cfg)
             errs.append(np.linalg.norm(est - target))
         medians[m] = np.median(errs)
     assert medians[10000] < medians[100]
+
+
+def _full_projection(factor, s_u, cfg):
+    # the estimate by definition: clip the eigenvalues of the whole tau x tau
+    # raw gram
+    scale = cfg.tau * cfg.q_t * cfg.beta_j
+    raw = (factor.conj().T @ factor / (scale * cfg.M)
+           - cfg.p_t * cfg.beta_u / (cfg.q_t * cfg.beta_j) * np.outer(np.conj(s_u), s_u)
+           - np.eye(cfg.tau) / scale)
+    eigvals, eigvecs = np.linalg.eigh((raw + raw.conj().T) / 2)
+    return (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.conj().T
+
+
+@pytest.mark.parametrize("m,tau", [(50, 90), (10, 20), (2, 4)])
+def test_gram_estimate_on_the_factor_span_is_exact(m, tau):
+    # with m + 1 < tau the estimator eigen-decomposes only on
+    # span(range(A^H), s_u*); the result and both searches must match the
+    # full projection of the same raw gram
+    cfg = _cfg(M=m, tau=tau, T=4 * tau, P=2.0, Q=3.0)
+    cb = make_codebook(tau)
+    rng = substream(91, m)
+    for trial in range(5):
+        s_u = cb[trial % tau]
+        if trial % 2:
+            s_j = 0.6 * s_u + 0.8 * cb[(trial + 3) % tau]
+        else:
+            s_j = crandn(rng, tau) / np.sqrt(tau)
+        r = gen_channel_factor(rng, m, cfg.beta_u, cfg.beta_j)
+        y_q, resid = receive_despread(cfg, r, s_u, s_j, rng)
+        factor = receive_block_factor(cfg, r, s_u, s_j, y_q, resid, rng)
+        assert len(factor) + 1 < tau
+        est = estimate_jammer_gram(factor, s_u, cfg)
+        ref = _full_projection(factor, s_u, cfg)
+        norm = np.linalg.norm(ref)
+        assert norm > 0
+        assert np.linalg.norm(est - ref) <= 1e-12 * norm
+        idx, _, predicted = select_retransmission_pilot(est, cb, "codebook")
+        ref_idx, _, ref_predicted = select_retransmission_pilot(ref, cb, "codebook")
+        assert idx == ref_idx
+        assert predicted == pytest.approx(ref_predicted, rel=1e-12, abs=1e-12 * norm)
+        predicted = select_retransmission_pilot(est, cb, "eigen")[2]
+        ref_predicted = select_retransmission_pilot(ref, cb, "eigen")[2]
+        assert predicted == pytest.approx(ref_predicted, rel=1e-12, abs=1e-12 * norm)
 
 
 def test_gram_estimate_needs_jammer_power():

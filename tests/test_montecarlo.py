@@ -6,7 +6,7 @@ import pytest
 import jamsim.montecarlo
 from jamsim import (JammerSpec, SystemConfig, average_rate, draw_jammer_sequence,
                     gen_channel_factor, mmse_coefficients, rate_from_overlap, run_algorithm1,
-                    run_trials, simulate_one_trial, substream, verify_moments)
+                    run_algorithm2, run_trials, simulate_one_trial, substream, verify_moments)
 from jamsim.channel import crandn
 from jamsim.config import snr_db_to_power
 
@@ -92,13 +92,13 @@ _PINNED_BASE = dict(M=16, T=60, tau=6, P=10.0, Q=10.0, epsilon=0.1, n_max=2, mas
 _PINNED_MEANS = {
     ("true_overlap", "conventional"): 2.00490187660912,
     ("true_overlap", "alg1"): 2.0344133214984352,
-    ("true_overlap", "alg2"): 2.213672426365959,
+    ("true_overlap", "alg2"): 2.1983620158098027,
     ("estimated_overlap", "conventional"): 2.0491809615183465,
     ("estimated_overlap", "alg1"): 2.1140118316948544,
-    ("estimated_overlap", "alg2"): 2.1764044737668486,
+    ("estimated_overlap", "alg2"): 2.1841027600418004,
     ("explicit_powers", "conventional"): 1.6653497966863124,
     ("explicit_powers", "alg1"): 1.6987596431581784,
-    ("explicit_powers", "alg2"): 1.8572210727013592,
+    ("explicit_powers", "alg2"): 1.8507805686801309,
 }
 
 
@@ -124,6 +124,34 @@ def test_schemes_share_first_round_draws():
         single = data.n_used == 1
         assert single.any() and not single.all()
         assert np.array_equal(conv.overlap_sq[single], data.overlap_sq[single])
+
+
+def test_alg2_round_one_is_the_conventional_round():
+    # alg2's first round draws ||y_t||^2 exactly as the conventional scheme
+    # does, so at equal trial indices its blind estimate is the conventional
+    # one bit for bit, and a trial that stops at the threshold has the
+    # conventional rate under either accounting
+    cfg = _cfg(master_seed=21, rate_accounting="estimated_overlap")
+    jam = JammerSpec()
+    n = 200
+    conv = run_trials(cfg, "conventional", jam, n)
+    stops = []
+    for i in range(n):
+        rng = substream(cfg.master_seed, i, 1)
+        k = int(rng.integers(cfg.tau))
+        s_j = draw_jammer_sequence(rng, jam, cfg.tau)
+        r = gen_channel_factor(substream(cfg.master_seed, i, 0), cfg.M, cfg.beta_u, cfg.beta_j)
+        trace = run_algorithm2(cfg, r, k, s_j, rng)
+        assert trace.rounds[0].overlap_est == conv.overlap_sq[i]
+        stops.append(trace.stop_reason == "threshold_met")
+    stops = np.array(stops)
+    assert stops.any() and not stops.all()
+    for mode in ("estimated_overlap", "true_overlap"):
+        mode_cfg = _cfg(master_seed=21, rate_accounting=mode)
+        conv_rates = run_trials(mode_cfg, "conventional", jam, n).rates
+        alg2 = run_trials(mode_cfg, "alg2", jam, n)
+        assert np.array_equal(alg2.rates[stops], conv_rates[stops])
+        assert np.all(alg2.n_used[stops] == 1)
 
 
 def test_alg1_is_rated_at_the_round_its_receiver_picks():

@@ -1,10 +1,11 @@
 """Exactness of the reduced training-round sampler.
 
 The trial engine draws the channel factor R (gen_channel_factor), then
-||y_t||^2 (receive_despread_power) or the block gram (receive_block_gram)
-in O(1) or O(tau^3). The reference is the full M x tau path: gen_channel,
-receive_pilot_block and despread. Each statistic is compared between the
-two by a two-sample z in units of its Monte Carlo standard error.
+||y_t||^2 (receive_despread_power) in O(1), and for alg2 a factor of the
+block gram given that draw (receive_block_factor) in O(tau^3). The
+reference is the full M x tau path: gen_channel, receive_pilot_block and
+despread. Each statistic is compared between the two by a two-sample z in
+units of its Monte Carlo standard error.
 """
 
 import math
@@ -16,7 +17,8 @@ from jamsim import (JammerSpec, SystemConfig, despread, draw_jammer_sequence,
                     estimate_jammer_gram, estimate_overlap_sq, gen_channel,
                     gen_channel_factor, make_codebook, rate_from_overlap,
                     receive_pilot_block, run_trials, select_retransmission_pilot, substream)
-from jamsim.estimation import receive_block_gram, receive_despread_power
+from jamsim.estimation import (despread_power, receive_block_factor, receive_despread,
+                               receive_despread_power)
 
 Z_BOUND = 4.0
 N_BATCHES = 20
@@ -55,8 +57,8 @@ def _cfg(m, tau):
     return SystemConfig(M=m, T=200, tau=tau, beta_u=1.3, beta_j=0.7, P=2.0, Q=1.5)
 
 
-# (M, tau): Bartlett branch (M - 2 >= tau), direct branch (M - 2 < tau), and
-# M = 1, 2, 3, where the span of the channels and the noise residual shrink
+# (M, tau): M above and below tau, and M = 1, 2, 3, where the span of the
+# channels and the noise residual shrink
 CASES = [(12, 4), (6, 8), (1, 4), (2, 4), (3, 4)]
 
 
@@ -96,39 +98,61 @@ def test_despread_power_matches_the_full_block(m, tau):
 
 
 def _grams(cfg, n, seed, reduced):
+    """(||y_t||^2, block gram) of round one for n trials: (n,), (n, tau, tau)."""
     s_u, s_j, _, _ = _sequences(cfg.tau)
     rng = substream(seed, 0)
-    out = np.empty((n, cfg.tau, cfg.tau), dtype=complex)
+    powers = np.empty(n)
+    grams = np.empty((n, cfg.tau, cfg.tau), dtype=complex)
     for i in range(n):
         if reduced:
             r = gen_channel_factor(rng, cfg.M, cfg.beta_u, cfg.beta_j)
-            out[i] = receive_block_gram(cfg, r, s_u, s_j, rng)
+            y_q, resid = receive_despread(cfg, r, s_u, s_j, rng)
+            powers[i] = despread_power(y_q, resid)
+            factor = receive_block_factor(cfg, r, s_u, s_j, y_q, resid, rng)
+            grams[i] = factor.conj().T @ factor
+            # the gram is drawn given ||y_t||^2 and reproduces it
+            quad = np.real(s_u @ grams[i] @ np.conj(s_u))
+            assert abs(quad - powers[i]) <= 1e-12 * powers[i]
         else:
             g_u = gen_channel(rng, cfg.M, cfg.beta_u)
             g_j = gen_channel(rng, cfg.M, cfg.beta_j)
             block = receive_pilot_block(cfg, g_u, g_j, s_u, s_j, rng)
-            out[i] = block.conj().T @ block
-    return out
+            y = despread(block, s_u)
+            powers[i] = np.vdot(y, y).real
+            grams[i] = block.conj().T @ block
+    return powers, grams
 
 
-@pytest.mark.parametrize("m,tau", CASES)
+# M = 1, 2, 3, 4, where the span of the channels and the noise residuals
+# shrink, and both sides of M - 3 = tau, where the Wishart part switches
+# between the direct draw and Bartlett's factor
+GRAM_CASES = [(1, 4), (2, 4), (3, 4), (4, 4), (6, 4), (7, 4), (12, 4), (6, 8)]
+
+
+@pytest.mark.parametrize("m,tau", GRAM_CASES)
 def test_block_gram_matches_the_full_block(m, tau):
+    # the joint law of (||y_t||^2, gram): every entry's mean and mean square,
+    # over all draws and over the draws whose ||y_t||^2 exceeds the median,
+    # as alg2's draws past the threshold do
     cfg = _cfg(m, tau)
     n = 6000
     reduced = _grams(cfg, n, 3, True)
     full = _grams(cfg, n, 4, False)
-    zs = {}
-    for i in range(tau):
-        zs[f"G[{i},{i}]"] = _z(reduced[:, i, i].real, full[:, i, i].real)
-        for j in range(tau):
-            zs[f"|G[{i},{j}]|^2"] = _z(np.abs(reduced[:, i, j]) ** 2,
-                                      np.abs(full[:, i, j]) ** 2)
+    cut = np.median(np.concatenate((reduced[0], full[0])))
+    zs = {"||y_t||^2": _z(reduced[0], full[0])}
+    for label, (red, ref) in {
+        "all": (reduced[1], full[1]),
+        "above median": (reduced[1][reduced[0] > cut], full[1][full[0] > cut]),
+    }.items():
+        for i in range(tau):
+            for j in range(tau):
+                zs[label, f"Re G[{i},{j}]"] = _z(red[:, i, j].real, ref[:, i, j].real)
+                if i != j:
+                    zs[label, f"Im G[{i},{j}]"] = _z(red[:, i, j].imag, ref[:, i, j].imag)
+                zs[label, f"|G[{i},{j}]|^2"] = _z(np.abs(red[:, i, j]) ** 2,
+                                                 np.abs(ref[:, i, j]) ** 2)
     worst = max(zs, key=lambda key: abs(zs[key]))
     assert abs(zs[worst]) <= Z_BOUND, (worst, zs[worst])
-    # the diagonal of the gram is where the pilot's ||y_t||^2 comes from
-    s_u = _sequences(tau)[0]
-    quad = np.einsum("j,njk,k->n", s_u, reduced, np.conj(s_u)).real
-    assert abs(_z(quad, _despread_powers(cfg, n, 5, True)[:, 0])) <= Z_BOUND
 
 
 def test_small_arrays_shrink_the_channel_factor():
@@ -140,11 +164,13 @@ def test_small_arrays_shrink_the_channel_factor():
         gen_channel_factor(rng, 0, 1.0, 1.0)
     with pytest.raises(ValueError):
         gen_channel_factor(rng, 4, 1.0, 0.0)
-    # with M = 1 the block has rank one: its gram has no noise residual
+    # with M = 1 the block has rank one: its gram factor is a single row
     cfg = _cfg(1, 4)
     s_u, s_j, _, _ = _sequences(4)
-    gram = receive_block_gram(cfg, gen_channel_factor(rng, 1, 1.0, 1.0), s_u, s_j, rng)
-    assert np.linalg.matrix_rank(gram, tol=1e-9) == 1
+    r = gen_channel_factor(rng, 1, 1.0, 1.0)
+    y_q, resid = receive_despread(cfg, r, s_u, s_j, rng)
+    assert resid == 0
+    assert receive_block_factor(cfg, r, s_u, s_j, y_q, resid, rng).shape == (1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +202,7 @@ def _reference_trial(cfg, scheme, jammer, rng):
         return rate_from_overlap(cfg, min(estimates), len(estimates)).rate, len(estimates)
     block, estimate = round_estimate(codebook[k], s_j)
     if not cfg.overlap_below_threshold(estimate):
-        gram = estimate_jammer_gram(block.conj().T @ block, codebook[k], cfg)
+        gram = estimate_jammer_gram(block, codebook[k], cfg)
         _, pilot, predicted = select_retransmission_pilot(gram, codebook, cfg.opt_mode)
         if predicted < estimate:
             return rate_from_overlap(cfg, round_estimate(pilot, s_j)[1], 2).rate, 2
