@@ -160,18 +160,21 @@ def _upper_indices(tau: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(tau, 1)
 
 
-def _wishart_factor(rng, n: int, tau: int) -> np.ndarray:
-    """A factor X with X^H X ~ CW_tau(n, I), the complex Wishart law.
+def _wishart_factor(rng, n: int, tau: int, batch: tuple[int, ...] = ()) -> np.ndarray:
+    """Independent factors X with X^H X ~ CW_tau(n, I), the complex Wishart law.
 
     X is the n x tau Gaussian matrix itself when n < tau, else its tau x tau
     upper-triangular Bartlett factor: B_ii^2 ~ Gamma(n - i) for
-    i = 0..tau-1 and B_ij ~ CN(0, 1) above the diagonal.
+    i = 0..tau-1 and B_ij ~ CN(0, 1) above the diagonal. The result has
+    shape batch + X.shape, one factor per batch entry.
     """
     if n < tau:
-        return crandn(rng, n, tau)
-    b = np.zeros((tau, tau), dtype=np.complex128)
-    b[_upper_indices(tau)] = crandn(rng, tau * (tau - 1) // 2)
-    b[np.diag_indices(tau)] = np.sqrt(rng.gamma(n - np.arange(tau)))
+        return crandn(rng, *batch, n, tau)
+    b = np.zeros((*batch, tau, tau), dtype=np.complex128)
+    rows, cols = _upper_indices(tau)
+    b[..., rows, cols] = crandn(rng, *batch, tau * (tau - 1) // 2)
+    i = np.arange(tau)
+    b[..., i, i] = np.sqrt(rng.gamma(n - i, size=(*batch, tau)))
     return b
 
 

@@ -10,8 +10,8 @@ class ZeroNoise:
             return 0.0
         return np.zeros(size)
 
-    def gamma(self, shape):
-        return np.zeros(np.shape(shape))
+    def gamma(self, shape, size=None):
+        return np.zeros(np.shape(shape) if size is None else size)
 
 
 @pytest.fixture

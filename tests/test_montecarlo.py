@@ -9,6 +9,7 @@ from jamsim import (JammerSpec, SystemConfig, average_rate, draw_jammer_sequence
                     run_algorithm2, run_trials, simulate_one_trial, substream, verify_moments)
 from jamsim.channel import crandn
 from jamsim.config import snr_db_to_power
+from jamsim.montecarlo import MOMENT_Z, Moment
 
 
 def _cfg(**kw):
@@ -269,38 +270,66 @@ def test_invalid_scheme_and_jammer_combinations():
 # effective-noise moment oracle
 # ---------------------------------------------------------------------------
 
+def _rel_errors(rep):
+    return {name: abs(m.emp - m.th) / abs(m.th) for name, m in rep.moments.items() if m.th}
+
+
+def _max_abs_z(rep):
+    return max(abs(m.z) for m in rep.moments.values())
+
+
 def test_moment_oracle_close_at_moderate_trials():
     cfg = SystemConfig(M=20, T=50, tau=8, master_seed=0)
     for overlap in (0.0, 0.5, 1.0):
         rep = verify_moments(cfg, overlap, 20000)
-        assert rep.max_moment_rel_error() < 0.05
-        assert rep.sinr_rel_error() < 0.05
+        errors = _rel_errors(rep)
+        assert max(errors[k] for k in ("e1", "e2", "e3", "signal")) < 0.05
+        assert errors["sinr"] < 0.05
+        assert _max_abs_z(rep) <= MOMENT_Z
 
 
 def test_moment_oracle_sinr_across_random_parameter_draws():
     # assembled empirical SINR tracks the closed form over assorted system
-    # parameters, not just the defaults
+    # parameters, not just the defaults; M = 1, 2, 3 draw the M x 4 block
+    # itself instead of Bartlett's factor
     draws = [
         dict(M=12, tau=4, beta_u=0.7, beta_j=2.0, P=0.5, Q=2.0, overlap=0.1),
         dict(M=32, tau=6, beta_u=1.5, beta_j=0.4, P=2.0, Q=1.0, overlap=0.65),
         dict(M=8, tau=16, beta_u=1.0, beta_j=1.0, P=4.0, Q=0.3, overlap=0.9),
         dict(M=24, tau=3, beta_u=0.2, beta_j=0.9, P=1.2, Q=3.0, overlap=0.0),
         dict(M=48, tau=10, beta_u=3.0, beta_j=1.1, P=0.8, Q=0.8, overlap=0.33),
+        dict(M=1, tau=4, beta_u=1.3, beta_j=0.7, P=2.0, Q=1.5, overlap=0.3),
+        dict(M=2, tau=8, beta_u=1.0, beta_j=1.0, P=1.0, Q=1.0, overlap=1.0),
+        dict(M=3, tau=5, beta_u=0.6, beta_j=1.8, P=3.0, Q=0.5, overlap=0.5),
     ]
     for i, d in enumerate(draws):
         overlap = d.pop("overlap")
         cfg = SystemConfig(T=200, n_max=2, master_seed=500 + i, **d)
         rep = verify_moments(cfg, overlap, 100000)
-        assert rep.sinr_rel_error() < 0.05, (d, overlap)
+        assert _rel_errors(rep)["sinr"] < 0.05, (d, overlap)
+        assert _max_abs_z(rep) <= MOMENT_Z, (d, overlap, rep.moments)
+
+
+def test_moment_oracle_stderrs_are_calibrated():
+    # over independent seeds each quantity's z spreads like N(0, 1): a
+    # stderr (delta-method or direct) off by a factor of 2 either way shows
+    zs = np.array([[m.z for m in verify_moments(_cfg(M=20, tau=8, master_seed=seed),
+                                                0.5, 2000).moments.values()]
+                   for seed in range(100)])
+    spread = zs.std(axis=0, ddof=1)
+    assert np.all((0.7 <= spread) & (spread <= 1.4)), spread
 
 
 def test_moment_oracle_silent_jammer_moment_is_exactly_zero():
     cfg = SystemConfig(M=16, T=50, tau=4, master_seed=1, powers=(1.0, 1.0, 0.0, 0.0),
                        P=1.0, Q=1.0)
     rep = verify_moments(cfg, 0.0, 2000)
-    assert rep.e2_th == 0.0
-    assert rep.e2_emp == 0.0
-    assert rep.max_moment_rel_error() < 0.10
+    e2 = rep.moments["e2"]
+    assert e2.th == e2.emp == e2.se == e2.z == 0.0 and e2.ok
+    assert max(_rel_errors(rep).values()) < 0.10
+    assert rep.ok
+    # a zero standard error passes only an exact match
+    assert not Moment(emp=1e-300, th=0.0, se=0.0).ok
 
 
 def test_moment_e1_does_not_depend_on_jammer():
@@ -311,11 +340,10 @@ def test_moment_e1_does_not_depend_on_jammer():
                           powers=(0.2, 1.0, 0.0, 0.0))
     assert mmse_coefficients(jammed, 0.5)[1] == pytest.approx(
         mmse_coefficients(silent, 0.0)[1], rel=1e-12)
-    rep_j = verify_moments(jammed, 0.5, 10000)
-    rep_s = verify_moments(silent, 0.0, 10000)
-    assert rep_j.e1_th == pytest.approx(rep_s.e1_th, rel=1e-12)
-    bound = 2 * math.hypot(rep_j.e1_se, rep_s.e1_se)
-    assert abs(rep_j.e1_emp - rep_s.e1_emp) < bound
+    e1_j = verify_moments(jammed, 0.5, 10000).moments["e1"]
+    e1_s = verify_moments(silent, 0.0, 10000).moments["e1"]
+    assert e1_j.th == pytest.approx(e1_s.th, rel=1e-12)
+    assert abs(e1_j.emp - e1_s.emp) < 2 * math.hypot(e1_j.se, e1_s.se)
 
 
 def test_moment_fourth_power_identity():

@@ -17,8 +17,9 @@ from jamsim import (JammerSpec, SystemConfig, despread, draw_jammer_sequence,
                     estimate_jammer_gram, estimate_overlap_sq, gen_channel,
                     gen_channel_factor, make_codebook, rate_from_overlap,
                     receive_pilot_block, run_trials, select_retransmission_pilot, substream)
-from jamsim.estimation import (despread_power, receive_block_factor, receive_despread,
-                               receive_despread_power)
+from jamsim.channel import crandn
+from jamsim.estimation import (_wishart_factor, despread_power, receive_block_factor,
+                               receive_despread, receive_despread_power)
 
 Z_BOUND = 4.0
 N_BATCHES = 20
@@ -123,21 +124,35 @@ def _grams(cfg, n, seed, reduced):
     return powers, grams
 
 
+def _wishart_grams(cfg, n, seed, reduced):
+    """(G_00, G) of n grams G = X^H X of M x 4 Gaussians, as verify_moments draws them.
+
+    Reduced: one batched _wishart_factor call, Bartlett's factor once M >= 4.
+    """
+    rng = substream(seed, 0)
+    x = _wishart_factor(rng, cfg.M, 4, (n,)) if reduced else crandn(rng, n, cfg.M, 4)
+    grams = x.conj().swapaxes(-1, -2) @ x
+    return grams[:, 0, 0].real, grams
+
+
 # M = 1, 2, 3, 4, where the span of the channels and the noise residuals
 # shrink, and both sides of M - 3 = tau, where the Wishart part switches
-# between the direct draw and Bartlett's factor
-GRAM_CASES = [(1, 4), (2, 4), (3, 4), (4, 4), (6, 4), (7, 4), (12, 4), (6, 8)]
+# between the direct draw and Bartlett's factor; then the moment oracle's
+# batched 4-column factor on both sides of M = 4
+GRAM_CASES = ([pytest.param(m, tau, _grams, id=f"{m}-{tau}") for m, tau in
+               [(1, 4), (2, 4), (3, 4), (4, 4), (6, 4), (7, 4), (12, 4), (6, 8)]]
+              + [pytest.param(m, 4, _wishart_grams, id=f"wishart-{m}") for m in (1, 2, 3, 20)])
 
 
-@pytest.mark.parametrize("m,tau", GRAM_CASES)
-def test_block_gram_matches_the_full_block(m, tau):
+@pytest.mark.parametrize("m,tau,draw", GRAM_CASES)
+def test_block_gram_matches_the_full_block(m, tau, draw):
     # the joint law of (||y_t||^2, gram): every entry's mean and mean square,
     # over all draws and over the draws whose ||y_t||^2 exceeds the median,
     # as alg2's draws past the threshold do
     cfg = _cfg(m, tau)
     n = 6000
-    reduced = _grams(cfg, n, 3, True)
-    full = _grams(cfg, n, 4, False)
+    reduced = draw(cfg, n, 3, True)
+    full = draw(cfg, n, 4, False)
     cut = np.median(np.concatenate((reduced[0], full[0])))
     zs = {"||y_t||^2": _z(reduced[0], full[0])}
     for label, (red, ref) in {
