@@ -1,14 +1,21 @@
 """Channel, pilot codebook, and the jamming scenario with its sequence draws."""
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 
 def crandn(rng, *shape) -> np.ndarray:
-    """Circularly symmetric complex normal draws with unit per-entry variance."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """Circularly symmetric complex normal draws with unit per-entry variance.
+
+    One standard_normal call draws the real and imaginary parts as the last
+    axis of a float array, which is then read as complex.
+    """
+    parts = rng.standard_normal((*shape, 2))
+    parts *= math.sqrt(0.5)
+    return parts.view(np.complex128).reshape(shape)
 
 
 def gen_channel(rng, m: int, beta: float) -> np.ndarray:
@@ -105,8 +112,13 @@ def draw_jammer_sequence(rng, jammer: JammerSpec, tau: int) -> np.ndarray:
     return seq / np.linalg.norm(seq)
 
 
-def jamming_overlap_sq(s_j: np.ndarray, s_u: np.ndarray) -> float:
-    """Squared overlap |s_j^T s_u*|^2 between jamming and pilot sequences."""
+def overlap_amplitude(s_j: np.ndarray, s_u: np.ndarray) -> complex:
+    """Overlap amplitude s_j^T s_u* of jamming and pilot sequences."""
     if len(s_j) != len(s_u):
         raise ValueError("sequence lengths differ")
-    return float(np.abs(np.dot(s_j, np.conj(s_u))) ** 2)
+    return complex(np.vdot(s_u, s_j))
+
+
+def jamming_overlap_sq(s_j: np.ndarray, s_u: np.ndarray) -> float:
+    """Squared overlap |s_j^T s_u*|^2 between jamming and pilot sequences."""
+    return abs(overlap_amplitude(s_j, s_u)) ** 2

@@ -45,6 +45,13 @@ def despread(block: np.ndarray, s_u: np.ndarray) -> np.ndarray:
     return block @ np.conj(s_u)
 
 
+@functools.lru_cache(maxsize=256)
+def _mmse_terms(cfg: SystemConfig) -> tuple[float, float, float, float]:
+    """tau p_t beta_u, tau q_t beta_j, sqrt(tau p_t) and beta_u of one config."""
+    return (cfg.tau * cfg.p_t * cfg.beta_u, cfg.tau * cfg.q_t * cfg.beta_j,
+            math.sqrt(cfg.tau * cfg.p_t), cfg.beta_u)
+
+
 def mmse_coefficients(cfg: SystemConfig, overlap_sq: float) -> tuple[float, float]:
     """MMSE scaling c_u and per-entry estimate variance gamma_u.
 
@@ -53,10 +60,9 @@ def mmse_coefficients(cfg: SystemConfig, overlap_sq: float) -> tuple[float, floa
     """
     if overlap_sq < 0:
         raise ValueError("overlap_sq must be nonnegative")
-    den = cfg.tau * cfg.p_t * cfg.beta_u + cfg.tau * cfg.q_t * cfg.beta_j * overlap_sq + 1.0
-    c_u = math.sqrt(cfg.tau * cfg.p_t) * cfg.beta_u / den
-    gamma_u = c_u * math.sqrt(cfg.tau * cfg.p_t) * cfg.beta_u
-    return c_u, gamma_u
+    pilot, jamming, root, beta_u = _mmse_terms(cfg)
+    c_u = root * beta_u / (pilot + jamming * overlap_sq + 1.0)
+    return c_u, c_u * root * beta_u
 
 
 def mmse_estimate(y_t: np.ndarray, cfg: SystemConfig,
@@ -91,18 +97,26 @@ def estimate_overlap_sq(y_norm_sq: float, cfg: SystemConfig) -> float:
     return min(max(raw, 0.0), 1.0)
 
 
-def estimate_jammer_gram(factor: np.ndarray, s_u: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """Blind estimate of the jammer sequence outer product s_j* s_j^T.
+def estimate_jammer_gram(factor: np.ndarray, s_u: np.ndarray,
+                         cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Blind estimate of the jammer sequence outer product s_j* s_j^T, as eigenpairs.
 
     Takes any factor A of the block gram, A^H A = block^H block (the block
     itself qualifies), removes the pilot and noise contributions from
-    A^H A / M, then repairs the finite-M result: symmetrize to Hermitian and
-    project onto the PSD cone by clipping negative eigenvalues (the limit is
-    Hermitian PSD of rank one, and PSD-ness keeps downstream quadratic forms
-    nonnegative). When A has m rows and m + 1 < tau, the raw estimate is
+    A^H A / M, then repairs the finite-M result: take the Hermitian matrix
+    of its lower triangle and project it onto the PSD cone by clipping
+    negative eigenvalues (the limit is Hermitian PSD of rank one, and
+    PSD-ness keeps downstream quadratic forms nonnegative). The noise term
+    -I / (tau q_t beta_j) only shifts the eigenvalues, so it is subtracted
+    from them. When A has m rows and m + 1 < tau, the raw estimate is
     -I / (tau q_t beta_j) off span(range(A^H), s_u*), where clipping zeroes
     it, so only its restriction to that span, taken from a thin QR, is
     eigen-decomposed.
+
+    Returns (vecs, lam): orthonormal columns and their clipped eigenvalues
+    in ascending order, so that the estimate is vecs diag(lam) vecs^H. On
+    the span path the first column is a unit vector off the span, with
+    eigenvalue 0, so (vecs[:, 0], lam[0]) is always a smallest eigenpair.
     """
     if cfg.q_t <= 0:
         raise ValueError("jammer gram estimation needs q_t > 0")
@@ -117,30 +131,35 @@ def estimate_jammer_gram(factor: np.ndarray, s_u: np.ndarray, cfg: SystemConfig)
         # [A^H u] = basis @ coords: A and u in coordinates of the span
         basis, coords = np.linalg.qr(np.column_stack((factor.conj().T, u)))
         factor, u = coords[:, :-1].conj().T, coords[:, -1]
-    raw = (factor.conj().T @ factor / (scale * cfg.M)
-           - (cfg.p_t * cfg.beta_u / (cfg.q_t * cfg.beta_j)) * np.outer(u, np.conj(u))
-           - np.eye(len(u)) / scale)
-    herm = (raw + raw.conj().T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(herm)
-    if basis is not None:
-        eigvecs = basis @ eigvecs
-    return (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.conj().T
+    raw = factor.conj().T @ factor
+    raw /= scale * cfg.M
+    raw -= (cfg.p_t * cfg.beta_u / (cfg.q_t * cfg.beta_j)) * np.outer(u, np.conj(u))
+    eigvals, eigvecs = np.linalg.eigh(raw)     # reads the lower triangle only
+    lam = np.maximum(eigvals - 1.0 / scale, 0.0)
+    if basis is None:
+        return eigvecs, lam
+    # the unit vector e_j least inside the span, minus its projection on it:
+    # its squared norm is at least 1 - rank/tau
+    j = int(np.argmin((basis.real ** 2 + basis.imag ** 2).sum(axis=1)))
+    off = -(basis @ np.conj(basis[j]))
+    off[j] += 1.0
+    vecs = np.column_stack((off / np.linalg.norm(off), basis @ eigvecs))
+    return vecs, np.concatenate(((0.0,), lam))
 
 
-def receive_despread(cfg: SystemConfig, r: np.ndarray, s_u, s_j,
+def receive_despread(cfg: SystemConfig, r: np.ndarray, amp: complex,
                      rng) -> tuple[np.ndarray, float]:
     """De-spread statistics of one training round, drawn from their exact law in O(1).
 
+    amp is the round's overlap amplitude s_j^T s_u* (see overlap_amplitude).
     With [g_u g_j] = Q R (see gen_channel_factor) and a unit-norm pilot s_u,
     y_t = despread(block, s_u) is Q R c plus CN(0, I_M) noise, where
-    c = (sqrt(tau p_t), sqrt(tau q_t) s_j^T s_u*). The noise splits into
+    c = (sqrt(tau p_t), sqrt(tau q_t) amp). The noise splits into
     z ~ CN(0, I) in the span of Q and a residual whose squared norm is
     Gamma(M - 2). Returns (y_q, resid) with y_q = R c + z, so
     ||y_t||^2 = ||y_q||^2 + resid.
     """
-    _check_sequences(cfg, s_u, s_j)
-    c = np.array((math.sqrt(cfg.tau * cfg.p_t),
-                  math.sqrt(cfg.tau * cfg.q_t) * np.dot(s_j, np.conj(s_u))))
+    c = np.array((math.sqrt(cfg.tau * cfg.p_t), math.sqrt(cfg.tau * cfg.q_t) * amp))
     y_q = r @ c + crandn(rng, len(r))
     return y_q, rng.gamma(max(cfg.M - 2, 0))
 
@@ -150,9 +169,9 @@ def despread_power(y_q: np.ndarray, resid: float) -> float:
     return float(np.vdot(y_q, y_q).real) + resid
 
 
-def receive_despread_power(cfg: SystemConfig, r: np.ndarray, s_u, s_j, rng) -> float:
+def receive_despread_power(cfg: SystemConfig, r: np.ndarray, amp: complex, rng) -> float:
     """||y_t||^2 of one training round (see receive_despread)."""
-    return despread_power(*receive_despread(cfg, r, s_u, s_j, rng))
+    return despread_power(*receive_despread(cfg, r, amp, rng))
 
 
 @functools.lru_cache(maxsize=None)
@@ -208,6 +227,9 @@ def receive_block_factor(cfg: SystemConfig, r: np.ndarray, s_u, s_j, y_q: np.nda
     return factor
 
 
-def run_training(cfg: SystemConfig, r: np.ndarray, s_u, s_j, rng) -> float:
-    """One training round as the receiver sees it: its blind overlap estimate."""
-    return estimate_overlap_sq(receive_despread_power(cfg, r, s_u, s_j, rng), cfg)
+def run_training(cfg: SystemConfig, r: np.ndarray, amp: complex, rng) -> float:
+    """One training round as the receiver sees it: its blind overlap estimate.
+
+    amp is the round's overlap amplitude s_j^T s_u* (see receive_despread).
+    """
+    return estimate_overlap_sq(receive_despread_power(cfg, r, amp, rng), cfg)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (JammerSpec, crandn, draw_jammer_sequence, gen_channel_factor,
-                      jamming_overlap_sq, make_codebook)
+                      make_codebook, overlap_amplitude)
 from .config import SystemConfig
 from .estimation import _wishart_factor, mmse_coefficients, run_training
 from .protocols import run_algorithm1, run_algorithm2
@@ -104,11 +104,11 @@ def simulate_one_trial(cfg: SystemConfig, scheme: str, jammer: JammerSpec,
     k = cfg.first_pilot if cfg.first_pilot is not None else int(rng_proto.integers(cfg.tau))
     s_j = draw_jammer_sequence(rng_proto, jammer, cfg.tau)
     if scheme == "conventional":
-        n_used, s_u = 1, make_codebook(cfg.tau)[k]
+        n_used, amp = 1, overlap_amplitude(s_j, make_codebook(cfg.tau)[k])
         if estimated:
-            overlap = run_training(cfg, _channels(cfg, index), s_u, s_j, rng_proto)
+            overlap = run_training(cfg, _channels(cfg, index), amp, rng_proto)
         else:
-            overlap = jamming_overlap_sq(s_j, s_u)
+            overlap = abs(amp) ** 2
     else:
         r = _channels(cfg, index)
         trace = (run_algorithm1(cfg, r, k, s_j, jammer, rng_proto) if scheme == "alg1"
@@ -244,7 +244,7 @@ def verify_moments(cfg: SystemConfig, overlap_sq: float, n_trials: int) -> Momen
         s_j = s_u
     else:
         s_j = math.sqrt(overlap_sq) * codebook[0] + math.sqrt(1.0 - overlap_sq) * codebook[1]
-    amp = np.dot(s_j, np.conj(s_u))  # overlap amplitude, |amp|^2 == overlap_sq
+    amp = overlap_amplitude(s_j, s_u)  # |amp|^2 == overlap_sq
     c_u, gamma_u = mmse_coefficients(cfg, overlap_sq)
 
     rng = substream(cfg.master_seed, int(round(overlap_sq * 1e6)), _TAG_MOMENTS)

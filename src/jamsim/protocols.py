@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import JammerSpec, draw_jammer_sequence, jamming_overlap_sq, make_codebook
+from .channel import JammerSpec, draw_jammer_sequence, make_codebook, overlap_amplitude
 from .config import SystemConfig
 from .estimation import (despread_power, estimate_jammer_gram, estimate_overlap_sq,
                          receive_block_factor, receive_despread, run_training)
@@ -37,23 +37,25 @@ class ProtocolTrace:
     opt_pilot: np.ndarray | None
 
 
-def select_retransmission_pilot(gram: np.ndarray, codebook: np.ndarray,
+def select_retransmission_pilot(vecs: np.ndarray, lam: np.ndarray, codebook: np.ndarray,
                                 opt_mode: str = "codebook"):
-    """Pilot minimizing Re(s^T gram s*) against the jammer gram estimate.
+    """Pilot minimizing s^T G s* against the jammer gram estimate G = vecs diag(lam) vecs^H.
 
-    codebook mode searches the rows of the pilot family exhaustively (ties
-    break to the lowest index); eigen mode takes the conjugated eigenvector
-    of the smallest eigenvalue, the unconstrained unit-norm minimizer. Returns
+    vecs and lam are the estimate's eigenpairs as estimate_jammer_gram
+    returns them: orthonormal columns and nonnegative eigenvalues in
+    ascending order. codebook mode searches the rows of the pilot family
+    exhaustively, reading each quadratic form as sum_k lam_k |s^T v_k|^2
+    (ties break to the lowest index); eigen mode takes the conjugate of the
+    first column, the unconstrained unit-norm minimizer. Returns
     (index or None, pilot, predicted quadratic form).
     """
     if opt_mode == "codebook":
-        quad = ((codebook @ gram) * codebook.conj()).sum(axis=1).real
+        proj = codebook @ vecs
+        quad = (proj.real ** 2 + proj.imag ** 2) @ lam
         idx = int(np.argmin(quad))
-        return idx, codebook[idx], float(max(quad[idx], 0.0))
+        return idx, codebook[idx], float(quad[idx])
     if opt_mode == "eigen":
-        eigvals, eigvecs = np.linalg.eigh(gram)
-        pilot = np.conj(eigvecs[:, 0])
-        return None, pilot, float(max(eigvals[0], 0.0))
+        return None, np.conj(vecs[:, 0]), float(lam[0])
     raise ValueError(f"unknown opt_mode {opt_mode!r}")
 
 
@@ -79,9 +81,9 @@ def run_algorithm1(cfg: SystemConfig, r: np.ndarray, k: int, s_j: np.ndarray,
         if n:
             k = int(rng.integers(cfg.tau))
             s_j = draw_jammer_sequence(rng, jammer, cfg.tau)
-        s_u = codebook[k]
-        overlap_est = run_training(cfg, r, s_u, s_j, rng)
-        rounds.append(RoundRecord(k, jamming_overlap_sq(s_j, s_u), overlap_est))
+        amp = overlap_amplitude(s_j, codebook[k])
+        overlap_est = run_training(cfg, r, amp, rng)
+        rounds.append(RoundRecord(k, abs(amp) ** 2, overlap_est))
         if cfg.overlap_below_threshold(overlap_est):
             stop_reason = "threshold_met"
             break
@@ -110,16 +112,18 @@ def run_algorithm2(cfg: SystemConfig, r: np.ndarray, k: int, s_j: np.ndarray,
         raise ValueError(f"pilot index must lie in [0, tau={cfg.tau}), got {k}")
     codebook = make_codebook(cfg.tau)
     s_u = codebook[k]
-    y_q, resid = receive_despread(cfg, r, s_u, s_j, rng)
+    amp = overlap_amplitude(s_j, s_u)
+    y_q, resid = receive_despread(cfg, r, amp, rng)
     overlap_est = estimate_overlap_sq(despread_power(y_q, resid), cfg)
-    rounds = [RoundRecord(k, jamming_overlap_sq(s_j, s_u), overlap_est)]
+    rounds = [RoundRecord(k, abs(amp) ** 2, overlap_est)]
     if cfg.overlap_below_threshold(overlap_est):
         return ProtocolTrace(tuple(rounds), 1, "threshold_met", 0, None)
     factor = receive_block_factor(cfg, r, s_u, s_j, y_q, resid, rng)
-    gram = estimate_jammer_gram(factor, s_u, cfg)
-    opt_idx, opt_pilot, predicted = select_retransmission_pilot(gram, codebook, cfg.opt_mode)
+    vecs, lam = estimate_jammer_gram(factor, s_u, cfg)
+    opt_idx, opt_pilot, predicted = select_retransmission_pilot(vecs, lam, codebook, cfg.opt_mode)
     if not predicted < overlap_est:
         return ProtocolTrace(tuple(rounds), 1, "opt_no_better", 0, opt_pilot)
-    overlap_est2 = run_training(cfg, r, opt_pilot, s_j, rng)
-    rounds.append(RoundRecord(opt_idx, jamming_overlap_sq(s_j, opt_pilot), overlap_est2))
+    amp = overlap_amplitude(s_j, opt_pilot)
+    overlap_est2 = run_training(cfg, r, amp, rng)
+    rounds.append(RoundRecord(opt_idx, abs(amp) ** 2, overlap_est2))
     return ProtocolTrace(tuple(rounds), 2, "n_max_reached", 1, opt_pilot)

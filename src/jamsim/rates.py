@@ -5,6 +5,7 @@ worst-case Gaussian noise, so every rate here is prelog * log2(1 + sinr)
 with prelog = 1 - n_used*tau/T.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,31 +24,32 @@ class RateReport:
     prelog: float
 
 
-def contamination_term(cfg: SystemConfig, gamma_u: float, overlap_sq: float) -> float:
-    """M (q_d q_t / p_t) (beta_j / beta_u)^2 overlap^2 gamma_u."""
+@functools.lru_cache(maxsize=256)
+def _sinr_terms(cfg: SystemConfig) -> tuple[float, float, float]:
+    """Per-config factors of the SINR: contamination scale, interference, signal scale."""
     if cfg.p_t <= 0:
-        raise ValueError("contamination term needs p_t > 0")
-    return (cfg.M * (cfg.q_d * cfg.q_t / cfg.p_t)
-            * (cfg.beta_j / cfg.beta_u) ** 2 * overlap_sq * gamma_u)
+        raise ValueError("effective SINR is undefined for p_t = 0")
+    return (cfg.M * (cfg.q_d * cfg.q_t / cfg.p_t) * (cfg.beta_j / cfg.beta_u) ** 2,
+            cfg.p_d * cfg.beta_u + cfg.q_d * cfg.beta_j,
+            cfg.M * cfg.p_d)
 
 
 def effective_sinr(cfg: SystemConfig, gamma_u: float, overlap_sq: float) -> float:
     """Effective SINR of the estimate-based maximum ratio combiner.
 
-    M p_d gamma_u over (p_d beta_u + q_d beta_j + contamination + 1). The
-    contamination term grows with M, which is what ultimately saturates the
-    rate when the training phase is hit by a non-orthogonal jammer. Powers
-    so large that the SINR's terms overflow raise ValueError.
+    M p_d gamma_u over (p_d beta_u + q_d beta_j + contamination + 1), with
+    contamination M (q_d q_t / p_t) (beta_j / beta_u)^2 overlap^2 gamma_u.
+    The contamination term grows with M, which is what ultimately saturates
+    the rate when the training phase is hit by a non-orthogonal jammer.
+    Powers so large that the SINR's terms overflow raise ValueError.
     """
-    if cfg.p_t <= 0:
-        raise ValueError("effective SINR is undefined for p_t = 0")
     if gamma_u < 0:
         raise ValueError("gamma_u must be nonnegative")
     if overlap_sq < 0:
         raise ValueError("overlap_sq must be nonnegative")
-    den = (cfg.p_d * cfg.beta_u + cfg.q_d * cfg.beta_j
-           + contamination_term(cfg, gamma_u, overlap_sq) + 1.0)
-    sinr = cfg.M * cfg.p_d * gamma_u / den
+    contamination, interference, signal = _sinr_terms(cfg)
+    den = interference + contamination * overlap_sq * gamma_u + 1.0
+    sinr = signal * gamma_u / den
     if not (math.isfinite(den) and math.isfinite(sinr)):
         raise ValueError(
             f"powers p_d={cfg.p_d:g}, q_t={cfg.q_t:g}, q_d={cfg.q_d:g} overflow the SINR")
@@ -62,7 +64,11 @@ def rate(cfg: SystemConfig, rho: float, n_used: int = 1) -> float:
 
 
 def rate_from_overlap(cfg: SystemConfig, overlap_sq: float, n_used: int = 1) -> RateReport:
-    """Full chain overlap -> gamma_u -> SINR -> rate for one transmission count."""
+    """Full chain overlap -> gamma_u -> SINR -> rate for one transmission count.
+
+    The trial engine rates every trial with this function; the per-config
+    factors of each step are cached.
+    """
     _, gamma_u = mmse_coefficients(cfg, overlap_sq)
     rho = effective_sinr(cfg, gamma_u, overlap_sq)
     return RateReport(rho=rho, rate=rate(cfg, rho, n_used), n_used=n_used,

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from jamsim import (JammerSpec, SweepSpec, SystemConfig, gen_channel_factor,
-                    jamming_overlap_sq, make_codebook, rate_from_overlap,
+                    jamming_overlap_sq, make_codebook, overlap_amplitude, rate_from_overlap,
                     run_sweep, run_training, run_trials, select_retransmission_pilot,
                     substream, verify_moments)
 from jamsim.config import snr_db_to_power
@@ -98,7 +98,7 @@ def test_criterion_4_overlap_estimator_convergence():
         sq_err = 0.0
         for _ in range(trials):
             r = gen_channel_factor(rng, m, cfg.beta_u, cfg.beta_j)
-            est = run_training(cfg, r, s_u, s_j, rng)
+            est = run_training(cfg, r, overlap_amplitude(s_j, s_u), rng)
             sq_err += (est - overlap) ** 2
         rmse[m] = math.sqrt(sq_err / trials)
     ok = rmse[100] > rmse[1000] > rmse[10000] and rmse[10000] < 0.03
@@ -168,8 +168,9 @@ def test_criterion_7_exact_gram_selection_is_perfect():
             if cfg.overlap_below_threshold(first_overlap):
                 n_used, final = 1, first_overlap
             else:
-                gram = np.outer(np.conj(s_j), s_j)     # noise-free estimate
-                _, pilot, predicted = select_retransmission_pilot(gram, cb)
+                # noise-free estimate: the rank-one gram s_j* s_j^T
+                vecs = np.conj(s_j)[:, None]
+                _, pilot, predicted = select_retransmission_pilot(vecs, np.ones(1), cb)
                 if predicted < first_overlap:
                     n_used, final = 2, jamming_overlap_sq(s_j, pilot)
                 else:

@@ -48,6 +48,34 @@ def test_substream_reproducible():
     assert np.array_equal(one, two)
 
 
+def test_substream_keys_are_injective():
+    # a longer path, another last word, or another seed is another stream
+    s, i = 11, 5
+    paths = [(s, i), (s, i, 0), (s, i, 1), (s + 1, i, 0), (s,), (s, i, 0, 0), (s, 0, i)]
+    draws = [substream(*path).integers(2**63, size=4) for path in paths]
+    assert len({tuple(d) for d in draws}) == len(paths)
+    # the words sit in Philox's key and counter as documented
+    state = substream(2**64 - 1, 7, 8, 9).bit_generator.state["state"]
+    assert state["key"].tolist() == [2**64 - 1, 7]
+    assert state["counter"].tolist() == [0, 8, 9, 3]
+
+
+def test_substream_cross_tag_draws_are_uncorrelated():
+    # streams that share the key (seed, trial) and differ in the tag word of
+    # the counter: 1e5 paired entries
+    a = gen_channel(substream(7, 3, 0), 100000, 1.0)
+    b = gen_channel(substream(7, 3, 1), 100000, 1.0)
+    assert abs(np.corrcoef(a.real, b.real)[0, 1]) < 0.01
+    assert abs(np.corrcoef(a.imag, b.imag)[0, 1]) < 0.01
+
+
+@pytest.mark.parametrize("path", [(-1, 0), (0, -1), (2**64, 0), (0, 2**64),
+                                  (0, 1, 2, 3, 4), (0, 1.5), (1.0, 2)])
+def test_substream_rejects_bad_keys(path):
+    with pytest.raises(ValueError, match="stream"):
+        substream(*path)
+
+
 def test_codebook_trivial_and_small():
     cb = make_codebook(1)
     assert cb.shape == (1, 1)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from jamsim import (SystemConfig, despread, estimate_jammer_gram,
                     estimate_overlap_sq, gen_channel, gen_channel_factor, make_codebook,
                     mmse_coefficients, mmse_estimate, receive_pilot_block,
                     run_training, select_retransmission_pilot, substream)
-from jamsim.channel import crandn
+from jamsim.channel import crandn, overlap_amplitude
 from jamsim.estimation import receive_block_factor, receive_despread, receive_despread_power
 
 
@@ -223,10 +225,13 @@ def test_estimators_reject_malformed_statistics():
 
 
 def test_overlap_estimate_converges_with_antennas():
-    # rmse shrinks as the array grows; jam-free data converges to zero
+    # rmse shrinks as the array grows; jam-free data converges to zero. With
+    # no jammer ||y_t||^2 = 5 X, X ~ Gamma(M), so the clamped estimate is
+    # (5/4) max(X/M - 1, 0) and its mean is (5/(4M)) M^M e^-M / Gamma(M)
     overlap = 0.25
     errors = {}
     zero_means = {}
+    zero_stderrs = {}
     for m in (100, 2500):
         cfg = _cfg(M=m, tau=4, T=50, P=1.0, Q=1.0)
         cb = make_codebook(4)
@@ -244,14 +249,22 @@ def test_overlap_estimate_converges_with_antennas():
             zs.append(estimate_overlap_sq(_norm_sq(despread(silent, s_u)), cfg))
         errors[m] = np.sqrt(np.mean(sq))
         zero_means[m] = np.mean(zs)
+        zero_stderrs[m] = np.std(zs, ddof=1) / np.sqrt(len(zs))
     assert errors[2500] < errors[100]
     assert zero_means[2500] < zero_means[100]
-    assert zero_means[2500] < 0.01
+    for m in (100, 2500):
+        exact = 5 / (4 * m) * math.exp(m * math.log(m) - m - math.lgamma(m))
+        assert abs(zero_means[m] - exact) <= 4 * zero_stderrs[m], (m, zero_means[m], exact)
 
 
 # ---------------------------------------------------------------------------
 # blind jammer gram estimation
 # ---------------------------------------------------------------------------
+
+def _rebuild(pairs):
+    vecs, lam = pairs
+    return (vecs * lam) @ vecs.conj().T
+
 
 def test_gram_estimate_inverts_limit_exactly():
     cfg = _cfg(M=6, tau=3, T=50, P=1.2, Q=0.8)
@@ -262,7 +275,7 @@ def test_gram_estimate_inverts_limit_exactly():
     limit = (cfg.tau * cfg.p_t * cfg.beta_u * np.outer(np.conj(s_u), s_u)
              + cfg.tau * cfg.q_t * cfg.beta_j * target + np.eye(3))
     # gram / M at its limit, passed as a factor of the gram
-    est = estimate_jammer_gram(np.linalg.cholesky(cfg.M * limit).conj().T, s_u, cfg)
+    est = _rebuild(estimate_jammer_gram(np.linalg.cholesky(cfg.M * limit).conj().T, s_u, cfg))
     assert np.allclose(est, target, atol=1e-10)
 
 
@@ -272,7 +285,7 @@ def test_gram_estimate_rank_one_basis_case():
     s_j = np.array([1.0, 0.0], dtype=complex)
     limit = (cfg.tau * cfg.p_t * np.outer(np.conj(s_u), s_u)
              + cfg.tau * cfg.q_t * np.outer(np.conj(s_j), s_j) + np.eye(2))
-    est = estimate_jammer_gram(np.linalg.cholesky(cfg.M * limit).conj().T, s_u, cfg)
+    est = _rebuild(estimate_jammer_gram(np.linalg.cholesky(cfg.M * limit).conj().T, s_u, cfg))
     assert np.allclose(est, [[1.0, 0.0], [0.0, 0.0]], atol=1e-10)
 
 
@@ -284,7 +297,10 @@ def test_gram_estimate_hermitian_psd_on_noisy_data():
     g_j = gen_channel(rng, 64, 1.0)
     s_j = crandn(rng, 4) / 2.0
     block = receive_pilot_block(cfg, g_u, g_j, cb[1], s_j, rng)
-    est = estimate_jammer_gram(block, cb[1], cfg)
+    vecs, lam = estimate_jammer_gram(block, cb[1], cfg)
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(4))) < 1e-12
+    assert np.all(lam >= 0) and np.all(np.diff(lam) >= 0)
+    est = _rebuild((vecs, lam))
     assert np.max(np.abs(est - est.conj().T)) < 1e-12
     assert np.linalg.eigvalsh(est).min() >= -1e-12
 
@@ -303,7 +319,7 @@ def test_gram_estimate_error_shrinks_with_antennas():
             g_u = gen_channel(rng, m, 1.0)
             g_j = gen_channel(rng, m, 1.0)
             block = receive_pilot_block(cfg, g_u, g_j, s_u, s_j, rng)
-            est = estimate_jammer_gram(block, s_u, cfg)
+            est = _rebuild(estimate_jammer_gram(block, s_u, cfg))
             errs.append(np.linalg.norm(est - target))
         medians[m] = np.median(errs)
     assert medians[10000] < medians[100]
@@ -317,39 +333,67 @@ def _full_projection(factor, s_u, cfg):
            - cfg.p_t * cfg.beta_u / (cfg.q_t * cfg.beta_j) * np.outer(np.conj(s_u), s_u)
            - np.eye(cfg.tau) / scale)
     eigvals, eigvecs = np.linalg.eigh((raw + raw.conj().T) / 2)
-    return (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.conj().T
+    return eigvecs, np.maximum(eigvals, 0.0)
 
 
-@pytest.mark.parametrize("m,tau", [(50, 90), (10, 20), (2, 4)])
-def test_gram_estimate_on_the_factor_span_is_exact(m, tau):
-    # with m + 1 < tau the estimator eigen-decomposes only on
-    # span(range(A^H), s_u*); the result and both searches must match the
-    # full projection of the same raw gram
+def _round_one_factors(m, tau, trials):
+    """(cfg, s_u, factor) of alg2's round one for a few pilot/jammer pairs."""
     cfg = _cfg(M=m, tau=tau, T=4 * tau, P=2.0, Q=3.0)
     cb = make_codebook(tau)
     rng = substream(91, m)
-    for trial in range(5):
+    for trial in range(trials):
         s_u = cb[trial % tau]
         if trial % 2:
             s_j = 0.6 * s_u + 0.8 * cb[(trial + 3) % tau]
         else:
             s_j = crandn(rng, tau) / np.sqrt(tau)
         r = gen_channel_factor(rng, m, cfg.beta_u, cfg.beta_j)
-        y_q, resid = receive_despread(cfg, r, s_u, s_j, rng)
-        factor = receive_block_factor(cfg, r, s_u, s_j, y_q, resid, rng)
+        y_q, resid = receive_despread(cfg, r, overlap_amplitude(s_j, s_u), rng)
+        yield cfg, s_u, receive_block_factor(cfg, r, s_u, s_j, y_q, resid, rng)
+
+
+@pytest.mark.parametrize("m,tau", [(50, 90), (10, 20), (2, 4)])
+def test_gram_estimate_on_the_factor_span_is_exact(m, tau):
+    # with m + 1 < tau the estimator eigen-decomposes only on
+    # span(range(A^H), s_u*); the rebuilt estimate must match the full
+    # projection of the same raw gram, and both searches must read it right
+    cb = make_codebook(tau)
+    for cfg, s_u, factor in _round_one_factors(m, tau, 5):
         assert len(factor) + 1 < tau
-        est = estimate_jammer_gram(factor, s_u, cfg)
-        ref = _full_projection(factor, s_u, cfg)
+        vecs, lam = estimate_jammer_gram(factor, s_u, cfg)
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(vecs.shape[1]))) < 1e-12
+        ref = _rebuild(_full_projection(factor, s_u, cfg))
         norm = np.linalg.norm(ref)
         assert norm > 0
-        assert np.linalg.norm(est - ref) <= 1e-12 * norm
-        idx, _, predicted = select_retransmission_pilot(est, cb, "codebook")
-        ref_idx, _, ref_predicted = select_retransmission_pilot(ref, cb, "codebook")
-        assert idx == ref_idx
-        assert predicted == pytest.approx(ref_predicted, rel=1e-12, abs=1e-12 * norm)
-        predicted = select_retransmission_pilot(est, cb, "eigen")[2]
-        ref_predicted = select_retransmission_pilot(ref, cb, "eigen")[2]
-        assert predicted == pytest.approx(ref_predicted, rel=1e-12, abs=1e-12 * norm)
+        assert np.linalg.norm(_rebuild((vecs, lam)) - ref) <= 1e-12 * norm
+        quad = np.einsum("ij,jk,ik->i", cb, ref, cb.conj()).real
+        idx, _, predicted = select_retransmission_pilot(vecs, lam, cb, "codebook")
+        assert idx == int(np.argmin(quad))
+        assert predicted == pytest.approx(quad[idx], rel=1e-12, abs=1e-12 * norm)
+        # the span's complement is a null space of the estimate
+        _, pilot, predicted = select_retransmission_pilot(vecs, lam, cb, "eigen")
+        assert predicted == 0.0
+        assert abs(np.real(pilot @ ref @ np.conj(pilot))) <= 1e-12 * norm
+
+
+@pytest.mark.parametrize("m,tau", [(50, 90), (2, 4), (3, 4), (30, 8)])
+def test_eigen_mode_reads_the_smallest_eigenpair(m, tau):
+    # eigen mode takes the smallest clipped eigenpair the estimator returns,
+    # on the span path (m + 1 < tau, where it is 0) and on the full one; the
+    # pilot is a unit vector whose quadratic form on the estimate is that value
+    cb = make_codebook(tau)
+    for cfg, s_u, factor in _round_one_factors(m, tau, 4):
+        vecs, lam = estimate_jammer_gram(factor, s_u, cfg)
+        _, pilot, predicted = select_retransmission_pilot(vecs, lam, cb, "eigen")
+        assert predicted == lam.min()
+        ref_vecs, ref_lam = _full_projection(factor, s_u, cfg)
+        ref = _rebuild((ref_vecs, ref_lam))
+        norm = np.linalg.norm(ref)
+        if len(factor) + 1 < tau:
+            assert predicted == 0.0
+        assert predicted == pytest.approx(ref_lam[0], abs=1e-12 * norm)
+        assert np.linalg.norm(pilot) == pytest.approx(1.0, abs=1e-12)
+        assert np.real(pilot @ ref @ np.conj(pilot)) == pytest.approx(predicted, abs=1e-12 * norm)
 
 
 def test_gram_estimate_needs_jammer_power():
@@ -367,8 +411,9 @@ def test_run_training_blind_uses_estimate():
     cfg = _cfg(M=16, tau=4, T=50, P=1.0, Q=1.0)
     cb = make_codebook(4)
     r = gen_channel_factor(substream(89, 0), 16, 1.0, 1.0)
-    overlap_est = run_training(cfg, r, cb[0], cb[1], substream(89, 1))
-    power = receive_despread_power(cfg, r, cb[0], cb[1], substream(89, 1))
+    amp = overlap_amplitude(cb[1], cb[0])
+    overlap_est = run_training(cfg, r, amp, substream(89, 1))
+    power = receive_despread_power(cfg, r, amp, substream(89, 1))
     assert overlap_est == estimate_overlap_sq(power, cfg)
     assert 0.0 <= overlap_est <= 1.0
 
@@ -380,4 +425,4 @@ def test_run_training_without_jammer_power():
     rng = substream(90, 0)
     r = gen_channel_factor(rng, 8, 1.0, 1.0)
     with pytest.raises(ValueError):
-        run_training(cfg, r, cb[0], np.zeros(4), rng)
+        run_training(cfg, r, 0j, rng)

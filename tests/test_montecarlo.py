@@ -91,15 +91,15 @@ def test_pool_size_is_capped_by_cpus_and_chunks(monkeypatch):
 # CHANGES.md; rel=1e-9 leaves room for another BLAS's rounding only.
 _PINNED_BASE = dict(M=16, T=60, tau=6, P=10.0, Q=10.0, epsilon=0.1, n_max=2, master_seed=7)
 _PINNED_MEANS = {
-    ("true_overlap", "conventional"): 2.00490187660912,
-    ("true_overlap", "alg1"): 2.0344133214984352,
-    ("true_overlap", "alg2"): 2.1983620158098027,
-    ("estimated_overlap", "conventional"): 2.0491809615183465,
-    ("estimated_overlap", "alg1"): 2.1140118316948544,
-    ("estimated_overlap", "alg2"): 2.1841027600418004,
-    ("explicit_powers", "conventional"): 1.6653497966863124,
-    ("explicit_powers", "alg1"): 1.6987596431581784,
-    ("explicit_powers", "alg2"): 1.8507805686801309,
+    ("true_overlap", "conventional"): 2.0065803022485205,
+    ("true_overlap", "alg1"): 2.0582349254929313,
+    ("true_overlap", "alg2"): 2.2285564262928745,
+    ("estimated_overlap", "conventional"): 2.0306137044235446,
+    ("estimated_overlap", "alg1"): 2.147215262470236,
+    ("estimated_overlap", "alg2"): 2.1803925082919515,
+    ("explicit_powers", "conventional"): 1.6668306962090986,
+    ("explicit_powers", "alg1"): 1.714128808214801,
+    ("explicit_powers", "alg2"): 1.8599994957409651,
 }
 
 
@@ -174,6 +174,21 @@ def test_alg1_is_rated_at_the_round_its_receiver_picks():
         assert simulate_one_trial(cfg, "alg1", jam, i) == (expected, trace.n_used, overlap)
         not_min += overlap > min(r.overlap_true for r in trace.rounds)
     assert not_min > 0
+
+
+@pytest.mark.parametrize("scheme", ["conventional", "alg1", "alg2"])
+def test_engine_rates_through_rate_from_overlap(scheme):
+    # the engine's rate is rate_from_overlap's, bit for bit, on every scheme,
+    # and an overflowing config raises there rather than leaving a row
+    cfg = _cfg(master_seed=31)
+    jam = JammerSpec()
+    for i in range(50):
+        rate, n_used, overlap = simulate_one_trial(cfg, scheme, jam, i)
+        assert rate == rate_from_overlap(cfg, overlap, n_used).rate
+    with pytest.raises(ValueError, match="overflow the SINR"):
+        simulate_one_trial(_cfg(P=1e160, Q=1e160), scheme, jam, 0)
+    with pytest.raises(ValueError, match="overflow the SINR"):
+        run_trials(_cfg(P=1e160, Q=1e160), scheme, jam, 3)
 
 
 # ---------------------------------------------------------------------------

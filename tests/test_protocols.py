@@ -174,12 +174,18 @@ def _exact_gram(s_j):
     return np.outer(np.conj(s_j), s_j)
 
 
+def _pairs(gram):
+    # the search's input: eigenvectors and clipped eigenvalues, ascending
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    return eigvecs, np.maximum(eigvals, 0.0)
+
+
 def test_codebook_selection_matches_brute_force():
     cb = make_codebook(8)
     rng = substream(9, 0)
     s_j = crandn(rng, 8)
     gram = _exact_gram(s_j)
-    idx, pilot, predicted = select_retransmission_pilot(gram, cb, "codebook")
+    idx, pilot, predicted = select_retransmission_pilot(*_pairs(gram), cb, "codebook")
     best_idx, best_val = None, np.inf
     for i in range(8):
         val = np.real(cb[i] @ gram @ np.conj(cb[i]))
@@ -192,26 +198,34 @@ def test_codebook_selection_matches_brute_force():
 
 @pytest.mark.parametrize("tau", [1, 4, 20, 90])
 def test_codebook_quadratic_forms_match_einsum(tau):
-    # the search's one-product quadratic forms equal the tau^3 einsum form
+    # the search reads the quadratic forms from the eigenpairs; they equal
+    # the tau^3 einsum forms on the gram rebuilt from those pairs, whether
+    # the pairs span the whole space or only part of it
     cb = make_codebook(tau)
     rng = substream(12, tau)
-    for _ in range(5):
-        x = crandn(rng, tau + 3, tau)
-        gram = x.conj().T @ x / tau      # random Hermitian PSD
-        quad = np.einsum("ij,jk,ik->i", cb, gram, cb.conj()).real
-        idx, pilot, predicted = select_retransmission_pilot(gram, cb, "codebook")
-        assert idx == int(np.argmin(quad))
-        assert predicted == pytest.approx(max(quad[idx], 0.0), abs=1e-12)
-        assert np.array_equal(pilot, cb[idx])
-    # an exact tie breaks to the lowest index
-    assert select_retransmission_pilot(np.eye(tau), cb, "codebook")[0] == 0
+    for rank in (tau, (tau + 1) // 2):
+        for _ in range(5):
+            vecs, _ = np.linalg.qr(crandn(rng, tau, rank))
+            lam = np.sort(rng.exponential(size=rank))
+            lam[: rank // 3] = 0.0      # clipped eigenvalues
+            gram = (vecs * lam) @ vecs.conj().T
+            quad = np.einsum("ij,jk,ik->i", cb, gram, cb.conj()).real
+            idx, pilot, predicted = select_retransmission_pilot(vecs, lam, cb, "codebook")
+            assert idx == int(np.argmin(quad))
+            assert predicted == pytest.approx(quad[idx], abs=1e-12)
+            assert np.array_equal(pilot, cb[idx])
+    # exact ties break to the lowest index: every codeword has the same
+    # modulus on the first axis
+    axis = np.eye(tau)[:, :1]
+    assert select_retransmission_pilot(axis, np.ones(1), cb, "codebook")[0] == 0
+    assert select_retransmission_pilot(np.eye(tau), np.zeros(tau), cb, "codebook")[0] == 0
 
 
 def test_eigen_selection_nulls_rank_one_gram():
     cb = make_codebook(4)
     s_j = 0.5 * cb[0] + np.sqrt(0.75) * cb[3]
     gram = _exact_gram(s_j)
-    _, pilot, predicted = select_retransmission_pilot(gram, cb, "eigen")
+    _, pilot, predicted = select_retransmission_pilot(*_pairs(gram), cb, "eigen")
     assert predicted < 1e-12
     assert np.linalg.norm(pilot) == pytest.approx(1.0)
     # the quadratic form equals the true squared overlap with the jammer
@@ -236,7 +250,7 @@ def test_noise_free_selection_never_worse_than_first_pilot():
                         first_overlap = jamming_overlap_sq(s_j, cb[first])
                         if cfg.overlap_below_threshold(first_overlap):
                             continue    # no retransmission, nothing to check
-                        idx, pilot, predicted = select_retransmission_pilot(gram, cb)
+                        idx, pilot, predicted = select_retransmission_pilot(*_pairs(gram), cb)
                         final = (jamming_overlap_sq(s_j, pilot)
                                  if predicted < first_overlap else first_overlap)
                         assert final <= first_overlap + 1e-12

@@ -17,7 +17,7 @@ from jamsim import (JammerSpec, SystemConfig, despread, draw_jammer_sequence,
                     estimate_jammer_gram, estimate_overlap_sq, gen_channel,
                     gen_channel_factor, make_codebook, rate_from_overlap,
                     receive_pilot_block, run_trials, select_retransmission_pilot, substream)
-from jamsim.channel import crandn
+from jamsim.channel import crandn, overlap_amplitude
 from jamsim.estimation import (_wishart_factor, despread_power, receive_block_factor,
                                receive_despread, receive_despread_power)
 
@@ -71,8 +71,8 @@ def _despread_powers(cfg, n, seed, reduced):
     for i in range(n):
         if reduced:
             r = gen_channel_factor(rng, cfg.M, cfg.beta_u, cfg.beta_j)
-            out[i] = [receive_despread_power(cfg, r, s_u, s_j, rng),
-                      receive_despread_power(cfg, r, s_u2, s_j2, rng)]
+            out[i] = [receive_despread_power(cfg, r, overlap_amplitude(s_j, s_u), rng),
+                      receive_despread_power(cfg, r, overlap_amplitude(s_j2, s_u2), rng)]
         else:
             g_u = gen_channel(rng, cfg.M, cfg.beta_u)
             g_j = gen_channel(rng, cfg.M, cfg.beta_j)
@@ -107,12 +107,15 @@ def _grams(cfg, n, seed, reduced):
     for i in range(n):
         if reduced:
             r = gen_channel_factor(rng, cfg.M, cfg.beta_u, cfg.beta_j)
-            y_q, resid = receive_despread(cfg, r, s_u, s_j, rng)
+            y_q, resid = receive_despread(cfg, r, overlap_amplitude(s_j, s_u), rng)
             powers[i] = despread_power(y_q, resid)
             factor = receive_block_factor(cfg, r, s_u, s_j, y_q, resid, rng)
             grams[i] = factor.conj().T @ factor
-            # the gram is drawn given ||y_t||^2 and reproduces it
-            quad = np.real(s_u @ grams[i] @ np.conj(s_u))
+            # the gram is drawn given ||y_t||^2 and reproduces it; the form
+            # s_u^T G s_u* is read as ||A s_u*||^2, since summing G's O(1)
+            # entries down to a small ||y_t||^2 loses digits to rounding
+            despread_again = factor @ np.conj(s_u)
+            quad = np.vdot(despread_again, despread_again).real
             assert abs(quad - powers[i]) <= 1e-12 * powers[i]
         else:
             g_u = gen_channel(rng, cfg.M, cfg.beta_u)
@@ -183,7 +186,7 @@ def test_small_arrays_shrink_the_channel_factor():
     cfg = _cfg(1, 4)
     s_u, s_j, _, _ = _sequences(4)
     r = gen_channel_factor(rng, 1, 1.0, 1.0)
-    y_q, resid = receive_despread(cfg, r, s_u, s_j, rng)
+    y_q, resid = receive_despread(cfg, r, overlap_amplitude(s_j, s_u), rng)
     assert resid == 0
     assert receive_block_factor(cfg, r, s_u, s_j, y_q, resid, rng).shape == (1, 4)
 
@@ -217,8 +220,8 @@ def _reference_trial(cfg, scheme, jammer, rng):
         return rate_from_overlap(cfg, min(estimates), len(estimates)).rate, len(estimates)
     block, estimate = round_estimate(codebook[k], s_j)
     if not cfg.overlap_below_threshold(estimate):
-        gram = estimate_jammer_gram(block, codebook[k], cfg)
-        _, pilot, predicted = select_retransmission_pilot(gram, codebook, cfg.opt_mode)
+        vecs, lam = estimate_jammer_gram(block, codebook[k], cfg)
+        _, pilot, predicted = select_retransmission_pilot(vecs, lam, codebook, cfg.opt_mode)
         if predicted < estimate:
             return rate_from_overlap(cfg, round_estimate(pilot, s_j)[1], 2).rate, 2
     return rate_from_overlap(cfg, estimate, 1).rate, 1
