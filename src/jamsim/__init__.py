@@ -2,8 +2,8 @@
 under a jamming attack, with blind jammer-statistics estimation and two
 pilot retransmission counter-attack protocols."""
 
-from .channel import (JammerSpec, crandn, draw_jammer_sequence, gen_channel,
-                      gen_channel_factor, jamming_overlap_sq, make_codebook,
+from .channel import (JammerSpec, crandn, draw_jammer_sequence, draw_overlap_amplitude,
+                      gen_channel, gen_channel_factor, jamming_overlap_sq, make_codebook,
                       overlap_amplitude)
 from .config import SystemConfig, snr_db_to_power
 from .estimation import (despread, estimate_jammer_gram, estimate_overlap_sq,

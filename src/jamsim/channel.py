@@ -44,12 +44,12 @@ def gen_channel_factor(rng, m: int, beta_u: float, beta_j: float) -> np.ndarray:
         raise ValueError(f"antenna count must be positive, got {m}")
     if beta_u <= 0 or beta_j <= 0:
         raise ValueError(f"large-scale fading must be positive, got {beta_u}, {beta_j}")
-    r = np.zeros((min(m, 2), 2), dtype=np.complex128)
-    r[0, 0] = np.sqrt(beta_u * rng.gamma(m))
-    r[0, 1] = np.sqrt(beta_j) * crandn(rng)
-    if m > 1:
-        r[1, 1] = np.sqrt(beta_j * rng.gamma(m - 1))
-    return r
+    r11 = math.sqrt(beta_u * rng.gamma(m))
+    re, im = rng.standard_normal(2).tolist()
+    r12 = math.sqrt(beta_j) * (complex(re, im) * math.sqrt(0.5))
+    if m == 1:
+        return np.array([[r11, r12]])
+    return np.array([[r11, r12], [0.0, math.sqrt(beta_j * rng.gamma(m - 1))]])
 
 
 @functools.lru_cache(maxsize=None)
@@ -95,7 +95,9 @@ def draw_jammer_sequence(rng, jammer: JammerSpec, tau: int) -> np.ndarray:
 
     gaussian draws i.i.d. CN(0, 1/tau) entries and sphere normalizes a
     Gaussian draw to unit norm, so both satisfy E{||s_j||^2} = 1. absent
-    and codeword draw nothing from rng.
+    and codeword draw nothing from rng. The trial engine draws a round's
+    overlap amplitude alone (draw_overlap_amplitude); whole sequences are
+    the tests' reference for its law.
     """
     if tau < 1:
         raise ValueError(f"pilot length must be positive, got {tau}")
@@ -110,6 +112,66 @@ def draw_jammer_sequence(rng, jammer: JammerSpec, tau: int) -> np.ndarray:
     if jammer.kind == "gaussian":
         return seq / np.sqrt(tau)
     return seq / np.linalg.norm(seq)
+
+
+def draw_overlap_amplitude(rng, jammer: JammerSpec, k: int, tau: int) -> complex:
+    """Overlap amplitude s_j^T c_k* of a fresh jamming sequence with pilot k, from its exact law.
+
+    The codebook C is unitary, so the amplitudes conj(C) s_j of one sequence
+    with all tau pilots have the law of the sequence itself, and the one
+    with pilot k is drawn alone: gaussian gives CN(0, 1/tau); sphere gives
+    g / sqrt(|g|^2 + rho), with g ~ CN(0, 1) and rho ~ Gamma(tau - 1) the
+    squared norm of the other coordinates; codeword j gives 1 if j == k,
+    else 0; absent gives 0. absent and codeword draw nothing from rng.
+    """
+    if jammer.kind in ("gaussian", "sphere"):
+        re, im = rng.standard_normal(2).tolist()
+        if jammer.kind == "gaussian":
+            return complex(re, im) * math.sqrt(0.5 / tau)
+        g = complex(re, im) * math.sqrt(0.5)
+        rho = rng.gamma(tau - 1) if tau > 1 else 0.0
+        return g / math.sqrt(abs(g) ** 2 + rho)
+    return complex(_fixed_amplitudes(jammer, tau)[k])
+
+
+def complete_amplitudes(rng, jammer: JammerSpec, k: int, amp: complex, tau: int) -> np.ndarray:
+    """All tau overlap amplitudes conj(C) s_j, drawn given amp, the one with pilot k.
+
+    gaussian draws the other tau - 1 coordinates i.i.d. CN(0, 1/tau),
+    independent of amp. sphere draws them uniformly on the sphere of squared
+    radius 1 - |amp|^2 (that is rho / (|g|^2 + rho), see
+    draw_overlap_amplitude), so the whole vector has unit norm. codeword and
+    absent are fixed, and amp must match them. The sequence itself is
+    s_j = C^T times the result.
+    """
+    if jammer.kind not in ("gaussian", "sphere"):
+        amps = _fixed_amplitudes(jammer, tau)
+        if amps[k] != amp:
+            raise ValueError(f"amplitude {amp} cannot come from a {jammer.kind} jammer "
+                             f"at pilot {k}")
+        return amps
+    if jammer.kind == "sphere" and not abs(amp) <= 1.0 + 1e-12:    # slack for rounding
+        raise ValueError(f"a unit-norm sequence has amplitudes of modulus <= 1, got {amp}")
+    # coordinate k is drawn too, then overwritten: the others are all that is read
+    amps = crandn(rng, tau)
+    amps[k] = 0.0
+    if jammer.kind == "gaussian":
+        amps *= math.sqrt(1.0 / tau)
+    elif tau > 1:
+        amps *= math.sqrt(max(1.0 - abs(amp) ** 2, 0.0)) / np.linalg.norm(amps)
+    amps[k] = amp
+    return amps
+
+
+def _fixed_amplitudes(jammer: JammerSpec, tau: int) -> np.ndarray:
+    """conj(C) s_j of a jammer that draws nothing: e_j for codeword j, 0 for absent."""
+    amps = np.zeros(tau, dtype=np.complex128)
+    if jammer.kind == "codeword":
+        if jammer.codeword_index >= tau:
+            raise ValueError(f"codeword_index {jammer.codeword_index} out of range "
+                             f"for tau={tau}")
+        amps[jammer.codeword_index] = 1.0
+    return amps
 
 
 def overlap_amplitude(s_j: np.ndarray, s_u: np.ndarray) -> complex:

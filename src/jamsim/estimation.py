@@ -18,6 +18,8 @@ import numpy as np
 from .channel import crandn
 from .config import SystemConfig
 
+_SQRT_HALF = math.sqrt(0.5)
+
 
 def _check_sequences(cfg: SystemConfig, s_u, s_j):
     if len(s_u) != cfg.tau or len(s_j) != cfg.tau:
@@ -90,10 +92,8 @@ def estimate_overlap_sq(y_norm_sq: float, cfg: SystemConfig) -> float:
         raise ValueError("overlap estimation needs q_t > 0")
     if not y_norm_sq >= 0:
         raise ValueError(f"||y_t||^2 must be nonnegative, got {y_norm_sq}")
-    power = y_norm_sq / cfg.M
-    raw = (power / (cfg.tau * cfg.q_t * cfg.beta_j)
-           - cfg.p_t * cfg.beta_u / (cfg.q_t * cfg.beta_j)
-           - 1.0 / (cfg.tau * cfg.q_t * cfg.beta_j))
+    pilot, jamming, _, _ = _mmse_terms(cfg)
+    raw = (y_norm_sq / cfg.M - pilot - 1.0) / jamming
     return min(max(raw, 0.0), 1.0)
 
 
@@ -114,9 +114,10 @@ def estimate_jammer_gram(factor: np.ndarray, s_u: np.ndarray,
     eigen-decomposed.
 
     Returns (vecs, lam): orthonormal columns and their clipped eigenvalues
-    in ascending order, so that the estimate is vecs diag(lam) vecs^H. On
-    the span path the first column is a unit vector off the span, with
-    eigenvalue 0, so (vecs[:, 0], lam[0]) is always a smallest eigenpair.
+    in ascending order, so that the estimate is vecs diag(lam) vecs^H. Only
+    the pairs that clipping leaves positive are returned, after a smallest
+    pair (vecs[:, 0], lam[0]) for the eigen-mode search; on the span path
+    that is a unit vector off the span, with eigenvalue 0.
     """
     if cfg.q_t <= 0:
         raise ValueError("jammer gram estimation needs q_t > 0")
@@ -136,19 +137,21 @@ def estimate_jammer_gram(factor: np.ndarray, s_u: np.ndarray,
     raw -= (cfg.p_t * cfg.beta_u / (cfg.q_t * cfg.beta_j)) * np.outer(u, np.conj(u))
     eigvals, eigvecs = np.linalg.eigh(raw)     # reads the lower triangle only
     lam = np.maximum(eigvals - 1.0 / scale, 0.0)
+    keep = lam > 0.0
     if basis is None:
-        return eigvecs, lam
+        keep[0] = True
+        return eigvecs[:, keep], lam[keep]
     # the unit vector e_j least inside the span, minus its projection on it:
     # its squared norm is at least 1 - rank/tau
     j = int(np.argmin((basis.real ** 2 + basis.imag ** 2).sum(axis=1)))
     off = -(basis @ np.conj(basis[j]))
     off[j] += 1.0
-    vecs = np.column_stack((off / np.linalg.norm(off), basis @ eigvecs))
-    return vecs, np.concatenate(((0.0,), lam))
+    vecs = np.column_stack((off / np.linalg.norm(off), basis @ eigvecs[:, keep]))
+    return vecs, np.concatenate(((0.0,), lam[keep]))
 
 
 def receive_despread(cfg: SystemConfig, r: np.ndarray, amp: complex,
-                     rng) -> tuple[np.ndarray, float]:
+                     rng) -> tuple[tuple[complex, ...], float]:
     """De-spread statistics of one training round, drawn from their exact law in O(1).
 
     amp is the round's overlap amplitude s_j^T s_u* (see overlap_amplitude).
@@ -156,17 +159,21 @@ def receive_despread(cfg: SystemConfig, r: np.ndarray, amp: complex,
     y_t = despread(block, s_u) is Q R c plus CN(0, I_M) noise, where
     c = (sqrt(tau p_t), sqrt(tau q_t) amp). The noise splits into
     z ~ CN(0, I) in the span of Q and a residual whose squared norm is
-    Gamma(M - 2). Returns (y_q, resid) with y_q = R c + z, so
-    ||y_t||^2 = ||y_q||^2 + resid.
+    Gamma(M - 2). Returns (y_q, resid) with y_q = R c + z, one entry per row
+    of R, so ||y_t||^2 = ||y_q||^2 + resid. The arithmetic is on Python
+    scalars: at this size numpy's per-call cost exceeds the work.
     """
-    c = np.array((math.sqrt(cfg.tau * cfg.p_t), math.sqrt(cfg.tau * cfg.q_t) * amp))
-    y_q = r @ c + crandn(rng, len(r))
-    return y_q, rng.gamma(max(cfg.M - 2, 0))
+    c_u = math.sqrt(cfg.tau * cfg.p_t)
+    c_j = math.sqrt(cfg.tau * cfg.q_t) * amp
+    z = rng.standard_normal(2 * len(r)).tolist()
+    y_q = tuple(r_u * c_u + r_j * c_j + complex(re, im) * _SQRT_HALF
+                for (r_u, r_j), re, im in zip(r.tolist(), z[::2], z[1::2]))
+    return y_q, (rng.gamma(cfg.M - 2) if cfg.M > 2 else 0.0)
 
 
-def despread_power(y_q: np.ndarray, resid: float) -> float:
+def despread_power(y_q, resid: float) -> float:
     """||y_t||^2 from the statistics receive_despread draws."""
-    return float(np.vdot(y_q, y_q).real) + resid
+    return sum(abs(y) ** 2 for y in y_q) + resid
 
 
 def receive_despread_power(cfg: SystemConfig, r: np.ndarray, amp: complex, rng) -> float:

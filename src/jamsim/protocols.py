@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import JammerSpec, draw_jammer_sequence, make_codebook, overlap_amplitude
+from .channel import (JammerSpec, complete_amplitudes, draw_overlap_amplitude, make_codebook,
+                      overlap_amplitude)
 from .config import SystemConfig
 from .estimation import (despread_power, estimate_jammer_gram, estimate_overlap_sq,
                          receive_block_factor, receive_despread, run_training)
@@ -59,49 +60,53 @@ def select_retransmission_pilot(vecs: np.ndarray, lam: np.ndarray, codebook: np.
     raise ValueError(f"unknown opt_mode {opt_mode!r}")
 
 
-def run_algorithm1(cfg: SystemConfig, r: np.ndarray, k: int, s_j: np.ndarray,
+def run_algorithm1(cfg: SystemConfig, r: np.ndarray, k: int, amp: complex,
                    jammer: JammerSpec, rng) -> ProtocolTrace:
     """Retransmission loop against random jamming.
 
     r is the channel factor of the trial (see gen_channel_factor). Round 1
-    sends codeword k against the jamming sequence s_j. Each later round the
-    user sends a uniformly drawn codeword and the jammer a fresh sequence
-    drawn from its spec; the receiver stops once its blind overlap estimate
-    meets the threshold or n_max transmissions are spent. All rounds are
-    buffered and chosen_round marks the best estimate.
+    sends codeword k, and amp is its overlap amplitude with the jamming
+    sequence (see draw_overlap_amplitude). Each later round the user sends a
+    uniformly drawn codeword and the jammer a fresh sequence drawn from its
+    spec, of which only the new amplitude is drawn; the receiver stops once
+    its blind overlap estimate meets the threshold or n_max transmissions
+    are spent. All rounds are buffered and chosen_round marks the best
+    estimate (the first, on a tie).
     """
     if jammer.kind == "codeword":
         raise ValueError("the random-jamming protocol expects a random or absent jammer")
     if not 0 <= k < cfg.tau:
         raise ValueError(f"pilot index must lie in [0, tau={cfg.tau}), got {k}")
-    codebook = make_codebook(cfg.tau)
     rounds = []
+    chosen = 0
     stop_reason = "n_max_reached"
     for n in range(cfg.n_max):
         if n:
             k = int(rng.integers(cfg.tau))
-            s_j = draw_jammer_sequence(rng, jammer, cfg.tau)
-        amp = overlap_amplitude(s_j, codebook[k])
+            amp = draw_overlap_amplitude(rng, jammer, k, cfg.tau)
         overlap_est = run_training(cfg, r, amp, rng)
         rounds.append(RoundRecord(k, abs(amp) ** 2, overlap_est))
+        if overlap_est < rounds[chosen].overlap_est:
+            chosen = n
         if cfg.overlap_below_threshold(overlap_est):
             stop_reason = "threshold_met"
             break
-    chosen = int(np.argmin([rec.overlap_est for rec in rounds]))
     return ProtocolTrace(rounds=tuple(rounds), n_used=len(rounds),
                          stop_reason=stop_reason, chosen_round=chosen, opt_pilot=None)
 
 
-def run_algorithm2(cfg: SystemConfig, r: np.ndarray, k: int, s_j: np.ndarray,
-                   rng) -> ProtocolTrace:
-    """Pilot adaptation against a jammer whose sequence s_j is fixed.
+def run_algorithm2(cfg: SystemConfig, r: np.ndarray, k: int, amp: complex,
+                   jammer: JammerSpec, rng) -> ProtocolTrace:
+    """Pilot adaptation against a jammer that replays one sequence s_j.
 
     r is the channel factor of the trial (see gen_channel_factor). Round 1
-    sends codeword k, and the receiver reads its blind overlap estimate from
-    ||y_t||^2, drawn exactly as the conventional scheme draws it. If the
-    estimate exceeds the threshold, the round's block gram is drawn given
-    that draw (receive_block_factor), the receiver estimates the jammer
-    gram from it, searches (cfg.opt_mode) for the pilot with minimal
+    sends codeword k, and amp is its overlap amplitude with s_j (see
+    draw_overlap_amplitude). The receiver reads its blind overlap estimate
+    from ||y_t||^2, drawn exactly as the conventional scheme draws it. If
+    the estimate exceeds the threshold, the rest of s_j is drawn given amp
+    (complete_amplitudes), then the round's block gram given the round's
+    de-spread draw (receive_block_factor); the receiver estimates the
+    jammer gram from it, searches (cfg.opt_mode) for the pilot with minimal
     predicted overlap, and requests one retransmission, but only if that
     prediction improves on round 1. The jammer replays s_j under fresh
     noise.
@@ -110,20 +115,20 @@ def run_algorithm2(cfg: SystemConfig, r: np.ndarray, k: int, s_j: np.ndarray,
         raise ValueError(f"a retransmission needs 2*tau < T, got tau={cfg.tau}, T={cfg.T}")
     if not 0 <= k < cfg.tau:
         raise ValueError(f"pilot index must lie in [0, tau={cfg.tau}), got {k}")
-    codebook = make_codebook(cfg.tau)
-    s_u = codebook[k]
-    amp = overlap_amplitude(s_j, s_u)
     y_q, resid = receive_despread(cfg, r, amp, rng)
     overlap_est = estimate_overlap_sq(despread_power(y_q, resid), cfg)
     rounds = [RoundRecord(k, abs(amp) ** 2, overlap_est)]
     if cfg.overlap_below_threshold(overlap_est):
         return ProtocolTrace(tuple(rounds), 1, "threshold_met", 0, None)
-    factor = receive_block_factor(cfg, r, s_u, s_j, y_q, resid, rng)
-    vecs, lam = estimate_jammer_gram(factor, s_u, cfg)
+    codebook = make_codebook(cfg.tau)
+    amps = complete_amplitudes(rng, jammer, k, amp, cfg.tau)
+    s_j = codebook.T @ amps
+    factor = receive_block_factor(cfg, r, codebook[k], s_j, y_q, resid, rng)
+    vecs, lam = estimate_jammer_gram(factor, codebook[k], cfg)
     opt_idx, opt_pilot, predicted = select_retransmission_pilot(vecs, lam, codebook, cfg.opt_mode)
     if not predicted < overlap_est:
         return ProtocolTrace(tuple(rounds), 1, "opt_no_better", 0, opt_pilot)
-    amp = overlap_amplitude(s_j, opt_pilot)
+    amp = complex(amps[opt_idx]) if opt_idx is not None else overlap_amplitude(s_j, opt_pilot)
     overlap_est2 = run_training(cfg, r, amp, rng)
     rounds.append(RoundRecord(opt_idx, abs(amp) ** 2, overlap_est2))
     return ProtocolTrace(tuple(rounds), 2, "n_max_reached", 1, opt_pilot)

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .config import SystemConfig
-from .estimation import mmse_coefficients
+from .estimation import _mmse_terms
 
 
 @dataclass(frozen=True)
@@ -63,15 +63,35 @@ def rate(cfg: SystemConfig, rho: float, n_used: int = 1) -> float:
     return cfg.prelog(n_used) * math.log2(1.0 + rho)
 
 
-def rate_from_overlap(cfg: SystemConfig, overlap_sq: float, n_used: int = 1) -> RateReport:
-    """Full chain overlap -> gamma_u -> SINR -> rate for one transmission count.
+@functools.lru_cache(maxsize=256)
+def _rate_terms(cfg: SystemConfig) -> tuple[float, ...]:
+    """The per-config factors of mmse_coefficients, then of effective_sinr."""
+    return _mmse_terms(cfg) + _sinr_terms(cfg)
 
-    The trial engine rates every trial with this function; the per-config
-    factors of each step are cached.
+
+def sinr_and_rate(cfg: SystemConfig, overlap_sq: float, n_used: int = 1) -> tuple[float, float]:
+    """Effective SINR and achievable rate at one squared overlap, in scalar arithmetic.
+
+    Evaluates mmse_coefficients, effective_sinr and rate with the same
+    operations in the same order, from one cached tuple of per-config
+    factors; the trial engine rates every trial with it.
     """
-    _, gamma_u = mmse_coefficients(cfg, overlap_sq)
-    rho = effective_sinr(cfg, gamma_u, overlap_sq)
-    return RateReport(rho=rho, rate=rate(cfg, rho, n_used), n_used=n_used,
+    if overlap_sq < 0:
+        raise ValueError("overlap_sq must be nonnegative")
+    pilot, jamming, root, beta_u, contamination, interference, signal = _rate_terms(cfg)
+    gamma_u = root * beta_u / (pilot + jamming * overlap_sq + 1.0) * root * beta_u
+    den = interference + contamination * overlap_sq * gamma_u + 1.0
+    sinr = signal * gamma_u / den
+    if not (math.isfinite(den) and math.isfinite(sinr)):
+        raise ValueError(
+            f"powers p_d={cfg.p_d:g}, q_t={cfg.q_t:g}, q_d={cfg.q_d:g} overflow the SINR")
+    return sinr, cfg.prelog(n_used) * math.log2(1.0 + sinr)
+
+
+def rate_from_overlap(cfg: SystemConfig, overlap_sq: float, n_used: int = 1) -> RateReport:
+    """Full chain overlap -> gamma_u -> SINR -> rate for one transmission count."""
+    rho, value = sinr_and_rate(cfg, overlap_sq, n_used)
+    return RateReport(rho=rho, rate=value, n_used=n_used,
                       overlap_sq_used=overlap_sq, prelog=cfg.prelog(n_used))
 
 

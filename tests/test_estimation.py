@@ -298,8 +298,9 @@ def test_gram_estimate_hermitian_psd_on_noisy_data():
     s_j = crandn(rng, 4) / 2.0
     block = receive_pilot_block(cfg, g_u, g_j, cb[1], s_j, rng)
     vecs, lam = estimate_jammer_gram(block, cb[1], cfg)
-    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(4))) < 1e-12
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(vecs.shape[1]))) < 1e-12
     assert np.all(lam >= 0) and np.all(np.diff(lam) >= 0)
+    assert np.all(lam[1:] > 0)      # clipped pairs are dropped, the smallest kept
     est = _rebuild((vecs, lam))
     assert np.max(np.abs(est - est.conj().T)) < 1e-12
     assert np.linalg.eigvalsh(est).min() >= -1e-12

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import jamsim.montecarlo
-from jamsim import (JammerSpec, SystemConfig, average_rate, draw_jammer_sequence,
+from jamsim import (JammerSpec, SystemConfig, average_rate, draw_overlap_amplitude,
                     gen_channel_factor, mmse_coefficients, rate_from_overlap, run_algorithm1,
                     run_algorithm2, run_trials, simulate_one_trial, substream, verify_moments)
 from jamsim.channel import crandn
@@ -91,15 +91,15 @@ def test_pool_size_is_capped_by_cpus_and_chunks(monkeypatch):
 # CHANGES.md; rel=1e-9 leaves room for another BLAS's rounding only.
 _PINNED_BASE = dict(M=16, T=60, tau=6, P=10.0, Q=10.0, epsilon=0.1, n_max=2, master_seed=7)
 _PINNED_MEANS = {
-    ("true_overlap", "conventional"): 2.0065803022485205,
-    ("true_overlap", "alg1"): 2.0582349254929313,
-    ("true_overlap", "alg2"): 2.2285564262928745,
-    ("estimated_overlap", "conventional"): 2.0306137044235446,
-    ("estimated_overlap", "alg1"): 2.147215262470236,
-    ("estimated_overlap", "alg2"): 2.1803925082919515,
-    ("explicit_powers", "conventional"): 1.6668306962090986,
-    ("explicit_powers", "alg1"): 1.714128808214801,
-    ("explicit_powers", "alg2"): 1.8599994957409651,
+    ("true_overlap", "conventional"): 1.9784444644052632,
+    ("true_overlap", "alg1"): 2.027644889839007,
+    ("true_overlap", "alg2"): 2.2514199866270292,
+    ("estimated_overlap", "conventional"): 1.9649555903886209,
+    ("estimated_overlap", "alg1"): 2.1245218138606474,
+    ("estimated_overlap", "alg2"): 2.1629427829814576,
+    ("explicit_powers", "conventional"): 1.6427009133285886,
+    ("explicit_powers", "alg1"): 1.7092307741853232,
+    ("explicit_powers", "alg2"): 1.8873708620976581,
 }
 
 
@@ -140,9 +140,9 @@ def test_alg2_round_one_is_the_conventional_round():
     for i in range(n):
         rng = substream(cfg.master_seed, i, 1)
         k = int(rng.integers(cfg.tau))
-        s_j = draw_jammer_sequence(rng, jam, cfg.tau)
+        amp = draw_overlap_amplitude(rng, jam, k, cfg.tau)
         r = gen_channel_factor(substream(cfg.master_seed, i, 0), cfg.M, cfg.beta_u, cfg.beta_j)
-        trace = run_algorithm2(cfg, r, k, s_j, rng)
+        trace = run_algorithm2(cfg, r, k, amp, jam, rng)
         assert trace.rounds[0].overlap_est == conv.overlap_sq[i]
         stops.append(trace.stop_reason == "threshold_met")
     stops = np.array(stops)
@@ -156,8 +156,9 @@ def test_alg2_round_one_is_the_conventional_round():
 
 
 def test_alg1_is_rated_at_the_round_its_receiver_picks():
-    # hand replay of the engine: round one from the protocol stream, the
-    # channels from the channel stream, then the protocol; the rate is taken
+    # hand replay of the engine: round one (pilot index, then its overlap
+    # amplitude) from the protocol stream, the channels from the channel
+    # stream, then the protocol; the rate is taken
     # at the true overlap of the round chosen by blind estimates, which at
     # M=50 is not always the round with the smallest true overlap
     cfg = _cfg(master_seed=13)
@@ -166,9 +167,9 @@ def test_alg1_is_rated_at_the_round_its_receiver_picks():
     for i in range(200):
         rng = substream(cfg.master_seed, i, 1)
         k = int(rng.integers(cfg.tau))
-        s_j = draw_jammer_sequence(rng, jam, cfg.tau)
+        amp = draw_overlap_amplitude(rng, jam, k, cfg.tau)
         r = gen_channel_factor(substream(cfg.master_seed, i, 0), cfg.M, cfg.beta_u, cfg.beta_j)
-        trace = run_algorithm1(cfg, r, k, s_j, jam, rng)
+        trace = run_algorithm1(cfg, r, k, amp, jam, rng)
         overlap = trace.rounds[trace.chosen_round].overlap_true
         expected = rate_from_overlap(cfg, overlap, trace.n_used).rate
         assert simulate_one_trial(cfg, "alg1", jam, i) == (expected, trace.n_used, overlap)

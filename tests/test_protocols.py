@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from jamsim import (JammerSpec, SystemConfig, draw_jammer_sequence, estimate_overlap_sq,
+from jamsim import (JammerSpec, SystemConfig, draw_overlap_amplitude, estimate_overlap_sq,
                     gen_channel_factor, jamming_overlap_sq, make_codebook, run_algorithm1,
                     run_algorithm2, select_retransmission_pilot, substream)
 from jamsim.channel import crandn
@@ -20,9 +20,10 @@ def _channels(cfg, seed):
 
 
 def _alg1(cfg, r, jammer, rng):
-    # round one drawn as the trial engine draws it: pilot index, then jamming
+    # round one drawn as the trial engine draws it: pilot index, then its
+    # overlap amplitude with the jamming sequence
     k = int(rng.integers(cfg.tau))
-    return run_algorithm1(cfg, r, k, draw_jammer_sequence(rng, jammer, cfg.tau), jammer, rng)
+    return run_algorithm1(cfg, r, k, draw_overlap_amplitude(rng, jammer, k, cfg.tau), jammer, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +53,7 @@ def test_alg1_zero_threshold_forces_full_budget_and_matches_hand_steps():
     # epsilon = 0 never triggers the stop rule (estimates stay positive with
     # an active jammer at this array size), so every run spends n_max rounds;
     # the trace is then checked against a manual replay of the same stream:
+    # a ~ CN(0, 1/tau), then
     # ||y_t||^2 = |R11 c1 + R12 c2 + z1|^2 + |R22 c2 + z2|^2 + Gamma(M - 2)
     cfg = _cfg(M=10000, tau=8, epsilon=0.0)
     r = _channels(cfg, 3)
@@ -61,18 +63,16 @@ def test_alg1_zero_threshold_forces_full_budget_and_matches_hand_steps():
     assert trace.stop_reason == "n_max_reached"
 
     replay = substream(3, 1)
-    cb = make_codebook(cfg.tau)
     expected_rounds = []
     for _ in range(2):
         k = int(replay.integers(cfg.tau))
-        s_j = crandn(replay, cfg.tau) / np.sqrt(cfg.tau)
+        amp = crandn(replay)[()] / np.sqrt(cfg.tau)
         z = crandn(replay, 2)
         c1 = np.sqrt(cfg.tau * cfg.p_t)
-        c2 = np.sqrt(cfg.tau * cfg.q_t) * np.sum(s_j * np.conj(cb[k]))
+        c2 = np.sqrt(cfg.tau * cfg.q_t) * amp
         y_norm_sq = (abs(r[0, 0] * c1 + r[0, 1] * c2 + z[0]) ** 2
                      + abs(r[1, 1] * c2 + z[1]) ** 2 + replay.gamma(cfg.M - 2))
-        expected_rounds.append((k, jamming_overlap_sq(s_j, cb[k]),
-                                estimate_overlap_sq(y_norm_sq, cfg)))
+        expected_rounds.append((k, abs(amp) ** 2, estimate_overlap_sq(y_norm_sq, cfg)))
     for rec, (k, ov, est) in zip(trace.rounds, expected_rounds):
         assert rec.pilot_index == k
         assert rec.overlap_true == pytest.approx(ov, rel=1e-12)
@@ -96,18 +96,16 @@ def test_alg1_round_one_success_means_single_round():
 def test_alg1_rejects_deterministic_jammer():
     cfg = _cfg()
     r = _channels(cfg, 4)
-    s_j = make_codebook(cfg.tau)[0]
     with pytest.raises(ValueError):
-        run_algorithm1(cfg, r, 0, s_j, JammerSpec(kind="codeword"), substream(4, 1))
+        run_algorithm1(cfg, r, 0, 1 + 0j, JammerSpec(kind="codeword"), substream(4, 1))
 
 
 def test_alg1_rejects_bad_pilot_index():
     cfg = _cfg()
     r = _channels(cfg, 4)
-    s_j = make_codebook(cfg.tau)[0]
     for k in (-1, cfg.tau):
         with pytest.raises(ValueError, match="pilot index"):
-            run_algorithm1(cfg, r, k, s_j, JammerSpec(), substream(4, 1))
+            run_algorithm1(cfg, r, k, 0.3 + 0j, JammerSpec(), substream(4, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +117,8 @@ def test_alg2_escapes_codeword_jammer_exactly(zero_noise):
     # pilot is any other codeword, orthogonal by construction
     cfg = _cfg(M=1024, tau=4)
     r = _channels(cfg, 5)
-    trace = run_algorithm2(cfg, r, 1, make_codebook(4)[1], zero_noise)
+    jam = JammerSpec(kind="codeword", codeword_index=1)
+    trace = run_algorithm2(cfg, r, 1, 1 + 0j, jam, zero_noise)
     assert trace.n_used == 2
     assert trace.rounds[0].overlap_true == pytest.approx(1.0)
     assert trace.rounds[1].overlap_true < 1e-24   # orthogonal codeword
@@ -131,7 +130,8 @@ def test_alg2_escapes_codeword_jammer_exactly(zero_noise):
 def test_alg2_orthogonal_jammer_stops_immediately():
     cfg = _cfg(M=2048, tau=4)
     r = _channels(cfg, 6)
-    trace = run_algorithm2(cfg, r, 0, make_codebook(4)[2], substream(6, 1))
+    trace = run_algorithm2(cfg, r, 0, 0j, JammerSpec(kind="codeword", codeword_index=2),
+                           substream(6, 1))
     assert trace.n_used == 1
     assert trace.stop_reason == "threshold_met"
     assert trace.opt_pilot is None
@@ -139,12 +139,12 @@ def test_alg2_orthogonal_jammer_stops_immediately():
 
 def test_alg2_absent_jammer_concentrates_on_one_round():
     cfg = _cfg(M=2048, tau=4)
-    silent = np.zeros(cfg.tau, dtype=complex)
+    silent = JammerSpec(kind="absent")
     n_used = []
     for k in range(30):
         r = _channels(cfg, 300 + k)
         rng = substream(300 + k, 1)
-        trace = run_algorithm2(cfg, r, int(rng.integers(cfg.tau)), silent, rng)
+        trace = run_algorithm2(cfg, r, int(rng.integers(cfg.tau)), 0j, silent, rng)
         n_used.append(trace.n_used)
     assert all(n == 1 for n in n_used)
 
@@ -152,18 +152,23 @@ def test_alg2_absent_jammer_concentrates_on_one_round():
 def test_alg2_rejects_bad_args():
     cfg = _cfg()
     r = _channels(cfg, 7)
-    s_j = make_codebook(cfg.tau)[0]
+    jam = JammerSpec()
     with pytest.raises(ValueError):
         _cfg(opt_mode="psychic")
     for k in (-1, 99):
         with pytest.raises(ValueError, match="pilot index"):
-            run_algorithm2(cfg, r, k, s_j, substream(7, 1))
-    with pytest.raises(ValueError):
-        run_algorithm2(cfg, r, 0, s_j[:-1], substream(7, 1))
+            run_algorithm2(cfg, r, k, 0.3 + 0j, jam, substream(7, 1))
+    # amplitudes no sequence of the jammer has: codeword 1 is orthogonal to
+    # pilot 0, and a unit-norm sequence has no amplitude of modulus 2
+    with pytest.raises(ValueError, match="cannot come from a codeword jammer"):
+        run_algorithm2(cfg, r, 0, 1 + 0j, JammerSpec(kind="codeword", codeword_index=1),
+                       substream(7, 1))
+    with pytest.raises(ValueError, match="modulus <= 1"):
+        run_algorithm2(cfg, r, 0, 2 + 0j, JammerSpec(kind="sphere"), substream(7, 1))
     tight = SystemConfig(M=8, T=200, tau=120, n_max=1)
     r2 = _channels(tight, 8)
     with pytest.raises(ValueError):
-        run_algorithm2(tight, r2, 0, make_codebook(120)[0], substream(8, 1))
+        run_algorithm2(tight, r2, 0, 1 + 0j, jam, substream(8, 1))
 
 
 # ---------------------------------------------------------------------------

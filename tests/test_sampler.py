@@ -1,11 +1,14 @@
 """Exactness of the reduced training-round sampler.
 
-The trial engine draws the channel factor R (gen_channel_factor), then
-||y_t||^2 (receive_despread_power) in O(1), and for alg2 a factor of the
-block gram given that draw (receive_block_factor) in O(tau^3). The
-reference is the full M x tau path: gen_channel, receive_pilot_block and
-despread. Each statistic is compared between the two by a two-sample z in
-units of its Monte Carlo standard error.
+The trial engine draws each round's overlap amplitude alone
+(draw_overlap_amplitude), the channel factor R (gen_channel_factor), then
+||y_t||^2 (receive_despread_power) in O(1), and for alg2 the rest of the
+jamming sequence given its amplitude (complete_amplitudes) and a factor of
+the block gram given that draw (receive_block_factor) in O(tau^3). The
+reference is the full path: draw_jammer_sequence and overlap_amplitude for
+the sequence, gen_channel, receive_pilot_block and despread for the
+M x tau block. Each statistic is compared between the two by a two-sample z
+in units of its Monte Carlo standard error.
 """
 
 import math
@@ -14,10 +17,10 @@ import numpy as np
 import pytest
 
 from jamsim import (JammerSpec, SystemConfig, despread, draw_jammer_sequence,
-                    estimate_jammer_gram, estimate_overlap_sq, gen_channel,
-                    gen_channel_factor, make_codebook, rate_from_overlap,
+                    draw_overlap_amplitude, estimate_jammer_gram, estimate_overlap_sq,
+                    gen_channel, gen_channel_factor, make_codebook, rate_from_overlap,
                     receive_pilot_block, run_trials, select_retransmission_pilot, substream)
-from jamsim.channel import crandn, overlap_amplitude
+from jamsim.channel import complete_amplitudes, crandn, overlap_amplitude
 from jamsim.estimation import (_wishart_factor, despread_power, receive_block_factor,
                                receive_despread, receive_despread_power)
 
@@ -56,6 +59,90 @@ def _sequences(tau):
 
 def _cfg(m, tau):
     return SystemConfig(M=m, T=200, tau=tau, beta_u=1.3, beta_j=0.7, P=2.0, Q=1.5)
+
+
+# ---------------------------------------------------------------------------
+# overlap amplitudes: drawn alone, against those of a drawn sequence
+# ---------------------------------------------------------------------------
+
+AMPLITUDE_CASES = [(kind, tau) for kind in ("gaussian", "sphere") for tau in (1, 2, 4, 20)]
+
+
+def _z_or_equal(a, b):
+    """_z, or 0 when both samples are constant and equal up to rounding
+    (|a|^2 = 1 of the sphere at tau = 1)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.std() < 1e-12 and b.std() < 1e-12:
+        return 0.0 if abs(a.mean() - b.mean()) <= 1e-12 else math.inf
+    return _z(a, b)
+
+
+@pytest.mark.parametrize("kind,tau", AMPLITUDE_CASES)
+def test_overlap_amplitude_matches_a_drawn_sequence(kind, tau):
+    # a = s_j^T c_k* drawn alone against the same amplitude of a whole drawn
+    # sequence, every pilot k in turn: the mean of a and the first two
+    # moments of |a|^2
+    jammer = JammerSpec(kind=kind)
+    cb = make_codebook(tau)
+    pilots = np.arange(12000) % tau
+    rng = substream(21, tau)
+    alone = np.array([draw_overlap_amplitude(rng, jammer, k, tau) for k in pilots])
+    rng = substream(22, tau)
+    whole = np.array([overlap_amplitude(draw_jammer_sequence(rng, jammer, tau), cb[k])
+                      for k in pilots])
+    zs = {name: _z_or_equal(stat(alone), stat(whole)) for name, stat in {
+        "Re a": np.real, "Im a": np.imag,
+        "|a|^2": lambda a: np.abs(a) ** 2, "|a|^4": lambda a: np.abs(a) ** 4}.items()}
+    assert max(map(abs, zs.values())) <= Z_BOUND, zs
+
+
+@pytest.mark.parametrize("kind,tau", AMPLITUDE_CASES)
+def test_completed_amplitudes_rebuild_a_sequence(kind, tau):
+    # alg2 draws the other amplitudes given a and rebuilds s_j = C^T a_hat:
+    # the rebuilt sequence has amplitude a with pilot k, the sphere's has
+    # unit norm, every amplitude has E|a_l|^2 = 1/tau, and every entry of the
+    # sequence has the law of a drawn sequence's entry
+    jammer = JammerSpec(kind=kind)
+    cb = make_codebook(tau)
+    n = 6000
+    rng = substream(23, tau)
+    amps = np.empty((n, tau), dtype=complex)
+    for i in range(n):
+        k = i % tau
+        a = draw_overlap_amplitude(rng, jammer, k, tau)
+        amps[i] = complete_amplitudes(rng, jammer, k, a, tau)
+        assert amps[i, k] == a
+        assert abs(overlap_amplitude(cb.T @ amps[i], cb[k]) - a) <= 1e-12
+    if kind == "sphere":
+        assert np.max(np.abs(np.linalg.norm(amps, axis=1) - 1.0)) <= 1e-12
+    power = np.abs(amps) ** 2
+    if tau > 1:
+        z_amps = (power.mean(axis=0) - 1 / tau) / (power.std(axis=0, ddof=1) / math.sqrt(n))
+        assert np.max(np.abs(z_amps)) <= Z_BOUND, z_amps
+    rng = substream(24, tau)
+    drawn = np.array([draw_jammer_sequence(rng, jammer, tau) for _ in range(n)])
+    rebuilt = amps @ cb      # row i is (C^T a_hat_i)^T
+    zs = [_z_or_equal(np.abs(rebuilt[:, l]) ** 2, np.abs(drawn[:, l]) ** 2) for l in range(tau)]
+    assert max(map(abs, zs)) <= Z_BOUND, zs
+
+
+@pytest.mark.parametrize("tau", [1, 2, 4, 20])
+def test_fixed_jammer_amplitudes_are_exact(tau):
+    # absent and codeword jammers draw nothing: their amplitude with every
+    # pilot and their completed amplitudes are those of their sequence
+    cb = make_codebook(tau)
+    rng = substream(25, tau)
+    jammers = [JammerSpec(kind="absent")] + [JammerSpec(kind="codeword", codeword_index=j)
+                                             for j in sorted({0, tau // 2, tau - 1})]
+    for jammer in jammers:
+        s_j = draw_jammer_sequence(rng, jammer, tau)
+        for k in range(tau):
+            a = draw_overlap_amplitude(rng, jammer, k, tau)
+            assert abs(a - overlap_amplitude(s_j, cb[k])) <= 1e-12
+            assert np.max(np.abs(cb.T @ complete_amplitudes(rng, jammer, k, a, tau) - s_j),
+                          initial=0.0) <= 1e-12
+    with pytest.raises(ValueError, match="out of range"):
+        draw_overlap_amplitude(rng, JammerSpec(kind="codeword", codeword_index=tau), 0, tau)
 
 
 # (M, tau): M above and below tau, and M = 1, 2, 3, where the span of the
@@ -227,13 +314,17 @@ def _reference_trial(cfg, scheme, jammer, rng):
     return rate_from_overlap(cfg, estimate, 1).rate, 1
 
 
-@pytest.mark.parametrize("scheme,m", [("alg1", 24), ("alg2", 24), ("alg2", 6)])
-def test_engine_matches_a_brute_force_engine(scheme, m):
+@pytest.mark.parametrize("scheme,m,kind", [
+    pytest.param(scheme, m, kind, id=f"{scheme}-{m}" + ("" if kind == "gaussian" else f"-{kind}"))
+    for scheme, m, kind in [("alg1", 24, "gaussian"), ("alg2", 24, "gaussian"),
+                            ("alg2", 6, "gaussian"), ("alg2", 24, "sphere")]])
+def test_engine_matches_a_brute_force_engine(scheme, m, kind):
     # rated at the blind estimate, so the rate reads every draw of the trial;
-    # M = 24 takes alg2's Bartlett branch, M = 6 its direct one
+    # M = 24 takes alg2's Bartlett branch, M = 6 its direct one; the sphere
+    # jammer takes alg2's other completion of the amplitudes
     cfg = SystemConfig(M=m, T=60, tau=6, P=10.0, Q=10.0, epsilon=0.1, n_max=2,
                        master_seed=17, rate_accounting="estimated_overlap")
-    jam = JammerSpec()
+    jam = JammerSpec(kind=kind)
     n = 4000
     engine = run_trials(cfg, scheme, jam, n)
     rng = substream(18, 0)
