@@ -101,13 +101,9 @@ def draw_jammer_sequence(rng, jammer: JammerSpec, tau: int) -> np.ndarray:
     """
     if tau < 1:
         raise ValueError(f"pilot length must be positive, got {tau}")
-    if jammer.kind == "absent":
-        return np.zeros(tau, dtype=np.complex128)
-    if jammer.kind == "codeword":
-        if jammer.codeword_index >= tau:
-            raise ValueError(f"codeword_index {jammer.codeword_index} out of range "
-                             f"for tau={tau}")
-        return make_codebook(tau)[jammer.codeword_index]
+    if jammer.kind not in ("gaussian", "sphere"):
+        j = _codeword_index(jammer, tau)
+        return np.zeros(tau, dtype=np.complex128) if j is None else make_codebook(tau)[j]
     seq = crandn(rng, tau)
     if jammer.kind == "gaussian":
         return seq / np.sqrt(tau)
@@ -124,6 +120,8 @@ def draw_overlap_amplitude(rng, jammer: JammerSpec, k: int, tau: int) -> complex
     squared norm of the other coordinates; codeword j gives 1 if j == k,
     else 0; absent gives 0. absent and codeword draw nothing from rng.
     """
+    if not 0 <= k < tau:
+        raise ValueError(f"pilot index must lie in [0, tau={tau}), got {k}")
     if jammer.kind in ("gaussian", "sphere"):
         re, im = rng.standard_normal(2).tolist()
         if jammer.kind == "gaussian":
@@ -131,7 +129,7 @@ def draw_overlap_amplitude(rng, jammer: JammerSpec, k: int, tau: int) -> complex
         g = complex(re, im) * math.sqrt(0.5)
         rho = rng.gamma(tau - 1) if tau > 1 else 0.0
         return g / math.sqrt(abs(g) ** 2 + rho)
-    return complex(_fixed_amplitudes(jammer, tau)[k])
+    return complex(_codeword_index(jammer, tau) == k)
 
 
 def complete_amplitudes(rng, jammer: JammerSpec, k: int, amp: complex, tau: int) -> np.ndarray:
@@ -144,11 +142,16 @@ def complete_amplitudes(rng, jammer: JammerSpec, k: int, amp: complex, tau: int)
     absent are fixed, and amp must match them. The sequence itself is
     s_j = C^T times the result.
     """
+    if not 0 <= k < tau:
+        raise ValueError(f"pilot index must lie in [0, tau={tau}), got {k}")
     if jammer.kind not in ("gaussian", "sphere"):
-        amps = _fixed_amplitudes(jammer, tau)
-        if amps[k] != amp:
+        j = _codeword_index(jammer, tau)
+        if amp != (j == k):
             raise ValueError(f"amplitude {amp} cannot come from a {jammer.kind} jammer "
                              f"at pilot {k}")
+        amps = np.zeros(tau, dtype=np.complex128)
+        if j is not None:
+            amps[j] = 1.0
         return amps
     if jammer.kind == "sphere" and not abs(amp) <= 1.0 + 1e-12:    # slack for rounding
         raise ValueError(f"a unit-norm sequence has amplitudes of modulus <= 1, got {amp}")
@@ -163,15 +166,14 @@ def complete_amplitudes(rng, jammer: JammerSpec, k: int, amp: complex, tau: int)
     return amps
 
 
-def _fixed_amplitudes(jammer: JammerSpec, tau: int) -> np.ndarray:
-    """conj(C) s_j of a jammer that draws nothing: e_j for codeword j, 0 for absent."""
-    amps = np.zeros(tau, dtype=np.complex128)
-    if jammer.kind == "codeword":
-        if jammer.codeword_index >= tau:
-            raise ValueError(f"codeword_index {jammer.codeword_index} out of range "
-                             f"for tau={tau}")
-        amps[jammer.codeword_index] = 1.0
-    return amps
+def _codeword_index(jammer: JammerSpec, tau: int) -> int | None:
+    """The pilot a codeword jammer repeats, checked against tau; None for any other kind."""
+    if jammer.kind != "codeword":
+        return None
+    if jammer.codeword_index >= tau:
+        raise ValueError(f"codeword_index {jammer.codeword_index} out of range "
+                         f"for tau={tau}")
+    return jammer.codeword_index
 
 
 def overlap_amplitude(s_j: np.ndarray, s_u: np.ndarray) -> complex:

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .config import SystemConfig
-from .estimation import _mmse_terms
+from .estimation import mmse_coefficients
 
 
 @dataclass(frozen=True)
@@ -63,29 +63,14 @@ def rate(cfg: SystemConfig, rho: float, n_used: int = 1) -> float:
     return cfg.prelog(n_used) * math.log2(1.0 + rho)
 
 
-@functools.lru_cache(maxsize=256)
-def _rate_terms(cfg: SystemConfig) -> tuple[float, ...]:
-    """The per-config factors of mmse_coefficients, then of effective_sinr."""
-    return _mmse_terms(cfg) + _sinr_terms(cfg)
-
-
 def sinr_and_rate(cfg: SystemConfig, overlap_sq: float, n_used: int = 1) -> tuple[float, float]:
-    """Effective SINR and achievable rate at one squared overlap, in scalar arithmetic.
+    """Effective SINR and achievable rate at one squared overlap, as plain floats.
 
-    Evaluates mmse_coefficients, effective_sinr and rate with the same
-    operations in the same order, from one cached tuple of per-config
-    factors; the trial engine rates every trial with it.
+    The trial engine rates every trial with it; rate_from_overlap wraps it.
     """
-    if overlap_sq < 0:
-        raise ValueError("overlap_sq must be nonnegative")
-    pilot, jamming, root, beta_u, contamination, interference, signal = _rate_terms(cfg)
-    gamma_u = root * beta_u / (pilot + jamming * overlap_sq + 1.0) * root * beta_u
-    den = interference + contamination * overlap_sq * gamma_u + 1.0
-    sinr = signal * gamma_u / den
-    if not (math.isfinite(den) and math.isfinite(sinr)):
-        raise ValueError(
-            f"powers p_d={cfg.p_d:g}, q_t={cfg.q_t:g}, q_d={cfg.q_d:g} overflow the SINR")
-    return sinr, cfg.prelog(n_used) * math.log2(1.0 + sinr)
+    _, gamma_u = mmse_coefficients(cfg, overlap_sq)
+    rho = effective_sinr(cfg, gamma_u, overlap_sq)
+    return rho, rate(cfg, rho, n_used)
 
 
 def rate_from_overlap(cfg: SystemConfig, overlap_sq: float, n_used: int = 1) -> RateReport:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from jamsim import (SystemConfig, effective_sinr, mmse_coefficients, rate,
                     rate_from_overlap, rate_random_jamming)
-from jamsim.rates import sinr_and_rate
 
 
 def _cfg(**kw):
@@ -117,21 +116,6 @@ def test_rate_report_invariant():
     report = rate_from_overlap(cfg, 0.3, 2)
     assert report.rate == pytest.approx(report.prelog * math.log2(1 + report.rho), rel=1e-12)
     assert report.prelog == pytest.approx(0.9)
-
-
-@settings(max_examples=100, deadline=None)
-@given(ov=st.floats(0.0, 1.0), p=st.floats(0.01, 1e3), q=st.floats(0.0, 1e3),
-       beta_u=st.floats(0.01, 10.0), beta_j=st.floats(0.01, 10.0),
-       m=st.integers(1, 1000), n_used=st.integers(1, 2))
-def test_scalar_rate_is_the_composed_chain_bit_for_bit(ov, p, q, beta_u, beta_j, m, n_used):
-    # the engine's scalar rate performs the operations of mmse_coefficients,
-    # effective_sinr and rate, in their order, so it agrees to the last bit
-    cfg = SystemConfig(M=m, T=200, tau=10, P=p, Q=q, beta_u=beta_u, beta_j=beta_j, n_max=2)
-    _, gamma = mmse_coefficients(cfg, ov)
-    rho = effective_sinr(cfg, gamma, ov)
-    assert sinr_and_rate(cfg, ov, n_used) == (rho, rate(cfg, rho, n_used))
-    with pytest.raises(ValueError, match="overlap_sq"):
-        sinr_and_rate(cfg, -0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,13 @@ def test_fixed_jammer_amplitudes_are_exact(tau):
                           initial=0.0) <= 1e-12
     with pytest.raises(ValueError, match="out of range"):
         draw_overlap_amplitude(rng, JammerSpec(kind="codeword", codeword_index=tau), 0, tau)
+    # a pilot index outside [0, tau) is refused by every kind, not wrapped around
+    for jammer in jammers + [JammerSpec(kind="gaussian"), JammerSpec(kind="sphere")]:
+        for k in (-1, tau):
+            with pytest.raises(ValueError, match="pilot index"):
+                draw_overlap_amplitude(rng, jammer, k, tau)
+            with pytest.raises(ValueError, match="pilot index"):
+                complete_amplitudes(rng, jammer, k, 0j, tau)
 
 
 # (M, tau): M above and below tau, and M = 1, 2, 3, where the span of the
