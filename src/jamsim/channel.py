@@ -2,6 +2,7 @@
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,8 +87,11 @@ class JammerSpec:
     def __post_init__(self):
         if self.kind not in ("absent", "gaussian", "sphere", "codeword"):
             raise ValueError(f"unknown jammer kind {self.kind!r}")
-        if self.codeword_index < 0:
-            raise ValueError("codeword_index must be nonnegative")
+        if not isinstance(self.codeword_index, numbers.Integral) or self.codeword_index < 0:
+            raise ValueError(f"codeword_index must be a nonnegative integer, "
+                             f"got {self.codeword_index!r}")
+        if not isinstance(self.data_phase_active, bool):
+            raise ValueError(f"data_phase_active must be a bool, got {self.data_phase_active!r}")
 
 
 def draw_jammer_sequence(rng, jammer: JammerSpec, tau: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from .sweep import (AXES, PRESET_NAMES, SweepRow, SweepSpec, run_preset,
 
 _POWER_KEYS = ("p_t", "p_d", "q_t", "q_d")
 _SYSTEM_KEYS = ("m", "t", "tau", "beta_u", "beta_j", "p", "q", "snr_db", *_POWER_KEYS,
-                "epsilon", "n_max", "seed", "rate_accounting")
+                "epsilon", "n_max", "seed")
 _SCENARIO_KEYS = ("jammer", "jammer_data_phase", "first_pilot", "opt_mode",
                   "schemes", "trials", "threads", "out")
 _SWEEP_KEYS = ("axis", "values")
@@ -101,7 +101,6 @@ def system_config_from_mapping(mapping: dict) -> SystemConfig:
         epsilon=_get_float(mapping, "epsilon", 0.1),
         n_max=_get_int(mapping, "n_max", 2),
         master_seed=_get_int(mapping, "seed", 0),
-        rate_accounting=mapping.get("rate_accounting", "true_overlap"),
         first_pilot=_first_pilot_from_mapping(mapping),
         opt_mode=mapping.get("opt_mode", "codebook"),
     )

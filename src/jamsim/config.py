@@ -5,7 +5,6 @@ import math
 import numbers
 from dataclasses import dataclass
 
-RATE_ACCOUNTING_MODES = ("true_overlap", "estimated_overlap")
 OPT_MODES = ("codebook", "eigen")
 
 _MAX_SEED = 2**64 - 1
@@ -44,12 +43,11 @@ class SystemConfig:
     epsilon: float = 0.1        # retransmission threshold on the squared overlap
     n_max: int = 2              # max transmissions per coherence block
     master_seed: int = 0
-    rate_accounting: str = "true_overlap"   # overlaps fed to the closed-form rate
     first_pilot: int | None = None  # codeword the user opens with; None draws it uniformly
     opt_mode: str = "codebook"      # alg2's search for the retransmission pilot
 
     def __post_init__(self):
-        for name in ("M", "T", "tau", "n_max"):
+        for name in ("M", "T", "tau", "n_max", "master_seed"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -76,8 +74,6 @@ class SystemConfig:
             raise ValueError("epsilon must be nonnegative")
         if not 0 <= self.master_seed <= _MAX_SEED:
             raise ValueError("master_seed must fit in 64 bits")
-        if self.rate_accounting not in RATE_ACCOUNTING_MODES:
-            raise ValueError(f"unknown rate_accounting mode {self.rate_accounting!r}")
         k = self.first_pilot
         if k is not None and not (isinstance(k, numbers.Integral) and 0 <= k < self.tau):
             raise ValueError(f"first_pilot must be an index in [0, tau={self.tau}), got {k!r}")

@@ -176,11 +176,6 @@ def despread_power(y_q, resid: float) -> float:
     return sum(abs(y) ** 2 for y in y_q) + resid
 
 
-def receive_despread_power(cfg: SystemConfig, r: np.ndarray, amp: complex, rng) -> float:
-    """||y_t||^2 of one training round (see receive_despread)."""
-    return despread_power(*receive_despread(cfg, r, amp, rng))
-
-
 @functools.lru_cache(maxsize=None)
 def _upper_indices(tau: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(tau, 1)
@@ -239,4 +234,4 @@ def run_training(cfg: SystemConfig, r: np.ndarray, amp: complex, rng) -> float:
 
     amp is the round's overlap amplitude s_j^T s_u* (see receive_despread).
     """
-    return estimate_overlap_sq(receive_despread_power(cfg, r, amp, rng), cfg)
+    return estimate_overlap_sq(despread_power(*receive_despread(cfg, r, amp, rng)), cfg)

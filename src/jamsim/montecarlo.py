@@ -13,16 +13,16 @@ the overlap amplitude s_j^T c_k* of the jamming sequence with pilot k) for
 every scheme, so at equal trial indices all schemes see identical
 first-round overlaps. A round matters only through that amplitude, and the
 codebook is unitary, so the amplitude is drawn from its exact law
-(draw_overlap_amplitude) in place of a whole sequence. The protocol stream
-then draws, round by round, the statistic the receiver decides from:
-||y_t||^2 (receive_despread) for every round of every scheme, drawn the
-same way in round one, and for alg2, only when it goes on to retransmit,
-the rest of the jamming sequence given its amplitude (complete_amplitudes)
-and a factor of round one's tau x tau block gram given that ||y_t||^2
+(draw_overlap_amplitude) in place of a whole sequence. For alg1 and alg2
+the protocol stream then draws, round by round, the statistic the receiver
+decides from: ||y_t||^2 (receive_despread) for every round, drawn the same
+way in round one, and for alg2, only when it goes on to retransmit, the
+rest of the jamming sequence given its amplitude (complete_amplitudes) and
+a factor of round one's tau x tau block gram given that ||y_t||^2
 (receive_block_factor). All follow the exact law of the M-antenna draws at
-a cost that does not grow with M. Conventional under true_overlap draws
-neither channels nor noise. Keyed streams make scheme comparisons paired
-and keep any execution order or worker count bit-reproducible.
+a cost that does not grow with M. Conventional decides nothing, so it
+draws neither channels nor noise. Keyed streams make scheme comparisons
+paired and keep any execution order or worker count bit-reproducible.
 """
 
 import functools
@@ -36,7 +36,7 @@ import numpy as np
 from .channel import (JammerSpec, crandn, draw_overlap_amplitude, gen_channel_factor,
                       make_codebook, overlap_amplitude)
 from .config import SystemConfig
-from .estimation import _wishart_factor, mmse_coefficients, run_training
+from .estimation import _wishart_factor, mmse_coefficients
 from .protocols import run_algorithm1, run_algorithm2
 from .rates import effective_sinr, sinr_and_rate
 from .rng import substream
@@ -99,28 +99,24 @@ def simulate_one_trial(cfg: SystemConfig, scheme: str, jammer: JammerSpec,
     index and its overlap amplitude, is drawn here for every scheme, so
     schemes are paired at equal indices. The rate is the closed-form
     achievable rate (sinr_and_rate, bit-identical to rate_from_overlap) at
-    the overlap of the round the receiver decodes with, true or blind as
-    cfg.rate_accounting selects, and pays for every transmission spent.
+    the true overlap of the round the receiver decodes with, and pays for
+    every transmission spent. The MR combiner's SINR does not change when
+    the MMSE coefficient is scaled, so a receiver that builds its estimate
+    from the blind overlap gets this rate too (the use-and-forget bound).
     """
     _validate_combination(cfg, scheme, jammer)
-    estimated = cfg.rate_accounting == "estimated_overlap"
     rng_proto = substream(cfg.master_seed, index, _TAG_PROTOCOL)
     # round one: the pilot index, then its overlap amplitude with the
     # jamming sequence, which alg2's jammer replays for the whole trial
     k = cfg.first_pilot if cfg.first_pilot is not None else int(rng_proto.integers(cfg.tau))
     amp = draw_overlap_amplitude(rng_proto, jammer, k, cfg.tau)
     if scheme == "conventional":
-        n_used = 1
-        if estimated:
-            overlap = run_training(cfg, _channels(cfg, index), amp, rng_proto)
-        else:
-            overlap = abs(amp) ** 2
+        n_used, overlap = 1, abs(amp) ** 2
     else:
         r = _channels(cfg, index)
         trace = (run_algorithm1(cfg, r, k, amp, jammer, rng_proto) if scheme == "alg1"
                  else run_algorithm2(cfg, r, k, amp, jammer, rng_proto))
-        chosen = trace.rounds[trace.chosen_round]
-        n_used, overlap = trace.n_used, chosen.overlap_est if estimated else chosen.overlap_true
+        n_used, overlap = trace.n_used, trace.rounds[trace.chosen_round].overlap_true
     return sinr_and_rate(_rate_config(cfg, jammer), overlap, n_used)[1], n_used, overlap
 
 

@@ -102,7 +102,7 @@ def run_algorithm2(cfg: SystemConfig, r: np.ndarray, k: int, amp: complex,
     r is the channel factor of the trial (see gen_channel_factor). Round 1
     sends codeword k, and amp is its overlap amplitude with s_j (see
     draw_overlap_amplitude). The receiver reads its blind overlap estimate
-    from ||y_t||^2, drawn exactly as the conventional scheme draws it. If
+    from ||y_t||^2, drawn exactly as run_training draws it. If
     the estimate exceeds the threshold, the rest of s_j is drawn given amp
     (complete_amplitudes), then the round's block gram given the round's
     de-spread draw (receive_block_factor); the receiver estimates the

@@ -147,6 +147,15 @@ def test_jammer_deterministic_replays_and_validates():
         JammerSpec(kind="codeword", codeword_index=-1)
     with pytest.raises(ValueError):
         JammerSpec(kind="deterministic")
+    # a fractional index would match no pilot and act as an absent jammer,
+    # and a non-bool flag would be read by its truth value
+    for bad in (1.5, 1.0, "1", None):
+        with pytest.raises(ValueError, match="codeword_index"):
+            JammerSpec(kind="codeword", codeword_index=bad)
+    for bad in ("no", 0, 1, None):
+        with pytest.raises(ValueError, match="data_phase_active"):
+            JammerSpec(data_phase_active=bad)
+    assert JammerSpec(kind="codeword", codeword_index=np.int64(1)) == jammer
 
 
 def test_overlap_mean_is_one_over_tau():

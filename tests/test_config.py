@@ -33,7 +33,7 @@ def test_explicit_policy_budget_enforced():
     dict(beta_j=-1.0),
     dict(epsilon=-0.1),
     dict(P=-1.0),
-    dict(rate_accounting="psychic"),
+    dict(master_seed=1.5),
     dict(master_seed=-1),
     dict(master_seed=2**64),
     dict(P=math.nan),

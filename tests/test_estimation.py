@@ -10,7 +10,7 @@ from jamsim import (SystemConfig, despread, estimate_jammer_gram,
                     mmse_coefficients, mmse_estimate, receive_pilot_block,
                     run_training, select_retransmission_pilot, substream)
 from jamsim.channel import crandn, overlap_amplitude
-from jamsim.estimation import receive_block_factor, receive_despread, receive_despread_power
+from jamsim.estimation import despread_power, receive_block_factor, receive_despread
 
 
 def _cfg(**kw):
@@ -414,7 +414,7 @@ def test_run_training_blind_uses_estimate():
     r = gen_channel_factor(substream(89, 0), 16, 1.0, 1.0)
     amp = overlap_amplitude(cb[1], cb[0])
     overlap_est = run_training(cfg, r, amp, substream(89, 1))
-    power = receive_despread_power(cfg, r, amp, substream(89, 1))
+    power = despread_power(*receive_despread(cfg, r, amp, substream(89, 1)))
     assert overlap_est == estimate_overlap_sq(power, cfg)
     assert 0.0 <= overlap_est <= 1.0
 

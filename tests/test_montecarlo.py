@@ -6,7 +6,8 @@ import pytest
 import jamsim.montecarlo
 from jamsim import (JammerSpec, SystemConfig, average_rate, draw_overlap_amplitude,
                     gen_channel_factor, mmse_coefficients, rate_from_overlap, run_algorithm1,
-                    run_algorithm2, run_trials, simulate_one_trial, substream, verify_moments)
+                    run_algorithm2, run_training, run_trials, simulate_one_trial, substream,
+                    verify_moments)
 from jamsim.channel import crandn
 from jamsim.config import snr_db_to_power
 from jamsim.montecarlo import MOMENT_Z, Moment
@@ -94,9 +95,6 @@ _PINNED_MEANS = {
     ("true_overlap", "conventional"): 1.9784444644052632,
     ("true_overlap", "alg1"): 2.027644889839007,
     ("true_overlap", "alg2"): 2.2514199866270292,
-    ("estimated_overlap", "conventional"): 1.9649555903886209,
-    ("estimated_overlap", "alg1"): 2.1245218138606474,
-    ("estimated_overlap", "alg2"): 2.1629427829814576,
     ("explicit_powers", "conventional"): 1.6427009133285886,
     ("explicit_powers", "alg1"): 1.7092307741853232,
     ("explicit_powers", "alg2"): 1.8873708620976581,
@@ -109,7 +107,7 @@ def test_seed_to_value_mapping_is_pinned(mode, scheme):
         cfg = SystemConfig(**{**_PINNED_BASE, "P": 1.0, "Q": 1.0},
                            powers=(1.2, 0.95, 2.0, 0.7))
     else:
-        cfg = SystemConfig(**_PINNED_BASE, rate_accounting=mode)
+        cfg = SystemConfig(**_PINNED_BASE)
     mean = run_trials(cfg, scheme, JammerSpec(), 200).rates.mean()
     assert mean == pytest.approx(_PINNED_MEANS[mode, scheme], rel=1e-9)
 
@@ -128,31 +126,31 @@ def test_schemes_share_first_round_draws():
 
 
 def test_alg2_round_one_is_the_conventional_round():
-    # alg2's first round draws ||y_t||^2 exactly as the conventional scheme
-    # does, so at equal trial indices its blind estimate is the conventional
-    # one bit for bit, and a trial that stops at the threshold has the
-    # conventional rate under either accounting
-    cfg = _cfg(master_seed=21, rate_accounting="estimated_overlap")
+    # alg2's first round is the conventional round: the same true overlap at
+    # equal trial indices, and a blind estimate drawn exactly as a single
+    # training round draws it; a trial that stops at the threshold has the
+    # conventional rate
+    cfg = _cfg(master_seed=21)
     jam = JammerSpec()
     n = 200
     conv = run_trials(cfg, "conventional", jam, n)
+    alg2 = run_trials(cfg, "alg2", jam, n)
     stops = []
     for i in range(n):
+        r = gen_channel_factor(substream(cfg.master_seed, i, 0), cfg.M, cfg.beta_u, cfg.beta_j)
         rng = substream(cfg.master_seed, i, 1)
         k = int(rng.integers(cfg.tau))
-        amp = draw_overlap_amplitude(rng, jam, k, cfg.tau)
-        r = gen_channel_factor(substream(cfg.master_seed, i, 0), cfg.M, cfg.beta_u, cfg.beta_j)
-        trace = run_algorithm2(cfg, r, k, amp, jam, rng)
-        assert trace.rounds[0].overlap_est == conv.overlap_sq[i]
+        trace = run_algorithm2(cfg, r, k, draw_overlap_amplitude(rng, jam, k, cfg.tau), jam, rng)
+        rng = substream(cfg.master_seed, i, 1)
+        k = int(rng.integers(cfg.tau))
+        training = run_training(cfg, r, draw_overlap_amplitude(rng, jam, k, cfg.tau), rng)
+        assert trace.rounds[0].overlap_true == conv.overlap_sq[i]
+        assert trace.rounds[0].overlap_est == training
         stops.append(trace.stop_reason == "threshold_met")
     stops = np.array(stops)
     assert stops.any() and not stops.all()
-    for mode in ("estimated_overlap", "true_overlap"):
-        mode_cfg = _cfg(master_seed=21, rate_accounting=mode)
-        conv_rates = run_trials(mode_cfg, "conventional", jam, n).rates
-        alg2 = run_trials(mode_cfg, "alg2", jam, n)
-        assert np.array_equal(alg2.rates[stops], conv_rates[stops])
-        assert np.all(alg2.n_used[stops] == 1)
+    assert np.array_equal(alg2.rates[stops], conv.rates[stops])
+    assert np.all(alg2.n_used[stops] == 1)
 
 
 def test_alg1_is_rated_at_the_round_its_receiver_picks():
@@ -249,17 +247,6 @@ def test_alg2_eigen_search_escapes_codeword_jammer():
     assert np.all(alg2.n_used == 2)
     assert alg2.overlap_sq.max() < 0.01
     assert alg2.rates.mean() > conv.rates.mean() + 5
-
-
-def test_estimated_overlap_accounting_runs():
-    cfg = _cfg(rate_accounting="estimated_overlap", master_seed=8)
-    jam = JammerSpec()
-    for scheme in ("conventional", "alg1", "alg2"):
-        summary = average_rate(cfg, scheme, jam, 100)
-        assert np.isfinite(summary.mean_rate)
-    oracle = average_rate(_cfg(master_seed=8), "conventional", jam, 100)
-    blind = average_rate(cfg, "conventional", jam, 100)
-    assert oracle.mean_rate != blind.mean_rate
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""README.md's library examples run as written."""
+"""README.md's library examples run as written, and its config-key table matches the parser."""
 
 import re
 from pathlib import Path
+
+from jamsim.cli import KNOWN_KEYS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -27,3 +29,13 @@ def test_protocol_example_runs(capsys):
     printed = capsys.readouterr().out.split()
     assert printed == [str(namespace["trace1"].n_used), namespace["trace1"].stop_reason,
                        str(namespace["trace2"].n_used), namespace["trace2"].stop_reason]
+
+
+def test_config_key_table_lists_exactly_the_known_keys():
+    # the first column of the Command line section's key table, every
+    # backticked key once, against the keys the config parser accepts
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("| key | meaning"):]
+    rows = table[:table.index("\n\n")].splitlines()[2:]
+    listed = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert sorted(listed) == sorted(KNOWN_KEYS)

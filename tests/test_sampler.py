@@ -2,7 +2,7 @@
 
 The trial engine draws each round's overlap amplitude alone
 (draw_overlap_amplitude), the channel factor R (gen_channel_factor), then
-||y_t||^2 (receive_despread_power) in O(1), and for alg2 the rest of the
+||y_t||^2 (receive_despread) in O(1), and for alg2 the rest of the
 jamming sequence given its amplitude (complete_amplitudes) and a factor of
 the block gram given that draw (receive_block_factor) in O(tau^3). The
 reference is the full path: draw_jammer_sequence and overlap_amplitude for
@@ -18,11 +18,12 @@ import pytest
 
 from jamsim import (JammerSpec, SystemConfig, despread, draw_jammer_sequence,
                     draw_overlap_amplitude, estimate_jammer_gram, estimate_overlap_sq,
-                    gen_channel, gen_channel_factor, make_codebook, rate_from_overlap,
-                    receive_pilot_block, run_trials, select_retransmission_pilot, substream)
+                    gen_channel, gen_channel_factor, jamming_overlap_sq, make_codebook,
+                    rate_from_overlap, receive_pilot_block, run_algorithm1, run_algorithm2,
+                    run_trials, select_retransmission_pilot, substream)
 from jamsim.channel import complete_amplitudes, crandn, overlap_amplitude
 from jamsim.estimation import (_wishart_factor, despread_power, receive_block_factor,
-                               receive_despread, receive_despread_power)
+                               receive_despread)
 
 Z_BOUND = 4.0
 N_BATCHES = 20
@@ -165,8 +166,9 @@ def _despread_powers(cfg, n, seed, reduced):
     for i in range(n):
         if reduced:
             r = gen_channel_factor(rng, cfg.M, cfg.beta_u, cfg.beta_j)
-            out[i] = [receive_despread_power(cfg, r, overlap_amplitude(s_j, s_u), rng),
-                      receive_despread_power(cfg, r, overlap_amplitude(s_j2, s_u2), rng)]
+            for k, (pilot, jam) in enumerate(((s_u, s_j), (s_u2, s_j2))):
+                amp = overlap_amplitude(jam, pilot)
+                out[i, k] = despread_power(*receive_despread(cfg, r, amp, rng))
         else:
             g_u = gen_channel(rng, cfg.M, cfg.beta_u)
             g_j = gen_channel(rng, cfg.M, cfg.beta_j)
@@ -290,35 +292,54 @@ def test_small_arrays_shrink_the_channel_factor():
 # ---------------------------------------------------------------------------
 
 def _reference_trial(cfg, scheme, jammer, rng):
-    """One trial of alg1 or alg2 on the full M x tau blocks: (rate, n_used)."""
+    """One trial of alg1 or alg2 on the full M x tau blocks.
+
+    Returns (rate, n_used, overlap_est): the rate at the true overlap of the
+    round the receiver decodes with, and that round's blind estimate.
+    """
     codebook = make_codebook(cfg.tau)
     k = int(rng.integers(cfg.tau))
     s_j = draw_jammer_sequence(rng, jammer, cfg.tau)
     g_u = gen_channel(rng, cfg.M, cfg.beta_u)
     g_j = gen_channel(rng, cfg.M, cfg.beta_j)
 
-    def round_estimate(pilot, jam):
+    def play_round(pilot, jam):
+        """(block, (true overlap, blind estimate)) of one training round."""
         block = receive_pilot_block(cfg, g_u, g_j, pilot, jam, rng)
         y = despread(block, pilot)
-        return block, estimate_overlap_sq(np.vdot(y, y).real, cfg)
+        return block, (jamming_overlap_sq(jam, pilot),
+                       estimate_overlap_sq(np.vdot(y, y).real, cfg))
 
     if scheme == "alg1":
-        estimates = []
+        rounds = []
         for n in range(cfg.n_max):
             if n:
                 k = int(rng.integers(cfg.tau))
                 s_j = draw_jammer_sequence(rng, jammer, cfg.tau)
-            estimates.append(round_estimate(codebook[k], s_j)[1])
-            if cfg.overlap_below_threshold(estimates[-1]):
+            rounds.append(play_round(codebook[k], s_j)[1])
+            if cfg.overlap_below_threshold(rounds[-1][1]):
                 break
-        return rate_from_overlap(cfg, min(estimates), len(estimates)).rate, len(estimates)
-    block, estimate = round_estimate(codebook[k], s_j)
-    if not cfg.overlap_below_threshold(estimate):
+        true, est = min(rounds, key=lambda rnd: rnd[1])
+        return rate_from_overlap(cfg, true, len(rounds)).rate, len(rounds), est
+    block, (true, est) = play_round(codebook[k], s_j)
+    if not cfg.overlap_below_threshold(est):
         vecs, lam = estimate_jammer_gram(block, codebook[k], cfg)
         _, pilot, predicted = select_retransmission_pilot(vecs, lam, codebook, cfg.opt_mode)
-        if predicted < estimate:
-            return rate_from_overlap(cfg, round_estimate(pilot, s_j)[1], 2).rate, 2
-    return rate_from_overlap(cfg, estimate, 1).rate, 1
+        if predicted < est:
+            true, est = play_round(pilot, s_j)[1]
+            return rate_from_overlap(cfg, true, 2).rate, 2, est
+    return rate_from_overlap(cfg, true, 1).rate, 1, est
+
+
+def _chosen_estimate(cfg, scheme, jammer, index):
+    """Blind estimate of the round the engine's trial decodes with, from a replayed trace."""
+    rng = substream(cfg.master_seed, index, 1)
+    k = int(rng.integers(cfg.tau))
+    amp = draw_overlap_amplitude(rng, jammer, k, cfg.tau)
+    r = gen_channel_factor(substream(cfg.master_seed, index, 0), cfg.M, cfg.beta_u, cfg.beta_j)
+    protocol = run_algorithm1 if scheme == "alg1" else run_algorithm2
+    trace = protocol(cfg, r, k, amp, jammer, rng)
+    return trace.rounds[trace.chosen_round].overlap_est
 
 
 @pytest.mark.parametrize("scheme,m,kind", [
@@ -326,17 +347,21 @@ def _reference_trial(cfg, scheme, jammer, rng):
     for scheme, m, kind in [("alg1", 24, "gaussian"), ("alg2", 24, "gaussian"),
                             ("alg2", 6, "gaussian"), ("alg2", 24, "sphere")]])
 def test_engine_matches_a_brute_force_engine(scheme, m, kind):
-    # rated at the blind estimate, so the rate reads every draw of the trial;
-    # M = 24 takes alg2's Bartlett branch, M = 6 its direct one; the sphere
-    # jammer takes alg2's other completion of the amplitudes
+    # the rate at the chosen round's true overlap reads the choice, and the
+    # chosen round's blind estimate, replayed from the engine's traces,
+    # reads every de-spread draw; M = 24 takes alg2's Bartlett branch, M = 6
+    # its direct one; the sphere jammer takes alg2's other completion of the
+    # amplitudes
     cfg = SystemConfig(M=m, T=60, tau=6, P=10.0, Q=10.0, epsilon=0.1, n_max=2,
-                       master_seed=17, rate_accounting="estimated_overlap")
+                       master_seed=17)
     jam = JammerSpec(kind=kind)
     n = 4000
     engine = run_trials(cfg, scheme, jam, n)
+    estimates = [_chosen_estimate(cfg, scheme, jam, i) for i in range(n)]
     rng = substream(18, 0)
-    rates, n_used = np.array([_reference_trial(cfg, scheme, jam, rng) for _ in range(n)]).T
-    z_rate = _z(engine.rates, rates)
-    z_n_used = _z(engine.n_used, n_used)
+    rates, n_used, ref_estimates = np.array(
+        [_reference_trial(cfg, scheme, jam, rng) for _ in range(n)]).T
+    zs = {"rate": _z(engine.rates, rates), "n_used": _z(engine.n_used, n_used),
+          "overlap_est": _z(estimates, ref_estimates)}
     assert 1.1 < n_used.mean() < 1.9
-    assert abs(z_rate) <= Z_BOUND and abs(z_n_used) <= Z_BOUND, (z_rate, z_n_used)
+    assert max(map(abs, zs.values())) <= Z_BOUND, zs

@@ -16,7 +16,8 @@ import math
 import numpy as np
 import pytest
 
-from jamsim import JammerSpec, SystemConfig, run_trials
+from jamsim import (JammerSpec, SystemConfig, draw_overlap_amplitude, gen_channel_factor,
+                    run_training, run_trials, substream)
 
 Z_BOUND = 4.0
 N_TRIALS = 4000
@@ -113,13 +114,20 @@ def test_alg1_spends_one_round_as_often_as_round_one_stops(kind, m):
 
 @pytest.mark.parametrize("m", ANTENNAS)
 def test_codeword_round_one_meets_the_threshold_at_the_exact_rate(m):
-    # alg1 cannot face a codeword jammer; the conventional scheme's blind
-    # estimate is round one's, drawn as every scheme draws it
-    cfg = _cfg(m, rate_accounting="estimated_overlap")
+    # alg1 cannot face a codeword jammer; round one's blind estimate is
+    # replayed from the engine's draws: the pilot index and its amplitude
+    # from the protocol stream, then the training round itself
+    cfg = _cfg(m)
     jammer = JammerSpec(kind="codeword")
     p = stop_share(cfg, jammer)
-    conv = run_trials(cfg, "conventional", jammer, N_TRIALS)
-    share = float(np.mean(conv.overlap_sq <= cfg.epsilon))
+    estimates = []
+    for i in range(N_TRIALS):
+        r = gen_channel_factor(substream(cfg.master_seed, i, 0), m, cfg.beta_u, cfg.beta_j)
+        rng = substream(cfg.master_seed, i, 1)
+        k = int(rng.integers(cfg.tau))
+        estimates.append(run_training(cfg, r, draw_overlap_amplitude(rng, jammer, k, cfg.tau),
+                                      rng))
+    share = float(np.mean(np.array(estimates) <= cfg.epsilon))
     assert abs(_z(share, p, N_TRIALS)) <= Z_BOUND, (share, p)
 
 

@@ -169,7 +169,6 @@ def test_cli_bad_value_is_diagnosed(tmp_path):
     ("sweep", "axis = snr_db\nvalues = 0,4000\n", "snr_db=4000"),
     ("simulate", "snr_db = 4000\n", "snr_db=4000"),
     ("simulate", "snr_db = 3000\n", "overflow the SINR"),
-    ("simulate", "snr_db = 3000\nrate_accounting = estimated_overlap\n", "overflow the SINR"),
 ])
 def test_cli_overflowing_values_are_usage_errors(tmp_path, command, text, named):
     cfg = tmp_path / "big.cfg"
@@ -209,8 +208,9 @@ def test_cli_per_phase_powers(tmp_path):
     proc = _run_cli("simulate", "--config", str(cfg))
     assert proc.returncode == 2
     assert "p_d, q_t, q_d" in proc.stderr
-    # the policy and threshold switches are gone: unknown keys
-    for key, value in (("power_policy", "explicit"), ("threshold_on", "amplitude")):
+    # the policy, threshold and rate-accounting switches are gone: unknown keys
+    for key, value in (("power_policy", "explicit"), ("threshold_on", "amplitude"),
+                       ("rate_accounting", "estimated_overlap")):
         cfg.write_text(f"{key} = {value}\ntrials = 5\n")
         proc = _run_cli("simulate", "--config", str(cfg))
         assert proc.returncode == 2
