@@ -2,9 +2,11 @@
 
 Subcommands: simulate, sweep, verify-appendix, preset. Configuration is a
 flat key = value file ('#' starts a comment); command-line flags override
-file values. Exit codes: 0 success, 1 a verify-appendix quantity more
-than MOMENT_Z standard errors from its closed form, 2 usage or
-configuration error.
+file values, and each subcommand accepts only the keys it reads
+(COMMAND_KEYS). A key left out keeps the default of what it configures
+(SystemConfig, SweepSpec, run_preset). Exit codes: 0 success, 1 a
+verify-appendix quantity more than MOMENT_Z standard errors from its
+closed form, 2 usage or configuration error.
 """
 
 import argparse
@@ -17,18 +19,80 @@ from .montecarlo import MOMENT_Z, SCHEMES, _validate_combination, average_rate, 
 from .sweep import (AXES, PRESET_NAMES, SweepRow, SweepSpec, run_preset,
                     run_sweep, write_csv)
 
+# config key -> SystemConfig field; snr_db and the per-phase powers are set apart
+_FIELDS = {"m": "M", "t": "T", "tau": "tau", "beta_u": "beta_u", "beta_j": "beta_j",
+           "p": "P", "q": "Q", "epsilon": "epsilon", "n_max": "n_max", "seed": "master_seed",
+           "first_pilot": "first_pilot", "opt_mode": "opt_mode"}
 _POWER_KEYS = ("p_t", "p_d", "q_t", "q_d")
-_SYSTEM_KEYS = ("m", "t", "tau", "beta_u", "beta_j", "p", "q", "snr_db", *_POWER_KEYS,
-                "epsilon", "n_max", "seed")
-_SCENARIO_KEYS = ("jammer", "jammer_data_phase", "first_pilot", "opt_mode",
-                  "schemes", "trials", "threads", "out")
-_SWEEP_KEYS = ("axis", "values")
-_VERIFY_KEYS = ("overlaps",)
-KNOWN_KEYS = frozenset(_SYSTEM_KEYS + _SCENARIO_KEYS + _SWEEP_KEYS + _VERIFY_KEYS)
+_RUN_ARGS = {"trials": "n_trials", "threads": "n_workers"}
+_JAMMER_KINDS = ("gaussian", "sphere", "absent", "codeword")
+
+_SYSTEM_KEYS = {*_FIELDS, "snr_db", *_POWER_KEYS} - {"first_pilot", "opt_mode"}
+_SCENARIO_KEYS = {"jammer", "jammer_data_phase", "first_pilot", "opt_mode",
+                  "schemes", "trials", "threads", "out"}
+COMMAND_KEYS = {
+    "simulate": _SYSTEM_KEYS | _SCENARIO_KEYS,
+    "sweep": _SYSTEM_KEYS | _SCENARIO_KEYS | {"axis", "values"},
+    "verify-appendix": _SYSTEM_KEYS | {"overlaps", "trials", "out"},
+    "preset": {"seed", "trials", "threads", "out"},
+}
+KNOWN_KEYS = frozenset().union(*COMMAND_KEYS.values())
 
 
 class ConfigError(Exception):
     """Bad configuration; the message names the offending key or file."""
+
+
+def _bool(text):
+    return {"true": True, "yes": True, "1": True,
+            "false": False, "no": False, "0": False}[text.lower()]
+
+
+def _jammer(text):
+    kind, colon, index = text.partition(":")
+    if kind not in _JAMMER_KINDS or (colon and not (kind == "codeword" and index.isdecimal())):
+        raise ValueError(text)
+    return {"kind": kind, "codeword_index": int(index)} if colon else {"kind": kind}
+
+
+def _floats(text):
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
+def _pilot(text):
+    return None if text.lower() == "random" else int(text)
+
+
+_INT = (int, "an integer")
+_FLOAT = (float, "a number")
+_FLOATS = (_floats, "comma-separated numbers")
+# config key -> (parser, what a parse error says the key expects); other keys stay text
+_PARSERS = {
+    **dict.fromkeys(("m", "t", "tau", "n_max", "seed", "trials", "threads"), _INT),
+    **dict.fromkeys(("beta_u", "beta_j", "p", "q", "snr_db", *_POWER_KEYS, "epsilon"),
+                    _FLOAT),
+    "values": _FLOATS, "overlaps": _FLOATS,
+    "jammer": (_jammer, f"{', '.join(_JAMMER_KINDS)} or codeword:<k>"),
+    "jammer_data_phase": (_bool, "true/false"),
+    "first_pilot": (_pilot, "an index or 'random'"),
+}
+
+
+def _get(mapping, key, default=None):
+    """The parsed value of key, or default when the mapping lacks it."""
+    if key not in mapping:
+        return default
+    parse, expected = _PARSERS.get(key, (str, ""))
+    try:
+        return parse(mapping[key])
+    except (KeyError, ValueError):
+        raise ConfigError(f"config key {key!r}: expected {expected}, "
+                          f"got {mapping[key]!r}") from None
+
+
+def _present(mapping, names):
+    """Keyword arguments for the keys of names (key -> argument) that mapping sets."""
+    return {arg: _get(mapping, key) for key, arg in names.items() if key in mapping}
 
 
 def parse_flat_config(path: str) -> dict[str, str]:
@@ -52,71 +116,17 @@ def parse_flat_config(path: str) -> dict[str, str]:
     return mapping
 
 
-def _get_int(mapping, key, default):
-    if key not in mapping:
-        return default
-    try:
-        return int(mapping[key])
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: expected an integer, got {mapping[key]!r}") from None
-
-
-def _get_float(mapping, key, default):
-    if key not in mapping:
-        return default
-    try:
-        return float(mapping[key])
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: expected a number, got {mapping[key]!r}") from None
-
-
-def _get_bool(mapping, key, default):
-    if key not in mapping:
-        return default
-    text = mapping[key].lower()
-    if text in ("true", "yes", "1"):
-        return True
-    if text in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"config key {key!r}: expected true/false, got {mapping[key]!r}")
-
-
-def _get_float_list(mapping, key, default):
-    if key not in mapping:
-        return default
-    try:
-        return tuple(float(v) for v in mapping[key].split(",") if v.strip())
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: expected comma-separated numbers, "
-                          f"got {mapping[key]!r}") from None
-
-
 def system_config_from_mapping(mapping: dict) -> SystemConfig:
-    kwargs = dict(
-        M=_get_int(mapping, "m", 50),
-        T=_get_int(mapping, "t", 200),
-        tau=_get_int(mapping, "tau", 10),
-        beta_u=_get_float(mapping, "beta_u", 1.0),
-        beta_j=_get_float(mapping, "beta_j", 1.0),
-        epsilon=_get_float(mapping, "epsilon", 0.1),
-        n_max=_get_int(mapping, "n_max", 2),
-        master_seed=_get_int(mapping, "seed", 0),
-        first_pilot=_first_pilot_from_mapping(mapping),
-        opt_mode=mapping.get("opt_mode", "codebook"),
-    )
+    kwargs = _present(mapping, _FIELDS)
     if "snr_db" in mapping:
         if "p" in mapping or "q" in mapping:
             raise ConfigError("config key 'snr_db' conflicts with explicit 'p'/'q' budgets")
-        power = snr_db_to_power(_get_float(mapping, "snr_db", 0.0))
-        kwargs["P"] = kwargs["Q"] = power
-    else:
-        kwargs["P"] = _get_float(mapping, "p", 1.0)
-        kwargs["Q"] = _get_float(mapping, "q", 1.0)
+        kwargs["P"] = kwargs["Q"] = snr_db_to_power(_get(mapping, "snr_db"))
     if any(k in mapping for k in _POWER_KEYS):
         missing = [k for k in _POWER_KEYS if k not in mapping]
         if missing:
             raise ConfigError(f"explicit per-phase powers need keys: {', '.join(missing)}")
-        kwargs["powers"] = tuple(_get_float(mapping, k, None) for k in _POWER_KEYS)
+        kwargs["powers"] = tuple(_get(mapping, k) for k in _POWER_KEYS)
     try:
         return SystemConfig(**kwargs)
     except ValueError as err:
@@ -124,21 +134,8 @@ def system_config_from_mapping(mapping: dict) -> SystemConfig:
 
 
 def jammer_from_mapping(mapping: dict) -> JammerSpec:
-    text = mapping.get("jammer", "gaussian")
-    data_phase = _get_bool(mapping, "jammer_data_phase", True)
-    index = 0
-    kind = text
-    if text.startswith("codeword"):
-        kind = "codeword"
-        if ":" in text:
-            try:
-                index = int(text.split(":", 1)[1])
-            except ValueError:
-                raise ConfigError(f"config key 'jammer': bad codeword index in {text!r}") from None
-    try:
-        return JammerSpec(kind=kind, codeword_index=index, data_phase_active=data_phase)
-    except ValueError as err:
-        raise ConfigError(f"config key 'jammer': {err}") from None
+    return JammerSpec(**_get(mapping, "jammer", {}),
+                      **_present(mapping, {"jammer_data_phase": "data_phase_active"}))
 
 
 def schemes_from_mapping(mapping: dict) -> tuple[str, ...]:
@@ -152,27 +149,16 @@ def schemes_from_mapping(mapping: dict) -> tuple[str, ...]:
     return schemes
 
 
-def _first_pilot_from_mapping(mapping: dict):
-    text = mapping.get("first_pilot", "random")
-    if text.lower() == "random":
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"config key 'first_pilot': expected an index or 'random', "
-                          f"got {text!r}") from None
-
-
 def _load_mapping(ns) -> dict:
+    """The config file's keys with the flags on top, all of them keys ns.command reads."""
     mapping = parse_flat_config(ns.config) if ns.config else {}
-    if ns.seed is not None:
-        mapping["seed"] = str(ns.seed)
-    if ns.trials is not None:
-        mapping["trials"] = str(ns.trials)
-    if ns.out is not None:
-        mapping["out"] = ns.out
-    if ns.threads is not None:
-        mapping["threads"] = str(ns.threads)
+    for flag in ("seed", "trials", "out", "threads"):
+        if getattr(ns, flag) is not None:
+            mapping[flag] = str(getattr(ns, flag))
+    stray = sorted(set(mapping) - COMMAND_KEYS[ns.command])
+    if stray:
+        raise ConfigError(f"{ns.command} does not read the config key(s) "
+                          f"{', '.join(map(repr, stray))}")
     return mapping
 
 
@@ -181,13 +167,12 @@ def _cmd_simulate(ns) -> int:
     cfg = system_config_from_mapping(mapping)
     jammer = jammer_from_mapping(mapping)
     schemes = schemes_from_mapping(mapping)
-    trials = _get_int(mapping, "trials", 1000)
-    threads = _get_int(mapping, "threads", 1)
+    run_args = {"n_trials": 1000, **_present(mapping, _RUN_ARGS)}
     for scheme in schemes:
         _validate_combination(cfg, scheme, jammer)     # fail before the first trial
     rows = []
     for scheme in schemes:
-        summary = average_rate(cfg, scheme, jammer, trials, n_workers=threads)
+        summary = average_rate(cfg, scheme, jammer, **run_args)
         print(f"scheme={scheme} mean_rate={summary.mean_rate:.6f} "
               f"stderr={summary.stderr:.6f} mean_n_used={summary.mean_n_used:.4f} "
               f"trials={summary.n_trials} seed={cfg.master_seed}")
@@ -210,14 +195,12 @@ def _cmd_sweep(ns) -> int:
     if axis is None:
         raise ConfigError(f"config key 'axis': unknown axis {mapping['axis']!r}, "
                           f"choose from {', '.join(AXES)}")
-    values = _get_float_list(mapping, "values", ())
+    values = _get(mapping, "values", ())
     if "out" not in mapping:
         raise ConfigError("a sweep needs an output path ('out' key or --out)")
     spec = SweepSpec(axis=axis, values=values, schemes=schemes_from_mapping(mapping),
                      base=system_config_from_mapping(mapping),
-                     jammer=jammer_from_mapping(mapping),
-                     n_trials=_get_int(mapping, "trials", 1000),
-                     n_workers=_get_int(mapping, "threads", 1))
+                     jammer=jammer_from_mapping(mapping), **_present(mapping, _RUN_ARGS))
     rows = run_sweep(spec)
     write_csv(rows, mapping["out"])
     print(f"wrote {len(rows)} rows to {mapping['out']}")
@@ -229,8 +212,10 @@ def _cmd_verify(ns) -> int:
     mapping.setdefault("m", "20")
     mapping.setdefault("tau", "8")
     cfg = system_config_from_mapping(mapping)
-    overlaps = _get_float_list(mapping, "overlaps", (0.0, 0.5, 1.0))
-    trials = _get_int(mapping, "trials", 100000)
+    overlaps = _get(mapping, "overlaps", (0.0, 0.5, 1.0))
+    if not overlaps:
+        raise ConfigError("config key 'overlaps': at least one overlap is required")
+    trials = _get(mapping, "trials", 100000)
     reports = [verify_moments(cfg, overlap, trials) for overlap in overlaps]
     csv_rows = []
     for rep in reports:
@@ -254,9 +239,7 @@ def _cmd_verify(ns) -> int:
 def _cmd_preset(ns) -> int:
     mapping = _load_mapping(ns)
     out = mapping.get("out", f"{ns.name}.csv")
-    rows = run_preset(ns.name, n_trials=_get_int(mapping, "trials", 50000),
-                      master_seed=_get_int(mapping, "seed", 0),
-                      n_workers=_get_int(mapping, "threads", 1))
+    rows = run_preset(ns.name, **_present(mapping, {**_RUN_ARGS, "seed": "master_seed"}))
     write_csv(rows, out)
     print(f"wrote {len(rows)} rows to {out}")
     return 0

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (JammerSpec, crandn, draw_overlap_amplitude, gen_channel_factor,
-                      make_codebook, overlap_amplitude)
+from .channel import JammerSpec, crandn, draw_overlap_amplitude, gen_channel_factor
 from .config import SystemConfig
 from .estimation import _wishart_factor, mmse_coefficients
 from .protocols import run_algorithm1, run_algorithm2
@@ -87,8 +86,6 @@ def _validate_combination(cfg: SystemConfig, scheme: str, jammer: JammerSpec):
             raise ValueError("alg1 assumes random jamming; a codeword jammer is deterministic")
         if cfg.first_pilot is not None:
             raise ValueError("alg1 always draws its pilots uniformly; first_pilot is not supported")
-    if scheme == "alg2" and 2 * cfg.tau >= cfg.T:
-        raise ValueError(f"a retransmission needs 2*tau < T, got tau={cfg.tau}, T={cfg.T}")
 
 
 def simulate_one_trial(cfg: SystemConfig, scheme: str, jammer: JammerSpec,
@@ -162,20 +159,15 @@ def run_trials(cfg: SystemConfig, scheme: str, jammer: JammerSpec, n_trials: int
     return TrialData(scheme=scheme, rates=rates, n_used=n_used, overlap_sq=overlaps)
 
 
-def summarize(data: TrialData) -> RateSummary:
-    n = len(data.rates)
-    stderr = float(data.rates.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    counts = np.bincount(data.n_used)
-    hist = {int(k): int(c) for k, c in enumerate(counts) if c > 0}
-    return RateSummary(mean_rate=float(data.rates.mean()), stderr=stderr,
-                       n_used_hist=hist, mean_n_used=float(data.n_used.mean()),
-                       n_trials=n)
-
-
 def average_rate(cfg: SystemConfig, scheme: str, jammer: JammerSpec, n_trials: int,
                  n_workers: int = 1) -> RateSummary:
     """Mean closed-form rate, its standard error, and the retransmission counts."""
-    return summarize(run_trials(cfg, scheme, jammer, n_trials, n_workers=n_workers))
+    data = run_trials(cfg, scheme, jammer, n_trials, n_workers=n_workers)
+    stderr = float(data.rates.std(ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else 0.0
+    hist = {int(k): int(c) for k, c in enumerate(np.bincount(data.n_used)) if c > 0}
+    return RateSummary(mean_rate=float(data.rates.mean()), stderr=stderr,
+                       n_used_hist=hist, mean_n_used=float(data.n_used.mean()),
+                       n_trials=n_trials)
 
 
 # verify_moments passes a quantity when |emp - th| <= MOMENT_Z * stderr. A
@@ -240,13 +232,7 @@ def verify_moments(cfg: SystemConfig, overlap_sq: float, n_trials: int) -> Momen
         raise ValueError("the moment check needs training power p_t > 0")
     if overlap_sq < 1.0 and cfg.tau < 2:
         raise ValueError("a partial overlap needs tau >= 2")
-    codebook = make_codebook(cfg.tau)
-    s_u = codebook[0]
-    if overlap_sq == 1.0:
-        s_j = s_u
-    else:
-        s_j = math.sqrt(overlap_sq) * codebook[0] + math.sqrt(1.0 - overlap_sq) * codebook[1]
-    amp = overlap_amplitude(s_j, s_u)  # |amp|^2 == overlap_sq
+    amp = math.sqrt(overlap_sq)    # s_j^T s_u* for a unit-norm s_j at that overlap
     c_u, gamma_u = mmse_coefficients(cfg, overlap_sq)
 
     rng = substream(cfg.master_seed, int(round(overlap_sq * 1e6)), _TAG_MOMENTS)

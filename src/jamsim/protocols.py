@@ -102,8 +102,9 @@ def run_algorithm2(cfg: SystemConfig, r: np.ndarray, k: int, amp: complex,
     r is the channel factor of the trial (see gen_channel_factor). Round 1
     sends codeword k, and amp is its overlap amplitude with s_j (see
     draw_overlap_amplitude). The receiver reads its blind overlap estimate
-    from ||y_t||^2, drawn exactly as run_training draws it. If
-    the estimate exceeds the threshold, the rest of s_j is drawn given amp
+    from ||y_t||^2, drawn exactly as run_training draws it. If the estimate
+    exceeds the threshold and cfg.n_max allows a second transmission (else
+    the trace stops at n_max_reached), the rest of s_j is drawn given amp
     (complete_amplitudes), then the round's block gram given the round's
     de-spread draw (receive_block_factor); the receiver estimates the
     jammer gram from it, searches (cfg.opt_mode) for the pilot with minimal
@@ -111,8 +112,6 @@ def run_algorithm2(cfg: SystemConfig, r: np.ndarray, k: int, amp: complex,
     prediction improves on round 1. The jammer replays s_j under fresh
     noise.
     """
-    if 2 * cfg.tau >= cfg.T:
-        raise ValueError(f"a retransmission needs 2*tau < T, got tau={cfg.tau}, T={cfg.T}")
     if not 0 <= k < cfg.tau:
         raise ValueError(f"pilot index must lie in [0, tau={cfg.tau}), got {k}")
     y_q, resid = receive_despread(cfg, r, amp, rng)
@@ -120,6 +119,8 @@ def run_algorithm2(cfg: SystemConfig, r: np.ndarray, k: int, amp: complex,
     rounds = [RoundRecord(k, abs(amp) ** 2, overlap_est)]
     if cfg.overlap_below_threshold(overlap_est):
         return ProtocolTrace(tuple(rounds), 1, "threshold_met", 0, None)
+    if cfg.n_max < 2:
+        return ProtocolTrace(tuple(rounds), 1, "n_max_reached", 0, None)
     codebook = make_codebook(cfg.tau)
     amps = complete_amplitudes(rng, jammer, k, amp, cfg.tau)
     s_j = codebook.T @ amps

@@ -153,6 +153,17 @@ def test_alg2_round_one_is_the_conventional_round():
     assert np.all(alg2.n_used[stops] == 1)
 
 
+def test_alg2_at_n_max_one_is_the_conventional_scheme():
+    # one transmission allowed: alg2 stops after round one even when its
+    # estimate is far above the threshold, so it has the conventional rates
+    cfg = _cfg(n_max=1, P=10.0, Q=10.0)
+    jam = JammerSpec()
+    conv = run_trials(cfg, "conventional", jam, 500)
+    alg2 = run_trials(cfg, "alg2", jam, 500)
+    assert np.all(alg2.n_used == 1)
+    assert np.array_equal(alg2.rates, conv.rates)
+
+
 def test_alg1_is_rated_at_the_round_its_receiver_picks():
     # hand replay of the engine: round one (pilot index, then its overlap
     # amplitude) from the protocol stream, the channels from the channel

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import subprocess
 import sys
 
@@ -38,9 +40,9 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="axis"):
         SweepSpec(axis="carrier", values=(8.0,), schemes=("conventional",), base=base)
     # every (point, scheme) is checked before the first trial
-    with pytest.raises(ValueError, match="tau_over_T=0.6: a retransmission needs"):
+    with pytest.raises(ValueError, match=r"tau_over_T=0.6: n_max\*tau"):
         SweepSpec(axis="tau_over_T", values=(0.1, 0.6), schemes=("alg2",),
-                  base=_base(T=200, tau=20, n_max=1))
+                  base=_base(T=200, tau=20, n_max=2))
     with pytest.raises(ValueError, match="tau_over_T=0.02: first_pilot"):
         SweepSpec(axis="tau_over_T", values=(0.02, 0.1), schemes=("conventional",),
                   base=_base(T=200, tau=20, first_pilot=5))
@@ -115,6 +117,48 @@ def test_run_preset_row_count(tmp_path):
 def _run_cli(*args):
     return subprocess.run([sys.executable, "-m", "jamsim.cli", *args],
                           capture_output=True, text=True)
+
+
+def test_config_keys_cover_the_system_config_fields():
+    # every SystemConfig field but the per-phase powers has exactly one key
+    fields = {f.name for f in dataclasses.fields(SystemConfig)} - {"powers"}
+    assert sorted(cli._FIELDS.values()) == sorted(fields)
+    assert set(cli._FIELDS) <= cli.KNOWN_KEYS
+
+
+def test_each_command_reads_its_own_keys():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(cli.COMMAND_KEYS) == set(commands.choices)
+    assert frozenset().union(*cli.COMMAND_KEYS.values()) == cli.KNOWN_KEYS
+    assert len(cli.KNOWN_KEYS) == 26
+    keys = cli.COMMAND_KEYS
+    assert keys["preset"] == {"seed", "trials", "threads", "out"}
+    assert keys["sweep"] - keys["simulate"] == {"axis", "values"}
+    assert keys["verify-appendix"] - keys["simulate"] == {"overlaps"}
+    assert keys["simulate"] - keys["verify-appendix"] == {
+        "jammer", "jammer_data_phase", "first_pilot", "opt_mode", "schemes", "threads"}
+
+
+@pytest.mark.parametrize("argv,text,named", [
+    (["preset", "fig3"], "m = 100\nsnr_db = 20\njammer = sphere\n",
+     ["preset", "'jammer', 'm', 'snr_db'"]),
+    (["verify-appendix", "--threads", "2"], "", ["verify-appendix", "'threads'"]),
+    (["verify-appendix"], "jammer = sphere\n", ["verify-appendix", "'jammer'"]),
+    (["simulate"], "axis = M\n", ["simulate", "'axis'"]),
+    (["simulate"], "jammer = codeword7\n", ["'jammer'", "'codeword7'"]),
+    (["simulate"], "jammer = gaussian:1\n", ["'jammer'", "'gaussian:1'"]),
+    (["simulate"], "jammer = codeword:x\n", ["'jammer'", "'codeword:x'"]),
+], ids=["preset-system-keys", "verify-threads-flag", "verify-jammer", "simulate-axis",
+        "jammer-without-colon", "jammer-index-on-gaussian", "jammer-bad-index"])
+def test_cli_rejects_keys_a_command_does_not_read(tmp_path, capsys, argv, text, named):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text + "trials = 5\n")
+    out = tmp_path / "x.csv"
+    assert cli.main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in named)
+    assert not out.exists()
 
 
 def test_cli_simulate_and_csv(tmp_path):
@@ -260,6 +304,10 @@ def test_cli_verify_appendix_exit_codes(tmp_path, monkeypatch, capsys):
     cfg.write_text("tolerance = 0.03\n")
     assert cli.main(["verify-appendix", "--config", str(cfg), "--trials", "100"]) == 2
     assert "unknown config key 'tolerance'" in capsys.readouterr().err
+    # 2 for an empty overlap list, which would pass with nothing checked
+    cfg.write_text("overlaps = ,\n")
+    assert cli.main(["verify-appendix", "--config", str(cfg), "--trials", "100"]) == 2
+    assert "at least one overlap" in capsys.readouterr().err
 
 
 def test_cli_verify_appendix_csv(tmp_path):
