@@ -2,12 +2,12 @@
 
 Linear MMSE channel estimation, the two blind large-array estimators that
 recover jammer statistics (the squared pilot/jammer overlap from ||y_t||^2,
-the jammer sequence outer product from a factor of the block gram), and
-the exact low-dimensional draws of those two statistics that a training
-round makes: the de-spread statistics first, the gram factor given them.
-receive_pilot_block and despread build the full M x tau block; the trial
-engine does not call them, and the tests keep them as the brute-force
-reference for the reduced draws.
+the jammer sequence outer product from a factor of the block gram), and the
+exact low-dimensional draws of those two statistics that a training round
+makes: the de-spread statistics first, the gram factor given them, in
+codebook coordinates (pilot k is e_k). receive_pilot_block and despread
+build the full M x tau block; the trial engine does not call them, and the
+tests keep them as the brute-force reference for the reduced draws.
 """
 
 import functools
@@ -21,11 +21,6 @@ from .config import SystemConfig
 _SQRT_HALF = math.sqrt(0.5)
 
 
-def _check_sequences(cfg: SystemConfig, s_u, s_j):
-    if len(s_u) != cfg.tau or len(s_j) != cfg.tau:
-        raise ValueError(f"sequences must have length tau={cfg.tau}")
-
-
 def receive_pilot_block(cfg: SystemConfig, g_u, g_j, s_u, s_j, rng) -> np.ndarray:
     """M x tau received block: pilot plus jamming plus unit-variance noise.
 
@@ -33,7 +28,8 @@ def receive_pilot_block(cfg: SystemConfig, g_u, g_j, s_u, s_j, rng) -> np.ndarra
     """
     if len(g_u) != cfg.M or len(g_j) != cfg.M:
         raise ValueError(f"channel vectors must have length M={cfg.M}")
-    _check_sequences(cfg, s_u, s_j)
+    if len(s_u) != cfg.tau or len(s_j) != cfg.tau:
+        raise ValueError(f"sequences must have length tau={cfg.tau}")
     noise = crandn(rng, cfg.M, cfg.tau)
     return (math.sqrt(cfg.tau * cfg.p_t) * np.outer(g_u, s_u)
             + math.sqrt(cfg.tau * cfg.q_t) * np.outer(g_j, s_j)
@@ -101,11 +97,12 @@ def estimate_jammer_gram(factor: np.ndarray, s_u: np.ndarray,
                          cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Blind estimate of the jammer sequence outer product s_j* s_j^T, as eigenpairs.
 
-    Takes any factor A of the block gram, A^H A = block^H block (the block
-    itself qualifies), removes the pilot and noise contributions from
-    A^H A / M, then repairs the finite-M result: take the Hermitian matrix
-    of its lower triangle and project it onto the PSD cone by clipping
-    negative eigenvalues (the limit is Hermitian PSD of rank one, and
+    Takes any factor A of the block gram, A^H A = block^H block, in
+    orthonormal coordinates where the pilot is the unit vector s_u (alg2 uses
+    codebook coordinates, s_u = e_k), removes the pilot and noise
+    contributions from A^H A / M, then repairs the finite-M result: take the
+    Hermitian matrix of its lower triangle and project it onto the PSD cone by
+    clipping negative eigenvalues (the limit is Hermitian PSD of rank one, and
     PSD-ness keeps downstream quadratic forms nonnegative). The noise term
     -I / (tau q_t beta_j) only shifts the eigenvalues, so it is subtracted
     from them. When A has m rows and m + 1 < tau, the raw estimate is
@@ -199,33 +196,31 @@ def _wishart_factor(rng, n: int, tau: int, batch: tuple[int, ...] = ()) -> np.nd
     return b
 
 
-def receive_block_factor(cfg: SystemConfig, r: np.ndarray, s_u, s_j, y_q: np.ndarray,
-                         resid: float, rng) -> np.ndarray:
-    """A factor A of the round's block gram, A^H A = block^H block, drawn given receive_despread.
+def receive_block_factor(cfg: SystemConfig, r: np.ndarray, k: int, amps: np.ndarray,
+                         y_q: tuple[complex, ...], resid: float, rng) -> np.ndarray:
+    """A factor A of the round's block gram in codebook coordinates, drawn given receive_despread.
 
-    Write block = y_t s_u^T + block P with P = I - s_u* s_u^T; block P is
-    independent of y_t = block s_u*. In the basis of Q the block reads
-    R C + Z, with C the 2 x tau rows sqrt(tau p_t) s_u^T and
-    sqrt(tau q_t) s_j^T and Z i.i.d. CN(0, 1), above an (M - 2) x tau noise
-    residual; rotating the residual so that its de-spread output lies on
-    the first axis gives the stacked rows of A:
-      y_q s_u^T + (R C + Z') P        (the span of Q)
-      sqrt(resid) s_u^T + n0 P        (when M >= 3)
-      X P, X^H X ~ CW_tau(M - 3, I)   (Bartlett's factor when M - 3 >= tau)
-    with Z', n0 and X drawn fresh. The cost does not grow with M once
-    M - 3 >= tau.
+    C is unitary, so block C^H has the law of a block with pilot e_k and
+    jamming sequence amps = conj(C) s_j (see complete_amplitudes). Its
+    column k is y_t. In the basis of Q its other columns, independent of
+    y_t, are sqrt(tau q_t) amps_i times R's jammer column plus CN(0, I)
+    noise, above an (M - 2) x tau noise residual rotated so that its
+    de-spread output lies on the first axis. So A stacks, with column k set
+    to the de-spread lead:
+      sqrt(tau q_t) r[:, 1] amps^T + Z, column k y_q     (the span of Q)
+      n0, column k sqrt(resid)                          (when M >= 3)
+      X, column k 0, X^H X ~ CW_tau(M - 3, I)   (Bartlett's factor when M - 3 >= tau)
+    with Z, n0 and X drawn fresh: the cost is flat in M once M - 3 >= tau.
     """
-    _check_sequences(cfg, s_u, s_j)
-    pilots = np.stack((math.sqrt(cfg.tau * cfg.p_t) * s_u, math.sqrt(cfg.tau * cfg.q_t) * s_j))
-    parts = [r @ pilots + crandn(rng, len(r), cfg.tau)]
+    parts = [np.outer(r[:, 1], math.sqrt(cfg.tau * cfg.q_t) * amps) + crandn(rng, len(r), cfg.tau)]
     lead = list(y_q)
     if cfg.M >= 3:
         parts.append(crandn(rng, 1, cfg.tau))
         lead.append(math.sqrt(resid))
     parts.append(_wishart_factor(rng, max(cfg.M - 3, 0), cfg.tau))
     factor = np.vstack(parts)
-    factor -= np.outer(factor @ np.conj(s_u), s_u)
-    factor[:len(lead)] += np.outer(lead, s_u)
+    factor[:, k] = 0.0
+    factor[:len(lead), k] = lead
     return factor
 
 

@@ -17,12 +17,13 @@ codebook is unitary, so the amplitude is drawn from its exact law
 the protocol stream then draws, round by round, the statistic the receiver
 decides from: ||y_t||^2 (receive_despread) for every round, drawn the same
 way in round one, and for alg2, only when it goes on to retransmit, the
-rest of the jamming sequence given its amplitude (complete_amplitudes) and
-a factor of round one's tau x tau block gram given that ||y_t||^2
-(receive_block_factor). All follow the exact law of the M-antenna draws at
-a cost that does not grow with M. Conventional decides nothing, so it
-draws neither channels nor noise. Keyed streams make scheme comparisons
-paired and keep any execution order or worker count bit-reproducible.
+other codebook coordinates of the sequence (complete_amplitudes) and a
+factor of round one's block gram in those coordinates
+(receive_block_factor), where alg2 searches its pilot. All follow the exact
+law of the M-antenna draws at a cost that does not grow with M.
+Conventional decides nothing, so it draws neither channels nor noise. Keyed
+streams make scheme comparisons paired and keep any execution order or
+worker count bit-reproducible.
 """
 
 import functools
@@ -86,6 +87,8 @@ def _validate_combination(cfg: SystemConfig, scheme: str, jammer: JammerSpec):
             raise ValueError("alg1 assumes random jamming; a codeword jammer is deterministic")
         if cfg.first_pilot is not None:
             raise ValueError("alg1 always draws its pilots uniformly; first_pilot is not supported")
+    if scheme != "conventional" and cfg.q_t <= 0:
+        raise ValueError(f"{scheme} estimates the overlap blind, which needs q_t > 0")
 
 
 def simulate_one_trial(cfg: SystemConfig, scheme: str, jammer: JammerSpec,

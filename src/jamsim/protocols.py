@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (JammerSpec, complete_amplitudes, draw_overlap_amplitude, make_codebook,
-                      overlap_amplitude)
+from .channel import JammerSpec, complete_amplitudes, draw_overlap_amplitude, overlap_amplitude
 from .config import SystemConfig
 from .estimation import (despread_power, estimate_jammer_gram, estimate_overlap_sq,
                          receive_block_factor, receive_despread, run_training)
@@ -35,26 +34,25 @@ class ProtocolTrace:
     n_used: int
     stop_reason: str            # threshold_met | n_max_reached | opt_no_better
     chosen_round: int           # round whose pilot the receiver decodes with
-    opt_pilot: np.ndarray | None
 
 
-def select_retransmission_pilot(vecs: np.ndarray, lam: np.ndarray, codebook: np.ndarray,
-                                opt_mode: str = "codebook"):
-    """Pilot minimizing s^T G s* against the jammer gram estimate G = vecs diag(lam) vecs^H.
+def select_retransmission_pilot(vecs: np.ndarray, lam: np.ndarray, opt_mode: str = "codebook"):
+    """Pilot minimizing w^T G w* against the jammer gram estimate G = vecs diag(lam) vecs^H.
 
-    vecs and lam are the estimate's eigenpairs as estimate_jammer_gram
-    returns them: orthonormal columns and nonnegative eigenvalues in
-    ascending order. codebook mode searches the rows of the pilot family
-    exhaustively, reading each quadratic form as sum_k lam_k |s^T v_k|^2
-    (ties break to the lowest index); eigen mode takes the conjugate of the
-    first column, the unconstrained unit-norm minimizer. Returns
-    (index or None, pilot, predicted quadratic form).
+    Pilots are in codebook coordinates, where pilot i is e_i. vecs and lam
+    are the eigenpairs estimate_jammer_gram returns: orthonormal columns,
+    nonnegative eigenvalues in ascending order. codebook mode searches every
+    pilot, reading its form as the row norm sum_k lam_k |vecs_ik|^2 (ties
+    break to the lowest index); eigen mode takes the conjugate of the first
+    column, the unconstrained unit-norm minimizer. Returns (index or None,
+    the pilot's coordinates w, predicted quadratic form).
     """
     if opt_mode == "codebook":
-        proj = codebook @ vecs
-        quad = (proj.real ** 2 + proj.imag ** 2) @ lam
+        quad = (vecs.real ** 2 + vecs.imag ** 2) @ lam
         idx = int(np.argmin(quad))
-        return idx, codebook[idx], float(quad[idx])
+        w = np.zeros(len(vecs), dtype=np.complex128)
+        w[idx] = 1.0
+        return idx, w, float(quad[idx])
     if opt_mode == "eigen":
         return None, np.conj(vecs[:, 0]), float(lam[0])
     raise ValueError(f"unknown opt_mode {opt_mode!r}")
@@ -92,7 +90,7 @@ def run_algorithm1(cfg: SystemConfig, r: np.ndarray, k: int, amp: complex,
             stop_reason = "threshold_met"
             break
     return ProtocolTrace(rounds=tuple(rounds), n_used=len(rounds),
-                         stop_reason=stop_reason, chosen_round=chosen, opt_pilot=None)
+                         stop_reason=stop_reason, chosen_round=chosen)
 
 
 def run_algorithm2(cfg: SystemConfig, r: np.ndarray, k: int, amp: complex,
@@ -104,13 +102,13 @@ def run_algorithm2(cfg: SystemConfig, r: np.ndarray, k: int, amp: complex,
     draw_overlap_amplitude). The receiver reads its blind overlap estimate
     from ||y_t||^2, drawn exactly as run_training draws it. If the estimate
     exceeds the threshold and cfg.n_max allows a second transmission (else
-    the trace stops at n_max_reached), the rest of s_j is drawn given amp
-    (complete_amplitudes), then the round's block gram given the round's
-    de-spread draw (receive_block_factor); the receiver estimates the
-    jammer gram from it, searches (cfg.opt_mode) for the pilot with minimal
-    predicted overlap, and requests one retransmission, but only if that
-    prediction improves on round 1. The jammer replays s_j under fresh
-    noise.
+    the trace stops at n_max_reached), the rest of s_j's codebook
+    coordinates is drawn given amp (complete_amplitudes), then the round's
+    block gram in them given the de-spread draw (receive_block_factor); the
+    receiver estimates the jammer gram from it, searches (cfg.opt_mode) for
+    the pilot with minimal predicted overlap, and requests one
+    retransmission, but only if that prediction improves on round 1. The
+    jammer replays s_j under fresh noise.
     """
     if not 0 <= k < cfg.tau:
         raise ValueError(f"pilot index must lie in [0, tau={cfg.tau}), got {k}")
@@ -118,18 +116,16 @@ def run_algorithm2(cfg: SystemConfig, r: np.ndarray, k: int, amp: complex,
     overlap_est = estimate_overlap_sq(despread_power(y_q, resid), cfg)
     rounds = [RoundRecord(k, abs(amp) ** 2, overlap_est)]
     if cfg.overlap_below_threshold(overlap_est):
-        return ProtocolTrace(tuple(rounds), 1, "threshold_met", 0, None)
+        return ProtocolTrace(tuple(rounds), 1, "threshold_met", 0)
     if cfg.n_max < 2:
-        return ProtocolTrace(tuple(rounds), 1, "n_max_reached", 0, None)
-    codebook = make_codebook(cfg.tau)
+        return ProtocolTrace(tuple(rounds), 1, "n_max_reached", 0)
     amps = complete_amplitudes(rng, jammer, k, amp, cfg.tau)
-    s_j = codebook.T @ amps
-    factor = receive_block_factor(cfg, r, codebook[k], s_j, y_q, resid, rng)
-    vecs, lam = estimate_jammer_gram(factor, codebook[k], cfg)
-    opt_idx, opt_pilot, predicted = select_retransmission_pilot(vecs, lam, codebook, cfg.opt_mode)
+    factor = receive_block_factor(cfg, r, k, amps, y_q, resid, rng)
+    vecs, lam = estimate_jammer_gram(factor, np.eye(cfg.tau)[k], cfg)
+    opt_idx, w, predicted = select_retransmission_pilot(vecs, lam, cfg.opt_mode)
     if not predicted < overlap_est:
-        return ProtocolTrace(tuple(rounds), 1, "opt_no_better", 0, opt_pilot)
-    amp = complex(amps[opt_idx]) if opt_idx is not None else overlap_amplitude(s_j, opt_pilot)
+        return ProtocolTrace(tuple(rounds), 1, "opt_no_better", 0)
+    amp = overlap_amplitude(amps, w)
     overlap_est2 = run_training(cfg, r, amp, rng)
     rounds.append(RoundRecord(opt_idx, abs(amp) ** 2, overlap_est2))
-    return ProtocolTrace(tuple(rounds), 2, "n_max_reached", 1, opt_pilot)
+    return ProtocolTrace(tuple(rounds), 2, "n_max_reached", 1)

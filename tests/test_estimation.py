@@ -343,14 +343,16 @@ def _round_one_factors(m, tau, trials):
     cb = make_codebook(tau)
     rng = substream(91, m)
     for trial in range(trials):
-        s_u = cb[trial % tau]
+        k = trial % tau
+        s_u = cb[k]
         if trial % 2:
             s_j = 0.6 * s_u + 0.8 * cb[(trial + 3) % tau]
         else:
             s_j = crandn(rng, tau) / np.sqrt(tau)
         r = gen_channel_factor(rng, m, cfg.beta_u, cfg.beta_j)
         y_q, resid = receive_despread(cfg, r, overlap_amplitude(s_j, s_u), rng)
-        yield cfg, s_u, receive_block_factor(cfg, r, s_u, s_j, y_q, resid, rng)
+        # the factor is drawn in codebook coordinates; @ cb takes it to sequences
+        yield cfg, s_u, receive_block_factor(cfg, r, k, cb.conj() @ s_j, y_q, resid, rng) @ cb
 
 
 @pytest.mark.parametrize("m,tau", [(50, 90), (10, 20), (2, 4)])
@@ -368,11 +370,12 @@ def test_gram_estimate_on_the_factor_span_is_exact(m, tau):
         assert norm > 0
         assert np.linalg.norm(_rebuild((vecs, lam)) - ref) <= 1e-12 * norm
         quad = np.einsum("ij,jk,ik->i", cb, ref, cb.conj()).real
-        idx, _, predicted = select_retransmission_pilot(vecs, lam, cb, "codebook")
+        idx, _, predicted = select_retransmission_pilot(cb @ vecs, lam, "codebook")
         assert idx == int(np.argmin(quad))
         assert predicted == pytest.approx(quad[idx], rel=1e-12, abs=1e-12 * norm)
         # the span's complement is a null space of the estimate
-        _, pilot, predicted = select_retransmission_pilot(vecs, lam, cb, "eigen")
+        _, w, predicted = select_retransmission_pilot(cb @ vecs, lam, "eigen")
+        pilot = w @ cb
         assert predicted == 0.0
         assert abs(np.real(pilot @ ref @ np.conj(pilot))) <= 1e-12 * norm
 
@@ -385,7 +388,8 @@ def test_eigen_mode_reads_the_smallest_eigenpair(m, tau):
     cb = make_codebook(tau)
     for cfg, s_u, factor in _round_one_factors(m, tau, 4):
         vecs, lam = estimate_jammer_gram(factor, s_u, cfg)
-        _, pilot, predicted = select_retransmission_pilot(vecs, lam, cb, "eigen")
+        _, w, predicted = select_retransmission_pilot(cb @ vecs, lam, "eigen")
+        pilot = w @ cb
         assert predicted == lam.min()
         ref_vecs, ref_lam = _full_projection(factor, s_u, cfg)
         ref = _rebuild((ref_vecs, ref_lam))

@@ -124,7 +124,7 @@ def test_alg2_escapes_codeword_jammer_exactly(zero_noise):
     assert trace.rounds[1].overlap_true < 1e-24   # orthogonal codeword
     assert trace.rounds[1].pilot_index != 1
     assert trace.chosen_round == 1
-    assert trace.opt_pilot is not None
+    assert trace.rounds[1].pilot_index is not None
 
 
 def test_alg2_orthogonal_jammer_stops_immediately():
@@ -134,7 +134,7 @@ def test_alg2_orthogonal_jammer_stops_immediately():
                            substream(6, 1))
     assert trace.n_used == 1
     assert trace.stop_reason == "threshold_met"
-    assert trace.opt_pilot is None
+    assert len(trace.rounds) == trace.n_used
 
 
 def test_alg2_absent_jammer_concentrates_on_one_round():
@@ -190,7 +190,8 @@ def test_codebook_selection_matches_brute_force():
     rng = substream(9, 0)
     s_j = crandn(rng, 8)
     gram = _exact_gram(s_j)
-    idx, pilot, predicted = select_retransmission_pilot(*_pairs(gram), cb, "codebook")
+    vecs, lam = _pairs(gram)
+    idx, w, predicted = select_retransmission_pilot(cb @ vecs, lam, "codebook")
     best_idx, best_val = None, np.inf
     for i in range(8):
         val = np.real(cb[i] @ gram @ np.conj(cb[i]))
@@ -198,7 +199,7 @@ def test_codebook_selection_matches_brute_force():
             best_idx, best_val = i, val
     assert idx == best_idx
     assert predicted == pytest.approx(best_val, abs=1e-12)
-    assert np.array_equal(pilot, cb[idx])
+    assert np.array_equal(w @ cb, cb[idx])
 
 
 @pytest.mark.parametrize("tau", [1, 4, 20, 90])
@@ -215,22 +216,23 @@ def test_codebook_quadratic_forms_match_einsum(tau):
             lam[: rank // 3] = 0.0      # clipped eigenvalues
             gram = (vecs * lam) @ vecs.conj().T
             quad = np.einsum("ij,jk,ik->i", cb, gram, cb.conj()).real
-            idx, pilot, predicted = select_retransmission_pilot(vecs, lam, cb, "codebook")
+            idx, w, predicted = select_retransmission_pilot(cb @ vecs, lam, "codebook")
             assert idx == int(np.argmin(quad))
             assert predicted == pytest.approx(quad[idx], abs=1e-12)
-            assert np.array_equal(pilot, cb[idx])
+            assert np.array_equal(w @ cb, cb[idx])
     # exact ties break to the lowest index: every codeword has the same
     # modulus on the first axis
     axis = np.eye(tau)[:, :1]
-    assert select_retransmission_pilot(axis, np.ones(1), cb, "codebook")[0] == 0
-    assert select_retransmission_pilot(np.eye(tau), np.zeros(tau), cb, "codebook")[0] == 0
+    assert select_retransmission_pilot(cb @ axis, np.ones(1), "codebook")[0] == 0
+    assert select_retransmission_pilot(cb @ np.eye(tau), np.zeros(tau), "codebook")[0] == 0
 
 
 def test_eigen_selection_nulls_rank_one_gram():
     cb = make_codebook(4)
     s_j = 0.5 * cb[0] + np.sqrt(0.75) * cb[3]
-    gram = _exact_gram(s_j)
-    _, pilot, predicted = select_retransmission_pilot(*_pairs(gram), cb, "eigen")
+    vecs, lam = _pairs(_exact_gram(s_j))
+    _, w, predicted = select_retransmission_pilot(cb @ vecs, lam, "eigen")
+    pilot = w @ cb
     assert predicted < 1e-12
     assert np.linalg.norm(pilot) == pytest.approx(1.0)
     # the quadratic form equals the true squared overlap with the jammer
@@ -250,13 +252,13 @@ def test_noise_free_selection_never_worse_than_first_pilot():
             for weight in (0.0, 0.25, 0.5, 0.75, 1.0):
                 for phase in (1.0, np.exp(2j * np.pi / 3)):
                     s_j = np.sqrt(weight) * cb[a] + np.sqrt(1 - weight) * phase * cb[b]
-                    gram = _exact_gram(s_j)
+                    vecs, lam = _pairs(_exact_gram(s_j))
                     for first in range(tau):
                         first_overlap = jamming_overlap_sq(s_j, cb[first])
                         if cfg.overlap_below_threshold(first_overlap):
                             continue    # no retransmission, nothing to check
-                        idx, pilot, predicted = select_retransmission_pilot(*_pairs(gram), cb)
-                        final = (jamming_overlap_sq(s_j, pilot)
+                        _, w, predicted = select_retransmission_pilot(cb @ vecs, lam)
+                        final = (jamming_overlap_sq(s_j, w @ cb)
                                  if predicted < first_overlap else first_overlap)
                         assert final <= first_overlap + 1e-12
 

@@ -197,6 +197,7 @@ def test_despread_power_matches_the_full_block(m, tau):
 def _grams(cfg, n, seed, reduced):
     """(||y_t||^2, block gram) of round one for n trials: (n,), (n, tau, tau)."""
     s_u, s_j, _, _ = _sequences(cfg.tau)
+    cb = make_codebook(cfg.tau)
     rng = substream(seed, 0)
     powers = np.empty(n)
     grams = np.empty((n, cfg.tau, cfg.tau), dtype=complex)
@@ -205,7 +206,8 @@ def _grams(cfg, n, seed, reduced):
             r = gen_channel_factor(rng, cfg.M, cfg.beta_u, cfg.beta_j)
             y_q, resid = receive_despread(cfg, r, overlap_amplitude(s_j, s_u), rng)
             powers[i] = despread_power(y_q, resid)
-            factor = receive_block_factor(cfg, r, s_u, s_j, y_q, resid, rng)
+            # drawn in codebook coordinates (s_u is pilot 1); @ cb takes it to sequences
+            factor = receive_block_factor(cfg, r, 1, cb.conj() @ s_j, y_q, resid, rng) @ cb
             grams[i] = factor.conj().T @ factor
             # the gram is drawn given ||y_t||^2 and reproduces it; the form
             # s_u^T G s_u* is read as ||A s_u*||^2, since summing G's O(1)
@@ -284,7 +286,8 @@ def test_small_arrays_shrink_the_channel_factor():
     r = gen_channel_factor(rng, 1, 1.0, 1.0)
     y_q, resid = receive_despread(cfg, r, overlap_amplitude(s_j, s_u), rng)
     assert resid == 0
-    assert receive_block_factor(cfg, r, s_u, s_j, y_q, resid, rng).shape == (1, 4)
+    amps = make_codebook(4).conj() @ s_j
+    assert receive_block_factor(cfg, r, 1, amps, y_q, resid, rng).shape == (1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +327,9 @@ def _reference_trial(cfg, scheme, jammer, rng):
     block, (true, est) = play_round(codebook[k], s_j)
     if not cfg.overlap_below_threshold(est):
         vecs, lam = estimate_jammer_gram(block, codebook[k], cfg)
-        _, pilot, predicted = select_retransmission_pilot(vecs, lam, codebook, cfg.opt_mode)
+        _, w, predicted = select_retransmission_pilot(codebook @ vecs, lam, cfg.opt_mode)
         if predicted < est:
-            true, est = play_round(pilot, s_j)[1]
+            true, est = play_round(w @ codebook, s_j)[1]
             return rate_from_overlap(cfg, true, 2).rate, 2, est
     return rate_from_overlap(cfg, true, 1).rate, 1, est
 
@@ -342,19 +345,24 @@ def _chosen_estimate(cfg, scheme, jammer, index):
     return trace.rounds[trace.chosen_round].overlap_est
 
 
-@pytest.mark.parametrize("scheme,m,kind", [
-    pytest.param(scheme, m, kind, id=f"{scheme}-{m}" + ("" if kind == "gaussian" else f"-{kind}"))
-    for scheme, m, kind in [("alg1", 24, "gaussian"), ("alg2", 24, "gaussian"),
-                            ("alg2", 6, "gaussian"), ("alg2", 24, "sphere")]])
-def test_engine_matches_a_brute_force_engine(scheme, m, kind):
+@pytest.mark.parametrize("scheme,m,kind,opt_mode", [
+    pytest.param(scheme, m, kind, mode, id=f"{scheme}-{m}"
+                 + ("" if kind == "gaussian" else f"-{kind}")
+                 + ("" if mode == "codebook" else f"-{mode}"))
+    for scheme, m, kind, mode in [
+        ("alg1", 24, "gaussian", "codebook"), ("alg2", 24, "gaussian", "codebook"),
+        ("alg2", 6, "gaussian", "codebook"), ("alg2", 24, "sphere", "codebook"),
+        ("alg2", 24, "gaussian", "eigen"), ("alg2", 24, "codeword", "codebook")]])
+def test_engine_matches_a_brute_force_engine(scheme, m, kind, opt_mode):
     # the rate at the chosen round's true overlap reads the choice, and the
     # chosen round's blind estimate, replayed from the engine's traces,
     # reads every de-spread draw; M = 24 takes alg2's Bartlett branch, M = 6
     # its direct one; the sphere jammer takes alg2's other completion of the
-    # amplitudes
+    # amplitudes, the codeword jammer (on codeword 2) its fixed one, and
+    # eigen mode the retransmitted amplitude off the codebook
     cfg = SystemConfig(M=m, T=60, tau=6, P=10.0, Q=10.0, epsilon=0.1, n_max=2,
-                       master_seed=17)
-    jam = JammerSpec(kind=kind)
+                       master_seed=17, opt_mode=opt_mode)
+    jam = JammerSpec(kind=kind, codeword_index=2)
     n = 4000
     engine = run_trials(cfg, scheme, jam, n)
     estimates = [_chosen_estimate(cfg, scheme, jam, i) for i in range(n)]

@@ -46,6 +46,10 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="tau_over_T=0.02: first_pilot"):
         SweepSpec(axis="tau_over_T", values=(0.02, 0.1), schemes=("conventional",),
                   base=_base(T=200, tau=20, first_pilot=5))
+    # the blind overlap estimate of alg1 and alg2 needs training-phase jamming
+    with pytest.raises(ValueError, match=r"M=8: alg2 .* needs q_t > 0"):
+        SweepSpec(axis="M", values=(8.0, 16.0), schemes=("conventional", "alg2"),
+                  base=_base(Q=0.0))
 
 
 def test_derive_config_reports_offending_value():
@@ -225,6 +229,8 @@ def test_cli_overflowing_values_are_usage_errors(tmp_path, command, text, named)
 @pytest.mark.parametrize("text,named", [
     ("schemes = alg2,alg1\nfirst_pilot = 2\n", "first_pilot is not supported"),
     ("schemes = conventional,alg2\nopt_mode = banana\n", "unknown opt_mode 'banana'"),
+    ("schemes = conventional,alg1\nq = 0\n",
+     "alg1 estimates the overlap blind, which needs q_t > 0"),
 ])
 def test_cli_simulate_rejects_a_bad_scheme_before_any_trial(tmp_path, text, named):
     cfg = tmp_path / "bad.cfg"
