@@ -9,7 +9,7 @@ from .config import SystemConfig, snr_db_to_power
 from .estimation import (despread, estimate_jammer_gram, estimate_overlap_sq,
                          mmse_coefficients, mmse_estimate, receive_pilot_block,
                          run_training)
-from .montecarlo import (MomentReport, RateSummary, TrialData, average_rate, run_trials,
+from .montecarlo import (MomentReport, RateSummary, average_rate, run_trials,
                          simulate_one_trial, verify_moments)
 from .protocols import (ProtocolTrace, RoundRecord, run_algorithm1, run_algorithm2,
                         select_retransmission_pilot)

@@ -24,10 +24,14 @@ law of the M-antenna draws at a cost that does not grow with M.
 Conventional decides nothing, so it draws neither channels nor noise. Keyed
 streams make scheme comparisons paired and keep any execution order or
 worker count bit-reproducible.
+
+Every trial also returns the conventional rate of its round one, whose
+exact mean (oracle.conventional_mean) makes it the control variate of
+average_rate's alg rows.
 """
 
-import functools
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -37,8 +41,9 @@ import numpy as np
 from .channel import JammerSpec, crandn, draw_overlap_amplitude, gen_channel_factor
 from .config import SystemConfig
 from .estimation import _wishart_factor, mmse_coefficients
+from .oracle import conventional_mean
 from .protocols import run_algorithm1, run_algorithm2
-from .rates import effective_sinr, sinr_and_rate
+from .rates import effective_sinr, rate_config, sinr_and_rate
 from .rng import substream
 
 SCHEMES = ("conventional", "alg1", "alg2")
@@ -51,12 +56,17 @@ _MOMENT_CHUNK = 20000
 
 @dataclass(frozen=True)
 class TrialData:
-    """Per-trial outcomes of one scheme, in trial-index order."""
+    """Per-trial outcomes of one scheme, in trial-index order.
+
+    conv_rates holds the conventional rate of each trial's round one, the
+    paired control variate of an alg row.
+    """
 
     scheme: str
     rates: np.ndarray
     n_used: np.ndarray
     overlap_sq: np.ndarray
+    conv_rates: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -66,14 +76,6 @@ class RateSummary:
     n_used_hist: dict[int, int]
     mean_n_used: float
     n_trials: int
-
-
-@functools.lru_cache
-def _rate_config(cfg: SystemConfig, jammer: JammerSpec) -> SystemConfig:
-    """Config used for rate formulas: q_d is zero when no data-phase jamming."""
-    if jammer.kind == "absent" or not jammer.data_phase_active:
-        return cfg.with_powers(cfg.p_t, cfg.p_d, cfg.q_t, 0.0)
-    return cfg
 
 
 def _validate_combination(cfg: SystemConfig, scheme: str, jammer: JammerSpec):
@@ -92,8 +94,8 @@ def _validate_combination(cfg: SystemConfig, scheme: str, jammer: JammerSpec):
 
 
 def simulate_one_trial(cfg: SystemConfig, scheme: str, jammer: JammerSpec,
-                       index: int) -> tuple[float, int, float]:
-    """One independent realization of one scheme: (rate, n_used, overlap_sq).
+                       index: int) -> tuple[float, int, float, float]:
+    """One independent realization of one scheme: (rate, n_used, overlap_sq, conv_rate).
 
     Reproducible from (cfg.master_seed, index) alone. Round one, the pilot
     index and its overlap amplitude, is drawn here for every scheme, so
@@ -103,6 +105,8 @@ def simulate_one_trial(cfg: SystemConfig, scheme: str, jammer: JammerSpec,
     every transmission spent. The MR combiner's SINR does not change when
     the MMSE coefficient is scaled, so a receiver that builds its estimate
     from the blind overlap gets this rate too (the use-and-forget bound).
+    conv_rate is the conventional rate of the same trial, at round one's
+    overlap; a trial that stops after round one has it as its own rate.
     """
     _validate_combination(cfg, scheme, jammer)
     rng_proto = substream(cfg.master_seed, index, _TAG_PROTOCOL)
@@ -117,7 +121,10 @@ def simulate_one_trial(cfg: SystemConfig, scheme: str, jammer: JammerSpec,
         trace = (run_algorithm1(cfg, r, k, amp, jammer, rng_proto) if scheme == "alg1"
                  else run_algorithm2(cfg, r, k, amp, jammer, rng_proto))
         n_used, overlap = trace.n_used, trace.rounds[trace.chosen_round].overlap_true
-    return sinr_and_rate(_rate_config(cfg, jammer), overlap, n_used)[1], n_used, overlap
+    rc = rate_config(cfg, jammer)
+    value = sinr_and_rate(rc, overlap, n_used)[1]
+    conv = value if n_used == 1 else sinr_and_rate(rc, abs(amp) ** 2, 1)[1]
+    return value, n_used, overlap, conv
 
 
 def _channels(cfg: SystemConfig, index: int) -> np.ndarray:
@@ -128,9 +135,21 @@ def _channels(cfg: SystemConfig, index: int) -> np.ndarray:
 
 def _trial_chunk(args):
     cfg, scheme, jammer, start, stop = args
-    rates, n_used, overlaps = zip(*(simulate_one_trial(cfg, scheme, jammer, i)
-                                    for i in range(start, stop)))
-    return np.array(rates), np.array(n_used, dtype=np.int64), np.array(overlaps)
+    rates, n_used, overlaps, conv = zip(*(simulate_one_trial(cfg, scheme, jammer, i)
+                                          for i in range(start, stop)))
+    return (np.array(rates), np.array(n_used, dtype=np.int64), np.array(overlaps),
+            np.array(conv))
+
+
+def _check_counts(n_trials, n_workers):
+    """Reject a trial or worker count that is not a positive integer (bool included)."""
+    for name, value in (("n_trials", n_trials), ("worker count", n_workers)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if n_trials < 1:
+        raise ValueError("n_trials must be positive")
+    if n_workers < 1:
+        raise ValueError(f"worker count must be positive, got {n_workers}")
 
 
 def run_trials(cfg: SystemConfig, scheme: str, jammer: JammerSpec, n_trials: int,
@@ -141,10 +160,7 @@ def run_trials(cfg: SystemConfig, scheme: str, jammer: JammerSpec, n_trials: int
     time, never values. The pool never starts more workers than the machine
     has CPUs or the run has chunks.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be positive")
-    if n_workers < 1:
-        raise ValueError(f"worker count must be positive, got {n_workers}")
+    _check_counts(n_trials, n_workers)
     _validate_combination(cfg, scheme, jammer)
     n_workers = min(n_workers, os.cpu_count() or 1)
     step = n_trials if n_workers == 1 else max(1, math.ceil(n_trials / (4 * n_workers)))
@@ -158,17 +174,46 @@ def run_trials(cfg: SystemConfig, scheme: str, jammer: JammerSpec, n_trials: int
             results = list(pool.map(_trial_chunk, chunks))
         finally:
             pool.shutdown()
-    rates, n_used, overlaps = map(np.concatenate, zip(*results))
-    return TrialData(scheme=scheme, rates=rates, n_used=n_used, overlap_sq=overlaps)
+    rates, n_used, overlaps, conv = map(np.concatenate, zip(*results))
+    return TrialData(scheme=scheme, rates=rates, n_used=n_used, overlap_sq=overlaps,
+                     conv_rates=conv)
+
+
+def control_variate_mean(y: np.ndarray, x: np.ndarray | None = None,
+                         x_mean: float = 0.0) -> tuple[float, float]:
+    """Mean of the samples y and its standard error, steered by x of exact mean x_mean.
+
+    mean(y) - b (mean(x) - x_mean), with b the sample regression slope of y
+    on x, and the standard error of the residuals y - b x with ddof=2.
+    Without x, with fewer than 3 samples or with x constant, it is the
+    plain mean and its sample standard error (0 for one sample).
+    """
+    n = len(y)
+    if x is None or n < 3 or x.min() == x.max():
+        stderr = float(y.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        return float(y.mean()), stderr
+    x_bar, y_bar = x.mean(), y.mean()
+    xc, yc = x - x_bar, y - y_bar
+    b = float(xc @ yc / (xc @ xc))
+    return float(y_bar - b * (x_bar - x_mean)), float((yc - b * xc).std(ddof=2) / math.sqrt(n))
 
 
 def average_rate(cfg: SystemConfig, scheme: str, jammer: JammerSpec, n_trials: int,
                  n_workers: int = 1) -> RateSummary:
-    """Mean closed-form rate, its standard error, and the retransmission counts."""
+    """Mean closed-form rate, its standard error, and the retransmission counts.
+
+    A conventional row is the plain sample mean. An alg row is the paired
+    control-variate mean (control_variate_mean) against its trials'
+    conventional rates, whose exact mean is conventional_mean.
+    """
     data = run_trials(cfg, scheme, jammer, n_trials, n_workers=n_workers)
-    stderr = float(data.rates.std(ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else 0.0
+    if scheme == "conventional":
+        mean, stderr = control_variate_mean(data.rates)
+    else:
+        mean, stderr = control_variate_mean(data.rates, data.conv_rates,
+                                            conventional_mean(cfg, jammer))
     hist = {int(k): int(c) for k, c in enumerate(np.bincount(data.n_used)) if c > 0}
-    return RateSummary(mean_rate=float(data.rates.mean()), stderr=stderr,
+    return RateSummary(mean_rate=mean, stderr=stderr,
                        n_used_hist=hist, mean_n_used=float(data.n_used.mean()),
                        n_trials=n_trials)
 

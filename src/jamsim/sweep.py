@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .config import SystemConfig, snr_db_to_power
 from .channel import JammerSpec
-from .montecarlo import SCHEMES, _validate_combination, average_rate
+from .montecarlo import SCHEMES, _check_counts, _validate_combination, average_rate
 
 AXES = ("tau_over_T", "M", "snr_db", "epsilon")
 PRESET_NAMES = ("fig2", "fig3")
@@ -70,8 +70,7 @@ class SweepSpec:
             raise ValueError("values must be nonempty")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("values must be strictly increasing")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be positive")
+        _check_counts(self.n_trials, self.n_workers)
         # fail before the first trial, naming the value
         for value in self.values:
             cfg = derive_config(self.base, self.axis, value)

@@ -11,7 +11,8 @@ from jamsim import (JammerSpec, SystemConfig, average_rate, draw_overlap_amplitu
                     simulate_one_trial, substream, verify_moments)
 from jamsim.channel import crandn
 from jamsim.config import snr_db_to_power
-from jamsim.montecarlo import MOMENT_Z, Moment
+from jamsim.montecarlo import MOMENT_Z, Moment, control_variate_mean
+from jamsim.oracle import conventional_mean
 
 
 def _cfg(**kw):
@@ -40,10 +41,11 @@ def test_single_trial_matches_batch_position():
     jam = JammerSpec()
     batch = run_trials(cfg, "alg1", jam, 50)
     for k in (0, 7, 49):
-        rate, n_used, overlap = simulate_one_trial(cfg, "alg1", jam, k)
+        rate, n_used, overlap, conv = simulate_one_trial(cfg, "alg1", jam, k)
         assert rate == batch.rates[k]
         assert n_used == batch.n_used[k]
         assert overlap == batch.overlap_sq[k]
+        assert conv == batch.conv_rates[k]
 
 
 def test_worker_count_does_not_change_values():
@@ -88,6 +90,20 @@ def test_pool_size_is_capped_by_cpus_and_chunks(monkeypatch):
             run_trials(cfg, "alg1", jam, 10, n_workers=bad)
 
 
+@pytest.mark.parametrize("run", [run_trials, average_rate])
+@pytest.mark.parametrize("n_trials,n_workers,message", [
+    (2.5, 1, "n_trials must be an integer"),
+    (10.0, 1, "n_trials must be an integer"),
+    (True, 1, "n_trials must be an integer"),
+    (10, 1.5, "worker count must be an integer"),
+    (10, 2.0, "worker count must be an integer"),
+    (10, True, "worker count must be an integer"),
+])
+def test_counts_must_be_integers(run, n_trials, n_workers, message):
+    with pytest.raises(ValueError, match=message):
+        run(_cfg(), "alg1", JammerSpec(), n_trials, n_workers=n_workers)
+
+
 # recorded mean_rate of 200 trials per (config, scheme). A change that alters
 # the seed->value mapping on purpose updates these values and says so in
 # CHANGES.md; rel=1e-9 leaves room for another BLAS's rounding only.
@@ -124,6 +140,8 @@ def test_schemes_share_first_round_draws():
         single = data.n_used == 1
         assert single.any() and not single.all()
         assert np.array_equal(conv.overlap_sq[single], data.overlap_sq[single])
+        # each alg trial carries its paired conventional rate, bit for bit
+        assert np.array_equal(data.conv_rates, conv.rates)
 
 
 def test_alg2_round_one_is_the_conventional_round():
@@ -182,7 +200,9 @@ def test_alg1_is_rated_at_the_round_its_receiver_picks():
         trace = run_algorithm1(cfg, r, k, amp, jam, rng)
         overlap = trace.rounds[trace.chosen_round].overlap_true
         expected = rate_from_overlap(cfg, overlap, trace.n_used).rate
-        assert simulate_one_trial(cfg, "alg1", jam, i) == (expected, trace.n_used, overlap)
+        conv = rate_from_overlap(cfg, trace.rounds[0].overlap_true, 1).rate
+        assert simulate_one_trial(cfg, "alg1", jam, i) == (expected, trace.n_used, overlap,
+                                                           conv)
         not_min += overlap > min(r.overlap_true for r in trace.rounds)
     assert not_min > 0
 
@@ -194,7 +214,7 @@ def test_engine_rates_through_rate_from_overlap(scheme):
     cfg = _cfg(master_seed=31)
     jam = JammerSpec()
     for i in range(50):
-        rate, n_used, overlap = simulate_one_trial(cfg, scheme, jam, i)
+        rate, n_used, overlap, _ = simulate_one_trial(cfg, scheme, jam, i)
         assert rate == rate_from_overlap(cfg, overlap, n_used).rate
     with pytest.raises(ValueError, match="overflow the SINR"):
         simulate_one_trial(_cfg(P=1e160, Q=1e160), scheme, jam, 0)
@@ -271,6 +291,76 @@ def test_trials_never_build_the_codebook():
         assert run_trials(cfg, "alg2", jam, 50).n_used.max() == 2
     info = make_codebook.cache_info()
     assert info.hits == info.misses == 0, info
+
+
+# ---------------------------------------------------------------------------
+# control-variate rows
+# ---------------------------------------------------------------------------
+
+_CV_BLOCKS = 100
+_CV_TRIALS = 200
+
+
+@pytest.mark.parametrize("scheme", ["alg1", "alg2"])
+def test_control_variate_rows_are_calibrated_and_unbiased(scheme):
+    # 100 rows of 200 trials: disjoint blocks of trial indices of one run,
+    # independent as rows of 100 master seeds would be, at the cost of one pool.
+    # z of each row's control-variate mean against the pooled plain mean has
+    # sd near 1 when the residual stderr is right, and the control variate
+    # moves a row by b (mean(x) - E x), which has mean 0 but for the O(1/n)
+    # bias of the fitted b
+    cfg = _cfg(master_seed=17)
+    jam = JammerSpec()
+    data = run_trials(cfg, scheme, jam, _CV_BLOCKS * _CV_TRIALS, n_workers=2)
+    exact = conventional_mean(cfg, jam)
+    ys = data.rates.reshape(_CV_BLOCKS, _CV_TRIALS)
+    xs = data.conv_rates.reshape(_CV_BLOCKS, _CV_TRIALS)
+    rows = np.array([control_variate_mean(y, x, exact) for y, x in zip(ys, xs)])
+    means, stderrs = rows.T
+    plain = ys.mean(axis=1)
+    plain_stderr = float(np.mean(ys.std(axis=1, ddof=1))) / math.sqrt(_CV_TRIALS)
+    z = (means - data.rates.mean()) / stderrs
+    assert 0.7 <= z.std(ddof=1) <= 1.4, z.std(ddof=1)
+    # the control variate pays, and the rows do scatter less than plain ones
+    assert np.mean(stderrs) < 0.95 * plain_stderr
+    assert means.std() < plain.std()
+    shift = means - plain
+    shift_se = shift.std(ddof=1) / math.sqrt(_CV_BLOCKS)
+    assert shift_se < 0.1 * plain_stderr
+    assert abs(shift.mean()) <= 3 * shift_se, (shift.mean(), shift_se)
+    # a row of average_rate is this estimator over the run's first block
+    row = average_rate(cfg, scheme, jam, _CV_TRIALS)
+    assert (row.mean_rate, row.stderr) == tuple(rows[0])
+
+
+@pytest.mark.parametrize("scheme,jam,first_pilot", [
+    ("alg1", JammerSpec(kind="absent"), None),
+    ("alg2", JammerSpec(kind="absent"), None),
+    ("alg2", JammerSpec(kind="codeword", codeword_index=1), 1),
+])
+def test_constant_control_variate_gives_the_plain_mean(scheme, jam, first_pilot):
+    # every trial has the same conventional rate, so there is nothing to
+    # regress on and the row is the plain mean with the plain stderr
+    cfg = _cfg(M=16, tau=4, first_pilot=first_pilot, master_seed=8)
+    data = run_trials(cfg, scheme, jam, 120)
+    assert data.conv_rates.min() == data.conv_rates.max()
+    row = average_rate(cfg, scheme, jam, 120)
+    assert row.mean_rate == float(data.rates.mean())
+    assert row.stderr == float(data.rates.std(ddof=1) / math.sqrt(120))
+
+
+def test_control_variate_mean_falls_back_and_regresses():
+    y = np.array([1.0, 2.0, 4.0, 7.0])
+    x = np.array([0.0, 1.0, 1.0, 3.0])
+    plain = (float(y.mean()), float(y.std(ddof=1) / 2))
+    assert control_variate_mean(y) == plain
+    assert control_variate_mean(y, np.full(4, 2.5), 9.0) == plain
+    assert control_variate_mean(y[:2], x[:2], 9.0) == (1.5, 0.5)
+    assert control_variate_mean(y[:1], x[:1], 9.0) == (1.0, 0.0)
+    # least squares by hand: slope 2, residuals y - 2x = (1, 0, 2, 1)
+    mean, stderr = control_variate_mean(y, x, 1.5)
+    assert mean == pytest.approx(3.5 - 2.0 * (1.25 - 1.5))
+    assert stderr == pytest.approx(math.sqrt(2.0 / 2) / 2)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,19 @@ def test_spec_validation():
                   base=_base(Q=0.0))
 
 
+@pytest.mark.parametrize("counts,message", [
+    (dict(n_workers=0), "worker count must be positive"),
+    (dict(n_workers=1.5), "worker count must be an integer"),
+    (dict(n_trials=2.5), "n_trials must be an integer"),
+    (dict(n_trials=True), "n_trials must be an integer"),
+    (dict(n_trials=0), "n_trials must be positive"),
+])
+def test_spec_rejects_bad_counts(counts, message):
+    # checked when the spec is built, not at its first row
+    with pytest.raises(ValueError, match=message):
+        SweepSpec(axis="M", values=(8.0,), schemes=("conventional",), base=_base(), **counts)
+
+
 def test_derive_config_reports_offending_value():
     base = _base()
     with pytest.raises(ValueError, match="tau_over_T=0.033"):
