@@ -2,10 +2,13 @@
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .config import check_integer
+
+JAMMER_KINDS = ("gaussian", "sphere", "absent", "codeword")
 
 
 def crandn(rng, *shape) -> np.ndarray:
@@ -85,11 +88,11 @@ class JammerSpec:
     data_phase_active: bool = True
 
     def __post_init__(self):
-        if self.kind not in ("absent", "gaussian", "sphere", "codeword"):
+        if self.kind not in JAMMER_KINDS:
             raise ValueError(f"unknown jammer kind {self.kind!r}")
-        if not isinstance(self.codeword_index, numbers.Integral) or self.codeword_index < 0:
-            raise ValueError(f"codeword_index must be a nonnegative integer, "
-                             f"got {self.codeword_index!r}")
+        check_integer("codeword_index", self.codeword_index)
+        if self.codeword_index < 0:
+            raise ValueError(f"codeword_index must be nonnegative, got {self.codeword_index}")
         if not isinstance(self.data_phase_active, bool):
             raise ValueError(f"data_phase_active must be a bool, got {self.data_phase_active!r}")
 

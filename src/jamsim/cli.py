@@ -13,7 +13,7 @@ import argparse
 import csv
 import sys
 
-from .channel import JammerSpec
+from .channel import JAMMER_KINDS, JammerSpec
 from .config import SystemConfig, snr_db_to_power
 from .montecarlo import MOMENT_Z, SCHEMES, _validate_combination, average_rate, verify_moments
 from .sweep import (AXES, PRESET_NAMES, SweepRow, SweepSpec, run_preset,
@@ -25,7 +25,6 @@ _FIELDS = {"m": "M", "t": "T", "tau": "tau", "beta_u": "beta_u", "beta_j": "beta
            "first_pilot": "first_pilot", "opt_mode": "opt_mode"}
 _POWER_KEYS = ("p_t", "p_d", "q_t", "q_d")
 _RUN_ARGS = {"trials": "n_trials", "threads": "n_workers"}
-_JAMMER_KINDS = ("gaussian", "sphere", "absent", "codeword")
 
 _SYSTEM_KEYS = {*_FIELDS, "snr_db", *_POWER_KEYS} - {"first_pilot", "opt_mode"}
 _SCENARIO_KEYS = {"jammer", "jammer_data_phase", "first_pilot", "opt_mode",
@@ -50,7 +49,7 @@ def _bool(text):
 
 def _jammer(text):
     kind, colon, index = text.partition(":")
-    if kind not in _JAMMER_KINDS or (colon and not (kind == "codeword" and index.isdecimal())):
+    if kind not in JAMMER_KINDS or (colon and not (kind == "codeword" and index.isdecimal())):
         raise ValueError(text)
     return {"kind": kind, "codeword_index": int(index)} if colon else {"kind": kind}
 
@@ -72,7 +71,7 @@ _PARSERS = {
     **dict.fromkeys(("beta_u", "beta_j", "p", "q", "snr_db", *_POWER_KEYS, "epsilon"),
                     _FLOAT),
     "values": _FLOATS, "overlaps": _FLOATS,
-    "jammer": (_jammer, f"{', '.join(_JAMMER_KINDS)} or codeword:<k>"),
+    "jammer": (_jammer, f"{', '.join(JAMMER_KINDS)} or codeword:<k>"),
     "jammer_data_phase": (_bool, "true/false"),
     "first_pilot": (_pilot, "an index or 'random'"),
 }
@@ -167,7 +166,7 @@ def _cmd_simulate(ns) -> int:
     cfg = system_config_from_mapping(mapping)
     jammer = jammer_from_mapping(mapping)
     schemes = schemes_from_mapping(mapping)
-    run_args = {"n_trials": 1000, **_present(mapping, _RUN_ARGS)}
+    run_args = {"n_trials": SweepSpec.n_trials, **_present(mapping, _RUN_ARGS)}
     for scheme in schemes:
         _validate_combination(cfg, scheme, jammer)     # fail before the first trial
     rows = []

@@ -20,6 +20,15 @@ def snr_db_to_power(snr_db: float) -> float:
         raise ValueError(f"snr_db={snr_db:g} gives a power beyond float range") from None
 
 
+def check_integer(name: str, value):
+    """The one integer rule of every input: a bool or a non-integer raises ValueError.
+
+    numpy integers pass; bounds are left to the caller.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """All scalar knobs of the link simulation.
@@ -48,9 +57,7 @@ class SystemConfig:
 
     def __post_init__(self):
         for name in ("M", "T", "tau", "n_max", "master_seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            check_integer(name, getattr(self, name))
         for name in ("beta_u", "beta_j", "P", "Q", "epsilon"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -75,8 +82,10 @@ class SystemConfig:
         if not 0 <= self.master_seed <= _MAX_SEED:
             raise ValueError("master_seed must fit in 64 bits")
         k = self.first_pilot
-        if k is not None and not (isinstance(k, numbers.Integral) and 0 <= k < self.tau):
-            raise ValueError(f"first_pilot must be an index in [0, tau={self.tau}), got {k!r}")
+        if k is not None:
+            check_integer("first_pilot", k)
+            if not 0 <= k < self.tau:
+                raise ValueError(f"first_pilot must be an index in [0, tau={self.tau}), got {k!r}")
         if self.opt_mode not in OPT_MODES:
             raise ValueError(f"unknown opt_mode {self.opt_mode!r}")
         if self.powers is None:

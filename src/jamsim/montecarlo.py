@@ -31,15 +31,15 @@ average_rate's alg rows.
 """
 
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import JammerSpec, crandn, draw_overlap_amplitude, gen_channel_factor
-from .config import SystemConfig
+from .channel import (JammerSpec, _codeword_index, crandn, draw_overlap_amplitude,
+                      gen_channel_factor)
+from .config import SystemConfig, check_integer
 from .estimation import _wishart_factor, mmse_coefficients
 from .oracle import conventional_mean
 from .protocols import run_algorithm1, run_algorithm2
@@ -62,7 +62,6 @@ class TrialData:
     paired control variate of an alg row.
     """
 
-    scheme: str
     rates: np.ndarray
     n_used: np.ndarray
     overlap_sq: np.ndarray
@@ -82,8 +81,7 @@ def _validate_combination(cfg: SystemConfig, scheme: str, jammer: JammerSpec):
     """Reject a (config, scheme, jammer) triple that no trial could run."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if jammer.kind == "codeword" and jammer.codeword_index >= cfg.tau:
-        raise ValueError(f"codeword_index {jammer.codeword_index} out of range for tau={cfg.tau}")
+    _codeword_index(jammer, cfg.tau)
     if scheme == "alg1":
         if jammer.kind == "codeword":
             raise ValueError("alg1 assumes random jamming; a codeword jammer is deterministic")
@@ -117,7 +115,8 @@ def simulate_one_trial(cfg: SystemConfig, scheme: str, jammer: JammerSpec,
     if scheme == "conventional":
         n_used, overlap = 1, abs(amp) ** 2
     else:
-        r = _channels(cfg, index)
+        r = gen_channel_factor(substream(cfg.master_seed, index, _TAG_CHANNEL),
+                               cfg.M, cfg.beta_u, cfg.beta_j)
         trace = (run_algorithm1(cfg, r, k, amp, jammer, rng_proto) if scheme == "alg1"
                  else run_algorithm2(cfg, r, k, amp, jammer, rng_proto))
         n_used, overlap = trace.n_used, trace.rounds[trace.chosen_round].overlap_true
@@ -125,12 +124,6 @@ def simulate_one_trial(cfg: SystemConfig, scheme: str, jammer: JammerSpec,
     value = sinr_and_rate(rc, overlap, n_used)[1]
     conv = value if n_used == 1 else sinr_and_rate(rc, abs(amp) ** 2, 1)[1]
     return value, n_used, overlap, conv
-
-
-def _channels(cfg: SystemConfig, index: int) -> np.ndarray:
-    """Triangular factor R of one trial's user and jammer channels."""
-    rng = substream(cfg.master_seed, index, _TAG_CHANNEL)
-    return gen_channel_factor(rng, cfg.M, cfg.beta_u, cfg.beta_j)
 
 
 def _trial_chunk(args):
@@ -141,15 +134,12 @@ def _trial_chunk(args):
             np.array(conv))
 
 
-def _check_counts(n_trials, n_workers):
-    """Reject a trial or worker count that is not a positive integer (bool included)."""
+def _check_counts(n_trials, n_workers=1):
+    """Reject a trial or worker count that is not a positive integer."""
     for name, value in (("n_trials", n_trials), ("worker count", n_workers)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if n_trials < 1:
-        raise ValueError("n_trials must be positive")
-    if n_workers < 1:
-        raise ValueError(f"worker count must be positive, got {n_workers}")
+        check_integer(name, value)
+        if value < 1:
+            raise ValueError(f"{name} must be positive, got {value}")
 
 
 def run_trials(cfg: SystemConfig, scheme: str, jammer: JammerSpec, n_trials: int,
@@ -175,8 +165,7 @@ def run_trials(cfg: SystemConfig, scheme: str, jammer: JammerSpec, n_trials: int
         finally:
             pool.shutdown()
     rates, n_used, overlaps, conv = map(np.concatenate, zip(*results))
-    return TrialData(scheme=scheme, rates=rates, n_used=n_used, overlap_sq=overlaps,
-                     conv_rates=conv)
+    return TrialData(rates=rates, n_used=n_used, overlap_sq=overlaps, conv_rates=conv)
 
 
 def control_variate_mean(y: np.ndarray, x: np.ndarray | None = None,
@@ -274,8 +263,7 @@ def verify_moments(cfg: SystemConfig, overlap_sq: float, n_trials: int) -> Momen
     """
     if not 0.0 <= overlap_sq <= 1.0:
         raise ValueError("overlap_sq must lie in [0, 1]")
-    if n_trials < 1:
-        raise ValueError("n_trials must be positive")
+    _check_counts(n_trials)
     if cfg.p_t <= 0:
         raise ValueError("the moment check needs training power p_t > 0")
     if overlap_sq < 1.0 and cfg.tau < 2:

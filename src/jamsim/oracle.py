@@ -1,14 +1,15 @@
 """Exact means the trial engine's estimates are checked and steered against.
 
-conventional_mean is the mean conventional rate as a 1-D integral over the
-law of round one's squared overlap. The engine rates a conventional trial
-at that overlap alone, so the integral is exact up to quadrature error,
-and average_rate uses it as the known mean of the control variate on the
-alg rows.
+round_one_mean integrates a function of round one's squared overlap over
+that overlap's exact law. conventional_mean is the mean conventional rate
+as that 1-D integral: the engine rates a conventional trial at that overlap
+alone, so the integral is exact up to quadrature error, and average_rate
+uses it as the known mean of the control variate on the alg rows.
 """
 
 import functools
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -35,34 +36,36 @@ def _exp_rule() -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(t.ravel().tolist()), tuple((half * w * np.exp(-t)).ravel().tolist())
 
 
-@functools.lru_cache(maxsize=256)
-def conventional_mean(cfg: SystemConfig, jammer: JammerSpec) -> float:
-    """Mean conventional rate E[rate(|a|^2, 1)] under rate_config(cfg, jammer).
+def round_one_mean(cfg: SystemConfig, jammer: JammerSpec,
+                   g: Callable[[float], float]) -> float:
+    """E[g(|a|^2)] over the exact law of round one's squared overlap |a|^2.
 
-    The squared overlap |a|^2 of round one has an exact law per jammer kind
-    (draw_overlap_amplitude): gaussian gives Exp(mean 1/tau); sphere gives
-    Beta(1, tau - 1), which is 1 - exp(-t / (tau - 1)) for t ~ Exp(1), and 1
-    at tau = 1. Both are integrated over t (_exp_rule).
-    codeword hits the user's pilot with probability 1/tau, or surely or
-    never when first_pilot is set; absent gives 0.
+    That law depends on the jammer kind (draw_overlap_amplitude): gaussian
+    gives Exp(mean 1/tau); sphere gives Beta(1, tau - 1), which is
+    1 - exp(-t / (tau - 1)) for t ~ Exp(1), and 1 at tau = 1. Both are
+    integrated over t (_exp_rule). codeword hits the user's pilot with
+    probability 1/tau, or surely or never when first_pilot is set; absent
+    gives 0.
     """
-    rc = rate_config(cfg, jammer)
-
-    def rate_at(overlap_sq: float) -> float:
-        return sinr_and_rate(rc, overlap_sq, 1)[1]
-
     if jammer.kind == "absent":
-        return rate_at(0.0)
+        return g(0.0)
     if jammer.kind == "codeword":
         j = _codeword_index(jammer, cfg.tau)
         if cfg.first_pilot is not None:
-            return rate_at(float(cfg.first_pilot == j))
-        return rate_at(1.0) / cfg.tau + rate_at(0.0) * (1.0 - 1.0 / cfg.tau)
+            return g(float(cfg.first_pilot == j))
+        return g(1.0) / cfg.tau + g(0.0) * (1.0 - 1.0 / cfg.tau)
     if jammer.kind == "sphere" and cfg.tau == 1:
-        return rate_at(1.0)
+        return g(1.0)
     nodes, weights = _exp_rule()
     if jammer.kind == "gaussian":
         overlaps = [t / cfg.tau for t in nodes]
     else:
         overlaps = [-math.expm1(-t / (cfg.tau - 1)) for t in nodes]
-    return math.fsum(w * rate_at(x) for x, w in zip(overlaps, weights))
+    return math.fsum(w * g(x) for x, w in zip(overlaps, weights))
+
+
+@functools.lru_cache(maxsize=256)
+def conventional_mean(cfg: SystemConfig, jammer: JammerSpec) -> float:
+    """Mean conventional rate E[rate(|a|^2, 1)] under rate_config(cfg, jammer)."""
+    rc = rate_config(cfg, jammer)
+    return round_one_mean(cfg, jammer, lambda overlap_sq: sinr_and_rate(rc, overlap_sq, 1)[1])

@@ -128,8 +128,7 @@ def write_csv(rows, path: str):
                              f"{row.mean_n_used:.17g}", row.n_trials, row.seed])
 
 
-def preset_specs(name: str, n_trials: int = 50000, master_seed: int = 0,
-                 n_workers: int = 1) -> list[SweepSpec]:
+def preset_specs(name: str, n_trials: int, master_seed: int, n_workers: int) -> list[SweepSpec]:
     """Built-in sweeps reproducing the shape of the reference curves.
 
     fig2 sweeps the training payload tau/T at M=50 for 0 and 10 dB (the

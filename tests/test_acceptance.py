@@ -10,12 +10,14 @@ import time
 
 import numpy as np
 
-from jamsim import (JammerSpec, SweepSpec, SystemConfig, gen_channel_factor,
-                    jamming_overlap_sq, make_codebook, overlap_amplitude, rate_from_overlap,
-                    run_sweep, run_training, run_trials, select_retransmission_pilot,
-                    substream, verify_moments)
+from jamsim import (JammerSpec, SweepSpec, SystemConfig, gen_channel_factor, run_sweep,
+                    run_trials, substream, verify_moments)
+from jamsim.channel import jamming_overlap_sq, make_codebook, overlap_amplitude
 from jamsim.config import snr_db_to_power
+from jamsim.estimation import run_training
 from jamsim.montecarlo import MOMENT_Z
+from jamsim.protocols import select_retransmission_pilot
+from jamsim.rates import rate_from_overlap
 
 
 def _report(num: int, description: str, ok: bool, detail: str = "") -> str:

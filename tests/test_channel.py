@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jamsim import (JammerSpec, draw_jammer_sequence, gen_channel,
-                    jamming_overlap_sq, make_codebook, substream)
+from jamsim import JammerSpec, substream
+from jamsim.channel import draw_jammer_sequence, gen_channel, jamming_overlap_sq, make_codebook
 
 
 def test_gen_channel_rejects_degenerate_inputs():
@@ -148,8 +148,9 @@ def test_jammer_deterministic_replays_and_validates():
     with pytest.raises(ValueError):
         JammerSpec(kind="deterministic")
     # a fractional index would match no pilot and act as an absent jammer,
-    # and a non-bool flag would be read by its truth value
-    for bad in (1.5, 1.0, "1", None):
+    # a bool would jam codeword 1 or 0, and a non-bool flag would be read by
+    # its truth value
+    for bad in (1.5, 1.0, "1", None, True):
         with pytest.raises(ValueError, match="codeword_index"):
             JammerSpec(kind="codeword", codeword_index=bad)
     for bad in ("no", 0, 1, None):

@@ -50,10 +50,14 @@ def test_explicit_policy_budget_enforced():
     dict(T=200.0),
     dict(tau=10.5),
     dict(n_max=2.0),
+    dict(M=True),                         # a bool is not an integer
+    dict(n_max=True),
+    dict(master_seed=True),
     dict(powers=[1.0, 1.0, 0.0, 0.0]),    # a list is not hashable
     dict(first_pilot=10),                 # == tau
     dict(first_pilot=-1),
     dict(first_pilot=1.5),
+    dict(first_pilot=True),
     dict(opt_mode="psychic"),
 ])
 def test_invalid_configs_rejected(kwargs):

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jamsim import (SystemConfig, despread, estimate_jammer_gram,
-                    estimate_overlap_sq, gen_channel, gen_channel_factor, make_codebook,
-                    mmse_coefficients, mmse_estimate, receive_pilot_block,
-                    run_training, select_retransmission_pilot, substream)
-from jamsim.channel import crandn, overlap_amplitude
-from jamsim.estimation import despread_power, receive_block_factor, receive_despread
+from jamsim import SystemConfig, gen_channel_factor, substream
+from jamsim.channel import crandn, gen_channel, make_codebook, overlap_amplitude
+from jamsim.estimation import (despread, despread_power, estimate_jammer_gram,
+                               estimate_overlap_sq, mmse_coefficients, mmse_estimate,
+                               receive_block_factor, receive_despread, receive_pilot_block,
+                               run_training)
+from jamsim.protocols import select_retransmission_pilot
 
 
 def _cfg(**kw):

@@ -6,13 +6,14 @@ import pytest
 
 import jamsim.montecarlo
 from jamsim import (JammerSpec, SystemConfig, average_rate, draw_overlap_amplitude,
-                    gen_channel_factor, make_codebook, mmse_coefficients, rate_from_overlap,
-                    run_algorithm1, run_algorithm2, run_training, run_trials,
+                    gen_channel_factor, run_algorithm1, run_algorithm2, run_trials,
                     simulate_one_trial, substream, verify_moments)
-from jamsim.channel import crandn
+from jamsim.channel import crandn, make_codebook
 from jamsim.config import snr_db_to_power
+from jamsim.estimation import mmse_coefficients, run_training
 from jamsim.montecarlo import MOMENT_Z, Moment, control_variate_mean
 from jamsim.oracle import conventional_mean
+from jamsim.rates import rate_from_overlap
 
 
 def _cfg(**kw):
@@ -491,5 +492,8 @@ def test_moment_oracle_validation():
         verify_moments(cfg, 1.5, 10)
     with pytest.raises(ValueError):
         verify_moments(cfg, 0.5, 0)
+    for bad in (True, 2.5):
+        with pytest.raises(ValueError, match="n_trials"):
+            verify_moments(cfg, 0.5, bad)
     with pytest.raises(ValueError):
         verify_moments(SystemConfig(M=8, T=50, tau=1), 0.5, 10)

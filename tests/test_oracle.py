@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from jamsim import JammerSpec, SystemConfig, rate_from_overlap, run_trials
+from jamsim import JammerSpec, SystemConfig, run_trials
 from jamsim.oracle import conventional_mean
+from jamsim.rates import rate_from_overlap
 
 Z_BOUND = 4.0
 

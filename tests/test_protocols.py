@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from jamsim import (JammerSpec, SystemConfig, draw_overlap_amplitude, estimate_overlap_sq,
-                    gen_channel_factor, jamming_overlap_sq, make_codebook, run_algorithm1,
-                    run_algorithm2, select_retransmission_pilot, substream)
-from jamsim.channel import crandn
+from jamsim import (JammerSpec, SystemConfig, draw_overlap_amplitude, gen_channel_factor,
+                    run_algorithm1, run_algorithm2, substream)
+from jamsim.channel import crandn, jamming_overlap_sq, make_codebook
+from jamsim.estimation import estimate_overlap_sq
+from jamsim.protocols import select_retransmission_pilot
 
 
 def _cfg(**kw):

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jamsim import (SystemConfig, effective_sinr, mmse_coefficients, rate,
-                    rate_from_overlap, rate_random_jamming)
+from jamsim import SystemConfig
+from jamsim.estimation import mmse_coefficients
+from jamsim.rates import effective_sinr, rate, rate_from_overlap, rate_random_jamming
 
 
 def _cfg(**kw):

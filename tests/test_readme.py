@@ -1,8 +1,11 @@
-"""README.md's library examples run as written, and its config-key table matches the parser."""
+"""README.md's library examples run as written, and its API and config-key
+tables match what the package binds and the parser accepts."""
 
 import re
+import types
 from pathlib import Path
 
+import jamsim
 from jamsim.cli import KNOWN_KEYS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -10,6 +13,14 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 def _python_blocks():
     return re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+
+
+def _first_column(header: str) -> list[str]:
+    """Every backticked name in the first column of the table that starts with header."""
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index(header):]
+    rows = table[:table.index("\n\n")].splitlines()[2:]
+    return [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
 
 
 def test_protocol_example_runs(capsys):
@@ -31,11 +42,16 @@ def test_protocol_example_runs(capsys):
                        str(namespace["trace2"].n_used), namespace["trace2"].stop_reason]
 
 
+def test_api_table_lists_exactly_the_public_names():
+    # the library section's API table, every name once, against the public
+    # names the package binds; its submodules are bound too, but as modules
+    listed = _first_column("| names | what")
+    bound = [name for name, value in vars(jamsim).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert sorted(listed) == sorted(bound)
+
+
 def test_config_key_table_lists_exactly_the_known_keys():
     # the first column of the Command line section's key table, every
     # backticked key once, against the keys the config parser accepts
-    text = README.read_text(encoding="utf-8")
-    table = text[text.index("| key | meaning"):]
-    rows = table[:table.index("\n\n")].splitlines()[2:]
-    listed = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
-    assert sorted(listed) == sorted(KNOWN_KEYS)
+    assert sorted(_first_column("| key | meaning")) == sorted(KNOWN_KEYS)

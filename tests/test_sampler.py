@@ -16,14 +16,15 @@ import math
 import numpy as np
 import pytest
 
-from jamsim import (JammerSpec, SystemConfig, despread, draw_jammer_sequence,
-                    draw_overlap_amplitude, estimate_jammer_gram, estimate_overlap_sq,
-                    gen_channel, gen_channel_factor, jamming_overlap_sq, make_codebook,
-                    rate_from_overlap, receive_pilot_block, run_algorithm1, run_algorithm2,
-                    run_trials, select_retransmission_pilot, substream)
-from jamsim.channel import complete_amplitudes, crandn, overlap_amplitude
-from jamsim.estimation import (_wishart_factor, despread_power, receive_block_factor,
-                               receive_despread)
+from jamsim import (JammerSpec, SystemConfig, draw_overlap_amplitude, gen_channel_factor,
+                    run_algorithm1, run_algorithm2, run_trials, substream)
+from jamsim.channel import (complete_amplitudes, crandn, draw_jammer_sequence, gen_channel,
+                            jamming_overlap_sq, make_codebook, overlap_amplitude)
+from jamsim.estimation import (_wishart_factor, despread, despread_power,
+                               estimate_jammer_gram, estimate_overlap_sq,
+                               receive_block_factor, receive_despread, receive_pilot_block)
+from jamsim.protocols import select_retransmission_pilot
+from jamsim.rates import rate_from_overlap
 
 Z_BOUND = 4.0
 N_BATCHES = 20

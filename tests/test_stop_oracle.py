@@ -17,7 +17,9 @@ import numpy as np
 import pytest
 
 from jamsim import (JammerSpec, SystemConfig, draw_overlap_amplitude, gen_channel_factor,
-                    run_training, run_trials, substream)
+                    run_trials, substream)
+from jamsim.estimation import run_training
+from jamsim.oracle import round_one_mean
 
 Z_BOUND = 4.0
 N_TRIALS = 4000
@@ -37,28 +39,13 @@ def _lower_gamma_regularized(m: int, x: np.ndarray) -> np.ndarray:
     return 1.0 - terms.sum(axis=-1)
 
 
-def _overlap_law(jammer: JammerSpec, tau: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of E_ov[.] for round one's squared overlap, pilot uniform."""
-    if jammer.kind == "gaussian":
-        # ov ~ Exp(mean 1/tau): Gauss-Laguerre in t = tau ov
-        t, w = np.polynomial.laguerre.laggauss(120)
-        return t / tau, w
-    if jammer.kind == "sphere":
-        # ov ~ Beta(1, tau - 1), density (tau - 1)(1 - ov)^(tau - 2) on [0, 1]
-        u, w = np.polynomial.legendre.leggauss(200)
-        ov = (u + 1.0) / 2.0
-        return ov, w / 2.0 * (tau - 1) * (1.0 - ov) ** (tau - 2)
-    # codeword: the pilot hits the jammer's codeword with probability 1/tau
-    return np.array([1.0, 0.0]), np.array([1.0 / tau, 1.0 - 1.0 / tau])
-
-
 def stop_share(cfg: SystemConfig, jammer: JammerSpec) -> float:
     """Probability that round one's blind estimate meets the threshold."""
     pilot = cfg.tau * cfg.p_t * cfg.beta_u
     jamming = cfg.tau * cfg.q_t * cfg.beta_j
     x_star = cfg.M * (pilot + 1.0 + jamming * cfg.epsilon)
-    ov, w = _overlap_law(jammer, cfg.tau)
-    return float(w @ _lower_gamma_regularized(cfg.M, x_star / (pilot + jamming * ov + 1.0)))
+    return round_one_mean(cfg, jammer, lambda ov: _lower_gamma_regularized(
+        cfg.M, x_star / (pilot + jamming * ov + 1.0)))
 
 
 def _cfg(m, **kw):
@@ -87,18 +74,18 @@ def test_poisson_sum_matches_the_gamma_integral():
 
 @pytest.mark.parametrize("kind", ["gaussian", "sphere", "codeword"])
 def test_overlap_quadrature_matches_its_moments(kind):
-    # the overlap law's nodes and weights integrate 1, ov and ov^2 exactly:
-    # Exp(1/tau), Beta(1, tau - 1) and the point masses
-    tau = 8
-    ov, w = _overlap_law(JammerSpec(kind=kind), tau)
+    # round_one_mean integrates 1, ov and ov^2 exactly: Exp(1/tau),
+    # Beta(1, tau - 1) and the point masses
+    cfg = _cfg(10)
+    tau = cfg.tau
     mean, second = {
         "gaussian": (1 / tau, 2 / tau ** 2),
         "sphere": (1 / tau, 2 / (tau * (tau + 1))),
         "codeword": (1 / tau, 1 / tau),
     }[kind]
-    assert w.sum() == pytest.approx(1.0, abs=1e-12)
-    assert w @ ov == pytest.approx(mean, abs=1e-12)
-    assert w @ ov ** 2 == pytest.approx(second, abs=1e-12)
+    moments = [round_one_mean(cfg, JammerSpec(kind=kind), g)
+               for g in (lambda ov: 1.0, lambda ov: ov, lambda ov: ov ** 2)]
+    assert moments == pytest.approx([1.0, mean, second], rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("m", ANTENNAS)

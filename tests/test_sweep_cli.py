@@ -6,10 +6,10 @@ import sys
 
 import pytest
 
-from jamsim import (JammerSpec, MomentReport, SystemConfig, SweepSpec, average_rate, cli,
-                    derive_config, preset_specs, run_preset, run_sweep, write_csv)
-from jamsim.montecarlo import Moment
-from jamsim.sweep import CSV_HEADER
+from jamsim import (JammerSpec, SweepSpec, SystemConfig, average_rate, cli, run_preset,
+                    run_sweep, write_csv)
+from jamsim.montecarlo import Moment, MomentReport
+from jamsim.sweep import CSV_HEADER, derive_config, preset_specs
 
 
 def _base(**kw):
@@ -108,15 +108,15 @@ def test_sweep_rows_round_trip_exactly():
 
 
 def test_presets_shape():
-    fig2 = preset_specs("fig2", n_trials=10)
+    fig2 = preset_specs("fig2", n_trials=10, master_seed=0, n_workers=1)
     assert len(fig2) == 2
     assert all(len(s.values) == 10 for s in fig2)
     assert fig2[0].axis_label != fig2[1].axis_label
     assert all(2 * max(s.values) < 1.0 for s in fig2)   # two pilots must fit in T
-    fig3 = preset_specs("fig3", n_trials=10)
+    fig3 = preset_specs("fig3", n_trials=10, master_seed=0, n_workers=1)
     assert len(fig3) == 1 and fig3[0].axis == "M"
     with pytest.raises(ValueError):
-        preset_specs("fig9")
+        preset_specs("fig9", n_trials=10, master_seed=0, n_workers=1)
 
 
 def test_run_preset_row_count(tmp_path):
