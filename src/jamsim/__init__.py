@@ -8,7 +8,8 @@ the tests' brute-force references included, lives in its module.
 
 from .channel import JammerSpec, draw_overlap_amplitude, gen_channel_factor
 from .config import SystemConfig, snr_db_to_power
-from .montecarlo import average_rate, run_trials, simulate_one_trial, verify_moments
+from .montecarlo import average_rate, run_trials, simulate_one_trial
+from .oracle import verify_moments
 from .protocols import run_algorithm1, run_algorithm2
 from .rng import substream
 from .sweep import SweepSpec, run_preset, run_sweep, write_csv

@@ -15,7 +15,8 @@ import sys
 
 from .channel import JAMMER_KINDS, JammerSpec
 from .config import SystemConfig, snr_db_to_power
-from .montecarlo import MOMENT_Z, SCHEMES, _validate_combination, average_rate, verify_moments
+from .montecarlo import SCHEMES, _validate_combination, average_rate
+from .oracle import MOMENT_Z, verify_moments
 from .sweep import (AXES, PRESET_NAMES, SweepRow, SweepSpec, run_preset,
                     run_sweep, write_csv)
 
@@ -174,11 +175,11 @@ def _cmd_simulate(ns) -> int:
         summary = average_rate(cfg, scheme, jammer, **run_args)
         print(f"scheme={scheme} mean_rate={summary.mean_rate:.6f} "
               f"stderr={summary.stderr:.6f} mean_n_used={summary.mean_n_used:.4f} "
-              f"trials={summary.n_trials} seed={cfg.master_seed}")
+              f"trials={run_args['n_trials']} seed={cfg.master_seed}")
         rows.append(SweepRow(axis="single", value=0.0, scheme=scheme,
                              mean_rate=summary.mean_rate, stderr=summary.stderr,
                              mean_n_used=summary.mean_n_used,
-                             n_trials=summary.n_trials, seed=cfg.master_seed))
+                             n_trials=run_args["n_trials"], seed=cfg.master_seed))
     if "out" in mapping:
         write_csv(rows, mapping["out"])
         print(f"wrote {len(rows)} rows to {mapping['out']}")
@@ -215,21 +216,21 @@ def _cmd_verify(ns) -> int:
     if not overlaps:
         raise ConfigError("config key 'overlaps': at least one overlap is required")
     trials = _get(mapping, "trials", 100000)
-    reports = [verify_moments(cfg, overlap, trials) for overlap in overlaps]
+    reports = [(overlap, verify_moments(cfg, overlap, trials)) for overlap in overlaps]
     csv_rows = []
-    for rep in reports:
-        for name, m in rep.moments.items():
-            print(f"overlap_sq={rep.overlap_sq:g} {name:<6} emp={m.emp:.6g} th={m.th:.6g} "
+    for overlap, moments in reports:
+        for name, m in moments.items():
+            print(f"overlap_sq={overlap:g} {name:<6} emp={m.emp:.6g} th={m.th:.6g} "
                   f"stderr={m.se:.4g} z={m.z:+.2f} {'ok' if m.ok else 'FAIL'}")
-            csv_rows.append([f"{rep.overlap_sq:.17g}", name,
-                             *(f"{v:.17g}" for v in (m.emp, m.th, m.se, m.z)), rep.trials])
+            csv_rows.append([f"{overlap:.17g}", name,
+                             *(f"{v:.17g}" for v in (m.emp, m.th, m.se, m.z)), trials])
     if "out" in mapping:
         with open(mapping["out"], "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(("overlap_sq", "moment", "empirical", "theoretical",
                              "stderr", "z", "trials"))
             writer.writerows(csv_rows)
-    all_ok = all(rep.ok for rep in reports)
+    all_ok = all(m.ok for _, moments in reports for m in moments.values())
     print(f"RESULT: {'PASS' if all_ok else 'FAIL'} (every |emp - th| <= {MOMENT_Z:g} stderr, "
           f"{trials} trials per overlap)")
     return 0 if all_ok else 1

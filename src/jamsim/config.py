@@ -29,6 +29,13 @@ def check_integer(name: str, value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def check_count(name: str, value):
+    """Reject a count (of trials or workers) that is not a positive integer."""
+    check_integer(name, value)
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """All scalar knobs of the link simulation.

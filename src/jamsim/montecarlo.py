@@ -1,9 +1,7 @@
 """Trial engine.
 
 Averages closed-form rates over sequence and channel realizations for the
-conventional single-shot scheme and both retransmission protocols, and
-provides the moment oracle that validates the effective-noise
-decomposition behind the SINR formula.
+conventional single-shot scheme and both retransmission protocols.
 
 Every trial draws from two substreams keyed by (master_seed, trial, tag).
 The channel stream draws the triangular factor R of [g_u g_j]
@@ -37,21 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (JammerSpec, _codeword_index, crandn, draw_overlap_amplitude,
-                      gen_channel_factor)
-from .config import SystemConfig, check_integer
-from .estimation import _wishart_factor, mmse_coefficients
+from .channel import JammerSpec, _codeword_index, draw_overlap_amplitude, gen_channel_factor
+from .config import SystemConfig, check_count
 from .oracle import conventional_mean
 from .protocols import run_algorithm1, run_algorithm2
-from .rates import effective_sinr, rate_config, sinr_and_rate
-from .rng import substream
+from .rates import rate_config, sinr_and_rate
+from .rng import TAG_CHANNEL, TAG_PROTOCOL, substream
 
 SCHEMES = ("conventional", "alg1", "alg2")
-
-_TAG_CHANNEL = 0
-_TAG_PROTOCOL = 1
-_TAG_MOMENTS = 2
-_MOMENT_CHUNK = 20000
 
 
 @dataclass(frozen=True)
@@ -74,7 +65,6 @@ class RateSummary:
     stderr: float
     n_used_hist: dict[int, int]
     mean_n_used: float
-    n_trials: int
 
 
 def _validate_combination(cfg: SystemConfig, scheme: str, jammer: JammerSpec):
@@ -107,7 +97,7 @@ def simulate_one_trial(cfg: SystemConfig, scheme: str, jammer: JammerSpec,
     overlap; a trial that stops after round one has it as its own rate.
     """
     _validate_combination(cfg, scheme, jammer)
-    rng_proto = substream(cfg.master_seed, index, _TAG_PROTOCOL)
+    rng_proto = substream(cfg.master_seed, index, TAG_PROTOCOL)
     # round one: the pilot index, then its overlap amplitude with the
     # jamming sequence, which alg2's jammer replays for the whole trial
     k = cfg.first_pilot if cfg.first_pilot is not None else int(rng_proto.integers(cfg.tau))
@@ -115,7 +105,7 @@ def simulate_one_trial(cfg: SystemConfig, scheme: str, jammer: JammerSpec,
     if scheme == "conventional":
         n_used, overlap = 1, abs(amp) ** 2
     else:
-        r = gen_channel_factor(substream(cfg.master_seed, index, _TAG_CHANNEL),
+        r = gen_channel_factor(substream(cfg.master_seed, index, TAG_CHANNEL),
                                cfg.M, cfg.beta_u, cfg.beta_j)
         trace = (run_algorithm1(cfg, r, k, amp, jammer, rng_proto) if scheme == "alg1"
                  else run_algorithm2(cfg, r, k, amp, jammer, rng_proto))
@@ -134,14 +124,6 @@ def _trial_chunk(args):
             np.array(conv))
 
 
-def _check_counts(n_trials, n_workers=1):
-    """Reject a trial or worker count that is not a positive integer."""
-    for name, value in (("n_trials", n_trials), ("worker count", n_workers)):
-        check_integer(name, value)
-        if value < 1:
-            raise ValueError(f"{name} must be positive, got {value}")
-
-
 def run_trials(cfg: SystemConfig, scheme: str, jammer: JammerSpec, n_trials: int,
                n_workers: int = 1) -> TrialData:
     """All trial outcomes for one scheme.
@@ -150,7 +132,8 @@ def run_trials(cfg: SystemConfig, scheme: str, jammer: JammerSpec, n_trials: int
     time, never values. The pool never starts more workers than the machine
     has CPUs or the run has chunks.
     """
-    _check_counts(n_trials, n_workers)
+    check_count("n_trials", n_trials)
+    check_count("worker count", n_workers)
     _validate_combination(cfg, scheme, jammer)
     n_workers = min(n_workers, os.cpu_count() or 1)
     step = n_trials if n_workers == 1 else max(1, math.ceil(n_trials / (4 * n_workers)))
@@ -203,122 +186,4 @@ def average_rate(cfg: SystemConfig, scheme: str, jammer: JammerSpec, n_trials: i
                                             conventional_mean(cfg, jammer))
     hist = {int(k): int(c) for k, c in enumerate(np.bincount(data.n_used)) if c > 0}
     return RateSummary(mean_rate=mean, stderr=stderr,
-                       n_used_hist=hist, mean_n_used=float(data.n_used.mean()),
-                       n_trials=n_trials)
-
-
-# verify_moments passes a quantity when |emp - th| <= MOMENT_Z * stderr. A
-# correct run of 15 quantities then fails with probability about 1e-4, and
-# at 100000 trials M = 20 still resolves a 3% error in e1 (stderr 0.6-0.7%).
-MOMENT_Z = 4.5
-
-
-@dataclass(frozen=True)
-class Moment:
-    """One quantity of the moment check: empirical mean, closed form, standard error."""
-
-    emp: float
-    th: float
-    se: float
-
-    @property
-    def z(self) -> float:
-        """emp - th in standard errors; a zero standard error allows only emp == th."""
-        if self.se > 0.0:
-            return (self.emp - self.th) / self.se
-        return 0.0 if self.emp == self.th else math.copysign(math.inf, self.emp - self.th)
-
-    @property
-    def ok(self) -> bool:
-        return abs(self.z) <= MOMENT_Z
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """Empirical vs closed-form moments of the effective-noise decomposition.
-
-    moments maps e1 (the self-interference of the channel estimate,
-    including the estimation error), e2 (the jamming leakage through the
-    combiner), e3 (the combined thermal noise), signal (the coherent term
-    whose square forms the SINR numerator) and sinr to their Moment.
-    """
-
-    overlap_sq: float
-    trials: int
-    moments: dict[str, Moment]
-
-    @property
-    def ok(self) -> bool:
-        return all(m.ok for m in self.moments.values())
-
-
-def verify_moments(cfg: SystemConfig, overlap_sq: float, n_trials: int) -> MomentReport:
-    """Monte Carlo check of the effective-noise moments at a pinned overlap.
-
-    The pilot and jamming sequences are fixed (the closed forms are
-    conditional on them); channels, noise, and payload symbols are redrawn
-    every trial. The channel estimate uses the true overlap, matching the
-    oracle analysis. The standard errors of signal and sinr, functions of
-    the means of e1, e2, e3 and ||g_hat||^2, follow by the delta method.
-    """
-    if not 0.0 <= overlap_sq <= 1.0:
-        raise ValueError("overlap_sq must lie in [0, 1]")
-    _check_counts(n_trials)
-    if cfg.p_t <= 0:
-        raise ValueError("the moment check needs training power p_t > 0")
-    if overlap_sq < 1.0 and cfg.tau < 2:
-        raise ValueError("a partial overlap needs tau >= 2")
-    amp = math.sqrt(overlap_sq)    # s_j^T s_u* for a unit-norm s_j at that overlap
-    c_u, gamma_u = mmse_coefficients(cfg, overlap_sq)
-
-    rng = substream(cfg.master_seed, int(round(overlap_sq * 1e6)), _TAG_MOMENTS)
-    sqrt_tp = math.sqrt(cfg.tau * cfg.p_t)
-    sqrt_tq = math.sqrt(cfg.tau * cfg.q_t)
-    scale = np.sqrt([cfg.beta_u, cfg.beta_j, 1.0, 1.0])
-    sums = np.zeros(4)
-    cross = np.zeros((4, 4))
-    done = 0
-    while done < n_trials:
-        n = min(_MOMENT_CHUNK, n_trials - done)
-        # every quantity is an inner product of the columns of
-        # [g_u g_j n_t n_d] (n_t the de-spread training noise), so a factor
-        # of their 4 x 4 gram stands in for the M x 4 draws
-        g_u, g_j, n_t, n_d = np.moveaxis(scale * _wishart_factor(rng, cfg.M, 4, (n,)), -1, 0)
-        x_u = crandn(rng, n)
-        x_j = crandn(rng, n)
-        y_t = sqrt_tp * g_u + sqrt_tq * amp * g_j + n_t
-        g_hat = c_u * y_t
-        err = g_u - g_hat
-        norm2 = np.sum(np.abs(g_hat) ** 2, axis=1)
-        self_noise = (norm2 - cfg.M * gamma_u) + np.sum(g_hat.conj() * err, axis=1)
-        samples = np.stack([
-            cfg.p_d * np.abs(self_noise * x_u) ** 2,
-            cfg.q_d * np.abs(np.sum(g_hat.conj() * g_j, axis=1) * x_j) ** 2,
-            np.abs(np.sum(g_hat.conj() * n_d, axis=1)) ** 2,
-            norm2,
-        ])
-        sums += samples.sum(axis=1)
-        cross += samples @ samples.T
-        done += n
-
-    mean = sums / n_trials
-    cov = cross / n_trials - np.outer(mean, mean)
-    noise, norm_mean = mean[:3].sum(), mean[3]
-    signal_emp = cfg.p_d * norm_mean ** 2
-    sinr_emp = signal_emp / noise
-    # rows: the gradients of e1, e2, e3, signal and sinr in the four means
-    jac = np.zeros((5, 4))
-    jac[:3, :3] = np.eye(3)
-    jac[3, 3] = 2.0 * cfg.p_d * norm_mean
-    jac[4] = (-sinr_emp / noise,) * 3 + (2.0 * sinr_emp / norm_mean,)
-    stderrs = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", jac, cov, jac), 0.0) / n_trials)
-    emps = (*mean[:3], signal_emp, sinr_emp)
-    e2_th = cfg.M * cfg.q_d * gamma_u * (
-        cfg.beta_j + cfg.M * gamma_u * (cfg.q_t / cfg.p_t)
-        * (cfg.beta_j / cfg.beta_u) ** 2 * overlap_sq)
-    ths = (cfg.M * gamma_u * cfg.p_d * cfg.beta_u, e2_th, cfg.M * gamma_u,
-           cfg.p_d * (cfg.M * gamma_u) ** 2, effective_sinr(cfg, gamma_u, overlap_sq))
-    names = ("e1", "e2", "e3", "signal", "sinr")
-    moments = {name: Moment(float(emp), th, float(se))
-               for name, emp, th, se in zip(names, emps, ths, stderrs)}
-    return MomentReport(overlap_sq=overlap_sq, trials=n_trials, moments=moments)
+                       n_used_hist=hist, mean_n_used=float(data.n_used.mean()))

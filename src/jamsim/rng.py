@@ -20,6 +20,8 @@ from numpy.random.bit_generator import ISeedSequence
 
 _WORD = 1 << 64
 _MAX_PATH = 3
+# the last path word: a trial's channel and protocol streams, the moment oracle's
+TAG_CHANNEL, TAG_PROTOCOL, TAG_MOMENTS = 0, 1, 2
 
 
 class _PhiloxKey(ISeedSequence):
@@ -38,13 +40,14 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
     """Independent generator for one (master_seed, key path) combination.
 
     path holds at most three words. Every word must be an integer in
-    [0, 2^64); anything else raises ValueError.
+    [0, 2^64), and not a bool; anything else raises ValueError.
     """
     if len(path) > _MAX_PATH:
         raise ValueError(f"a stream path has at most {_MAX_PATH} words, got {len(path)}")
     words = (master_seed, *path)
     for word in words:
-        if not (isinstance(word, (int, np.integer)) and 0 <= word < _WORD):
+        if isinstance(word, bool) or not (isinstance(word, (int, np.integer))
+                                          and 0 <= word < _WORD):
             raise ValueError(f"stream key words must be integers in [0, 2^64), got {word!r}")
     words += (0,) * (_MAX_PATH + 1 - len(words))
     state = np.array((words[0], words[1], 0, words[2], words[3], len(path)), dtype=np.uint64)

@@ -5,9 +5,9 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .config import SystemConfig, snr_db_to_power
+from .config import SystemConfig, check_count, snr_db_to_power
 from .channel import JammerSpec
-from .montecarlo import SCHEMES, _check_counts, _validate_combination, average_rate
+from .montecarlo import SCHEMES, _validate_combination, average_rate
 
 AXES = ("tau_over_T", "M", "snr_db", "epsilon")
 PRESET_NAMES = ("fig2", "fig3")
@@ -70,7 +70,8 @@ class SweepSpec:
             raise ValueError("values must be nonempty")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("values must be strictly increasing")
-        _check_counts(self.n_trials, self.n_workers)
+        check_count("n_trials", self.n_trials)
+        check_count("worker count", self.n_workers)
         # fail before the first trial, naming the value
         for value in self.values:
             cfg = derive_config(self.base, self.axis, value)
@@ -113,7 +114,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             rows.append(SweepRow(axis=spec.axis_label, value=float(value), scheme=scheme,
                                  mean_rate=summary.mean_rate, stderr=summary.stderr,
                                  mean_n_used=summary.mean_n_used,
-                                 n_trials=summary.n_trials, seed=cfg.master_seed))
+                                 n_trials=spec.n_trials, seed=cfg.master_seed))
     return rows
 
 

@@ -15,7 +15,7 @@ from jamsim import (JammerSpec, SweepSpec, SystemConfig, gen_channel_factor, run
 from jamsim.channel import jamming_overlap_sq, make_codebook, overlap_amplitude
 from jamsim.config import snr_db_to_power
 from jamsim.estimation import run_training
-from jamsim.montecarlo import MOMENT_Z
+from jamsim.oracle import MOMENT_Z
 from jamsim.protocols import select_retransmission_pilot
 from jamsim.rates import rate_from_overlap
 
@@ -34,11 +34,11 @@ def test_criterion_1_effective_noise_moment_oracle():
     start = time.perf_counter()
     worst_moment = worst_sinr = worst_z = 0.0
     for overlap in (0.0, 0.5, 1.0):
-        rep = verify_moments(cfg, overlap, 100000)
-        errors = {name: abs(m.emp - m.th) / abs(m.th) for name, m in rep.moments.items()}
+        moments = verify_moments(cfg, overlap, 100000)
+        errors = {name: abs(m.emp - m.th) / abs(m.th) for name, m in moments.items()}
         worst_moment = max(worst_moment, errors["e1"], errors["e2"], errors["e3"])
         worst_sinr = max(worst_sinr, errors["sinr"])
-        worst_z = max(worst_z, *(abs(m.z) for m in rep.moments.values()))
+        worst_z = max(worst_z, *(abs(m.z) for m in moments.values()))
     elapsed = time.perf_counter() - start
     ok = (worst_moment <= 0.03 and worst_sinr <= 0.05 and worst_z <= MOMENT_Z
           and elapsed < 30.0)

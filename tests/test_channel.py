@@ -70,7 +70,8 @@ def test_substream_cross_tag_draws_are_uncorrelated():
 
 
 @pytest.mark.parametrize("path", [(-1, 0), (0, -1), (2**64, 0), (0, 2**64),
-                                  (0, 1, 2, 3, 4), (0, 1.5), (1.0, 2)])
+                                  (0, 1, 2, 3, 4), (0, 1.5), (1.0, 2),
+                                  (True, 0), (0, True), (0, 1, True)])
 def test_substream_rejects_bad_keys(path):
     with pytest.raises(ValueError, match="stream"):
         substream(*path)

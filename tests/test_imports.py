@@ -1,0 +1,35 @@
+"""Every module of the package uses each name it imports.
+
+A name moved out of a module tends to leave its import behind; this check
+reads the source with ast alone. __init__.py is exempt, since its imports
+are the package's public names.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "jamsim"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names that source binds by an import and never reads, in import order."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_unused_imports_are_found():
+    source = "import os\nimport numpy as np\nfrom a.b import c, d as e\nnp.f(e)\n"
+    assert _unused_imports(source) == ["os", "c"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []

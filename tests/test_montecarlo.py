@@ -11,9 +11,10 @@ from jamsim import (JammerSpec, SystemConfig, average_rate, draw_overlap_amplitu
 from jamsim.channel import crandn, make_codebook
 from jamsim.config import snr_db_to_power
 from jamsim.estimation import mmse_coefficients, run_training
-from jamsim.montecarlo import MOMENT_Z, Moment, control_variate_mean
-from jamsim.oracle import conventional_mean
+from jamsim.montecarlo import control_variate_mean
+from jamsim.oracle import MOMENT_Z, Moment, conventional_mean
 from jamsim.rates import rate_from_overlap
+from jamsim.rng import TAG_CHANNEL, TAG_PROTOCOL
 
 
 def _cfg(**kw):
@@ -47,6 +48,13 @@ def test_single_trial_matches_batch_position():
         assert n_used == batch.n_used[k]
         assert overlap == batch.overlap_sq[k]
         assert conv == batch.conv_rates[k]
+
+
+@pytest.mark.parametrize("scheme", ["conventional", "alg1", "alg2"])
+def test_single_trial_rejects_a_bool_index(scheme):
+    # True would otherwise key the stream of trial 1
+    with pytest.raises(ValueError, match="stream key words"):
+        simulate_one_trial(_cfg(), scheme, JammerSpec(), True)
 
 
 def test_worker_count_does_not_change_values():
@@ -157,11 +165,12 @@ def test_alg2_round_one_is_the_conventional_round():
     alg2 = run_trials(cfg, "alg2", jam, n)
     stops = []
     for i in range(n):
-        r = gen_channel_factor(substream(cfg.master_seed, i, 0), cfg.M, cfg.beta_u, cfg.beta_j)
-        rng = substream(cfg.master_seed, i, 1)
+        r = gen_channel_factor(substream(cfg.master_seed, i, TAG_CHANNEL), cfg.M, cfg.beta_u,
+                               cfg.beta_j)
+        rng = substream(cfg.master_seed, i, TAG_PROTOCOL)
         k = int(rng.integers(cfg.tau))
         trace = run_algorithm2(cfg, r, k, draw_overlap_amplitude(rng, jam, k, cfg.tau), jam, rng)
-        rng = substream(cfg.master_seed, i, 1)
+        rng = substream(cfg.master_seed, i, TAG_PROTOCOL)
         k = int(rng.integers(cfg.tau))
         training = run_training(cfg, r, draw_overlap_amplitude(rng, jam, k, cfg.tau), rng)
         assert trace.rounds[0].overlap_true == conv.overlap_sq[i]
@@ -194,10 +203,11 @@ def test_alg1_is_rated_at_the_round_its_receiver_picks():
     jam = JammerSpec()
     not_min = 0
     for i in range(200):
-        rng = substream(cfg.master_seed, i, 1)
+        rng = substream(cfg.master_seed, i, TAG_PROTOCOL)
         k = int(rng.integers(cfg.tau))
         amp = draw_overlap_amplitude(rng, jam, k, cfg.tau)
-        r = gen_channel_factor(substream(cfg.master_seed, i, 0), cfg.M, cfg.beta_u, cfg.beta_j)
+        r = gen_channel_factor(substream(cfg.master_seed, i, TAG_CHANNEL), cfg.M, cfg.beta_u,
+                               cfg.beta_j)
         trace = run_algorithm1(cfg, r, k, amp, jam, rng)
         overlap = trace.rounds[trace.chosen_round].overlap_true
         expected = rate_from_overlap(cfg, overlap, trace.n_used).rate
@@ -388,22 +398,23 @@ def test_invalid_scheme_and_jammer_combinations():
 # effective-noise moment oracle
 # ---------------------------------------------------------------------------
 
-def _rel_errors(rep):
-    return {name: abs(m.emp - m.th) / abs(m.th) for name, m in rep.moments.items() if m.th}
+def _rel_errors(moments):
+    return {name: abs(m.emp - m.th) / abs(m.th) for name, m in moments.items() if m.th}
 
 
-def _max_abs_z(rep):
-    return max(abs(m.z) for m in rep.moments.values())
+def _max_abs_z(moments):
+    return max(abs(m.z) for m in moments.values())
 
 
 def test_moment_oracle_close_at_moderate_trials():
     cfg = SystemConfig(M=20, T=50, tau=8, master_seed=0)
     for overlap in (0.0, 0.5, 1.0):
-        rep = verify_moments(cfg, overlap, 20000)
-        errors = _rel_errors(rep)
+        moments = verify_moments(cfg, overlap, 20000)
+        assert list(moments) == ["e1", "e2", "e3", "signal", "sinr"]
+        errors = _rel_errors(moments)
         assert max(errors[k] for k in ("e1", "e2", "e3", "signal")) < 0.05
         assert errors["sinr"] < 0.05
-        assert _max_abs_z(rep) <= MOMENT_Z
+        assert _max_abs_z(moments) <= MOMENT_Z
 
 
 def test_moment_oracle_sinr_across_random_parameter_draws():
@@ -423,9 +434,9 @@ def test_moment_oracle_sinr_across_random_parameter_draws():
     for i, d in enumerate(draws):
         overlap = d.pop("overlap")
         cfg = SystemConfig(T=200, n_max=2, master_seed=500 + i, **d)
-        rep = verify_moments(cfg, overlap, 100000)
-        assert _rel_errors(rep)["sinr"] < 0.05, (d, overlap)
-        assert _max_abs_z(rep) <= MOMENT_Z, (d, overlap, rep.moments)
+        moments = verify_moments(cfg, overlap, 100000)
+        assert _rel_errors(moments)["sinr"] < 0.05, (d, overlap)
+        assert _max_abs_z(moments) <= MOMENT_Z, (d, overlap, moments)
 
 
 def test_moment_oracle_stderrs_are_calibrated():
@@ -434,7 +445,7 @@ def test_moment_oracle_stderrs_are_calibrated():
     # M = 2 guards the small-array draws, where the moments are most skewed
     for m in (20, 2):
         zs = np.array([[q.z for q in verify_moments(_cfg(M=m, tau=8, master_seed=seed),
-                                                    0.5, 2000).moments.values()]
+                                                    0.5, 2000).values()]
                        for seed in range(100)])
         spread = zs.std(axis=0, ddof=1)
         assert np.all((0.7 <= spread) & (spread <= 1.4)), (m, spread)
@@ -443,11 +454,11 @@ def test_moment_oracle_stderrs_are_calibrated():
 def test_moment_oracle_silent_jammer_moment_is_exactly_zero():
     cfg = SystemConfig(M=16, T=50, tau=4, master_seed=1, powers=(1.0, 1.0, 0.0, 0.0),
                        P=1.0, Q=1.0)
-    rep = verify_moments(cfg, 0.0, 2000)
-    e2 = rep.moments["e2"]
+    moments = verify_moments(cfg, 0.0, 2000)
+    e2 = moments["e2"]
     assert e2.th == e2.emp == e2.se == e2.z == 0.0 and e2.ok
-    assert max(_rel_errors(rep).values()) < 0.10
-    assert rep.ok
+    assert max(_rel_errors(moments).values()) < 0.10
+    assert all(m.ok for m in moments.values())
     # a zero standard error passes only an exact match
     assert not Moment(emp=1e-300, th=0.0, se=0.0).ok
 
@@ -460,8 +471,8 @@ def test_moment_e1_does_not_depend_on_jammer():
                           powers=(0.2, 1.0, 0.0, 0.0))
     assert mmse_coefficients(jammed, 0.5)[1] == pytest.approx(
         mmse_coefficients(silent, 0.0)[1], rel=1e-12)
-    e1_j = verify_moments(jammed, 0.5, 10000).moments["e1"]
-    e1_s = verify_moments(silent, 0.0, 10000).moments["e1"]
+    e1_j = verify_moments(jammed, 0.5, 10000)["e1"]
+    e1_s = verify_moments(silent, 0.0, 10000)["e1"]
     assert e1_j.th == pytest.approx(e1_s.th, rel=1e-12)
     assert abs(e1_j.emp - e1_s.emp) < 2 * math.hypot(e1_j.se, e1_s.se)
 

@@ -25,6 +25,7 @@ from jamsim.estimation import (_wishart_factor, despread, despread_power,
                                receive_block_factor, receive_despread, receive_pilot_block)
 from jamsim.protocols import select_retransmission_pilot
 from jamsim.rates import rate_from_overlap
+from jamsim.rng import TAG_CHANNEL, TAG_PROTOCOL
 
 Z_BOUND = 4.0
 N_BATCHES = 20
@@ -337,10 +338,11 @@ def _reference_trial(cfg, scheme, jammer, rng):
 
 def _chosen_estimate(cfg, scheme, jammer, index):
     """Blind estimate of the round the engine's trial decodes with, from a replayed trace."""
-    rng = substream(cfg.master_seed, index, 1)
+    rng = substream(cfg.master_seed, index, TAG_PROTOCOL)
     k = int(rng.integers(cfg.tau))
     amp = draw_overlap_amplitude(rng, jammer, k, cfg.tau)
-    r = gen_channel_factor(substream(cfg.master_seed, index, 0), cfg.M, cfg.beta_u, cfg.beta_j)
+    r = gen_channel_factor(substream(cfg.master_seed, index, TAG_CHANNEL), cfg.M, cfg.beta_u,
+                           cfg.beta_j)
     protocol = run_algorithm1 if scheme == "alg1" else run_algorithm2
     trace = protocol(cfg, r, k, amp, jammer, rng)
     return trace.rounds[trace.chosen_round].overlap_est

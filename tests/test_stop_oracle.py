@@ -20,6 +20,7 @@ from jamsim import (JammerSpec, SystemConfig, draw_overlap_amplitude, gen_channe
                     run_trials, substream)
 from jamsim.estimation import run_training
 from jamsim.oracle import round_one_mean
+from jamsim.rng import TAG_CHANNEL, TAG_PROTOCOL
 
 Z_BOUND = 4.0
 N_TRIALS = 4000
@@ -109,8 +110,9 @@ def test_codeword_round_one_meets_the_threshold_at_the_exact_rate(m):
     p = stop_share(cfg, jammer)
     estimates = []
     for i in range(N_TRIALS):
-        r = gen_channel_factor(substream(cfg.master_seed, i, 0), m, cfg.beta_u, cfg.beta_j)
-        rng = substream(cfg.master_seed, i, 1)
+        r = gen_channel_factor(substream(cfg.master_seed, i, TAG_CHANNEL), m, cfg.beta_u,
+                               cfg.beta_j)
+        rng = substream(cfg.master_seed, i, TAG_PROTOCOL)
         k = int(rng.integers(cfg.tau))
         estimates.append(run_training(cfg, r, draw_overlap_amplitude(rng, jammer, k, cfg.tau),
                                       rng))

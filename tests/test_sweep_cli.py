@@ -8,7 +8,7 @@ import pytest
 
 from jamsim import (JammerSpec, SweepSpec, SystemConfig, average_rate, cli, run_preset,
                     run_sweep, write_csv)
-from jamsim.montecarlo import Moment, MomentReport
+from jamsim.oracle import Moment
 from jamsim.sweep import CSV_HEADER, derive_config, preset_specs
 
 
@@ -309,10 +309,9 @@ def test_cli_verify_appendix_exit_codes(tmp_path, monkeypatch, capsys):
     real = cli.verify_moments
 
     def e1_off(cfg, overlap, trials):
-        rep = real(cfg, overlap, trials)
-        e1 = rep.moments["e1"]
-        return MomentReport(rep.overlap_sq, rep.trials,
-                            {**rep.moments, "e1": Moment(e1.th + 10 * e1.se, e1.th, e1.se)})
+        moments = real(cfg, overlap, trials)
+        e1 = moments["e1"]
+        return {**moments, "e1": Moment(e1.th + 10 * e1.se, e1.th, e1.se)}
 
     monkeypatch.setattr(cli, "verify_moments", e1_off)
     assert cli.main(["verify-appendix", "--trials", "4000"]) == 1
