@@ -23,9 +23,12 @@ Conventional decides nothing, so it draws neither channels nor noise. Keyed
 streams make scheme comparisons paired and keep any execution order or
 worker count bit-reproducible.
 
-Every trial also returns the conventional rate of its round one, whose
-exact mean (oracle.conventional_mean) makes it the control variate of
-average_rate's alg rows.
+Every trial also returns the conventional rate of its round one, round
+one's squared overlap and, on alg trials, whether round one's blind
+estimate met the threshold. average_rate steers the alg rows with them:
+the conventional rate has the exact mean oracle.conventional_mean, and the
+stop indicator has the exact mean oracle.stop_probability given the
+overlap.
 """
 
 import math
@@ -37,7 +40,7 @@ import numpy as np
 
 from .channel import JammerSpec, _codeword_index, draw_overlap_amplitude, gen_channel_factor
 from .config import SystemConfig, check_count
-from .oracle import conventional_mean
+from .oracle import conventional_mean, stop_probability
 from .protocols import run_algorithm1, run_algorithm2
 from .rates import rate_config, sinr_and_rate
 from .rng import TAG_CHANNEL, TAG_PROTOCOL, substream
@@ -49,14 +52,20 @@ SCHEMES = ("conventional", "alg1", "alg2")
 class TrialData:
     """Per-trial outcomes of one scheme, in trial-index order.
 
-    conv_rates holds the conventional rate of each trial's round one, the
-    paired control variate of an alg row.
+    overlap_sq is the true squared overlap of the round each receiver
+    decodes with. The rest steer an alg row (average_rate): conv_rates
+    holds the conventional rate of each trial's round one,
+    round_one_overlap_sq round one's squared overlap, and round_one_met
+    whether round one's blind estimate met the threshold (False on
+    conventional trials, which estimate nothing).
     """
 
     rates: np.ndarray
     n_used: np.ndarray
     overlap_sq: np.ndarray
     conv_rates: np.ndarray
+    round_one_overlap_sq: np.ndarray
+    round_one_met: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -82,8 +91,11 @@ def _validate_combination(cfg: SystemConfig, scheme: str, jammer: JammerSpec):
 
 
 def simulate_one_trial(cfg: SystemConfig, scheme: str, jammer: JammerSpec,
-                       index: int) -> tuple[float, int, float, float]:
-    """One independent realization of one scheme: (rate, n_used, overlap_sq, conv_rate).
+                       index: int) -> tuple[float, int, float, float, float, bool]:
+    """One realization of one scheme.
+
+    Returns (rate, n_used, overlap_sq, conv_rate, round_one_overlap_sq,
+    round_one_met), the fields of TrialData.
 
     Reproducible from (cfg.master_seed, index) alone. Round one, the pilot
     index and its overlap amplitude, is drawn here for every scheme, so
@@ -94,7 +106,9 @@ def simulate_one_trial(cfg: SystemConfig, scheme: str, jammer: JammerSpec,
     the MMSE coefficient is scaled, so a receiver that builds its estimate
     from the blind overlap gets this rate too (the use-and-forget bound).
     conv_rate is the conventional rate of the same trial, at round one's
-    overlap; a trial that stops after round one has it as its own rate.
+    squared overlap round_one_overlap_sq; a trial that stops after round one
+    has it as its own rate. round_one_met says whether round one's blind
+    estimate met the threshold, and is False on a conventional trial.
     """
     _validate_combination(cfg, scheme, jammer)
     rng_proto = substream(cfg.master_seed, index, TAG_PROTOCOL)
@@ -102,26 +116,28 @@ def simulate_one_trial(cfg: SystemConfig, scheme: str, jammer: JammerSpec,
     # jamming sequence, which alg2's jammer replays for the whole trial
     k = cfg.first_pilot if cfg.first_pilot is not None else int(rng_proto.integers(cfg.tau))
     amp = draw_overlap_amplitude(rng_proto, jammer, k, cfg.tau)
+    overlap_one = abs(amp) ** 2
     if scheme == "conventional":
-        n_used, overlap = 1, abs(amp) ** 2
+        n_used, overlap, met = 1, overlap_one, False
     else:
         r = gen_channel_factor(substream(cfg.master_seed, index, TAG_CHANNEL),
                                cfg.M, cfg.beta_u, cfg.beta_j)
         trace = (run_algorithm1(cfg, r, k, amp, jammer, rng_proto) if scheme == "alg1"
                  else run_algorithm2(cfg, r, k, amp, jammer, rng_proto))
         n_used, overlap = trace.n_used, trace.rounds[trace.chosen_round].overlap_true
+        met = cfg.overlap_below_threshold(trace.rounds[0].overlap_est)
     rc = rate_config(cfg, jammer)
     value = sinr_and_rate(rc, overlap, n_used)[1]
-    conv = value if n_used == 1 else sinr_and_rate(rc, abs(amp) ** 2, 1)[1]
-    return value, n_used, overlap, conv
+    conv = value if n_used == 1 else sinr_and_rate(rc, overlap_one, 1)[1]
+    return value, n_used, overlap, conv, overlap_one, met
 
 
 def _trial_chunk(args):
     cfg, scheme, jammer, start, stop = args
-    rates, n_used, overlaps, conv = zip(*(simulate_one_trial(cfg, scheme, jammer, i)
-                                          for i in range(start, stop)))
+    rates, n_used, overlaps, conv, overlaps_one, met = zip(
+        *(simulate_one_trial(cfg, scheme, jammer, i) for i in range(start, stop)))
     return (np.array(rates), np.array(n_used, dtype=np.int64), np.array(overlaps),
-            np.array(conv))
+            np.array(conv), np.array(overlaps_one), np.array(met, dtype=bool))
 
 
 def run_trials(cfg: SystemConfig, scheme: str, jammer: JammerSpec, n_trials: int,
@@ -147,43 +163,68 @@ def run_trials(cfg: SystemConfig, scheme: str, jammer: JammerSpec, n_trials: int
             results = list(pool.map(_trial_chunk, chunks))
         finally:
             pool.shutdown()
-    rates, n_used, overlaps, conv = map(np.concatenate, zip(*results))
-    return TrialData(rates=rates, n_used=n_used, overlap_sq=overlaps, conv_rates=conv)
+    return TrialData(*map(np.concatenate, zip(*results)))
 
 
-def control_variate_mean(y: np.ndarray, x: np.ndarray | None = None,
-                         x_mean: float = 0.0) -> tuple[float, float]:
-    """Mean of the samples y and its standard error, steered by x of exact mean x_mean.
+def control_variate_mean(y: np.ndarray, columns: np.ndarray | None = None,
+                         means: float | tuple[float, ...] = 0.0) -> tuple[float, float]:
+    """Mean of the samples y and its standard error, steered by control variates.
 
-    mean(y) - b (mean(x) - x_mean), with b the sample regression slope of y
-    on x, and the standard error of the residuals y - b x with ddof=2.
-    Without x, with fewer than 3 samples or with x constant, it is the
-    plain mean and its sample standard error (0 for one sample).
+    columns holds one control variate per column, one row per sample, and
+    means their exact means. Columns that take one value throughout are
+    dropped. The estimate is mean(y) - b . (mean(columns) - means), with b
+    the least-squares coefficients of y on the centred columns, solved
+    rank-revealing so that collinear columns share one coefficient. The
+    standard error is that of the residuals, with ddof = 1 + rank. Without
+    a varying column, or with fewer samples than varying columns plus 2, it
+    is the plain mean and its sample standard error (0 for one sample).
     """
     n = len(y)
-    if x is None or n < 3 or x.min() == x.max():
-        stderr = float(y.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        return float(y.mean()), stderr
-    x_bar, y_bar = x.mean(), y.mean()
-    xc, yc = x - x_bar, y - y_bar
-    b = float(xc @ yc / (xc @ xc))
-    return float(y_bar - b * (x_bar - x_mean)), float((yc - b * xc).std(ddof=2) / math.sqrt(n))
+    y_bar = y.mean()
+    if columns is not None:
+        x = np.asarray(columns, dtype=float).reshape(n, -1)
+        keep = x.min(axis=0) < x.max(axis=0)
+        x, x_mean = x[:, keep], np.broadcast_to(means, keep.shape)[keep]
+        if x.shape[1] and n >= x.shape[1] + 2:
+            x_bar = x.mean(axis=0)
+            xc = x - x_bar
+            # unit-norm columns make the rank cut independent of their scales
+            norms = np.sqrt(np.einsum("ij,ij->j", xc, xc))
+            b, _, rank, _ = np.linalg.lstsq(xc / norms, y - y_bar, rcond=None)
+            resid = y - y_bar - (xc / norms) @ b
+            return (float(y_bar - ((x_bar - x_mean) / norms) @ b),
+                    float(resid.std(ddof=1 + rank) / math.sqrt(n)))
+    stderr = float(y.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return float(y_bar), stderr
+
+
+def _control_variates(cfg: SystemConfig, jammer: JammerSpec,
+                      data: TrialData) -> tuple[np.ndarray, tuple[float, float, float]]:
+    """The control-variate columns of an alg row's trials, and their exact means.
+
+    With x the conventional rate of round one and d the round-one stop
+    indicator minus its exact probability given round one's overlap
+    (stop_probability), the columns are x, of mean conventional_mean, and
+    d and d x, both of mean 0, since x is a function of that overlap.
+    """
+    x = data.conv_rates
+    d = data.round_one_met - stop_probability(cfg, data.round_one_overlap_sq)
+    return np.column_stack([x, d, d * x]), (conventional_mean(cfg, jammer), 0.0, 0.0)
 
 
 def average_rate(cfg: SystemConfig, scheme: str, jammer: JammerSpec, n_trials: int,
                  n_workers: int = 1) -> RateSummary:
     """Mean closed-form rate, its standard error, and the retransmission counts.
 
-    A conventional row is the plain sample mean. An alg row is the paired
-    control-variate mean (control_variate_mean) against its trials'
-    conventional rates, whose exact mean is conventional_mean.
+    A conventional row is the plain sample mean. An alg row is the
+    control-variate mean (control_variate_mean) on its trials' three
+    columns (_control_variates).
     """
     data = run_trials(cfg, scheme, jammer, n_trials, n_workers=n_workers)
     if scheme == "conventional":
         mean, stderr = control_variate_mean(data.rates)
     else:
-        mean, stderr = control_variate_mean(data.rates, data.conv_rates,
-                                            conventional_mean(cfg, jammer))
+        mean, stderr = control_variate_mean(data.rates, *_control_variates(cfg, jammer, data))
     hist = {int(k): int(c) for k, c in enumerate(np.bincount(data.n_used)) if c > 0}
     return RateSummary(mean_rate=mean, stderr=stderr,
                        n_used_hist=hist, mean_n_used=float(data.n_used.mean()))

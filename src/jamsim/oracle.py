@@ -3,8 +3,12 @@
 round_one_mean integrates a function of round one's squared overlap over
 that overlap's exact law. conventional_mean is the mean conventional rate
 as that 1-D integral: the engine rates a conventional trial at that overlap
-alone, so the integral is exact up to quadrature error, and average_rate
-uses it as the known mean of the control variate on the alg rows.
+alone, so the integral is exact up to quadrature error. stop_probability is
+the exact probability, given that overlap, that round one's blind estimate
+meets the threshold, and stop_share its mean. average_rate steers the alg
+rows with both: the conventional rate has mean conventional_mean, and the
+round-one stop indicator minus stop_probability has mean 0, alone and times
+the conventional rate.
 
 verify_moments is the moment check: it compares Monte Carlo moments of the
 effective-noise decomposition behind the SINR formula with their closed
@@ -13,14 +17,14 @@ forms, each in units of its own standard error.
 
 import functools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import JammerSpec, _codeword_index, crandn
 from .config import SystemConfig, check_count
-from .estimation import _wishart_factor, mmse_coefficients
+from .estimation import _mmse_terms, _wishart_factor, mmse_coefficients
 from .rates import effective_sinr, rate_config, sinr_and_rate
 from .rng import TAG_MOMENTS, substream
 
@@ -44,10 +48,11 @@ def _exp_rule() -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 
 def round_one_mean(cfg: SystemConfig, jammer: JammerSpec,
-                   g: Callable[[float], float]) -> float:
+                   g: Callable[[np.ndarray], Sequence[float]]) -> float:
     """E[g(|a|^2)] over the exact law of round one's squared overlap |a|^2.
 
-    That law depends on the jammer kind (draw_overlap_amplitude): gaussian
+    g maps a 1-D array of squared overlaps to their values, one per entry.
+    The law depends on the jammer kind (draw_overlap_amplitude): gaussian
     gives Exp(mean 1/tau); sphere gives Beta(1, tau - 1), which is
     1 - exp(-t / (tau - 1)) for t ~ Exp(1), and 1 at tau = 1. Both are
     integrated over t (_exp_rule). codeword hits the user's pilot with
@@ -55,27 +60,103 @@ def round_one_mean(cfg: SystemConfig, jammer: JammerSpec,
     gives 0.
     """
     if jammer.kind == "absent":
-        return g(0.0)
+        return float(g(np.zeros(1))[0])
     if jammer.kind == "codeword":
         j = _codeword_index(jammer, cfg.tau)
         if cfg.first_pilot is not None:
-            return g(float(cfg.first_pilot == j))
-        return g(1.0) / cfg.tau + g(0.0) * (1.0 - 1.0 / cfg.tau)
+            return float(g(np.array([float(cfg.first_pilot == j)]))[0])
+        hit, miss = g(np.array([1.0, 0.0]))
+        return float(hit / cfg.tau + miss * (1.0 - 1.0 / cfg.tau))
     if jammer.kind == "sphere" and cfg.tau == 1:
-        return g(1.0)
+        return float(g(np.ones(1))[0])
     nodes, weights = _exp_rule()
     if jammer.kind == "gaussian":
         overlaps = [t / cfg.tau for t in nodes]
     else:
         overlaps = [-math.expm1(-t / (cfg.tau - 1)) for t in nodes]
-    return math.fsum(w * g(x) for x, w in zip(overlaps, weights))
+    return math.fsum(w * v for v, w in zip(g(np.array(overlaps)), weights))
 
 
 @functools.lru_cache(maxsize=256)
 def conventional_mean(cfg: SystemConfig, jammer: JammerSpec) -> float:
     """Mean conventional rate E[rate(|a|^2, 1)] under rate_config(cfg, jammer)."""
     rc = rate_config(cfg, jammer)
-    return round_one_mean(cfg, jammer, lambda overlap_sq: sinr_and_rate(rc, overlap_sq, 1)[1])
+    return round_one_mean(cfg, jammer, lambda overlaps: [
+        sinr_and_rate(rc, overlap_sq, 1)[1] for overlap_sq in overlaps.tolist()])
+
+
+# _poisson_sum stops once every term is below _SUM_TOL. The terms shrink
+# geometrically, so the tail it drops stays below 1e-16 up to m = 10^5. It
+# takes _SUM_BLOCK steps per pass, with temporaries of that many rows.
+_SUM_TOL = 2.0 ** -60
+_SUM_BLOCK = 16
+
+
+def _lower_gamma_regularized(m: int, x: np.ndarray) -> np.ndarray:
+    """P(m, x), the regularized lower incomplete gamma function, for an integer m >= 1.
+
+    Elementwise over x >= 0, in O(sqrt(m)) steps. Both sides are Poisson(x)
+    tails: P(m, x) sums the probabilities e^-x x^k / k! over k >= m, and
+    1 - P(m, x) over k < m. Where x < m, P is summed up from k = m, each
+    term x / (k + 1) times the last; elsewhere 1 - P is summed down from
+    k = m - 1, each term k / x times the last. Either way the terms shrink
+    from the first on, in about 9 sqrt(m) steps near x = m. The error is
+    below 1e-11 up to m = 5000; beyond that it grows as m log(m) times the
+    float epsilon, the rounding of the first term's logarithm.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    below = x < m
+    with np.errstate(divide="ignore"):    # log(0) = -inf gives the term 0
+        xs = x[below]
+        out[below] = _poisson_sum(m * np.log(xs) - xs - math.lgamma(m + 1),
+                                  lambda n: xs / (m + n))
+        xs = x[~below]
+        out[~below] = 1.0 - _poisson_sum((m - 1) * np.log(xs) - xs - math.lgamma(m),
+                                         lambda n: np.maximum(m - n, 0) / xs)
+    return out
+
+
+def _poisson_sum(log_first: np.ndarray, ratios: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Sum of the terms t_0 = exp(log_first) and t_n = r_n t_(n-1), up to _SUM_TOL.
+
+    ratios(steps), for a column of step numbers n, holds r_n in the row of n.
+    """
+    term = np.exp(log_first)
+    total = term.copy()
+    start = 1
+    while np.any(term > _SUM_TOL):
+        steps = np.arange(start, start + _SUM_BLOCK)[:, None]
+        terms = term * np.cumprod(ratios(steps), axis=0)
+        total += terms.sum(axis=0)
+        term = terms[-1]
+        start += _SUM_BLOCK
+    return total
+
+
+def stop_probability(cfg: SystemConfig, overlap_sq) -> np.ndarray:
+    """Probability that round one's blind estimate meets the threshold, given its squared overlap.
+
+    Elementwise over overlap_sq. Given the overlap ov, ||y_t||^2 is
+    sigma^2 Gamma(M) with sigma^2 = tau p_t beta_u + tau q_t beta_j ov + 1,
+    and the estimate (estimate_overlap_sq), clamped to [0, 1], is at most
+    epsilon < 1 exactly when ||y_t||^2 <= x* = M (tau p_t beta_u + 1 +
+    tau q_t beta_j epsilon). So the probability is P(M, x* / sigma^2), P the
+    regularized lower incomplete gamma function, and 1 when epsilon >= 1.
+    """
+    overlap_sq = np.asarray(overlap_sq, dtype=float)
+    pilot, jamming, _, _ = _mmse_terms(cfg)
+    if jamming <= 0:
+        raise ValueError("overlap estimation needs q_t > 0")
+    if cfg.epsilon >= 1.0:
+        return np.ones(overlap_sq.shape)
+    x_star = cfg.M * (pilot + 1.0 + jamming * cfg.epsilon)
+    return _lower_gamma_regularized(cfg.M, x_star / (pilot + jamming * overlap_sq + 1.0))
+
+
+def stop_share(cfg: SystemConfig, jammer: JammerSpec) -> float:
+    """Probability that round one's blind estimate meets the threshold."""
+    return round_one_mean(cfg, jammer, functools.partial(stop_probability, cfg))
 
 
 # verify_moments passes a quantity when |emp - th| <= MOMENT_Z * stderr. A

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -11,8 +12,8 @@ from jamsim import (JammerSpec, SystemConfig, average_rate, draw_overlap_amplitu
 from jamsim.channel import crandn, make_codebook
 from jamsim.config import snr_db_to_power
 from jamsim.estimation import mmse_coefficients, run_training
-from jamsim.montecarlo import control_variate_mean
-from jamsim.oracle import MOMENT_Z, Moment, conventional_mean
+from jamsim.montecarlo import _control_variates, control_variate_mean
+from jamsim.oracle import MOMENT_Z, Moment, stop_probability
 from jamsim.rates import rate_from_overlap
 from jamsim.rng import TAG_CHANNEL, TAG_PROTOCOL
 
@@ -43,11 +44,13 @@ def test_single_trial_matches_batch_position():
     jam = JammerSpec()
     batch = run_trials(cfg, "alg1", jam, 50)
     for k in (0, 7, 49):
-        rate, n_used, overlap, conv = simulate_one_trial(cfg, "alg1", jam, k)
+        rate, n_used, overlap, conv, overlap_one, met = simulate_one_trial(cfg, "alg1", jam, k)
         assert rate == batch.rates[k]
         assert n_used == batch.n_used[k]
         assert overlap == batch.overlap_sq[k]
         assert conv == batch.conv_rates[k]
+        assert overlap_one == batch.round_one_overlap_sq[k]
+        assert met == batch.round_one_met[k]
 
 
 @pytest.mark.parametrize("scheme", ["conventional", "alg1", "alg2"])
@@ -62,8 +65,8 @@ def test_worker_count_does_not_change_values():
     jam = JammerSpec()
     serial = run_trials(cfg, "alg1", jam, 240, n_workers=1)
     parallel = run_trials(cfg, "alg1", jam, 240, n_workers=2)
-    assert np.array_equal(serial.rates, parallel.rates)
-    assert np.array_equal(serial.n_used, parallel.n_used)
+    for field in dataclasses.fields(serial):
+        assert np.array_equal(getattr(serial, field.name), getattr(parallel, field.name))
 
 
 def test_pool_size_is_capped_by_cpus_and_chunks(monkeypatch):
@@ -149,8 +152,12 @@ def test_schemes_share_first_round_draws():
         single = data.n_used == 1
         assert single.any() and not single.all()
         assert np.array_equal(conv.overlap_sq[single], data.overlap_sq[single])
-        # each alg trial carries its paired conventional rate, bit for bit
+        # each alg trial carries its paired conventional rate and round one's
+        # overlap, bit for bit
         assert np.array_equal(data.conv_rates, conv.rates)
+        assert np.array_equal(data.round_one_overlap_sq, conv.overlap_sq)
+    assert np.array_equal(conv.round_one_overlap_sq, conv.overlap_sq)
+    assert not conv.round_one_met.any()
 
 
 def test_alg2_round_one_is_the_conventional_round():
@@ -178,6 +185,7 @@ def test_alg2_round_one_is_the_conventional_round():
         stops.append(trace.stop_reason == "threshold_met")
     stops = np.array(stops)
     assert stops.any() and not stops.all()
+    assert np.array_equal(alg2.round_one_met, stops)
     assert np.array_equal(alg2.rates[stops], conv.rates[stops])
     assert np.all(alg2.n_used[stops] == 1)
 
@@ -211,9 +219,11 @@ def test_alg1_is_rated_at_the_round_its_receiver_picks():
         trace = run_algorithm1(cfg, r, k, amp, jam, rng)
         overlap = trace.rounds[trace.chosen_round].overlap_true
         expected = rate_from_overlap(cfg, overlap, trace.n_used).rate
-        conv = rate_from_overlap(cfg, trace.rounds[0].overlap_true, 1).rate
+        first = trace.rounds[0]
+        conv = rate_from_overlap(cfg, first.overlap_true, 1).rate
+        met = cfg.overlap_below_threshold(first.overlap_est)
         assert simulate_one_trial(cfg, "alg1", jam, i) == (expected, trace.n_used, overlap,
-                                                           conv)
+                                                           conv, first.overlap_true, met)
         not_min += overlap > min(r.overlap_true for r in trace.rounds)
     assert not_min > 0
 
@@ -225,7 +235,7 @@ def test_engine_rates_through_rate_from_overlap(scheme):
     cfg = _cfg(master_seed=31)
     jam = JammerSpec()
     for i in range(50):
-        rate, n_used, overlap, _ = simulate_one_trial(cfg, scheme, jam, i)
+        rate, n_used, overlap, *_ = simulate_one_trial(cfg, scheme, jam, i)
         assert rate == rate_from_overlap(cfg, overlap, n_used).rate
     with pytest.raises(ValueError, match="overflow the SINR"):
         simulate_one_trial(_cfg(P=1e160, Q=1e160), scheme, jam, 0)
@@ -308,39 +318,49 @@ def test_trials_never_build_the_codebook():
 # control-variate rows
 # ---------------------------------------------------------------------------
 
-_CV_BLOCKS = 100
-_CV_TRIALS = 200
+# one run per scheme: (config overrides, blocks, trials per block). alg1 at
+# tau = 10 and 0 dB; alg2 at tau = 90 and 10 dB, where round one's stop
+# decision is close to a coin flip at M = 50 and its two outcomes' prelogs
+# (0.55 and 0.1) differ most
+_CV_RUNS = {
+    "alg1": (dict(master_seed=17), 100, 200),
+    "alg2": (dict(tau=90, P=10.0, Q=10.0, master_seed=17), 50, 200),
+}
+# the alg rows' mean stderr against the plain one: 0.66 and 0.0028 measured
+_CV_GAIN = {"alg1": 0.8, "alg2": 0.01}
+# mean z of 200-trial rows against the pooled control-variate mean: the
+# O(1/n) bias of the fitted coefficients. alg2 at tau = 90 measured +0.35,
+# +0.38 and +0.36 (each +-0.08, 200 blocks at seeds 5, 6, 7), about 6e-5 bits
+_CV_BIAS_Z = 0.8
 
 
 @pytest.mark.parametrize("scheme", ["alg1", "alg2"])
 def test_control_variate_rows_are_calibrated_and_unbiased(scheme):
-    # 100 rows of 200 trials: disjoint blocks of trial indices of one run,
-    # independent as rows of 100 master seeds would be, at the cost of one pool.
-    # z of each row's control-variate mean against the pooled plain mean has
-    # sd near 1 when the residual stderr is right, and the control variate
-    # moves a row by b (mean(x) - E x), which has mean 0 but for the O(1/n)
-    # bias of the fitted b
-    cfg = _cfg(master_seed=17)
+    # disjoint blocks of trial indices of one run are independent rows, as
+    # rows of as many master seeds would be. z of each row against the
+    # pooled control-variate mean has sd near 1 when the residual stderr is
+    # right, and mean near 0 but for the O(1/n) bias of the fitted
+    # coefficients; the pooled mean agrees with the plain one
+    overrides, blocks, size = _CV_RUNS[scheme]
+    cfg = _cfg(**overrides)
     jam = JammerSpec()
-    data = run_trials(cfg, scheme, jam, _CV_BLOCKS * _CV_TRIALS, n_workers=2)
-    exact = conventional_mean(cfg, jam)
-    ys = data.rates.reshape(_CV_BLOCKS, _CV_TRIALS)
-    xs = data.conv_rates.reshape(_CV_BLOCKS, _CV_TRIALS)
-    rows = np.array([control_variate_mean(y, x, exact) for y, x in zip(ys, xs)])
+    data = run_trials(cfg, scheme, jam, blocks * size)
+    columns, known = _control_variates(cfg, jam, data)
+    ys = data.rates.reshape(blocks, size)
+    rows = np.array([control_variate_mean(y, c, known)
+                     for y, c in zip(ys, columns.reshape(blocks, size, -1))])
     means, stderrs = rows.T
-    plain = ys.mean(axis=1)
-    plain_stderr = float(np.mean(ys.std(axis=1, ddof=1))) / math.sqrt(_CV_TRIALS)
-    z = (means - data.rates.mean()) / stderrs
+    pooled, _ = control_variate_mean(data.rates, columns, known)
+    z = (means - pooled) / stderrs
     assert 0.7 <= z.std(ddof=1) <= 1.4, z.std(ddof=1)
-    # the control variate pays, and the rows do scatter less than plain ones
-    assert np.mean(stderrs) < 0.95 * plain_stderr
+    assert abs(z.mean()) <= _CV_BIAS_Z, z.mean()
+    plain = ys.mean(axis=1)
+    plain_stderr = float(np.mean(ys.std(axis=1, ddof=1))) / math.sqrt(size)
+    assert np.mean(stderrs) < _CV_GAIN[scheme] * plain_stderr
     assert means.std() < plain.std()
-    shift = means - plain
-    shift_se = shift.std(ddof=1) / math.sqrt(_CV_BLOCKS)
-    assert shift_se < 0.1 * plain_stderr
-    assert abs(shift.mean()) <= 3 * shift_se, (shift.mean(), shift_se)
+    assert abs(pooled - data.rates.mean()) <= 4 * plain_stderr / math.sqrt(blocks)
     # a row of average_rate is this estimator over the run's first block
-    row = average_rate(cfg, scheme, jam, _CV_TRIALS)
+    row = average_rate(cfg, scheme, jam, size)
     assert (row.mean_rate, row.stderr) == tuple(rows[0])
 
 
@@ -350,28 +370,76 @@ def test_control_variate_rows_are_calibrated_and_unbiased(scheme):
     ("alg2", JammerSpec(kind="codeword", codeword_index=1), 1),
 ])
 def test_constant_control_variate_gives_the_plain_mean(scheme, jam, first_pilot):
-    # every trial has the same conventional rate, so there is nothing to
-    # regress on and the row is the plain mean with the plain stderr
+    # every trial has the same round-one overlap, so the conventional rate x
+    # and the stop probability p are constant: x is dropped, and d x is a
+    # multiple of d = S - p, so the row regresses on d alone (rank 1, ddof 2).
+    # At epsilon = 1 every round one stops, d is 0 too, and the row is the
+    # plain mean with the plain stderr
+    n = 120
     cfg = _cfg(M=16, tau=4, first_pilot=first_pilot, master_seed=8)
-    data = run_trials(cfg, scheme, jam, 120)
+    data = run_trials(cfg, scheme, jam, n)
     assert data.conv_rates.min() == data.conv_rates.max()
-    row = average_rate(cfg, scheme, jam, 120)
+    d = data.round_one_met - stop_probability(cfg, data.round_one_overlap_sq)
+    assert d.min() < d.max()
+    dc, yc = d - d.mean(), data.rates - data.rates.mean()
+    b = dc @ yc / (dc @ dc)
+    row = average_rate(cfg, scheme, jam, n)
+    assert row.mean_rate == pytest.approx(data.rates.mean() - b * d.mean(), rel=1e-12)
+    assert row.stderr == pytest.approx((yc - b * dc).std(ddof=2) / math.sqrt(n), rel=1e-9)
+    cfg = _cfg(M=16, tau=4, first_pilot=first_pilot, master_seed=8, epsilon=1.0)
+    data = run_trials(cfg, scheme, jam, n)
+    row = average_rate(cfg, scheme, jam, n)
     assert row.mean_rate == float(data.rates.mean())
-    assert row.stderr == float(data.rates.std(ddof=1) / math.sqrt(120))
+    assert row.stderr == float(data.rates.std(ddof=1) / math.sqrt(n))
+
+
+def test_absent_jammer_alg1_row_is_exact():
+    # the rate is one value when round one stops and another when it does
+    # not, a linear function of S, so the columns explain every trial: the
+    # row is the exact mean p r1 + (1 - p) r2 with a zero stderr
+    cfg = _cfg(M=16, tau=4, master_seed=8)
+    jam = JammerSpec(kind="absent")
+    p = float(stop_probability(cfg, 0.0))
+    silent = cfg.with_powers(cfg.p_t, cfg.p_d, cfg.q_t, 0.0)
+    exact = (p * rate_from_overlap(silent, 0.0, 1).rate
+             + (1 - p) * rate_from_overlap(silent, 0.0, 2).rate)
+    row = average_rate(cfg, "alg1", jam, 120)
+    assert row.mean_rate == pytest.approx(exact, rel=1e-12)
+    assert row.stderr < 1e-12
 
 
 def test_control_variate_mean_falls_back_and_regresses():
-    y = np.array([1.0, 2.0, 4.0, 7.0])
-    x = np.array([0.0, 1.0, 1.0, 3.0])
-    plain = (float(y.mean()), float(y.std(ddof=1) / 2))
+    y = np.array([1.0, 2.0, 4.0, 7.0, 3.0])
+    x = np.array([0.0, 1.0, 1.0, 3.0, 2.0])
+    n = len(y)
+    plain = (float(y.mean()), float(y.std(ddof=1) / math.sqrt(n)))
     assert control_variate_mean(y) == plain
-    assert control_variate_mean(y, np.full(4, 2.5), 9.0) == plain
+    # constant columns are dropped; with none left the row is the plain mean
+    assert control_variate_mean(y, np.full((n, 2), 2.5), (9.0, 1.0)) == plain
+    # too few samples for the columns that vary: 2 columns need 4
+    assert control_variate_mean(y[:3], np.column_stack([x, x ** 2])[:3], (9.0, 1.0)) == \
+        (float(y[:3].mean()), float(y[:3].std(ddof=1) / math.sqrt(3)))
     assert control_variate_mean(y[:2], x[:2], 9.0) == (1.5, 0.5)
     assert control_variate_mean(y[:1], x[:1], 9.0) == (1.0, 0.0)
-    # least squares by hand: slope 2, residuals y - 2x = (1, 0, 2, 1)
-    mean, stderr = control_variate_mean(y, x, 1.5)
-    assert mean == pytest.approx(3.5 - 2.0 * (1.25 - 1.5))
-    assert stderr == pytest.approx(math.sqrt(2.0 / 2) / 2)
+    # one column, by hand: y - mean(y) = b (x - mean(x)) + e
+    xc, yc = x - x.mean(), y - y.mean()
+    b = xc @ yc / (xc @ xc)
+    one = (y.mean() - b * (x.mean() - 1.5), (yc - b * xc).std(ddof=2) / math.sqrt(n))
+    assert control_variate_mean(y, x, 1.5) == pytest.approx(one, rel=1e-12)
+    # a constant column beside it changes nothing, nor does a column that
+    # repeats x scaled (rank 1, ddof 2); the mean of the repeat must agree
+    assert control_variate_mean(y, np.column_stack([x, np.ones(n)]), (1.5, 7.0)) == \
+        pytest.approx(one, rel=1e-12)
+    assert control_variate_mean(y, np.column_stack([x, -3 * x]), (1.5, -4.5)) == \
+        pytest.approx(one, rel=1e-12)
+    # two columns, by the normal equations: ddof 3
+    cols = np.column_stack([x, x ** 2])
+    known = np.array([1.5, 3.0])
+    cc = cols - cols.mean(axis=0)
+    coef = np.linalg.solve(cc.T @ cc, cc.T @ yc)
+    two = (y.mean() - coef @ (cols.mean(axis=0) - known),
+           (yc - cc @ coef).std(ddof=3) / math.sqrt(n))
+    assert control_variate_mean(y, cols, known) == pytest.approx(two, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

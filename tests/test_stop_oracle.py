@@ -1,17 +1,22 @@
-"""Exact finite-M oracle for the round-one stop share of the protocols.
+"""The exact round-one stop law (jamsim.oracle.stop_probability, stop_share)
+against quadrature and the trial engine.
 
 Given its squared overlap ov, round one's de-spread observation is
 y_t ~ CN(0, sigma^2 I_M) with sigma^2 = tau p_t beta_u + tau q_t beta_j ov + 1,
 so ||y_t||^2 = sigma^2 Gamma(M) exactly, at any M. The blind estimate meets
 the threshold epsilon < 1 exactly when ||y_t||^2 <= x*, with
 x* = M (tau p_t beta_u + 1 + tau q_t beta_j epsilon), so round one stops with
-probability E_ov[P(M, x* / sigma^2(ov))], P the regularized lower
-incomplete gamma function. alg1 at n_max = 2 spends one transmission exactly
-when round one stops; alg2 also stops when its search predicts no gain, so
-its single-transmission share is at least that value.
+probability P(M, x* / sigma^2(ov)) given ov, P the regularized lower
+incomplete gamma function, and stop_share is its mean over ov. alg1 at
+n_max = 2 spends one transmission exactly when round one stops; alg2 also
+stops when its search predicts no gain, so its single-transmission share is
+at least that value. Given ov, the stop indicator S has mean P, so S - P and
+(S - P) times the conventional rate, a function of ov, have mean 0: the two
+control variates average_rate adds on the alg rows.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +24,8 @@ import pytest
 from jamsim import (JammerSpec, SystemConfig, draw_overlap_amplitude, gen_channel_factor,
                     run_trials, substream)
 from jamsim.estimation import run_training
-from jamsim.oracle import round_one_mean
+from jamsim.montecarlo import _control_variates
+from jamsim.oracle import round_one_mean, stop_probability, stop_share
 from jamsim.rng import TAG_CHANNEL, TAG_PROTOCOL
 
 Z_BOUND = 4.0
@@ -27,50 +33,97 @@ N_TRIALS = 4000
 ANTENNAS = (1, 2, 3, 10, 50, 200)
 
 
-def _lower_gamma_regularized(m: int, x: np.ndarray) -> np.ndarray:
-    """P(m, x) for integer m >= 1: one minus the Poisson sum e^-x sum_{k<m} x^k / k!.
-
-    Each Poisson term is formed in logs, so the sum neither overflows nor
-    underflows at m = 200.
-    """
-    x = np.asarray(x, dtype=float)[..., None]
-    k = np.arange(m)
-    lgammas = np.array([math.lgamma(i + 1) for i in k])
-    terms = np.exp(k * np.log(x) - x - lgammas)
-    return 1.0 - terms.sum(axis=-1)
-
-
-def stop_share(cfg: SystemConfig, jammer: JammerSpec) -> float:
-    """Probability that round one's blind estimate meets the threshold."""
-    pilot = cfg.tau * cfg.p_t * cfg.beta_u
-    jamming = cfg.tau * cfg.q_t * cfg.beta_j
-    x_star = cfg.M * (pilot + 1.0 + jamming * cfg.epsilon)
-    return round_one_mean(cfg, jammer, lambda ov: _lower_gamma_regularized(
-        cfg.M, x_star / (pilot + jamming * ov + 1.0)))
-
-
 def _cfg(m, **kw):
-    return SystemConfig(M=m, T=100, tau=8, P=10.0, Q=10.0, epsilon=0.1, n_max=2,
-                        master_seed=61, **kw)
+    base = dict(M=m, T=100, tau=8, P=10.0, Q=10.0, epsilon=0.1, n_max=2, master_seed=61)
+    base.update(kw)
+    return SystemConfig(**base)
 
 
 def _z(share, p, n):
     return (share - p) / math.sqrt(p * (1.0 - p) / n)
 
 
+def _gamma_cdf_by_trapezoid(m, x):
+    """P(m, x) by a fine trapezoid rule of the Gamma(m) density from m - 12 sqrt(m) on."""
+    lo = max(0.0, m - 12.0 * math.sqrt(m))
+    if x <= lo:
+        return 0.0
+    t = np.linspace(lo, x, 200001)
+    density = np.exp((m - 1) * np.log(np.maximum(t, 1e-300)) - t - math.lgamma(m))
+    return float(np.sum((density[1:] + density[:-1]) / 2) * (t[1] - t[0]))
+
+
+def _excess_columns(cfg, jammer, data):
+    """S - P and (S - P) x per trial, x the conventional rate of round one."""
+    columns, means = _control_variates(cfg, jammer, data)
+    assert means[1:] == (0.0, 0.0)
+    return columns[:, 1], columns[:, 2]
+
+
+def _assert_mean_zero(column):
+    stderr = column.std(ddof=1) / math.sqrt(len(column))
+    assert stderr > 0.0
+    assert abs(column.mean()) <= Z_BOUND * stderr, (column.mean(), stderr)
+
+
 def test_poisson_sum_matches_the_gamma_integral():
-    # P(m, x) against a fine trapezoid rule of the gamma density, across the
-    # bulk of Gamma(m), and its exact closed forms at m = 1 and m = 2
-    x = np.array([0.3, 1.0, 2.5])
-    assert np.allclose(_lower_gamma_regularized(1, x), 1 - np.exp(-x), rtol=0, atol=1e-15)
-    assert np.allclose(_lower_gamma_regularized(2, x), 1 - np.exp(-x) * (1 + x),
-                       rtol=0, atol=1e-15)
-    for m in (10, 200):
-        for x in (m - 2 * math.sqrt(m), m, m + 2 * math.sqrt(m)):
-            t = np.linspace(0.0, x, 200001)
-            density = np.exp((m - 1) * np.log(np.maximum(t, 1e-300)) - t - math.lgamma(m))
-            integral = float(np.sum((density[1:] + density[:-1]) / 2) * (t[1] - t[0]))
-            assert _lower_gamma_regularized(m, x) == pytest.approx(integral, abs=1e-8)
+    # stop_probability sums Poisson tails for P(M, x* / sigma^2); against a
+    # fine trapezoid rule of the gamma density, from below the bulk of
+    # Gamma(M) to above it, and at epsilon >= 1, where the clamped estimate
+    # always meets the threshold, exactly 1
+    overlaps = np.array([0.0, 0.05, 0.1, 0.15, 0.3, 1.0])
+    for m in (1, 2, 10, 200, 5000):
+        for epsilon in (0.0, 0.1, 1.0):
+            cfg = _cfg(m, epsilon=epsilon)
+            p = stop_probability(cfg, overlaps)
+            if epsilon >= 1.0:
+                assert np.all(p == 1.0)
+                continue
+            pilot, jamming = cfg.tau * cfg.p_t, cfg.tau * cfg.q_t
+            x = m * (pilot + 1.0 + jamming * epsilon) / (pilot + jamming * overlaps + 1.0)
+            expected = [_gamma_cdf_by_trapezoid(m, xi) for xi in x]
+            assert p == pytest.approx(expected, rel=0, abs=1e-8), (m, epsilon)
+            if m <= 2:
+                closed = 1 - np.exp(-x) * (1 + x if m == 2 else 1)
+                assert p == pytest.approx(closed, rel=0, abs=1e-14)
+    # a scalar overlap gives the value it gets inside an array
+    cfg = _cfg(50)
+    assert stop_probability(cfg, 0.1) == pytest.approx(stop_probability(cfg, overlaps)[2],
+                                                       rel=1e-15)
+
+
+def test_lower_gamma_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    from jamsim.oracle import _lower_gamma_regularized
+    for m in (1, 2, 3, 10, 50, 200, 500, 5000):
+        x = np.concatenate([np.linspace(0.0, 3 * m + 50, 2001),
+                            m + math.sqrt(m) * np.linspace(-10, 10, 401)])
+        x = x[x >= 0]
+        assert _lower_gamma_regularized(m, x) == pytest.approx(special.gammainc(m, x),
+                                                               rel=0, abs=1e-11)
+
+
+def test_stop_probability_needs_no_m_wide_temporary():
+    # 50000 trials at M = 500, the preset's default size: an n x M array of
+    # terms would take 200 MB; the sums take 16 steps at a time, so their
+    # temporaries hold a few times 16 arrays of n
+    n = 50000
+    overlaps = np.random.default_rng(3).exponential(0.1, n)
+    cfg = _cfg(500)
+    tracemalloc.start()
+    try:
+        p = stop_probability(cfg, overlaps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * n * 8, peak
+    assert np.all((p > 0) & (p < 1))
+
+
+def test_stop_probability_needs_a_jammer_pilot_power():
+    cfg = SystemConfig(M=10, T=100, tau=8, P=10.0, Q=10.0, powers=(10.0, 10.0, 0.0, 10.0))
+    with pytest.raises(ValueError, match="q_t > 0"):
+        stop_probability(cfg, 0.1)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "sphere", "codeword"])
@@ -85,7 +138,7 @@ def test_overlap_quadrature_matches_its_moments(kind):
         "codeword": (1 / tau, 1 / tau),
     }[kind]
     moments = [round_one_mean(cfg, JammerSpec(kind=kind), g)
-               for g in (lambda ov: 1.0, lambda ov: ov, lambda ov: ov ** 2)]
+               for g in (np.ones_like, lambda ov: ov, lambda ov: ov ** 2)]
     assert moments == pytest.approx([1.0, mean, second], rel=0, abs=1e-12)
 
 
@@ -96,8 +149,19 @@ def test_alg1_spends_one_round_as_often_as_round_one_stops(kind, m):
     jammer = JammerSpec(kind=kind)
     p = stop_share(cfg, jammer)
     assert 0.05 < p < 0.95
-    share = float(np.mean(run_trials(cfg, "alg1", jammer, N_TRIALS).n_used == 1))
-    assert abs(_z(share, p, N_TRIALS)) <= Z_BOUND, (share, p)
+    data = run_trials(cfg, "alg1", jammer, N_TRIALS)
+    single = data.n_used == 1
+    assert np.array_equal(single, data.round_one_met)
+    assert abs(_z(float(np.mean(single)), p, N_TRIALS)) <= Z_BOUND, (np.mean(single), p)
+    for column in _excess_columns(cfg, jammer, data):
+        _assert_mean_zero(column)
+
+
+def test_alg1_stops_after_round_one_when_epsilon_is_one():
+    cfg = _cfg(50, epsilon=1.0)
+    assert stop_share(cfg, JammerSpec()) == pytest.approx(1.0, rel=0, abs=1e-12)
+    data = run_trials(cfg, "alg1", JammerSpec(), 200)
+    assert data.round_one_met.all() and np.all(data.n_used == 1)
 
 
 @pytest.mark.parametrize("m", ANTENNAS)
@@ -121,12 +185,20 @@ def test_codeword_round_one_meets_the_threshold_at_the_exact_rate(m):
 
 
 @pytest.mark.parametrize("m", ANTENNAS)
-@pytest.mark.parametrize("kind", ["gaussian", "sphere", "codeword"])
+@pytest.mark.parametrize("kind", ["gaussian", "sphere", "codeword", "absent"])
 def test_alg2_spends_one_round_at_least_as_often_as_round_one_stops(kind, m):
-    # one-sided: alg2 also stops when its search predicts no gain
+    # round one meets the threshold at the exact share; alg2 also stops when
+    # its search predicts no gain, so its single-transmission share is
+    # bounded on one side only
     n = N_TRIALS // 4
     cfg = _cfg(m)
     jammer = JammerSpec(kind=kind)
     p = stop_share(cfg, jammer)
-    single = float(np.mean(run_trials(cfg, "alg2", jammer, n).n_used == 1))
+    data = run_trials(cfg, "alg2", jammer, n)
+    met = float(np.mean(data.round_one_met))
+    assert abs(_z(met, p, n)) <= Z_BOUND, (met, p)
+    single = float(np.mean(data.n_used == 1))
     assert _z(single, p, n) >= -Z_BOUND, (single, p)
+    assert np.all(data.n_used[data.round_one_met] == 1)
+    for column in _excess_columns(cfg, jammer, data):
+        _assert_mean_zero(column)
