@@ -23,12 +23,11 @@ Conventional decides nothing, so it draws neither channels nor noise. Keyed
 streams make scheme comparisons paired and keep any execution order or
 worker count bit-reproducible.
 
-Every trial also returns the conventional rate of its round one, round
-one's squared overlap and, on alg trials, whether round one's blind
-estimate met the threshold. average_rate steers the alg rows with them:
-the conventional rate has the exact mean oracle.conventional_mean, and the
-stop indicator has the exact mean oracle.stop_probability given the
-overlap.
+Every trial also returns round one's squared overlap and, on alg trials,
+whether round one's blind estimate met the threshold. average_rate steers
+the alg rows with them: the conventional rate at that overlap has the
+exact mean oracle.conventional_mean, and the stop indicator has the exact
+mean oracle.stop_probability given the overlap.
 """
 
 import math
@@ -40,7 +39,7 @@ import numpy as np
 
 from .channel import JammerSpec, _codeword_index, draw_overlap_amplitude, gen_channel_factor
 from .config import SystemConfig, check_count
-from .oracle import conventional_mean, stop_probability
+from .oracle import conventional_mean, conventional_rates, stop_probability
 from .protocols import run_algorithm1, run_algorithm2
 from .rates import rate_config, sinr_and_rate
 from .rng import TAG_CHANNEL, TAG_PROTOCOL, substream
@@ -53,17 +52,15 @@ class TrialData:
     """Per-trial outcomes of one scheme, in trial-index order.
 
     overlap_sq is the true squared overlap of the round each receiver
-    decodes with. The rest steer an alg row (average_rate): conv_rates
-    holds the conventional rate of each trial's round one,
-    round_one_overlap_sq round one's squared overlap, and round_one_met
-    whether round one's blind estimate met the threshold (False on
-    conventional trials, which estimate nothing).
+    decodes with. The rest steer an alg row (average_rate):
+    round_one_overlap_sq holds round one's squared overlap, and
+    round_one_met whether round one's blind estimate met the threshold
+    (False on conventional trials, which estimate nothing).
     """
 
     rates: np.ndarray
     n_used: np.ndarray
     overlap_sq: np.ndarray
-    conv_rates: np.ndarray
     round_one_overlap_sq: np.ndarray
     round_one_met: np.ndarray
 
@@ -91,11 +88,11 @@ def _validate_combination(cfg: SystemConfig, scheme: str, jammer: JammerSpec):
 
 
 def simulate_one_trial(cfg: SystemConfig, scheme: str, jammer: JammerSpec,
-                       index: int) -> tuple[float, int, float, float, float, bool]:
+                       index: int) -> tuple[float, int, float, float, bool]:
     """One realization of one scheme.
 
-    Returns (rate, n_used, overlap_sq, conv_rate, round_one_overlap_sq,
-    round_one_met), the fields of TrialData.
+    Returns (rate, n_used, overlap_sq, round_one_overlap_sq, round_one_met),
+    the fields of TrialData.
 
     Reproducible from (cfg.master_seed, index) alone. Round one, the pilot
     index and its overlap amplitude, is drawn here for every scheme, so
@@ -105,10 +102,10 @@ def simulate_one_trial(cfg: SystemConfig, scheme: str, jammer: JammerSpec,
     every transmission spent. The MR combiner's SINR does not change when
     the MMSE coefficient is scaled, so a receiver that builds its estimate
     from the blind overlap gets this rate too (the use-and-forget bound).
-    conv_rate is the conventional rate of the same trial, at round one's
-    squared overlap round_one_overlap_sq; a trial that stops after round one
-    has it as its own rate. round_one_met says whether round one's blind
-    estimate met the threshold, and is False on a conventional trial.
+    round_one_overlap_sq is round one's squared overlap, at which a
+    conventional trial of the same index is rated. round_one_met says
+    whether round one's blind estimate met the threshold, and is False on a
+    conventional trial.
     """
     _validate_combination(cfg, scheme, jammer)
     rng_proto = substream(cfg.master_seed, index, TAG_PROTOCOL)
@@ -126,18 +123,16 @@ def simulate_one_trial(cfg: SystemConfig, scheme: str, jammer: JammerSpec,
                  else run_algorithm2(cfg, r, k, amp, jammer, rng_proto))
         n_used, overlap = trace.n_used, trace.rounds[trace.chosen_round].overlap_true
         met = cfg.overlap_below_threshold(trace.rounds[0].overlap_est)
-    rc = rate_config(cfg, jammer)
-    value = sinr_and_rate(rc, overlap, n_used)[1]
-    conv = value if n_used == 1 else sinr_and_rate(rc, overlap_one, 1)[1]
-    return value, n_used, overlap, conv, overlap_one, met
+    value = sinr_and_rate(rate_config(cfg, jammer), overlap, n_used)[1]
+    return value, n_used, overlap, overlap_one, met
 
 
 def _trial_chunk(args):
     cfg, scheme, jammer, start, stop = args
-    rates, n_used, overlaps, conv, overlaps_one, met = zip(
+    rates, n_used, overlaps, overlaps_one, met = zip(
         *(simulate_one_trial(cfg, scheme, jammer, i) for i in range(start, stop)))
     return (np.array(rates), np.array(n_used, dtype=np.int64), np.array(overlaps),
-            np.array(conv), np.array(overlaps_one), np.array(met, dtype=bool))
+            np.array(overlaps_one), np.array(met, dtype=bool))
 
 
 def run_trials(cfg: SystemConfig, scheme: str, jammer: JammerSpec, n_trials: int,
@@ -172,12 +167,17 @@ def control_variate_mean(y: np.ndarray, columns: np.ndarray | None = None,
 
     columns holds one control variate per column, one row per sample, and
     means their exact means. Columns that take one value throughout are
-    dropped. The estimate is mean(y) - b . (mean(columns) - means), with b
-    the least-squares coefficients of y on the centred columns, solved
-    rank-revealing so that collinear columns share one coefficient. The
-    standard error is that of the residuals, with ddof = 1 + rank. Without
-    a varying column, or with fewer samples than varying columns plus 2, it
-    is the plain mean and its sample standard error (0 for one sample).
+    dropped. The estimate is the intercept of the least-squares fit of y on
+    the columns less their means, that is mean(y) - b . (mean(columns) -
+    means), solved rank-revealing so that collinear columns share one
+    coefficient. Its standard error is the jackknife-like sandwich (HC3):
+    the root of sum_i (a_i e_i / (1 - h_i))^2, with a_i the weight of y_i
+    in the intercept, e_i its residual and h_i its leverage. Unlike the
+    residuals' standard deviation it counts the noise of the fitted
+    coefficients and residuals whose spread changes with the columns.
+    Without a varying column, with fewer samples than varying columns plus
+    2, or when one sample alone fixes a coefficient (leverage 1), it is the
+    plain mean and its sample standard error (0 for one sample).
     """
     n = len(y)
     y_bar = y.mean()
@@ -190,10 +190,18 @@ def control_variate_mean(y: np.ndarray, columns: np.ndarray | None = None,
             xc = x - x_bar
             # unit-norm columns make the rank cut independent of their scales
             norms = np.sqrt(np.einsum("ij,ij->j", xc, xc))
-            b, _, rank, _ = np.linalg.lstsq(xc / norms, y - y_bar, rcond=None)
-            resid = y - y_bar - (xc / norms) @ b
-            return (float(y_bar - ((x_bar - x_mean) / norms) @ b),
-                    float(resid.std(ddof=1 + rank) / math.sqrt(n)))
+            u, sv, vt = np.linalg.svd(xc / norms, full_matrices=False)
+            rank = int(np.sum(sv > sv[0] * n * np.finfo(float).eps))
+            u = u[:, :rank]
+            leverage = 1.0 / n + np.einsum("ij,ij->i", u, u)
+            if leverage.max() < 1.0 - 1e-9:
+                # the mean moves by w per unit of the fit's coordinates u^T (y - y_bar)
+                w = (vt[:rank] @ ((x_bar - x_mean) / norms)) / sv[:rank]
+                uy = u.T @ (y - y_bar)
+                resid = y - y_bar - u @ uy
+                weight = 1.0 / n - u @ w
+                return (float(y_bar - w @ uy),
+                        float(np.sqrt(np.sum((weight * resid / (1.0 - leverage)) ** 2))))
     stderr = float(y.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return float(y_bar), stderr
 
@@ -202,12 +210,13 @@ def _control_variates(cfg: SystemConfig, jammer: JammerSpec,
                       data: TrialData) -> tuple[np.ndarray, tuple[float, float, float]]:
     """The control-variate columns of an alg row's trials, and their exact means.
 
-    With x the conventional rate of round one and d the round-one stop
-    indicator minus its exact probability given round one's overlap
-    (stop_probability), the columns are x, of mean conventional_mean, and
-    d and d x, both of mean 0, since x is a function of that overlap.
+    With x the conventional rate at round one's overlap (conventional_rates)
+    and d the round-one stop indicator minus its exact probability given
+    that overlap (stop_probability), the columns are x, of mean
+    conventional_mean, and d and d x, both of mean 0, since x is a function
+    of that overlap.
     """
-    x = data.conv_rates
+    x = conventional_rates(cfg, jammer, data.round_one_overlap_sq)
     d = data.round_one_met - stop_probability(cfg, data.round_one_overlap_sq)
     return np.column_stack([x, d, d * x]), (conventional_mean(cfg, jammer), 0.0, 0.0)
 

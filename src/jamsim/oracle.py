@@ -1,9 +1,10 @@
 """Exact results the trial engine is checked and steered against.
 
 round_one_mean integrates a function of round one's squared overlap over
-that overlap's exact law. conventional_mean is the mean conventional rate
-as that 1-D integral: the engine rates a conventional trial at that overlap
-alone, so the integral is exact up to quadrature error. stop_probability is
+that overlap's exact law. conventional_rates is the conventional rate at
+given overlaps, and conventional_mean its mean as that 1-D integral: the
+engine rates a conventional trial at that overlap alone, so the integral is
+exact up to quadrature error. stop_probability is
 the exact probability, given that overlap, that round one's blind estimate
 meets the threshold, and stop_share its mean. average_rate steers the alg
 rows with both: the conventional rate has mean conventional_mean, and the
@@ -77,12 +78,19 @@ def round_one_mean(cfg: SystemConfig, jammer: JammerSpec,
     return math.fsum(w * v for v, w in zip(g(np.array(overlaps)), weights))
 
 
+def conventional_rates(cfg: SystemConfig, jammer: JammerSpec, overlaps: np.ndarray) -> np.ndarray:
+    """Conventional rate rate(|a|^2, 1) under rate_config(cfg, jammer) at each squared overlap.
+
+    Bit-identical to the rate of a conventional trial at that overlap.
+    """
+    rc = rate_config(cfg, jammer)
+    return np.array([sinr_and_rate(rc, overlap_sq, 1)[1] for overlap_sq in overlaps.tolist()])
+
+
 @functools.lru_cache(maxsize=256)
 def conventional_mean(cfg: SystemConfig, jammer: JammerSpec) -> float:
     """Mean conventional rate E[rate(|a|^2, 1)] under rate_config(cfg, jammer)."""
-    rc = rate_config(cfg, jammer)
-    return round_one_mean(cfg, jammer, lambda overlaps: [
-        sinr_and_rate(rc, overlap_sq, 1)[1] for overlap_sq in overlaps.tolist()])
+    return round_one_mean(cfg, jammer, functools.partial(conventional_rates, cfg, jammer))
 
 
 # _poisson_sum stops once every term is below _SUM_TOL. The terms shrink

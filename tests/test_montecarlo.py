@@ -13,7 +13,7 @@ from jamsim.channel import crandn, make_codebook
 from jamsim.config import snr_db_to_power
 from jamsim.estimation import mmse_coefficients, run_training
 from jamsim.montecarlo import _control_variates, control_variate_mean
-from jamsim.oracle import MOMENT_Z, Moment, stop_probability
+from jamsim.oracle import MOMENT_Z, Moment, conventional_rates, stop_probability
 from jamsim.rates import rate_from_overlap
 from jamsim.rng import TAG_CHANNEL, TAG_PROTOCOL
 
@@ -44,11 +44,10 @@ def test_single_trial_matches_batch_position():
     jam = JammerSpec()
     batch = run_trials(cfg, "alg1", jam, 50)
     for k in (0, 7, 49):
-        rate, n_used, overlap, conv, overlap_one, met = simulate_one_trial(cfg, "alg1", jam, k)
+        rate, n_used, overlap, overlap_one, met = simulate_one_trial(cfg, "alg1", jam, k)
         assert rate == batch.rates[k]
         assert n_used == batch.n_used[k]
         assert overlap == batch.overlap_sq[k]
-        assert conv == batch.conv_rates[k]
         assert overlap_one == batch.round_one_overlap_sq[k]
         assert met == batch.round_one_met[k]
 
@@ -152,10 +151,11 @@ def test_schemes_share_first_round_draws():
         single = data.n_used == 1
         assert single.any() and not single.all()
         assert np.array_equal(conv.overlap_sq[single], data.overlap_sq[single])
-        # each alg trial carries its paired conventional rate and round one's
-        # overlap, bit for bit
-        assert np.array_equal(data.conv_rates, conv.rates)
+        # each alg trial carries round one's overlap, and so its paired
+        # conventional rate, bit for bit
         assert np.array_equal(data.round_one_overlap_sq, conv.overlap_sq)
+        assert np.array_equal(conventional_rates(cfg, jam, data.round_one_overlap_sq),
+                              conv.rates)
     assert np.array_equal(conv.round_one_overlap_sq, conv.overlap_sq)
     assert not conv.round_one_met.any()
 
@@ -220,10 +220,9 @@ def test_alg1_is_rated_at_the_round_its_receiver_picks():
         overlap = trace.rounds[trace.chosen_round].overlap_true
         expected = rate_from_overlap(cfg, overlap, trace.n_used).rate
         first = trace.rounds[0]
-        conv = rate_from_overlap(cfg, first.overlap_true, 1).rate
         met = cfg.overlap_below_threshold(first.overlap_est)
         assert simulate_one_trial(cfg, "alg1", jam, i) == (expected, trace.n_used, overlap,
-                                                           conv, first.overlap_true, met)
+                                                           first.overlap_true, met)
         not_min += overlap > min(r.overlap_true for r in trace.rounds)
     assert not_min > 0
 
@@ -326,21 +325,21 @@ _CV_RUNS = {
     "alg1": (dict(master_seed=17), 100, 200),
     "alg2": (dict(tau=90, P=10.0, Q=10.0, master_seed=17), 50, 200),
 }
-# the alg rows' mean stderr against the plain one: 0.66 and 0.0028 measured
+# the alg rows' mean stderr against the plain one: 0.68 and 0.0030 measured
 _CV_GAIN = {"alg1": 0.8, "alg2": 0.01}
-# mean z of 200-trial rows against the pooled control-variate mean: the
-# O(1/n) bias of the fitted coefficients. alg2 at tau = 90 measured +0.35,
-# +0.38 and +0.36 (each +-0.08, 200 blocks at seeds 5, 6, 7), about 6e-5 bits
+# alg2 at tau = 90: mean z of 200-trial rows against the pooled control-variate
+# mean, the O(1/n) bias of the fitted coefficients, about 5e-5 bits. Measured
+# +0.31 and +0.33 (each +-0.08, 200 blocks at seeds 3 and 5)
 _CV_BIAS_Z = 0.8
 
 
 @pytest.mark.parametrize("scheme", ["alg1", "alg2"])
 def test_control_variate_rows_are_calibrated_and_unbiased(scheme):
     # disjoint blocks of trial indices of one run are independent rows, as
-    # rows of as many master seeds would be. z of each row against the
-    # pooled control-variate mean has sd near 1 when the residual stderr is
-    # right, and mean near 0 but for the O(1/n) bias of the fitted
-    # coefficients; the pooled mean agrees with the plain one
+    # rows of as many master seeds would be. z of each row has sd near 1
+    # when the stderr is right. The control variates move a row off its
+    # plain mean by a shift of mean 0 but for the O(1/n) bias of the fitted
+    # coefficients
     overrides, blocks, size = _CV_RUNS[scheme]
     cfg = _cfg(**overrides)
     jam = JammerSpec()
@@ -350,18 +349,40 @@ def test_control_variate_rows_are_calibrated_and_unbiased(scheme):
     rows = np.array([control_variate_mean(y, c, known)
                      for y, c in zip(ys, columns.reshape(blocks, size, -1))])
     means, stderrs = rows.T
-    pooled, _ = control_variate_mean(data.rates, columns, known)
-    z = (means - pooled) / stderrs
-    assert 0.7 <= z.std(ddof=1) <= 1.4, z.std(ddof=1)
-    assert abs(z.mean()) <= _CV_BIAS_Z, z.mean()
     plain = ys.mean(axis=1)
     plain_stderr = float(np.mean(ys.std(axis=1, ddof=1))) / math.sqrt(size)
     assert np.mean(stderrs) < _CV_GAIN[scheme] * plain_stderr
     assert means.std() < plain.std()
-    assert abs(pooled - data.rates.mean()) <= 4 * plain_stderr / math.sqrt(blocks)
+    shift = means - plain
+    shift_se = shift.std(ddof=1) / math.sqrt(blocks)
+    assert abs(shift.mean()) <= 3 * shift_se, (shift.mean(), shift_se)
+    if scheme == "alg1":
+        # the shift is a small part of a row's noise, so its mean bounds the
+        # bias to about 0.3 plain stderr, and the pooled plain mean is a
+        # reference far sharper than a row
+        assert shift_se < 0.1 * plain_stderr
+        z = (means - data.rates.mean()) / stderrs
+    else:
+        # the columns explain nearly all of a row, so the shift is the plain
+        # mean's own noise and the pooled plain mean lies about 30 row
+        # stderrs off: z is taken against the pooled control-variate mean
+        pooled, _ = control_variate_mean(data.rates, columns, known)
+        z = (means - pooled) / stderrs
+        assert abs(z.mean()) <= _CV_BIAS_Z, z.mean()
+    assert 0.7 <= z.std(ddof=1) <= 1.4, z.std(ddof=1)
     # a row of average_rate is this estimator over the run's first block
     row = average_rate(cfg, scheme, jam, size)
     assert (row.mean_rate, row.stderr) == tuple(rows[0])
+
+
+def _regression_by_hand(y, columns, means):
+    """Intercept of y on [1, columns - means] and its HC3 standard error."""
+    z = np.column_stack([np.ones(len(y)), np.reshape(columns, (len(y), -1)) - means])
+    inv = np.linalg.inv(z.T @ z)
+    coef = inv @ z.T @ y
+    resid = y - z @ coef
+    leverage = np.einsum("ij,jk,ik->i", z, inv, z)
+    return coef[0], math.sqrt(np.sum(((inv @ z.T)[0] * resid / (1 - leverage)) ** 2))
 
 
 @pytest.mark.parametrize("scheme,jam,first_pilot", [
@@ -372,20 +393,19 @@ def test_control_variate_rows_are_calibrated_and_unbiased(scheme):
 def test_constant_control_variate_gives_the_plain_mean(scheme, jam, first_pilot):
     # every trial has the same round-one overlap, so the conventional rate x
     # and the stop probability p are constant: x is dropped, and d x is a
-    # multiple of d = S - p, so the row regresses on d alone (rank 1, ddof 2).
-    # At epsilon = 1 every round one stops, d is 0 too, and the row is the
-    # plain mean with the plain stderr
+    # multiple of d = S - p, so the row regresses on d alone. At epsilon = 1
+    # every round one stops, d is 0 too, and the row is the plain mean with
+    # the plain stderr
     n = 120
     cfg = _cfg(M=16, tau=4, first_pilot=first_pilot, master_seed=8)
     data = run_trials(cfg, scheme, jam, n)
-    assert data.conv_rates.min() == data.conv_rates.max()
-    d = data.round_one_met - stop_probability(cfg, data.round_one_overlap_sq)
+    columns, _ = _control_variates(cfg, jam, data)
+    assert columns[:, 0].min() == columns[:, 0].max()
+    d = columns[:, 1]
     assert d.min() < d.max()
-    dc, yc = d - d.mean(), data.rates - data.rates.mean()
-    b = dc @ yc / (dc @ dc)
     row = average_rate(cfg, scheme, jam, n)
-    assert row.mean_rate == pytest.approx(data.rates.mean() - b * d.mean(), rel=1e-12)
-    assert row.stderr == pytest.approx((yc - b * dc).std(ddof=2) / math.sqrt(n), rel=1e-9)
+    assert (row.mean_rate, row.stderr) == pytest.approx(
+        _regression_by_hand(data.rates, d, 0.0), rel=1e-9)
     cfg = _cfg(M=16, tau=4, first_pilot=first_pilot, master_seed=8, epsilon=1.0)
     data = run_trials(cfg, scheme, jam, n)
     row = average_rate(cfg, scheme, jam, n)
@@ -421,25 +441,26 @@ def test_control_variate_mean_falls_back_and_regresses():
         (float(y[:3].mean()), float(y[:3].std(ddof=1) / math.sqrt(3)))
     assert control_variate_mean(y[:2], x[:2], 9.0) == (1.5, 0.5)
     assert control_variate_mean(y[:1], x[:1], 9.0) == (1.0, 0.0)
-    # one column, by hand: y - mean(y) = b (x - mean(x)) + e
+    # one sample alone fixes the coefficient (leverage 1)
+    assert control_variate_mean(y, np.array([0.0, 0.0, 0.0, 0.0, 1.0]), 0.5) == plain
+    # one column: the mean is mean(y) - b (mean(x) - 1.5), b the slope
     xc, yc = x - x.mean(), y - y.mean()
-    b = xc @ yc / (xc @ xc)
-    one = (y.mean() - b * (x.mean() - 1.5), (yc - b * xc).std(ddof=2) / math.sqrt(n))
+    one = _regression_by_hand(y, x, 1.5)
+    assert one[0] == pytest.approx(y.mean() - (xc @ yc / (xc @ xc)) * (x.mean() - 1.5))
     assert control_variate_mean(y, x, 1.5) == pytest.approx(one, rel=1e-12)
     # a constant column beside it changes nothing, nor does a column that
-    # repeats x scaled (rank 1, ddof 2); the mean of the repeat must agree
+    # repeats x scaled; the mean of the repeat must agree
     assert control_variate_mean(y, np.column_stack([x, np.ones(n)]), (1.5, 7.0)) == \
         pytest.approx(one, rel=1e-12)
     assert control_variate_mean(y, np.column_stack([x, -3 * x]), (1.5, -4.5)) == \
         pytest.approx(one, rel=1e-12)
-    # two columns, by the normal equations: ddof 3
-    cols = np.column_stack([x, x ** 2])
-    known = np.array([1.5, 3.0])
-    cc = cols - cols.mean(axis=0)
-    coef = np.linalg.solve(cc.T @ cc, cc.T @ yc)
-    two = (y.mean() - coef @ (cols.mean(axis=0) - known),
-           (yc - cc @ coef).std(ddof=3) / math.sqrt(n))
-    assert control_variate_mean(y, cols, known) == pytest.approx(two, rel=1e-10)
+    # two columns; no residual at all gives a zero stderr
+    cols, known = np.column_stack([x, x ** 2]), np.array([1.5, 3.0])
+    assert control_variate_mean(y, cols, known) == \
+        pytest.approx(_regression_by_hand(y, cols, known), rel=1e-10)
+    exact = 2.0 + cols @ [1.0, -0.5]
+    assert control_variate_mean(exact, cols, known) == \
+        pytest.approx((2.0 + 1.5 - 0.5 * 3.0, 0.0), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
