@@ -24,10 +24,14 @@ streams make scheme comparisons paired and keep any execution order or
 worker count bit-reproducible.
 
 Every trial also returns round one's squared overlap and, on alg trials,
-whether round one's blind estimate met the threshold. average_rate steers
-the alg rows with them: the conventional rate at that overlap has the
-exact mean oracle.conventional_mean, and the stop indicator has the exact
-mean oracle.stop_probability given the overlap.
+whether round one's blind estimate met the threshold and round two's draw:
+alg1's second squared overlap, or alg2's smallest squared overlap among
+the pilots other than round one's. average_rate steers the alg rows with
+them: the conventional rate at round one's overlap has the exact mean
+oracle.conventional_mean, the stop indicator has the exact mean
+oracle.stop_probability given that overlap, and on the trials that
+retransmit, a rate at round two's draw has an exact mean too
+(oracle.conventional_mean for alg1, oracle.retransmit_mean for alg2).
 """
 
 import math
@@ -39,7 +43,8 @@ import numpy as np
 
 from .channel import JammerSpec, _codeword_index, draw_overlap_amplitude, gen_channel_factor
 from .config import SystemConfig, check_count
-from .oracle import conventional_mean, conventional_rates, stop_probability
+from .oracle import (conventional_mean, conventional_rates, retransmit_mean, retransmit_rates,
+                     stop_probability)
 from .protocols import run_algorithm1, run_algorithm2
 from .rates import rate_config, sinr_and_rate
 from .rng import TAG_CHANNEL, TAG_PROTOCOL, substream
@@ -55,7 +60,10 @@ class TrialData:
     decodes with. The rest steer an alg row (average_rate):
     round_one_overlap_sq holds round one's squared overlap, and
     round_one_met whether round one's blind estimate met the threshold
-    (False on conventional trials, which estimate nothing).
+    (False on conventional trials, which estimate nothing), and
+    round_two_sq round two's draw: alg1's second squared overlap, alg2's
+    smallest squared overlap among the pilots other than round one's
+    (ProtocolTrace.other_min_sq), and 0 on trials that drew no round two.
     """
 
     rates: np.ndarray
@@ -63,6 +71,7 @@ class TrialData:
     overlap_sq: np.ndarray
     round_one_overlap_sq: np.ndarray
     round_one_met: np.ndarray
+    round_two_sq: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -88,11 +97,11 @@ def _validate_combination(cfg: SystemConfig, scheme: str, jammer: JammerSpec):
 
 
 def simulate_one_trial(cfg: SystemConfig, scheme: str, jammer: JammerSpec,
-                       index: int) -> tuple[float, int, float, float, bool]:
+                       index: int) -> tuple[float, int, float, float, bool, float]:
     """One realization of one scheme.
 
-    Returns (rate, n_used, overlap_sq, round_one_overlap_sq, round_one_met),
-    the fields of TrialData.
+    Returns (rate, n_used, overlap_sq, round_one_overlap_sq, round_one_met,
+    round_two_sq), the fields of TrialData.
 
     Reproducible from (cfg.master_seed, index) alone. Round one, the pilot
     index and its overlap amplitude, is drawn here for every scheme, so
@@ -105,7 +114,8 @@ def simulate_one_trial(cfg: SystemConfig, scheme: str, jammer: JammerSpec,
     round_one_overlap_sq is round one's squared overlap, at which a
     conventional trial of the same index is rated. round_one_met says
     whether round one's blind estimate met the threshold, and is False on a
-    conventional trial.
+    conventional trial. round_two_sq is alg1's second squared overlap or
+    alg2's trace.other_min_sq, and 0 where the trial drew no round two.
     """
     _validate_combination(cfg, scheme, jammer)
     rng_proto = substream(cfg.master_seed, index, TAG_PROTOCOL)
@@ -115,7 +125,7 @@ def simulate_one_trial(cfg: SystemConfig, scheme: str, jammer: JammerSpec,
     amp = draw_overlap_amplitude(rng_proto, jammer, k, cfg.tau)
     overlap_one = abs(amp) ** 2
     if scheme == "conventional":
-        n_used, overlap, met = 1, overlap_one, False
+        n_used, overlap, met, round_two = 1, overlap_one, False, 0.0
     else:
         r = gen_channel_factor(substream(cfg.master_seed, index, TAG_CHANNEL),
                                cfg.M, cfg.beta_u, cfg.beta_j)
@@ -123,16 +133,20 @@ def simulate_one_trial(cfg: SystemConfig, scheme: str, jammer: JammerSpec,
                  else run_algorithm2(cfg, r, k, amp, jammer, rng_proto))
         n_used, overlap = trace.n_used, trace.rounds[trace.chosen_round].overlap_true
         met = cfg.overlap_below_threshold(trace.rounds[0].overlap_est)
+        if scheme == "alg2":
+            round_two = trace.other_min_sq
+        else:
+            round_two = trace.rounds[1].overlap_true if n_used > 1 else 0.0
     value = sinr_and_rate(rate_config(cfg, jammer), overlap, n_used)[1]
-    return value, n_used, overlap, overlap_one, met
+    return value, n_used, overlap, overlap_one, met, round_two
 
 
 def _trial_chunk(args):
     cfg, scheme, jammer, start, stop = args
-    rates, n_used, overlaps, overlaps_one, met = zip(
+    rates, n_used, overlaps, overlaps_one, met, round_two = zip(
         *(simulate_one_trial(cfg, scheme, jammer, i) for i in range(start, stop)))
     return (np.array(rates), np.array(n_used, dtype=np.int64), np.array(overlaps),
-            np.array(overlaps_one), np.array(met, dtype=bool))
+            np.array(overlaps_one), np.array(met, dtype=bool), np.array(round_two))
 
 
 def run_trials(cfg: SystemConfig, scheme: str, jammer: JammerSpec, n_trials: int,
@@ -206,19 +220,37 @@ def control_variate_mean(y: np.ndarray, columns: np.ndarray | None = None,
     return float(y_bar), stderr
 
 
-def _control_variates(cfg: SystemConfig, jammer: JammerSpec,
-                      data: TrialData) -> tuple[np.ndarray, tuple[float, float, float]]:
+def _control_variates(cfg: SystemConfig, scheme: str, jammer: JammerSpec,
+                      data: TrialData) -> tuple[np.ndarray, tuple[float, ...]]:
     """The control-variate columns of an alg row's trials, and their exact means.
 
     With x the conventional rate at round one's overlap (conventional_rates)
-    and d the round-one stop indicator minus its exact probability given
-    that overlap (stop_probability), the columns are x, of mean
+    and d the round-one stop indicator S minus its exact probability given
+    that overlap (stop_probability), the first three columns are x, of mean
     conventional_mean, and d and d x, both of mean 0, since x is a function
-    of that overlap.
+    of that overlap. The fourth is (1 - S)(f - E f), f a rate at round
+    two's draw: alg1's conventional rate at its second overlap, of mean
+    conventional_mean, or alg2's retransmit_rates, of mean retransmit_mean.
+    With n_max >= 2 a trial draws round two exactly when S is 0, and that
+    draw is independent of round one, so the column has mean 0. It is 0
+    throughout under a codeword or absent jammer, where round one fixes
+    round two's draw, for alg2 at tau = 1, and at n_max = 1, where no trial
+    retransmits.
     """
     x = conventional_rates(cfg, jammer, data.round_one_overlap_sq)
     d = data.round_one_met - stop_probability(cfg, data.round_one_overlap_sq)
-    return np.column_stack([x, d, d * x]), (conventional_mean(cfg, jammer), 0.0, 0.0)
+    retx = ~data.round_one_met
+    round_two = np.zeros(len(retx))
+    if cfg.n_max >= 2 and jammer.kind in ("gaussian", "sphere"):
+        if scheme == "alg1":
+            round_two[retx] = (conventional_rates(cfg, jammer, data.round_two_sq[retx])
+                               - conventional_mean(cfg, jammer))
+        elif cfg.tau > 1:
+            round_two[retx] = (retransmit_rates(cfg, jammer, data.round_two_sq[retx],
+                                                data.round_one_overlap_sq[retx])
+                               - retransmit_mean(cfg, jammer))
+    return (np.column_stack([x, d, d * x, round_two]),
+            (conventional_mean(cfg, jammer), 0.0, 0.0, 0.0))
 
 
 def average_rate(cfg: SystemConfig, scheme: str, jammer: JammerSpec, n_trials: int,
@@ -226,14 +258,15 @@ def average_rate(cfg: SystemConfig, scheme: str, jammer: JammerSpec, n_trials: i
     """Mean closed-form rate, its standard error, and the retransmission counts.
 
     A conventional row is the plain sample mean. An alg row is the
-    control-variate mean (control_variate_mean) on its trials' three
+    control-variate mean (control_variate_mean) on its trials' four
     columns (_control_variates).
     """
     data = run_trials(cfg, scheme, jammer, n_trials, n_workers=n_workers)
     if scheme == "conventional":
         mean, stderr = control_variate_mean(data.rates)
     else:
-        mean, stderr = control_variate_mean(data.rates, *_control_variates(cfg, jammer, data))
+        mean, stderr = control_variate_mean(data.rates,
+                                            *_control_variates(cfg, scheme, jammer, data))
     hist = {int(k): int(c) for k, c in enumerate(np.bincount(data.n_used)) if c > 0}
     return RateSummary(mean_rate=mean, stderr=stderr,
                        n_used_hist=hist, mean_n_used=float(data.n_used.mean()))

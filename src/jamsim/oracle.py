@@ -6,10 +6,22 @@ given overlaps, and conventional_mean its mean as that 1-D integral: the
 engine rates a conventional trial at that overlap alone, so the integral is
 exact up to quadrature error. stop_probability is
 the exact probability, given that overlap, that round one's blind estimate
-meets the threshold, and stop_share its mean. average_rate steers the alg
-rows with both: the conventional rate has mean conventional_mean, and the
-round-one stop indicator minus stop_probability has mean 0, alone and times
-the conventional rate.
+meets the threshold, stop_share its mean, and alg1_mean_n_used the mean
+transmission count of alg1 it implies at n_max = 2.
+
+Round two's draws have exact laws too, independent of round one. alg1's
+second overlap is a fresh draw of round one's law. alg2's retransmit branch
+draws the other tau - 1 coordinates of the jamming sequence, and
+other_min_mean integrates over the law of their smallest squared modulus
+(scaled free of round one for sphere); retransmit_rates is the two-round
+rate at it, and retransmit_mean its mean.
+
+average_rate steers the alg rows with all of these: the conventional rate
+has mean conventional_mean; the round-one stop indicator minus
+stop_probability has mean 0, alone and times the conventional rate; and on
+the trials that draw round two, the conventional rate at alg1's second
+overlap less conventional_mean, or retransmit_rates less retransmit_mean,
+has mean 0.
 
 verify_moments is the moment check: it compares Monte Carlo moments of the
 effective-noise decomposition behind the SINR formula with their closed
@@ -78,13 +90,18 @@ def round_one_mean(cfg: SystemConfig, jammer: JammerSpec,
     return math.fsum(w * v for v, w in zip(g(np.array(overlaps)), weights))
 
 
+def _rates(cfg: SystemConfig, jammer: JammerSpec, overlaps: np.ndarray, n_used: int) -> np.ndarray:
+    """rate(overlap, n_used) under rate_config(cfg, jammer) at each squared overlap."""
+    rc = rate_config(cfg, jammer)
+    return np.array([sinr_and_rate(rc, overlap_sq, n_used)[1] for overlap_sq in overlaps.tolist()])
+
+
 def conventional_rates(cfg: SystemConfig, jammer: JammerSpec, overlaps: np.ndarray) -> np.ndarray:
     """Conventional rate rate(|a|^2, 1) under rate_config(cfg, jammer) at each squared overlap.
 
     Bit-identical to the rate of a conventional trial at that overlap.
     """
-    rc = rate_config(cfg, jammer)
-    return np.array([sinr_and_rate(rc, overlap_sq, 1)[1] for overlap_sq in overlaps.tolist()])
+    return _rates(cfg, jammer, overlaps, 1)
 
 
 @functools.lru_cache(maxsize=256)
@@ -165,6 +182,82 @@ def stop_probability(cfg: SystemConfig, overlap_sq) -> np.ndarray:
 def stop_share(cfg: SystemConfig, jammer: JammerSpec) -> float:
     """Probability that round one's blind estimate meets the threshold."""
     return round_one_mean(cfg, jammer, functools.partial(stop_probability, cfg))
+
+
+def alg1_mean_n_used(cfg: SystemConfig, jammer: JammerSpec) -> float:
+    """alg1's exact mean transmission count, for n_max <= 2.
+
+    At n_max = 2 alg1 retransmits exactly when round one's blind estimate
+    misses the threshold, so the mean is 2 - stop_share; at n_max = 1 it is
+    1. n_max > 2 raises ValueError: every round sees the trial's one
+    channel factor R, so round two's stop decision is not independent of
+    round one's, and the count is no function of stop_share alone.
+    """
+    if jammer.kind == "codeword":
+        raise ValueError("alg1 assumes random jamming; a codeword jammer is deterministic")
+    if cfg.n_max > 2:
+        raise ValueError(f"the exact count needs n_max <= 2, got {cfg.n_max}")
+    return 1.0 if cfg.n_max == 1 else 2.0 - stop_share(cfg, jammer)
+
+
+def other_min_mean(cfg: SystemConfig, jammer: JammerSpec,
+                   g: Callable[[np.ndarray], Sequence[float]]) -> float:
+    """E[g(v)] over the exact law of v, alg2's round-two draw, freed of round one.
+
+    g maps a 1-D array of values of v to their values, one per entry. On
+    its retransmit branch alg2 draws the other tau - 1 codebook coordinates
+    of the jamming sequence given round one's amplitude a
+    (complete_amplitudes); m is their smallest squared modulus
+    (ProtocolTrace.other_min_sq). gaussian draws them i.i.d. CN(0, 1/tau),
+    so v = m ~ Exp(mean 1/(tau (tau - 1))). sphere draws them uniformly on
+    the sphere of squared radius 1 - |a|^2, so v = m / (1 - |a|^2) is the
+    smallest coordinate of a flat Dirichlet on tau - 1 coordinates,
+    P(v > s) = (1 - (tau - 1) s)^(tau - 2): that is
+    -expm1(-t / (tau - 2)) / (tau - 1) for t ~ Exp(1), and 1 at tau = 2.
+    Either way v is independent of round one. Both are integrated over t
+    (_exp_rule). Kinds whose coordinates round one fixes (codeword, absent)
+    and tau = 1, which has no other coordinate, raise ValueError.
+    """
+    tau = cfg.tau
+    if jammer.kind not in ("gaussian", "sphere") or tau < 2:
+        raise ValueError(f"a {jammer.kind} jammer at tau={tau} draws no random other coordinates")
+    if jammer.kind == "sphere" and tau == 2:
+        return float(g(np.ones(1))[0])
+    nodes, weights = _exp_rule()
+    if jammer.kind == "gaussian":
+        values = [t / (tau * (tau - 1)) for t in nodes]
+    else:
+        values = [-math.expm1(-t / (tau - 2)) / (tau - 1) for t in nodes]
+    return math.fsum(w * v for v, w in zip(g(np.array(values)), weights))
+
+
+def _retransmit_rates_at(cfg: SystemConfig, jammer: JammerSpec, v: np.ndarray) -> np.ndarray:
+    # sphere's v is m over 1 - |a|^2, whose mean is 1 - 1/tau
+    scale = 1.0 if jammer.kind == "gaussian" else 1.0 - 1.0 / cfg.tau
+    return _rates(cfg, jammer, scale * v, 2)
+
+
+def retransmit_rates(cfg: SystemConfig, jammer: JammerSpec, other_min_sq: np.ndarray,
+                     overlap_one_sq: np.ndarray) -> np.ndarray:
+    """h(v) per alg2 trial that drew round two, from its m and round one's squared overlap.
+
+    v is other_min_mean's variable: m for gaussian, m / (1 - |a|^2) for
+    sphere (1 surely at tau = 2). h is the two-round rate rate(s v, 2)
+    under rate_config(cfg, jammer), with s = 1 for gaussian and 1 - 1/tau
+    for sphere, so that s v is m at round one's mean overlap: the rate alg2
+    gets when it retransmits on the pilot of smallest overlap.
+    """
+    v = np.asarray(other_min_sq, dtype=float)
+    if jammer.kind == "sphere":
+        # at tau = 2 the ratio is 1 surely; computed, it would carry rounding noise
+        v = np.ones(v.shape) if cfg.tau == 2 else v / (1.0 - np.asarray(overlap_one_sq))
+    return _retransmit_rates_at(cfg, jammer, v)
+
+
+@functools.lru_cache(maxsize=256)
+def retransmit_mean(cfg: SystemConfig, jammer: JammerSpec) -> float:
+    """E[h(v)], the exact mean of retransmit_rates on a trial that draws round two."""
+    return other_min_mean(cfg, jammer, functools.partial(_retransmit_rates_at, cfg, jammer))
 
 
 # verify_moments passes a quantity when |emp - th| <= MOMENT_Z * stderr. A

@@ -30,10 +30,14 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class ProtocolTrace:
+    """One protocol run; other_min_sq is alg2's smallest squared overlap of
+    the pilots other than round one's, 0 when it drew no other coordinate."""
+
     rounds: tuple[RoundRecord, ...]
     n_used: int
     stop_reason: str            # threshold_met | n_max_reached | opt_no_better
     chosen_round: int           # round whose pilot the receiver decodes with
+    other_min_sq: float = 0.0
 
 
 def select_retransmission_pilot(vecs: np.ndarray, lam: np.ndarray, opt_mode: str = "codebook"):
@@ -108,7 +112,9 @@ def run_algorithm2(cfg: SystemConfig, r: np.ndarray, k: int, amp: complex,
     receiver estimates the jammer gram from it, searches (cfg.opt_mode) for
     the pilot with minimal predicted overlap, and requests one
     retransmission, but only if that prediction improves on round 1. The
-    jammer replays s_j under fresh noise.
+    jammer replays s_j under fresh noise. A trace that drew the other
+    coordinates carries the smallest of their squared moduli (other_min_sq),
+    whose exact law the trial engine steers alg2's rows by.
     """
     if not 0 <= k < cfg.tau:
         raise ValueError(f"pilot index must lie in [0, tau={cfg.tau}), got {k}")
@@ -120,12 +126,15 @@ def run_algorithm2(cfg: SystemConfig, r: np.ndarray, k: int, amp: complex,
     if cfg.n_max < 2:
         return ProtocolTrace(tuple(rounds), 1, "n_max_reached", 0)
     amps = complete_amplitudes(rng, jammer, k, amp, cfg.tau)
+    overlaps = amps.real ** 2 + amps.imag ** 2
+    overlaps[k] = np.inf        # the smallest of the other pilots' overlaps
+    other_min = float(overlaps.min()) if cfg.tau > 1 else 0.0
     factor = receive_block_factor(cfg, r, k, amps, y_q, resid, rng)
     vecs, lam = estimate_jammer_gram(factor, np.eye(cfg.tau)[k], cfg)
     opt_idx, w, predicted = select_retransmission_pilot(vecs, lam, cfg.opt_mode)
     if not predicted < overlap_est:
-        return ProtocolTrace(tuple(rounds), 1, "opt_no_better", 0)
+        return ProtocolTrace(tuple(rounds), 1, "opt_no_better", 0, other_min)
     amp = overlap_amplitude(amps, w)
     overlap_est2 = run_training(cfg, r, amp, rng)
     rounds.append(RoundRecord(opt_idx, abs(amp) ** 2, overlap_est2))
-    return ProtocolTrace(tuple(rounds), 2, "n_max_reached", 1)
+    return ProtocolTrace(tuple(rounds), 2, "n_max_reached", 1, other_min)

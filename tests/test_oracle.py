@@ -1,13 +1,16 @@
 """The exact conventional mean (jamsim.oracle.conventional_mean) against an
-independent Simpson rule and against the trial engine."""
+independent Simpson rule and against the trial engine, and alg2's round-two
+law (other_min_mean, retransmit_rates, retransmit_mean) against its
+moments and against brute-force draws of the jamming sequence."""
 
 import math
 
 import numpy as np
 import pytest
 
-from jamsim import JammerSpec, SystemConfig, run_trials
-from jamsim.oracle import conventional_mean
+from jamsim import JammerSpec, SystemConfig, draw_overlap_amplitude, run_trials, substream
+from jamsim.channel import complete_amplitudes
+from jamsim.oracle import conventional_mean, other_min_mean, retransmit_mean, retransmit_rates
 from jamsim.rates import rate_from_overlap
 
 Z_BOUND = 4.0
@@ -117,3 +120,73 @@ def test_conventional_mean_matches_the_engine(case):
         return
     stderr = rates.std(ddof=1) / math.sqrt(n)
     assert abs(rates.mean() - exact) <= Z_BOUND * stderr, (rates.mean(), exact, stderr)
+
+
+# ---------------------------------------------------------------------------
+# alg2's round-two law
+# ---------------------------------------------------------------------------
+
+def _other_min_moments(kind, tau):
+    """E[v] and E[v^2]: v ~ Exp(mean mu), mu = 1/(tau (tau - 1)), for gaussian;
+    v = W / (tau - 1), W ~ Beta(1, tau - 2), for sphere (W = 1 at tau = 2)."""
+    if kind == "gaussian":
+        mu = 1 / (tau * (tau - 1))
+        return mu, 2 * mu ** 2
+    if tau == 2:
+        return 1.0, 1.0
+    return 1 / (tau - 1) ** 2, 2 / ((tau - 1) ** 3 * tau)
+
+
+@pytest.mark.parametrize("tau", [2, 3, 4, 20, 90])
+@pytest.mark.parametrize("kind", ["gaussian", "sphere"])
+def test_other_min_quadrature_matches_its_moments(kind, tau):
+    cfg = _cfg(tau=tau)
+    moments = [other_min_mean(cfg, JammerSpec(kind=kind), g)
+               for g in (np.ones_like, lambda v: v, lambda v: v ** 2)]
+    assert moments == pytest.approx([1.0, *_other_min_moments(kind, tau)], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("tau", [2, 4, 20])
+@pytest.mark.parametrize("kind", ["gaussian", "sphere"])
+def test_other_min_law_matches_brute_force_draws(kind, tau):
+    # the engine's draws: round one's amplitude a with a random pilot k,
+    # then the other coordinates given a; v is their smallest squared
+    # modulus, over 1 - |a|^2 for sphere. Its mean, its square's and the
+    # retransmit rate's match the exact law, and v is independent of round
+    # one: v (|a|^2 - 1/tau) has mean 0
+    n = 20000
+    cfg = _cfg(tau=tau)
+    jam = JammerSpec(kind=kind)
+    rng = substream(71, tau)
+    m, overlap_one = np.empty(n), np.empty(n)
+    for i in range(n):
+        k = int(rng.integers(tau))
+        amp = draw_overlap_amplitude(rng, jam, k, tau)
+        amps = complete_amplitudes(rng, jam, k, amp, tau)
+        m[i] = min(abs(a) ** 2 for j, a in enumerate(amps) if j != k)
+        overlap_one[i] = abs(amp) ** 2
+    v = m if kind == "gaussian" else m / (1.0 - overlap_one)
+    mean, second = _other_min_moments(kind, tau)
+    samples = {
+        "v": (v, mean),
+        "v^2": (v ** 2, second),
+        "rate": (retransmit_rates(cfg, jam, m, overlap_one), retransmit_mean(cfg, jam)),
+        "v (|a|^2 - 1/tau)": (v * (overlap_one - 1 / tau), 0.0),
+    }
+    for name, (x, exact) in samples.items():
+        stderr = x.std(ddof=1) / math.sqrt(n)
+        if stderr < 1e-12:
+            # sphere at tau = 2: v is 1 up to rounding, and the rate constant
+            assert kind == "sphere" and tau == 2, name
+            assert x == pytest.approx(exact, abs=1e-12), name
+            continue
+        assert abs(x.mean() - exact) <= Z_BOUND * stderr, (name, x.mean(), exact, stderr)
+
+
+def test_other_min_needs_random_other_coordinates():
+    for cfg, jam in ((_cfg(), JammerSpec(kind="absent")),
+                     (_cfg(), JammerSpec(kind="codeword")),
+                     (_cfg(tau=1), JammerSpec()),
+                     (_cfg(tau=1), JammerSpec(kind="sphere"))):
+        with pytest.raises(ValueError, match="no random other coordinates"):
+            retransmit_mean(cfg, jam)

@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 from jamsim import (JammerSpec, SystemConfig, draw_overlap_amplitude, gen_channel_factor,
                     run_algorithm1, run_algorithm2, substream)
-from jamsim.channel import crandn, jamming_overlap_sq, make_codebook
-from jamsim.estimation import estimate_overlap_sq
+from jamsim.channel import complete_amplitudes, crandn, jamming_overlap_sq, make_codebook
+from jamsim.estimation import estimate_overlap_sq, receive_despread
 from jamsim.protocols import select_retransmission_pilot
 
 
@@ -126,6 +127,8 @@ def test_alg2_escapes_codeword_jammer_exactly(zero_noise):
     assert trace.rounds[1].pilot_index != 1
     assert trace.chosen_round == 1
     assert trace.rounds[1].pilot_index is not None
+    # the other coordinates of a codeword on pilot 1 are all 0
+    assert trace.other_min_sq == 0.0
 
 
 def test_alg2_orthogonal_jammer_stops_immediately():
@@ -170,6 +173,32 @@ def test_alg2_rejects_bad_args():
     tight = SystemConfig(M=8, T=200, tau=120, n_max=1)
     r2 = _channels(tight, 8)
     assert run_algorithm2(tight, r2, 0, 1 + 0j, jam, substream(8, 1)).n_used == 1
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "sphere"])
+def test_alg2_trace_carries_the_smallest_other_overlap(kind):
+    # other_min_sq is the smallest squared modulus of the coordinates that
+    # complete_amplitudes draws, read from a replay of the trace's draws; a
+    # trace that stops at round one drew none and carries 0
+    cfg = _cfg(M=16, tau=8, P=10.0, Q=10.0)
+    jam = JammerSpec(kind=kind)
+    drew = 0
+    for seed in range(40):
+        r = _channels(cfg, seed)
+        rng = substream(seed, 1)
+        k = int(rng.integers(cfg.tau))
+        amp = draw_overlap_amplitude(rng, jam, k, cfg.tau)
+        replay = copy.deepcopy(rng)
+        trace = run_algorithm2(cfg, r, k, amp, jam, rng)
+        if trace.stop_reason == "threshold_met":
+            assert trace.other_min_sq == 0.0
+            continue
+        receive_despread(cfg, r, amp, replay)
+        amps = complete_amplitudes(replay, jam, k, amp, cfg.tau)
+        others = [abs(a) ** 2 for i, a in enumerate(amps) if i != k]
+        assert trace.other_min_sq == pytest.approx(min(others), rel=1e-12)
+        drew += 1
+    assert 0 < drew < 40
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ incomplete gamma function, and stop_share is its mean over ov. alg1 at
 n_max = 2 spends one transmission exactly when round one stops; alg2 also
 stops when its search predicts no gain, so its single-transmission share is
 at least that value. Given ov, the stop indicator S has mean P, so S - P and
-(S - P) times the conventional rate, a function of ov, have mean 0: the two
-control variates average_rate adds on the alg rows.
+(S - P) times the conventional rate, a function of ov, have mean 0: two of
+the control variates average_rate adds on the alg rows. The third of mean
+0, (1 - S) times a rate at round two's draw less its exact mean, is checked
+here too: round two's draw is independent of round one.
 """
 
 import math
@@ -25,7 +27,7 @@ from jamsim import (JammerSpec, SystemConfig, draw_overlap_amplitude, gen_channe
                     run_trials, substream)
 from jamsim.estimation import run_training
 from jamsim.montecarlo import _control_variates
-from jamsim.oracle import round_one_mean, stop_probability, stop_share
+from jamsim.oracle import alg1_mean_n_used, round_one_mean, stop_probability, stop_share
 from jamsim.rng import TAG_CHANNEL, TAG_PROTOCOL
 
 Z_BOUND = 4.0
@@ -53,11 +55,11 @@ def _gamma_cdf_by_trapezoid(m, x):
     return float(np.sum((density[1:] + density[:-1]) / 2) * (t[1] - t[0]))
 
 
-def _excess_columns(cfg, jammer, data):
-    """S - P and (S - P) x per trial, x the conventional rate of round one."""
-    columns, means = _control_variates(cfg, jammer, data)
-    assert means[1:] == (0.0, 0.0)
-    return columns[:, 1], columns[:, 2]
+def _zero_mean_columns(cfg, scheme, jammer, data):
+    """S - P, (S - P) x and the round-two column per trial, x the conventional rate of round one."""
+    columns, means = _control_variates(cfg, scheme, jammer, data)
+    assert means[1:] == (0.0, 0.0, 0.0)
+    return columns[:, 1], columns[:, 2], columns[:, 3]
 
 
 def _assert_mean_zero(column):
@@ -153,7 +155,11 @@ def test_alg1_spends_one_round_as_often_as_round_one_stops(kind, m):
     single = data.n_used == 1
     assert np.array_equal(single, data.round_one_met)
     assert abs(_z(float(np.mean(single)), p, N_TRIALS)) <= Z_BOUND, (np.mean(single), p)
-    for column in _excess_columns(cfg, jammer, data):
+    # the mean count is 2 - p, and n_used - 1 is a coin of chance 1 - p
+    mean_n_used = alg1_mean_n_used(cfg, jammer)
+    assert mean_n_used == 2.0 - p
+    assert abs(_z(float(data.n_used.mean()) - 1.0, mean_n_used - 1.0, N_TRIALS)) <= Z_BOUND
+    for column in _zero_mean_columns(cfg, "alg1", jammer, data):
         _assert_mean_zero(column)
 
 
@@ -162,6 +168,14 @@ def test_alg1_stops_after_round_one_when_epsilon_is_one():
     assert stop_share(cfg, JammerSpec()) == pytest.approx(1.0, rel=0, abs=1e-12)
     data = run_trials(cfg, "alg1", JammerSpec(), 200)
     assert data.round_one_met.all() and np.all(data.n_used == 1)
+
+
+def test_alg1_mean_n_used_needs_at_most_two_rounds():
+    assert alg1_mean_n_used(_cfg(50, n_max=1), JammerSpec()) == 1.0
+    with pytest.raises(ValueError, match="n_max <= 2"):
+        alg1_mean_n_used(_cfg(50, T=200, n_max=3), JammerSpec())
+    with pytest.raises(ValueError, match="codeword"):
+        alg1_mean_n_used(_cfg(50), JammerSpec(kind="codeword"))
 
 
 @pytest.mark.parametrize("m", ANTENNAS)
@@ -200,5 +214,11 @@ def test_alg2_spends_one_round_at_least_as_often_as_round_one_stops(kind, m):
     single = float(np.mean(data.n_used == 1))
     assert _z(single, p, n) >= -Z_BOUND, (single, p)
     assert np.all(data.n_used[data.round_one_met] == 1)
-    for column in _excess_columns(cfg, jammer, data):
-        _assert_mean_zero(column)
+    d, dx, round_two = _zero_mean_columns(cfg, "alg2", jammer, data)
+    _assert_mean_zero(d)
+    _assert_mean_zero(dx)
+    if kind in ("gaussian", "sphere"):
+        _assert_mean_zero(round_two)
+    else:
+        # round one fixes round two's draw, and the column is 0
+        assert not round_two.any()

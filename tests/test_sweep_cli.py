@@ -1,8 +1,10 @@
 import argparse
 import csv
 import dataclasses
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,8 @@ from jamsim import (JammerSpec, SweepSpec, SystemConfig, average_rate, cli, run_
                     run_sweep, write_csv)
 from jamsim.oracle import Moment
 from jamsim.sweep import CSV_HEADER, derive_config, preset_specs
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _base(**kw):
@@ -132,8 +136,11 @@ def test_run_preset_row_count(tmp_path):
 # ---------------------------------------------------------------------------
 
 def _run_cli(*args):
+    # the subprocess imports jamsim from this checkout's src, installed or not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "jamsim.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
 
 
 def test_config_keys_cover_the_system_config_fields():
