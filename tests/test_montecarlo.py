@@ -128,17 +128,34 @@ _PINNED_MEANS = {
     ("explicit_powers", "conventional"): 1.6427009133285886,
     ("explicit_powers", "alg1"): 1.7092307741853232,
     ("explicit_powers", "alg2"): 1.8929066780305426,
+    # the other jammer kinds, under every scheme each kind allows
+    ("sphere", "conventional"): 1.9642392544311764,
+    ("sphere", "alg1"): 2.0310679707021615,
+    ("sphere", "alg2"): 2.2028615275533814,
+    ("absent", "conventional"): 3.54250806732143,
+    ("absent", "alg1"): 3.4145841648903787,
+    ("absent", "alg2"): 3.4145841648903787,
+    ("codeword", "conventional"): 2.434193421384537,
+    ("codeword", "alg2"): 2.6420172674194204,
+    ("codeword_first_pilot", "conventional"): 0.7564779407837855,
+    ("codeword_first_pilot", "alg2"): 2.4606115309023515,
+}
+# (config overrides, jammer) per mode of _PINNED_MEANS
+_PINNED_CASES = {
+    "true_overlap": ({}, JammerSpec()),
+    "explicit_powers": ({"P": 1.0, "Q": 1.0, "powers": (1.2, 0.95, 2.0, 0.7)}, JammerSpec()),
+    "sphere": ({}, JammerSpec(kind="sphere")),
+    "absent": ({}, JammerSpec(kind="absent")),
+    "codeword": ({}, JammerSpec(kind="codeword", codeword_index=2)),
+    "codeword_first_pilot": ({"first_pilot": 2}, JammerSpec(kind="codeword", codeword_index=2)),
 }
 
 
 @pytest.mark.parametrize("mode,scheme", sorted(_PINNED_MEANS))
 def test_seed_to_value_mapping_is_pinned(mode, scheme):
-    if mode == "explicit_powers":
-        cfg = SystemConfig(**{**_PINNED_BASE, "P": 1.0, "Q": 1.0},
-                           powers=(1.2, 0.95, 2.0, 0.7))
-    else:
-        cfg = SystemConfig(**_PINNED_BASE)
-    mean = run_trials(cfg, scheme, JammerSpec(), 200).rates.mean()
+    overrides, jammer = _PINNED_CASES[mode]
+    cfg = SystemConfig(**{**_PINNED_BASE, **overrides})
+    mean = run_trials(cfg, scheme, jammer, 200).rates.mean()
     assert mean == pytest.approx(_PINNED_MEANS[mode, scheme], rel=1e-9)
 
 

@@ -10,7 +10,8 @@ import pytest
 
 from jamsim import JammerSpec, SystemConfig, draw_overlap_amplitude, run_trials, substream
 from jamsim.channel import complete_amplitudes
-from jamsim.oracle import conventional_mean, other_min_mean, retransmit_mean, retransmit_rates
+from jamsim.oracle import (conventional_mean, other_min_mean, retransmit_mean, retransmit_rates,
+                           stop_share)
 from jamsim.rates import rate_from_overlap
 
 Z_BOUND = 4.0
@@ -181,6 +182,26 @@ def test_other_min_law_matches_brute_force_draws(kind, tau):
             assert x == pytest.approx(exact, abs=1e-12), name
             continue
         assert abs(x.mean() - exact) <= Z_BOUND * stderr, (name, x.mean(), exact, stderr)
+
+
+# (conventional_mean, stop_share, retransmit_mean) under _cfg(tau=tau),
+# recorded. The quadrature is deterministic, so they are pinned bit for bit:
+# a change to the rule or to how its nodes are mapped shows here first.
+_PINNED_EXACT = {
+    ("gaussian", 2): (1.9650261393571509, 0.21857415179605777, 1.9451773904747554),
+    ("gaussian", 3): (2.276102326573737, 0.2915886205989665, 2.776067018749136),
+    ("gaussian", 20): (3.335055548466816, 0.6466396635302237, 3.6331215196592614),
+    ("sphere", 2): (1.7291220292988247, 0.1423381854180814, 1.4402832100001708),
+    ("sphere", 3): (2.132602477263389, 0.24198210745350476, 2.6003477834425395),
+    ("sphere", 20): (3.3270713864377535, 0.6462050914608162, 3.632944226468683),
+}
+
+
+@pytest.mark.parametrize("kind,tau", sorted(_PINNED_EXACT))
+def test_exact_means_are_pinned(kind, tau):
+    cfg, jam = _cfg(tau=tau), JammerSpec(kind=kind)
+    assert (conventional_mean(cfg, jam), stop_share(cfg, jam),
+            retransmit_mean(cfg, jam)) == _PINNED_EXACT[kind, tau]
 
 
 def test_other_min_needs_random_other_coordinates():
