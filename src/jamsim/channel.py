@@ -96,6 +96,19 @@ class JammerSpec:
         if not isinstance(self.data_phase_active, bool):
             raise ValueError(f"data_phase_active must be a bool, got {self.data_phase_active!r}")
 
+    @property
+    def is_random(self) -> bool:
+        """Whether every draw gives a fresh random sequence (gaussian, sphere)."""
+        return self.kind in ("gaussian", "sphere")
+
+    def pilot(self, tau: int) -> int | None:
+        """The pilot a codeword jammer repeats, checked against tau; None for any other kind."""
+        if self.kind != "codeword":
+            return None
+        if self.codeword_index >= tau:
+            raise ValueError(f"codeword_index {self.codeword_index} out of range for tau={tau}")
+        return self.codeword_index
+
 
 def draw_jammer_sequence(rng, jammer: JammerSpec, tau: int) -> np.ndarray:
     """One training-phase jamming sequence of length tau.
@@ -108,8 +121,8 @@ def draw_jammer_sequence(rng, jammer: JammerSpec, tau: int) -> np.ndarray:
     """
     if tau < 1:
         raise ValueError(f"pilot length must be positive, got {tau}")
-    if jammer.kind not in ("gaussian", "sphere"):
-        j = _codeword_index(jammer, tau)
+    if not jammer.is_random:
+        j = jammer.pilot(tau)
         return np.zeros(tau, dtype=np.complex128) if j is None else make_codebook(tau)[j]
     seq = crandn(rng, tau)
     if jammer.kind == "gaussian":
@@ -129,14 +142,14 @@ def draw_overlap_amplitude(rng, jammer: JammerSpec, k: int, tau: int) -> complex
     """
     if not 0 <= k < tau:
         raise ValueError(f"pilot index must lie in [0, tau={tau}), got {k}")
-    if jammer.kind in ("gaussian", "sphere"):
+    if jammer.is_random:
         re, im = rng.standard_normal(2).tolist()
         if jammer.kind == "gaussian":
             return complex(re, im) * math.sqrt(0.5 / tau)
         g = complex(re, im) * math.sqrt(0.5)
         rho = rng.gamma(tau - 1) if tau > 1 else 0.0
         return g / math.sqrt(abs(g) ** 2 + rho)
-    return complex(_codeword_index(jammer, tau) == k)
+    return complex(jammer.pilot(tau) == k)
 
 
 def complete_amplitudes(rng, jammer: JammerSpec, k: int, amp: complex, tau: int) -> np.ndarray:
@@ -151,8 +164,8 @@ def complete_amplitudes(rng, jammer: JammerSpec, k: int, amp: complex, tau: int)
     """
     if not 0 <= k < tau:
         raise ValueError(f"pilot index must lie in [0, tau={tau}), got {k}")
-    if jammer.kind not in ("gaussian", "sphere"):
-        j = _codeword_index(jammer, tau)
+    if not jammer.is_random:
+        j = jammer.pilot(tau)
         if amp != (j == k):
             raise ValueError(f"amplitude {amp} cannot come from a {jammer.kind} jammer "
                              f"at pilot {k}")
@@ -171,16 +184,6 @@ def complete_amplitudes(rng, jammer: JammerSpec, k: int, amp: complex, tau: int)
         amps *= math.sqrt(max(1.0 - abs(amp) ** 2, 0.0)) / np.linalg.norm(amps)
     amps[k] = amp
     return amps
-
-
-def _codeword_index(jammer: JammerSpec, tau: int) -> int | None:
-    """The pilot a codeword jammer repeats, checked against tau; None for any other kind."""
-    if jammer.kind != "codeword":
-        return None
-    if jammer.codeword_index >= tau:
-        raise ValueError(f"codeword_index {jammer.codeword_index} out of range "
-                         f"for tau={tau}")
-    return jammer.codeword_index
 
 
 def overlap_amplitude(s_j: np.ndarray, s_u: np.ndarray) -> complex:

@@ -15,7 +15,7 @@ import sys
 
 from .channel import JAMMER_KINDS, JammerSpec
 from .config import SystemConfig, snr_db_to_power
-from .montecarlo import SCHEMES, _validate_combination, average_rate
+from .montecarlo import SCHEMES, validate_combination, average_rate
 from .oracle import MOMENT_Z, verify_moments
 from .sweep import (AXES, PRESET_NAMES, SweepRow, SweepSpec, run_preset,
                     run_sweep, write_csv)
@@ -169,7 +169,7 @@ def _cmd_simulate(ns) -> int:
     schemes = schemes_from_mapping(mapping)
     run_args = {"n_trials": SweepSpec.n_trials, **_present(mapping, _RUN_ARGS)}
     for scheme in schemes:
-        _validate_combination(cfg, scheme, jammer)     # fail before the first trial
+        validate_combination(cfg, scheme, jammer)     # fail before the first trial
     rows = []
     for scheme in schemes:
         summary = average_rate(cfg, scheme, jammer, **run_args)

@@ -44,7 +44,7 @@ def despread(block: np.ndarray, s_u: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _mmse_terms(cfg: SystemConfig) -> tuple[float, float, float, float]:
+def mmse_terms(cfg: SystemConfig) -> tuple[float, float, float, float]:
     """tau p_t beta_u, tau q_t beta_j, sqrt(tau p_t) and beta_u of one config."""
     return (cfg.tau * cfg.p_t * cfg.beta_u, cfg.tau * cfg.q_t * cfg.beta_j,
             math.sqrt(cfg.tau * cfg.p_t), cfg.beta_u)
@@ -58,7 +58,7 @@ def mmse_coefficients(cfg: SystemConfig, overlap_sq: float) -> tuple[float, floa
     """
     if overlap_sq < 0:
         raise ValueError("overlap_sq must be nonnegative")
-    pilot, jamming, root, beta_u = _mmse_terms(cfg)
+    pilot, jamming, root, beta_u = mmse_terms(cfg)
     c_u = root * beta_u / (pilot + jamming * overlap_sq + 1.0)
     return c_u, c_u * root * beta_u
 
@@ -88,7 +88,7 @@ def estimate_overlap_sq(y_norm_sq: float, cfg: SystemConfig) -> float:
         raise ValueError("overlap estimation needs q_t > 0")
     if not y_norm_sq >= 0:
         raise ValueError(f"||y_t||^2 must be nonnegative, got {y_norm_sq}")
-    pilot, jamming, _, _ = _mmse_terms(cfg)
+    pilot, jamming, _, _ = mmse_terms(cfg)
     raw = (y_norm_sq / cfg.M - pilot - 1.0) / jamming
     return min(max(raw, 0.0), 1.0)
 
@@ -178,7 +178,7 @@ def _upper_indices(tau: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(tau, 1)
 
 
-def _wishart_factor(rng, n: int, tau: int, batch: tuple[int, ...] = ()) -> np.ndarray:
+def wishart_factor(rng, n: int, tau: int, batch: tuple[int, ...] = ()) -> np.ndarray:
     """Independent factors X with X^H X ~ CW_tau(n, I), the complex Wishart law.
 
     X is the n x tau Gaussian matrix itself when n < tau, else its tau x tau
@@ -217,7 +217,7 @@ def receive_block_factor(cfg: SystemConfig, r: np.ndarray, k: int, amps: np.ndar
     if cfg.M >= 3:
         parts.append(crandn(rng, 1, cfg.tau))
         lead.append(math.sqrt(resid))
-    parts.append(_wishart_factor(rng, max(cfg.M - 3, 0), cfg.tau))
+    parts.append(wishart_factor(rng, max(cfg.M - 3, 0), cfg.tau))
     factor = np.vstack(parts)
     factor[:, k] = 0.0
     factor[:len(lead), k] = lead

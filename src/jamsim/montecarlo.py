@@ -24,10 +24,9 @@ streams make scheme comparisons paired and keep any execution order or
 worker count bit-reproducible.
 
 Every trial also returns round one's squared overlap and, on alg trials,
-whether round one's blind estimate met the threshold and round two's draw:
-alg1's second squared overlap, or alg2's smallest squared overlap among
-the pilots other than round one's. average_rate steers the alg rows with
-them: the conventional rate at round one's overlap has the exact mean
+whether round one's blind estimate met the threshold and round two's draw
+(ProtocolTrace.round_two_sq). average_rate steers the alg rows with them:
+the conventional rate at round one's overlap has the exact mean
 oracle.conventional_mean, the stop indicator has the exact mean
 oracle.stop_probability given that overlap, and on the trials that
 retransmit, a rate at round two's draw has an exact mean too
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import JammerSpec, _codeword_index, draw_overlap_amplitude, gen_channel_factor
+from .channel import JammerSpec, draw_overlap_amplitude, gen_channel_factor
 from .config import SystemConfig, check_count
 from .oracle import (conventional_mean, conventional_rates, retransmit_mean, retransmit_rates,
                      stop_probability)
@@ -61,9 +60,8 @@ class TrialData:
     round_one_overlap_sq holds round one's squared overlap, and
     round_one_met whether round one's blind estimate met the threshold
     (False on conventional trials, which estimate nothing), and
-    round_two_sq round two's draw: alg1's second squared overlap, alg2's
-    smallest squared overlap among the pilots other than round one's
-    (ProtocolTrace.other_min_sq), and 0 on trials that drew no round two.
+    round_two_sq round two's draw (ProtocolTrace.round_two_sq, 0 on
+    conventional trials).
     """
 
     rates: np.ndarray
@@ -82,11 +80,11 @@ class RateSummary:
     mean_n_used: float
 
 
-def _validate_combination(cfg: SystemConfig, scheme: str, jammer: JammerSpec):
+def validate_combination(cfg: SystemConfig, scheme: str, jammer: JammerSpec):
     """Reject a (config, scheme, jammer) triple that no trial could run."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    _codeword_index(jammer, cfg.tau)
+    jammer.pilot(cfg.tau)
     if scheme == "alg1":
         if jammer.kind == "codeword":
             raise ValueError("alg1 assumes random jamming; a codeword jammer is deterministic")
@@ -114,10 +112,10 @@ def simulate_one_trial(cfg: SystemConfig, scheme: str, jammer: JammerSpec,
     round_one_overlap_sq is round one's squared overlap, at which a
     conventional trial of the same index is rated. round_one_met says
     whether round one's blind estimate met the threshold, and is False on a
-    conventional trial. round_two_sq is alg1's second squared overlap or
-    alg2's trace.other_min_sq, and 0 where the trial drew no round two.
+    conventional trial. round_two_sq is the protocol's
+    ProtocolTrace.round_two_sq, and 0 on a conventional trial.
     """
-    _validate_combination(cfg, scheme, jammer)
+    validate_combination(cfg, scheme, jammer)
     rng_proto = substream(cfg.master_seed, index, TAG_PROTOCOL)
     # round one: the pilot index, then its overlap amplitude with the
     # jamming sequence, which alg2's jammer replays for the whole trial
@@ -133,10 +131,7 @@ def simulate_one_trial(cfg: SystemConfig, scheme: str, jammer: JammerSpec,
                  else run_algorithm2(cfg, r, k, amp, jammer, rng_proto))
         n_used, overlap = trace.n_used, trace.rounds[trace.chosen_round].overlap_true
         met = cfg.overlap_below_threshold(trace.rounds[0].overlap_est)
-        if scheme == "alg2":
-            round_two = trace.other_min_sq
-        else:
-            round_two = trace.rounds[1].overlap_true if n_used > 1 else 0.0
+        round_two = trace.round_two_sq
     value = sinr_and_rate(rate_config(cfg, jammer), overlap, n_used)[1]
     return value, n_used, overlap, overlap_one, met, round_two
 
@@ -159,7 +154,7 @@ def run_trials(cfg: SystemConfig, scheme: str, jammer: JammerSpec, n_trials: int
     """
     check_count("n_trials", n_trials)
     check_count("worker count", n_workers)
-    _validate_combination(cfg, scheme, jammer)
+    validate_combination(cfg, scheme, jammer)
     n_workers = min(n_workers, os.cpu_count() or 1)
     step = n_trials if n_workers == 1 else max(1, math.ceil(n_trials / (4 * n_workers)))
     chunks = [(cfg, scheme, jammer, s, min(s + step, n_trials))
@@ -229,8 +224,9 @@ def _control_variates(cfg: SystemConfig, scheme: str, jammer: JammerSpec,
     that overlap (stop_probability), the first three columns are x, of mean
     conventional_mean, and d and d x, both of mean 0, since x is a function
     of that overlap. The fourth is (1 - S)(f - E f), f a rate at round
-    two's draw: alg1's conventional rate at its second overlap, of mean
-    conventional_mean, or alg2's retransmit_rates, of mean retransmit_mean.
+    two's draw (ProtocolTrace.round_two_sq): alg1's conventional rate, of
+    mean conventional_mean, or alg2's retransmit_rates, of mean
+    retransmit_mean.
     With n_max >= 2 a trial draws round two exactly when S is 0, and that
     draw is independent of round one, so the column has mean 0. It is 0
     throughout under a codeword or absent jammer, where round one fixes
@@ -241,7 +237,7 @@ def _control_variates(cfg: SystemConfig, scheme: str, jammer: JammerSpec,
     d = data.round_one_met - stop_probability(cfg, data.round_one_overlap_sq)
     retx = ~data.round_one_met
     round_two = np.zeros(len(retx))
-    if cfg.n_max >= 2 and jammer.kind in ("gaussian", "sphere"):
+    if cfg.n_max >= 2 and jammer.is_random:
         if scheme == "alg1":
             round_two[retx] = (conventional_rates(cfg, jammer, data.round_two_sq[retx])
                                - conventional_mean(cfg, jammer))

@@ -9,12 +9,12 @@ the exact probability, given that overlap, that round one's blind estimate
 meets the threshold, stop_share its mean, and alg1_mean_n_used the mean
 transmission count of alg1 it implies at n_max = 2.
 
-Round two's draws have exact laws too, independent of round one. alg1's
-second overlap is a fresh draw of round one's law. alg2's retransmit branch
-draws the other tau - 1 coordinates of the jamming sequence, and
-other_min_mean integrates over the law of their smallest squared modulus
-(scaled free of round one for sphere); retransmit_rates is the two-round
-rate at it, and retransmit_mean its mean.
+Round two's draws (ProtocolTrace.round_two_sq) have exact laws too,
+independent of round one. alg1's is a fresh draw of round one's law. alg2's,
+on its retransmit branch, is the smallest squared modulus of the other
+tau - 1 coordinates of the jamming sequence; other_min_mean integrates over
+its law (scaled free of round one for sphere), retransmit_rates is the
+two-round rate at it, and retransmit_mean its mean.
 
 average_rate steers the alg rows with all of these: the conventional rate
 has mean conventional_mean; the round-one stop indicator minus
@@ -35,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import JammerSpec, _codeword_index, crandn
+from .channel import JammerSpec, crandn
 from .config import SystemConfig, check_count
-from .estimation import _mmse_terms, _wishart_factor, mmse_coefficients
+from .estimation import mmse_coefficients, mmse_terms, wishart_factor
 from .rates import effective_sinr, rate_config, sinr_and_rate
 from .rng import TAG_MOMENTS, substream
 
@@ -60,6 +60,24 @@ def _exp_rule() -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(t.ravel().tolist()), tuple((half * w * np.exp(-t)).ravel().tolist())
 
 
+def _random_kind_mean(jammer: JammerSpec, g: Callable[[np.ndarray], Sequence[float]],
+                      gaussian_div: int, sphere_dof: int, sphere_div: int) -> float:
+    """E[g(v)] for a gaussian or sphere jammer, v a function of t ~ Exp(1) (_exp_rule).
+
+    gaussian: v = t / gaussian_div. sphere: v = -expm1(-t / sphere_dof) /
+    sphere_div, or 1 / sphere_div surely when sphere_dof is 0. Nodes map one
+    Python float at a time: np.expm1 and math.expm1 differ in the last bit
+    on some inputs."""
+    if jammer.kind == "sphere" and sphere_dof == 0:
+        return float(g(np.array([1.0 / sphere_div]))[0])
+    nodes, weights = _exp_rule()
+    if jammer.kind == "gaussian":
+        values = [t / gaussian_div for t in nodes]
+    else:
+        values = [-math.expm1(-t / sphere_dof) / sphere_div for t in nodes]
+    return math.fsum(w * v for v, w in zip(g(np.array(values)), weights))
+
+
 def round_one_mean(cfg: SystemConfig, jammer: JammerSpec,
                    g: Callable[[np.ndarray], Sequence[float]]) -> float:
     """E[g(|a|^2)] over the exact law of round one's squared overlap |a|^2.
@@ -68,26 +86,19 @@ def round_one_mean(cfg: SystemConfig, jammer: JammerSpec,
     The law depends on the jammer kind (draw_overlap_amplitude): gaussian
     gives Exp(mean 1/tau); sphere gives Beta(1, tau - 1), which is
     1 - exp(-t / (tau - 1)) for t ~ Exp(1), and 1 at tau = 1. Both are
-    integrated over t (_exp_rule). codeword hits the user's pilot with
-    probability 1/tau, or surely or never when first_pilot is set; absent
-    gives 0.
+    integrated over t (_random_kind_mean). codeword hits the user's pilot
+    with probability 1/tau, or surely or never when first_pilot is set;
+    absent gives 0.
     """
+    if jammer.is_random:
+        return _random_kind_mean(jammer, g, cfg.tau, cfg.tau - 1, 1)
     if jammer.kind == "absent":
         return float(g(np.zeros(1))[0])
-    if jammer.kind == "codeword":
-        j = _codeword_index(jammer, cfg.tau)
-        if cfg.first_pilot is not None:
-            return float(g(np.array([float(cfg.first_pilot == j)]))[0])
-        hit, miss = g(np.array([1.0, 0.0]))
-        return float(hit / cfg.tau + miss * (1.0 - 1.0 / cfg.tau))
-    if jammer.kind == "sphere" and cfg.tau == 1:
-        return float(g(np.ones(1))[0])
-    nodes, weights = _exp_rule()
-    if jammer.kind == "gaussian":
-        overlaps = [t / cfg.tau for t in nodes]
-    else:
-        overlaps = [-math.expm1(-t / (cfg.tau - 1)) for t in nodes]
-    return math.fsum(w * v for v, w in zip(g(np.array(overlaps)), weights))
+    j = jammer.pilot(cfg.tau)
+    if cfg.first_pilot is not None:
+        return float(g(np.array([float(cfg.first_pilot == j)]))[0])
+    hit, miss = g(np.array([1.0, 0.0]))
+    return float(hit / cfg.tau + miss * (1.0 - 1.0 / cfg.tau))
 
 
 def _rates(cfg: SystemConfig, jammer: JammerSpec, overlaps: np.ndarray, n_used: int) -> np.ndarray:
@@ -170,7 +181,7 @@ def stop_probability(cfg: SystemConfig, overlap_sq) -> np.ndarray:
     regularized lower incomplete gamma function, and 1 when epsilon >= 1.
     """
     overlap_sq = np.asarray(overlap_sq, dtype=float)
-    pilot, jamming, _, _ = _mmse_terms(cfg)
+    pilot, jamming, _, _ = mmse_terms(cfg)
     if jamming <= 0:
         raise ValueError("overlap estimation needs q_t > 0")
     if cfg.epsilon >= 1.0:
@@ -208,27 +219,20 @@ def other_min_mean(cfg: SystemConfig, jammer: JammerSpec,
     its retransmit branch alg2 draws the other tau - 1 codebook coordinates
     of the jamming sequence given round one's amplitude a
     (complete_amplitudes); m is their smallest squared modulus
-    (ProtocolTrace.other_min_sq). gaussian draws them i.i.d. CN(0, 1/tau),
+    (ProtocolTrace.round_two_sq). gaussian draws them i.i.d. CN(0, 1/tau),
     so v = m ~ Exp(mean 1/(tau (tau - 1))). sphere draws them uniformly on
     the sphere of squared radius 1 - |a|^2, so v = m / (1 - |a|^2) is the
     smallest coordinate of a flat Dirichlet on tau - 1 coordinates,
     P(v > s) = (1 - (tau - 1) s)^(tau - 2): that is
     -expm1(-t / (tau - 2)) / (tau - 1) for t ~ Exp(1), and 1 at tau = 2.
     Either way v is independent of round one. Both are integrated over t
-    (_exp_rule). Kinds whose coordinates round one fixes (codeword, absent)
-    and tau = 1, which has no other coordinate, raise ValueError.
+    (_random_kind_mean). Kinds whose coordinates round one fixes (codeword,
+    absent) and tau = 1, which has no other coordinate, raise ValueError.
     """
     tau = cfg.tau
-    if jammer.kind not in ("gaussian", "sphere") or tau < 2:
+    if not jammer.is_random or tau < 2:
         raise ValueError(f"a {jammer.kind} jammer at tau={tau} draws no random other coordinates")
-    if jammer.kind == "sphere" and tau == 2:
-        return float(g(np.ones(1))[0])
-    nodes, weights = _exp_rule()
-    if jammer.kind == "gaussian":
-        values = [t / (tau * (tau - 1)) for t in nodes]
-    else:
-        values = [-math.expm1(-t / (tau - 2)) / (tau - 1) for t in nodes]
-    return math.fsum(w * v for v, w in zip(g(np.array(values)), weights))
+    return _random_kind_mean(jammer, g, tau * (tau - 1), tau - 2, tau - 1)
 
 
 def _retransmit_rates_at(cfg: SystemConfig, jammer: JammerSpec, v: np.ndarray) -> np.ndarray:
@@ -237,17 +241,18 @@ def _retransmit_rates_at(cfg: SystemConfig, jammer: JammerSpec, v: np.ndarray) -
     return _rates(cfg, jammer, scale * v, 2)
 
 
-def retransmit_rates(cfg: SystemConfig, jammer: JammerSpec, other_min_sq: np.ndarray,
+def retransmit_rates(cfg: SystemConfig, jammer: JammerSpec, round_two_sq: np.ndarray,
                      overlap_one_sq: np.ndarray) -> np.ndarray:
     """h(v) per alg2 trial that drew round two, from its m and round one's squared overlap.
 
-    v is other_min_mean's variable: m for gaussian, m / (1 - |a|^2) for
-    sphere (1 surely at tau = 2). h is the two-round rate rate(s v, 2)
-    under rate_config(cfg, jammer), with s = 1 for gaussian and 1 - 1/tau
-    for sphere, so that s v is m at round one's mean overlap: the rate alg2
-    gets when it retransmits on the pilot of smallest overlap.
+    m is the trial's round_two_sq, and v is other_min_mean's variable: m
+    for gaussian, m / (1 - |a|^2) for sphere (1 surely at tau = 2). h is
+    the two-round rate rate(s v, 2) under rate_config(cfg, jammer), with
+    s = 1 for gaussian and 1 - 1/tau for sphere, so that s v is m at round
+    one's mean overlap: the rate alg2 gets when it retransmits on the pilot
+    of smallest overlap.
     """
-    v = np.asarray(other_min_sq, dtype=float)
+    v = np.asarray(round_two_sq, dtype=float)
     if jammer.kind == "sphere":
         # at tau = 2 the ratio is 1 surely; computed, it would carry rounding noise
         v = np.ones(v.shape) if cfg.tau == 2 else v / (1.0 - np.asarray(overlap_one_sq))
@@ -323,7 +328,7 @@ def verify_moments(cfg: SystemConfig, overlap_sq: float, n_trials: int) -> dict[
         # every quantity is an inner product of the columns of
         # [g_u g_j n_t n_d] (n_t the de-spread training noise), so a factor
         # of their 4 x 4 gram stands in for the M x 4 draws
-        g_u, g_j, n_t, n_d = np.moveaxis(scale * _wishart_factor(rng, cfg.M, 4, (n,)), -1, 0)
+        g_u, g_j, n_t, n_d = np.moveaxis(scale * wishart_factor(rng, cfg.M, 4, (n,)), -1, 0)
         x_u = crandn(rng, n)
         x_j = crandn(rng, n)
         y_t = sqrt_tp * g_u + sqrt_tq * amp * g_j + n_t

@@ -17,27 +17,23 @@ from .estimation import (despread_power, estimate_jammer_gram, estimate_overlap_
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """One pilot transmission as seen by the simulator.
+    """One pilot transmission as seen by the simulator."""
 
-    pilot_index is None when the pilot does not come from the codebook
-    (eigen-mode retransmission).
-    """
-
-    pilot_index: int | None
     overlap_true: float
     overlap_est: float
 
 
 @dataclass(frozen=True)
 class ProtocolTrace:
-    """One protocol run; other_min_sq is alg2's smallest squared overlap of
-    the pilots other than round one's, 0 when it drew no other coordinate."""
+    """One protocol run; round_two_sq is round two's draw, 0 when it drew none:
+    alg1's second squared overlap, alg2's smallest squared overlap among the
+    pilots other than round one's."""
 
     rounds: tuple[RoundRecord, ...]
     n_used: int
     stop_reason: str            # threshold_met | n_max_reached | opt_no_better
     chosen_round: int           # round whose pilot the receiver decodes with
-    other_min_sq: float = 0.0
+    round_two_sq: float = 0.0
 
 
 def select_retransmission_pilot(vecs: np.ndarray, lam: np.ndarray, opt_mode: str = "codebook"):
@@ -48,17 +44,17 @@ def select_retransmission_pilot(vecs: np.ndarray, lam: np.ndarray, opt_mode: str
     nonnegative eigenvalues in ascending order. codebook mode searches every
     pilot, reading its form as the row norm sum_k lam_k |vecs_ik|^2 (ties
     break to the lowest index); eigen mode takes the conjugate of the first
-    column, the unconstrained unit-norm minimizer. Returns (index or None,
-    the pilot's coordinates w, predicted quadratic form).
+    column, the unconstrained unit-norm minimizer. Returns (the pilot's
+    coordinates w, predicted quadratic form).
     """
     if opt_mode == "codebook":
         quad = (vecs.real ** 2 + vecs.imag ** 2) @ lam
         idx = int(np.argmin(quad))
         w = np.zeros(len(vecs), dtype=np.complex128)
         w[idx] = 1.0
-        return idx, w, float(quad[idx])
+        return w, float(quad[idx])
     if opt_mode == "eigen":
-        return None, np.conj(vecs[:, 0]), float(lam[0])
+        return np.conj(vecs[:, 0]), float(lam[0])
     raise ValueError(f"unknown opt_mode {opt_mode!r}")
 
 
@@ -87,14 +83,14 @@ def run_algorithm1(cfg: SystemConfig, r: np.ndarray, k: int, amp: complex,
             k = int(rng.integers(cfg.tau))
             amp = draw_overlap_amplitude(rng, jammer, k, cfg.tau)
         overlap_est = run_training(cfg, r, amp, rng)
-        rounds.append(RoundRecord(k, abs(amp) ** 2, overlap_est))
+        rounds.append(RoundRecord(abs(amp) ** 2, overlap_est))
         if overlap_est < rounds[chosen].overlap_est:
             chosen = n
         if cfg.overlap_below_threshold(overlap_est):
             stop_reason = "threshold_met"
             break
-    return ProtocolTrace(rounds=tuple(rounds), n_used=len(rounds),
-                         stop_reason=stop_reason, chosen_round=chosen)
+    round_two = rounds[1].overlap_true if len(rounds) > 1 else 0.0
+    return ProtocolTrace(tuple(rounds), len(rounds), stop_reason, chosen, round_two)
 
 
 def run_algorithm2(cfg: SystemConfig, r: np.ndarray, k: int, amp: complex,
@@ -112,15 +108,13 @@ def run_algorithm2(cfg: SystemConfig, r: np.ndarray, k: int, amp: complex,
     receiver estimates the jammer gram from it, searches (cfg.opt_mode) for
     the pilot with minimal predicted overlap, and requests one
     retransmission, but only if that prediction improves on round 1. The
-    jammer replays s_j under fresh noise. A trace that drew the other
-    coordinates carries the smallest of their squared moduli (other_min_sq),
-    whose exact law the trial engine steers alg2's rows by.
+    jammer replays s_j under fresh noise.
     """
     if not 0 <= k < cfg.tau:
         raise ValueError(f"pilot index must lie in [0, tau={cfg.tau}), got {k}")
     y_q, resid = receive_despread(cfg, r, amp, rng)
     overlap_est = estimate_overlap_sq(despread_power(y_q, resid), cfg)
-    rounds = [RoundRecord(k, abs(amp) ** 2, overlap_est)]
+    rounds = [RoundRecord(abs(amp) ** 2, overlap_est)]
     if cfg.overlap_below_threshold(overlap_est):
         return ProtocolTrace(tuple(rounds), 1, "threshold_met", 0)
     if cfg.n_max < 2:
@@ -131,10 +125,10 @@ def run_algorithm2(cfg: SystemConfig, r: np.ndarray, k: int, amp: complex,
     other_min = float(overlaps.min()) if cfg.tau > 1 else 0.0
     factor = receive_block_factor(cfg, r, k, amps, y_q, resid, rng)
     vecs, lam = estimate_jammer_gram(factor, np.eye(cfg.tau)[k], cfg)
-    opt_idx, w, predicted = select_retransmission_pilot(vecs, lam, cfg.opt_mode)
+    w, predicted = select_retransmission_pilot(vecs, lam, cfg.opt_mode)
     if not predicted < overlap_est:
         return ProtocolTrace(tuple(rounds), 1, "opt_no_better", 0, other_min)
     amp = overlap_amplitude(amps, w)
     overlap_est2 = run_training(cfg, r, amp, rng)
-    rounds.append(RoundRecord(opt_idx, abs(amp) ** 2, overlap_est2))
+    rounds.append(RoundRecord(abs(amp) ** 2, overlap_est2))
     return ProtocolTrace(tuple(rounds), 2, "n_max_reached", 1, other_min)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .config import SystemConfig, check_count, snr_db_to_power
 from .channel import JammerSpec
-from .montecarlo import SCHEMES, _validate_combination, average_rate
+from .montecarlo import SCHEMES, validate_combination, average_rate
 
 AXES = ("tau_over_T", "M", "snr_db", "epsilon")
 PRESET_NAMES = ("fig2", "fig3")
@@ -77,7 +77,7 @@ class SweepSpec:
             cfg = derive_config(self.base, self.axis, value)
             for scheme in self.schemes:
                 try:
-                    _validate_combination(cfg, scheme, self.jammer)
+                    validate_combination(cfg, scheme, self.jammer)
                 except ValueError as err:
                     raise ValueError(f"axis {self.axis}={value:g}: {err}") from None
 

@@ -172,7 +172,7 @@ def test_criterion_7_exact_gram_selection_is_perfect():
             else:
                 # noise-free estimate: the rank-one gram s_j* s_j^T
                 vecs = np.conj(s_j)[:, None]
-                _, w, predicted = select_retransmission_pilot(cb @ vecs, np.ones(1))
+                w, predicted = select_retransmission_pilot(cb @ vecs, np.ones(1))
                 if predicted < first_overlap:
                     n_used, final = 2, jamming_overlap_sq(s_j, w @ cb)
                 else:

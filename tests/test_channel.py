@@ -160,6 +160,25 @@ def test_jammer_deterministic_replays_and_validates():
     assert JammerSpec(kind="codeword", codeword_index=np.int64(1)) == jammer
 
 
+@pytest.mark.parametrize("kind,is_random,pilot", [
+    ("gaussian", True, None),
+    ("sphere", True, None),
+    ("absent", False, None),
+    ("codeword", False, 3),
+])
+def test_jammer_kind_answers(kind, is_random, pilot):
+    # is_random is the one kind predicate; pilot(tau) is a codeword jammer's
+    # index, checked against tau, and None for every other kind at any tau
+    jammer = JammerSpec(kind=kind, codeword_index=3)
+    assert jammer.is_random is is_random
+    assert jammer.pilot(4) == pilot
+    if pilot is None:
+        assert jammer.pilot(1) is None
+    else:
+        with pytest.raises(ValueError, match=r"codeword_index 3 out of range for tau=3"):
+            jammer.pilot(3)
+
+
 def test_overlap_mean_is_one_over_tau():
     # for an isotropic Gaussian sequence against a unit-norm pilot the
     # squared overlap is exponential with mean 1/tau

@@ -371,11 +371,12 @@ def test_gram_estimate_on_the_factor_span_is_exact(m, tau):
         assert norm > 0
         assert np.linalg.norm(_rebuild((vecs, lam)) - ref) <= 1e-12 * norm
         quad = np.einsum("ij,jk,ik->i", cb, ref, cb.conj()).real
-        idx, _, predicted = select_retransmission_pilot(cb @ vecs, lam, "codebook")
+        w, predicted = select_retransmission_pilot(cb @ vecs, lam, "codebook")
+        (idx,) = np.flatnonzero(w)
         assert idx == int(np.argmin(quad))
         assert predicted == pytest.approx(quad[idx], rel=1e-12, abs=1e-12 * norm)
         # the span's complement is a null space of the estimate
-        _, w, predicted = select_retransmission_pilot(cb @ vecs, lam, "eigen")
+        w, predicted = select_retransmission_pilot(cb @ vecs, lam, "eigen")
         pilot = w @ cb
         assert predicted == 0.0
         assert abs(np.real(pilot @ ref @ np.conj(pilot))) <= 1e-12 * norm
@@ -389,7 +390,7 @@ def test_eigen_mode_reads_the_smallest_eigenpair(m, tau):
     cb = make_codebook(tau)
     for cfg, s_u, factor in _round_one_factors(m, tau, 4):
         vecs, lam = estimate_jammer_gram(factor, s_u, cfg)
-        _, w, predicted = select_retransmission_pilot(cb @ vecs, lam, "eigen")
+        w, predicted = select_retransmission_pilot(cb @ vecs, lam, "eigen")
         pilot = w @ cb
         assert predicted == lam.min()
         ref_vecs, ref_lam = _full_projection(factor, s_u, cfg)

@@ -1,8 +1,10 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and imports no
+underscore name of another module.
 
-A name moved out of a module tends to leave its import behind; this check
-reads the source with ast alone. __init__.py is exempt, since its imports
-are the package's public names.
+A name moved out of a module tends to leave its import behind; a private
+name another module reads is part of its owner's API under a name that
+says otherwise. These checks read the source with ast alone. __init__.py is
+exempt from the first, since its imports are the package's public names.
 """
 
 import ast
@@ -30,6 +32,23 @@ def test_unused_imports_are_found():
     assert _unused_imports(source) == ["os", "c"]
 
 
+def _private_imports(source: str) -> list[str]:
+    """The underscore names that source imports from another module, in import order."""
+    return [alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name.startswith("_")]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_private_imports_are_found():
+    source = "import _thread\nfrom .a import b, _c\nfrom d import _e as f\n"
+    assert _private_imports(source) == ["_c", "_e"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_no_private_name(path):
+    assert _private_imports(path.read_text(encoding="utf-8")) == []

@@ -67,19 +67,18 @@ def test_alg1_zero_threshold_forces_full_budget_and_matches_hand_steps():
     replay = substream(3, 1)
     expected_rounds = []
     for _ in range(2):
-        k = int(replay.integers(cfg.tau))
+        replay.integers(cfg.tau)        # the round's pilot index
         amp = crandn(replay)[()] / np.sqrt(cfg.tau)
         z = crandn(replay, 2)
         c1 = np.sqrt(cfg.tau * cfg.p_t)
         c2 = np.sqrt(cfg.tau * cfg.q_t) * amp
         y_norm_sq = (abs(r[0, 0] * c1 + r[0, 1] * c2 + z[0]) ** 2
                      + abs(r[1, 1] * c2 + z[1]) ** 2 + replay.gamma(cfg.M - 2))
-        expected_rounds.append((k, abs(amp) ** 2, estimate_overlap_sq(y_norm_sq, cfg)))
-    for rec, (k, ov, est) in zip(trace.rounds, expected_rounds):
-        assert rec.pilot_index == k
+        expected_rounds.append((abs(amp) ** 2, estimate_overlap_sq(y_norm_sq, cfg)))
+    for rec, (ov, est) in zip(trace.rounds, expected_rounds):
         assert rec.overlap_true == pytest.approx(ov, rel=1e-12)
         assert rec.overlap_est == pytest.approx(est, rel=1e-12)
-    ests = [r[2] for r in expected_rounds]
+    ests = [r[1] for r in expected_rounds]
     assert trace.chosen_round == int(np.argmin(ests))
 
 
@@ -124,11 +123,9 @@ def test_alg2_escapes_codeword_jammer_exactly(zero_noise):
     assert trace.n_used == 2
     assert trace.rounds[0].overlap_true == pytest.approx(1.0)
     assert trace.rounds[1].overlap_true < 1e-24   # orthogonal codeword
-    assert trace.rounds[1].pilot_index != 1
     assert trace.chosen_round == 1
-    assert trace.rounds[1].pilot_index is not None
     # the other coordinates of a codeword on pilot 1 are all 0
-    assert trace.other_min_sq == 0.0
+    assert trace.round_two_sq == 0.0
 
 
 def test_alg2_orthogonal_jammer_stops_immediately():
@@ -177,7 +174,7 @@ def test_alg2_rejects_bad_args():
 
 @pytest.mark.parametrize("kind", ["gaussian", "sphere"])
 def test_alg2_trace_carries_the_smallest_other_overlap(kind):
-    # other_min_sq is the smallest squared modulus of the coordinates that
+    # round_two_sq is the smallest squared modulus of the coordinates that
     # complete_amplitudes draws, read from a replay of the trace's draws; a
     # trace that stops at round one drew none and carries 0
     cfg = _cfg(M=16, tau=8, P=10.0, Q=10.0)
@@ -191,12 +188,12 @@ def test_alg2_trace_carries_the_smallest_other_overlap(kind):
         replay = copy.deepcopy(rng)
         trace = run_algorithm2(cfg, r, k, amp, jam, rng)
         if trace.stop_reason == "threshold_met":
-            assert trace.other_min_sq == 0.0
+            assert trace.round_two_sq == 0.0
             continue
         receive_despread(cfg, r, amp, replay)
         amps = complete_amplitudes(replay, jam, k, amp, cfg.tau)
         others = [abs(a) ** 2 for i, a in enumerate(amps) if i != k]
-        assert trace.other_min_sq == pytest.approx(min(others), rel=1e-12)
+        assert trace.round_two_sq == pytest.approx(min(others), rel=1e-12)
         drew += 1
     assert 0 < drew < 40
 
@@ -221,7 +218,8 @@ def test_codebook_selection_matches_brute_force():
     s_j = crandn(rng, 8)
     gram = _exact_gram(s_j)
     vecs, lam = _pairs(gram)
-    idx, w, predicted = select_retransmission_pilot(cb @ vecs, lam, "codebook")
+    w, predicted = select_retransmission_pilot(cb @ vecs, lam, "codebook")
+    (idx,) = np.flatnonzero(w)
     best_idx, best_val = None, np.inf
     for i in range(8):
         val = np.real(cb[i] @ gram @ np.conj(cb[i]))
@@ -246,22 +244,24 @@ def test_codebook_quadratic_forms_match_einsum(tau):
             lam[: rank // 3] = 0.0      # clipped eigenvalues
             gram = (vecs * lam) @ vecs.conj().T
             quad = np.einsum("ij,jk,ik->i", cb, gram, cb.conj()).real
-            idx, w, predicted = select_retransmission_pilot(cb @ vecs, lam, "codebook")
+            w, predicted = select_retransmission_pilot(cb @ vecs, lam, "codebook")
+            (idx,) = np.flatnonzero(w)
             assert idx == int(np.argmin(quad))
             assert predicted == pytest.approx(quad[idx], abs=1e-12)
             assert np.array_equal(w @ cb, cb[idx])
     # exact ties break to the lowest index: every codeword has the same
     # modulus on the first axis
     axis = np.eye(tau)[:, :1]
-    assert select_retransmission_pilot(cb @ axis, np.ones(1), "codebook")[0] == 0
-    assert select_retransmission_pilot(cb @ np.eye(tau), np.zeros(tau), "codebook")[0] == 0
+    for vecs, lam in ((axis, np.ones(1)), (np.eye(tau), np.zeros(tau))):
+        w, _ = select_retransmission_pilot(cb @ vecs, lam, "codebook")
+        assert np.flatnonzero(w).tolist() == [0]
 
 
 def test_eigen_selection_nulls_rank_one_gram():
     cb = make_codebook(4)
     s_j = 0.5 * cb[0] + np.sqrt(0.75) * cb[3]
     vecs, lam = _pairs(_exact_gram(s_j))
-    _, w, predicted = select_retransmission_pilot(cb @ vecs, lam, "eigen")
+    w, predicted = select_retransmission_pilot(cb @ vecs, lam, "eigen")
     pilot = w @ cb
     assert predicted < 1e-12
     assert np.linalg.norm(pilot) == pytest.approx(1.0)
@@ -287,20 +287,26 @@ def test_noise_free_selection_never_worse_than_first_pilot():
                         first_overlap = jamming_overlap_sq(s_j, cb[first])
                         if cfg.overlap_below_threshold(first_overlap):
                             continue    # no retransmission, nothing to check
-                        _, w, predicted = select_retransmission_pilot(cb @ vecs, lam)
+                        w, predicted = select_retransmission_pilot(cb @ vecs, lam)
                         final = (jamming_overlap_sq(s_j, w @ cb)
                                  if predicted < first_overlap else first_overlap)
                         assert final <= first_overlap + 1e-12
 
 
 def test_trace_round_bookkeeping():
+    # alg1's round_two_sq is its second round's squared overlap, and 0 on a
+    # trace that stops after round one
     cfg = _cfg(M=256, tau=4)
-    r = _channels(cfg, 11)
     jam = JammerSpec()
-    trace = _alg1(cfg, r, jam, substream(11, 1))
-    assert len(trace.rounds) == trace.n_used
-    assert 0 <= trace.chosen_round < trace.n_used
-    for rec in trace.rounds:
-        assert 0 <= rec.pilot_index < cfg.tau
-        assert rec.overlap_true >= 0.0
-        assert 0.0 <= rec.overlap_est <= 1.0
+    n_used = set()
+    for seed in range(11, 31):
+        trace = _alg1(cfg, _channels(cfg, seed), jam, substream(seed, 1))
+        assert len(trace.rounds) == trace.n_used
+        assert 0 <= trace.chosen_round < trace.n_used
+        for rec in trace.rounds:
+            assert rec.overlap_true >= 0.0
+            assert 0.0 <= rec.overlap_est <= 1.0
+        second = trace.rounds[1].overlap_true if trace.n_used > 1 else 0.0
+        assert trace.round_two_sq == second
+        n_used.add(trace.n_used)
+    assert n_used == {1, 2}

@@ -20,9 +20,9 @@ from jamsim import (JammerSpec, SystemConfig, draw_overlap_amplitude, gen_channe
                     run_algorithm1, run_algorithm2, run_trials, substream)
 from jamsim.channel import (complete_amplitudes, crandn, draw_jammer_sequence, gen_channel,
                             jamming_overlap_sq, make_codebook, overlap_amplitude)
-from jamsim.estimation import (_wishart_factor, despread, despread_power,
-                               estimate_jammer_gram, estimate_overlap_sq,
-                               receive_block_factor, receive_despread, receive_pilot_block)
+from jamsim.estimation import (despread, despread_power, estimate_jammer_gram,
+                               estimate_overlap_sq, receive_block_factor, receive_despread,
+                               receive_pilot_block, wishart_factor)
 from jamsim.protocols import select_retransmission_pilot
 from jamsim.rates import rate_from_overlap
 from jamsim.rng import TAG_CHANNEL, TAG_PROTOCOL
@@ -230,10 +230,10 @@ def _grams(cfg, n, seed, reduced):
 def _wishart_grams(cfg, n, seed, reduced):
     """(G_00, G) of n grams G = X^H X of M x 4 Gaussians, as verify_moments draws them.
 
-    Reduced: one batched _wishart_factor call, Bartlett's factor once M >= 4.
+    Reduced: one batched wishart_factor call, Bartlett's factor once M >= 4.
     """
     rng = substream(seed, 0)
-    x = _wishart_factor(rng, cfg.M, 4, (n,)) if reduced else crandn(rng, n, cfg.M, 4)
+    x = wishart_factor(rng, cfg.M, 4, (n,)) if reduced else crandn(rng, n, cfg.M, 4)
     grams = x.conj().swapaxes(-1, -2) @ x
     return grams[:, 0, 0].real, grams
 
@@ -329,7 +329,7 @@ def _reference_trial(cfg, scheme, jammer, rng):
     block, (true, est) = play_round(codebook[k], s_j)
     if not cfg.overlap_below_threshold(est):
         vecs, lam = estimate_jammer_gram(block, codebook[k], cfg)
-        _, w, predicted = select_retransmission_pilot(codebook @ vecs, lam, cfg.opt_mode)
+        w, predicted = select_retransmission_pilot(codebook @ vecs, lam, cfg.opt_mode)
         if predicted < est:
             true, est = play_round(w @ codebook, s_j)[1]
             return rate_from_overlap(cfg, true, 2).rate, 2, est
