@@ -139,6 +139,10 @@ _PINNED_MEANS = {
     ("codeword", "alg2"): 2.6420172674194204,
     ("codeword_first_pilot", "conventional"): 0.7564779407837855,
     ("codeword_first_pilot", "alg2"): 2.4606115309023515,
+    # a jammer that spares the data phase: the rates see q_d = 0
+    ("data_phase_off", "conventional"): 3.3576336819051438,
+    ("data_phase_off", "alg1"): 3.205091742059177,
+    ("data_phase_off", "alg2"): 3.2582751785151562,
 }
 # (config overrides, jammer) per mode of _PINNED_MEANS
 _PINNED_CASES = {
@@ -148,6 +152,7 @@ _PINNED_CASES = {
     "absent": ({}, JammerSpec(kind="absent")),
     "codeword": ({}, JammerSpec(kind="codeword", codeword_index=2)),
     "codeword_first_pilot": ({"first_pilot": 2}, JammerSpec(kind="codeword", codeword_index=2)),
+    "data_phase_off": ({}, JammerSpec(data_phase_active=False)),
 }
 
 
