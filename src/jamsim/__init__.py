@@ -6,8 +6,8 @@ The package binds the library API that README lists; every other name,
 the tests' brute-force references included, lives in its module.
 """
 
-from .channel import JammerSpec, draw_overlap_amplitude, gen_channel_factor
-from .config import SystemConfig, snr_db_to_power
+from .channel import draw_overlap_amplitude, gen_channel_factor
+from .config import JammerSpec, SystemConfig, snr_db_to_power
 from .montecarlo import average_rate, run_trials, simulate_one_trial
 from .oracle import verify_moments
 from .protocols import run_algorithm1, run_algorithm2

@@ -1,14 +1,11 @@
-"""Channel, pilot codebook, and the jamming scenario with its sequence draws."""
+"""Channel, pilot codebook, and the jamming sequence draws of each jammer kind."""
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_integer
-
-JAMMER_KINDS = ("gaussian", "sphere", "absent", "codeword")
+from .config import JammerSpec
 
 
 def crandn(rng, *shape) -> np.ndarray:
@@ -70,44 +67,6 @@ def make_codebook(tau: int) -> np.ndarray:
     codewords = np.exp(-2j * np.pi * np.outer(grid, grid) / tau) / np.sqrt(tau)
     codewords.setflags(write=False)
     return codewords
-
-
-@dataclass(frozen=True)
-class JammerSpec:
-    """Jamming scenario of one trial.
-
-    kind fixes the distribution the training-phase jamming sequence is
-    drawn from: gaussian and sphere draw a fresh random sequence on every
-    draw, codeword pins it to pilot codeword codeword_index, absent
-    disables the jammer. data_phase_active controls whether the jammer also
-    hits the payload symbols.
-    """
-
-    kind: str = "gaussian"
-    codeword_index: int = 0
-    data_phase_active: bool = True
-
-    def __post_init__(self):
-        if self.kind not in JAMMER_KINDS:
-            raise ValueError(f"unknown jammer kind {self.kind!r}")
-        check_integer("codeword_index", self.codeword_index)
-        if self.codeword_index < 0:
-            raise ValueError(f"codeword_index must be nonnegative, got {self.codeword_index}")
-        if not isinstance(self.data_phase_active, bool):
-            raise ValueError(f"data_phase_active must be a bool, got {self.data_phase_active!r}")
-
-    @property
-    def is_random(self) -> bool:
-        """Whether every draw gives a fresh random sequence (gaussian, sphere)."""
-        return self.kind in ("gaussian", "sphere")
-
-    def pilot(self, tau: int) -> int | None:
-        """The pilot a codeword jammer repeats, checked against tau; None for any other kind."""
-        if self.kind != "codeword":
-            return None
-        if self.codeword_index >= tau:
-            raise ValueError(f"codeword_index {self.codeword_index} out of range for tau={tau}")
-        return self.codeword_index
 
 
 def draw_jammer_sequence(rng, jammer: JammerSpec, tau: int) -> np.ndarray:

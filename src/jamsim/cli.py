@@ -13,9 +13,9 @@ import argparse
 import csv
 import sys
 
-from .channel import JAMMER_KINDS, JammerSpec
-from .config import SystemConfig, snr_db_to_power
-from .montecarlo import SCHEMES, validate_combination, average_rate
+from .config import (JAMMER_KINDS, SCHEMES, JammerSpec, SystemConfig, snr_db_to_power,
+                     validate_combination)
+from .montecarlo import average_rate
 from .oracle import MOMENT_Z, verify_moments
 from .sweep import (AXES, PRESET_NAMES, SweepRow, SweepSpec, run_preset,
                     run_sweep, write_csv)
@@ -128,14 +128,11 @@ def system_config_from_mapping(mapping: dict) -> SystemConfig:
             raise ConfigError(f"explicit per-phase powers need keys: {', '.join(missing)}")
         kwargs["powers"] = tuple(_get(mapping, k) for k in _POWER_KEYS)
     try:
-        return SystemConfig(**kwargs)
+        jammer = JammerSpec(**_get(mapping, "jammer", {}),
+                            **_present(mapping, {"jammer_data_phase": "data_phase_active"}))
+        return SystemConfig(**kwargs, jammer=jammer)
     except ValueError as err:
         raise ConfigError(str(err)) from None
-
-
-def jammer_from_mapping(mapping: dict) -> JammerSpec:
-    return JammerSpec(**_get(mapping, "jammer", {}),
-                      **_present(mapping, {"jammer_data_phase": "data_phase_active"}))
 
 
 def schemes_from_mapping(mapping: dict) -> tuple[str, ...]:
@@ -165,14 +162,13 @@ def _load_mapping(ns) -> dict:
 def _cmd_simulate(ns) -> int:
     mapping = _load_mapping(ns)
     cfg = system_config_from_mapping(mapping)
-    jammer = jammer_from_mapping(mapping)
     schemes = schemes_from_mapping(mapping)
     run_args = {"n_trials": SweepSpec.n_trials, **_present(mapping, _RUN_ARGS)}
     for scheme in schemes:
-        validate_combination(cfg, scheme, jammer)     # fail before the first trial
+        validate_combination(cfg, scheme)     # fail before the first trial
     rows = []
     for scheme in schemes:
-        summary = average_rate(cfg, scheme, jammer, **run_args)
+        summary = average_rate(cfg, scheme, **run_args)
         print(f"scheme={scheme} mean_rate={summary.mean_rate:.6f} "
               f"stderr={summary.stderr:.6f} mean_n_used={summary.mean_n_used:.4f} "
               f"trials={run_args['n_trials']} seed={cfg.master_seed}")
@@ -199,8 +195,7 @@ def _cmd_sweep(ns) -> int:
     if "out" not in mapping:
         raise ConfigError("a sweep needs an output path ('out' key or --out)")
     spec = SweepSpec(axis=axis, values=values, schemes=schemes_from_mapping(mapping),
-                     base=system_config_from_mapping(mapping),
-                     jammer=jammer_from_mapping(mapping), **_present(mapping, _RUN_ARGS))
+                     base=system_config_from_mapping(mapping), **_present(mapping, _RUN_ARGS))
     rows = run_sweep(spec)
     write_csv(rows, mapping["out"])
     print(f"wrote {len(rows)} rows to {mapping['out']}")

@@ -1,11 +1,13 @@
-"""Scalar system parameters for one simulated uplink."""
+"""System parameters of one simulated uplink, its jamming scenario included,
+and the rules on which scheme can run against which scenario."""
 
-import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
 
 OPT_MODES = ("codebook", "eigen")
+JAMMER_KINDS = ("gaussian", "sphere", "absent", "codeword")
+SCHEMES = ("conventional", "alg1", "alg2")
 
 _MAX_SEED = 2**64 - 1
 # slack for the energy-budget inequalities, which are checked on floats
@@ -37,15 +39,55 @@ def check_count(name: str, value):
 
 
 @dataclass(frozen=True)
+class JammerSpec:
+    """Jamming scenario of a link.
+
+    kind fixes the distribution the training-phase jamming sequence is
+    drawn from: gaussian and sphere draw a fresh random sequence on every
+    draw, codeword pins it to pilot codeword codeword_index, absent
+    disables the jammer. data_phase_active controls whether the jammer also
+    hits the payload symbols.
+    """
+
+    kind: str = "gaussian"
+    codeword_index: int = 0
+    data_phase_active: bool = True
+
+    def __post_init__(self):
+        if self.kind not in JAMMER_KINDS:
+            raise ValueError(f"unknown jammer kind {self.kind!r}")
+        check_integer("codeword_index", self.codeword_index)
+        if self.codeword_index < 0:
+            raise ValueError(f"codeword_index must be nonnegative, got {self.codeword_index}")
+        if not isinstance(self.data_phase_active, bool):
+            raise ValueError(f"data_phase_active must be a bool, got {self.data_phase_active!r}")
+
+    @property
+    def is_random(self) -> bool:
+        """Whether every draw gives a fresh random sequence (gaussian, sphere)."""
+        return self.kind in ("gaussian", "sphere")
+
+    def pilot(self, tau: int) -> int | None:
+        """The pilot a codeword jammer repeats, checked against tau; None for any other kind."""
+        if self.kind != "codeword":
+            return None
+        if self.codeword_index >= tau:
+            raise ValueError(f"codeword_index {self.codeword_index} out of range for tau={tau}")
+        return self.codeword_index
+
+
+@dataclass(frozen=True)
 class SystemConfig:
-    """All scalar knobs of the link simulation.
+    """All knobs of the link simulation, its jamming scenario included.
 
     Powers are linear with unit noise variance. Without explicit powers the
     training and data powers equal the budgets (p_t = p_d = P and
     q_t = q_d = Q), which meets the per-block energy constraints
     tau*p_t + (T-tau)*p_d <= T*P and tau*q_t + (T-tau)*q_d <= T*Q with
     equality. powers=(p_t, p_d, q_t, q_d) sets the per-phase powers directly
-    and must respect the same constraints.
+    and must respect the same constraints. A jammer that is absent or spares
+    the payload symbols (jammer.data_phase_active False) puts no power into
+    the data phase, so q_d reads 0 whatever the powers say.
     """
 
     M: int = 50                 # BS antennas
@@ -61,6 +103,7 @@ class SystemConfig:
     master_seed: int = 0
     first_pilot: int | None = None  # codeword the user opens with; None draws it uniformly
     opt_mode: str = "codebook"      # alg2's search for the retransmission pilot
+    jammer: JammerSpec = JammerSpec()
 
     def __post_init__(self):
         for name in ("M", "T", "tau", "n_max", "master_seed"):
@@ -95,6 +138,9 @@ class SystemConfig:
                 raise ValueError(f"first_pilot must be an index in [0, tau={self.tau}), got {k!r}")
         if self.opt_mode not in OPT_MODES:
             raise ValueError(f"unknown opt_mode {self.opt_mode!r}")
+        if not isinstance(self.jammer, JammerSpec):
+            raise ValueError(f"jammer must be a JammerSpec, got {self.jammer!r}")
+        self.jammer.pilot(self.tau)
         if self.powers is None:
             return
         if not isinstance(self.powers, tuple) or len(self.powers) != 4:
@@ -130,6 +176,8 @@ class SystemConfig:
 
     @property
     def q_d(self) -> float:
+        if self.jammer.kind == "absent" or not self.jammer.data_phase_active:
+            return 0.0
         return self.Q if self.powers is None else self.powers[3]
 
     def prelog(self, n_used: int = 1) -> float:
@@ -144,6 +192,15 @@ class SystemConfig:
             raise ValueError("overlap_sq must be nonnegative")
         return overlap_sq <= self.epsilon
 
-    def with_powers(self, p_t: float, p_d: float, q_t: float, q_d: float) -> "SystemConfig":
-        """Copy of this config with explicit per-phase powers."""
-        return dataclasses.replace(self, powers=(float(p_t), float(p_d), float(q_t), float(q_d)))
+
+def validate_combination(cfg: SystemConfig, scheme: str):
+    """Reject a scheme that no trial could run under cfg and its jammer."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme == "alg1":
+        if cfg.jammer.kind == "codeword":
+            raise ValueError("alg1 assumes random jamming; a codeword jammer is deterministic")
+        if cfg.first_pilot is not None:
+            raise ValueError("alg1 always draws its pilots uniformly; first_pilot is not supported")
+    if scheme != "conventional" and cfg.q_t <= 0:
+        raise ValueError(f"{scheme} estimates the overlap blind, which needs q_t > 0")

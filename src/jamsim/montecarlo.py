@@ -40,15 +40,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import JammerSpec, draw_overlap_amplitude, gen_channel_factor
-from .config import SystemConfig, check_count
+from .channel import draw_overlap_amplitude, gen_channel_factor
+from .config import SystemConfig, check_count, validate_combination
 from .oracle import (conventional_mean, conventional_rates, retransmit_mean, retransmit_rates,
                      stop_probability)
 from .protocols import run_algorithm1, run_algorithm2
-from .rates import rate_config, sinr_and_rate
+from .rates import sinr_and_rate
 from .rng import TAG_CHANNEL, TAG_PROTOCOL, substream
-
-SCHEMES = ("conventional", "alg1", "alg2")
 
 
 @dataclass(frozen=True)
@@ -80,21 +78,7 @@ class RateSummary:
     mean_n_used: float
 
 
-def validate_combination(cfg: SystemConfig, scheme: str, jammer: JammerSpec):
-    """Reject a (config, scheme, jammer) triple that no trial could run."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    jammer.pilot(cfg.tau)
-    if scheme == "alg1":
-        if jammer.kind == "codeword":
-            raise ValueError("alg1 assumes random jamming; a codeword jammer is deterministic")
-        if cfg.first_pilot is not None:
-            raise ValueError("alg1 always draws its pilots uniformly; first_pilot is not supported")
-    if scheme != "conventional" and cfg.q_t <= 0:
-        raise ValueError(f"{scheme} estimates the overlap blind, which needs q_t > 0")
-
-
-def simulate_one_trial(cfg: SystemConfig, scheme: str, jammer: JammerSpec,
+def simulate_one_trial(cfg: SystemConfig, scheme: str,
                        index: int) -> tuple[float, int, float, float, bool, float]:
     """One realization of one scheme.
 
@@ -115,37 +99,36 @@ def simulate_one_trial(cfg: SystemConfig, scheme: str, jammer: JammerSpec,
     conventional trial. round_two_sq is the protocol's
     ProtocolTrace.round_two_sq, and 0 on a conventional trial.
     """
-    validate_combination(cfg, scheme, jammer)
+    validate_combination(cfg, scheme)
     rng_proto = substream(cfg.master_seed, index, TAG_PROTOCOL)
     # round one: the pilot index, then its overlap amplitude with the
     # jamming sequence, which alg2's jammer replays for the whole trial
     k = cfg.first_pilot if cfg.first_pilot is not None else int(rng_proto.integers(cfg.tau))
-    amp = draw_overlap_amplitude(rng_proto, jammer, k, cfg.tau)
+    amp = draw_overlap_amplitude(rng_proto, cfg.jammer, k, cfg.tau)
     overlap_one = abs(amp) ** 2
     if scheme == "conventional":
         n_used, overlap, met, round_two = 1, overlap_one, False, 0.0
     else:
         r = gen_channel_factor(substream(cfg.master_seed, index, TAG_CHANNEL),
                                cfg.M, cfg.beta_u, cfg.beta_j)
-        trace = (run_algorithm1(cfg, r, k, amp, jammer, rng_proto) if scheme == "alg1"
-                 else run_algorithm2(cfg, r, k, amp, jammer, rng_proto))
+        trace = (run_algorithm1(cfg, r, k, amp, rng_proto) if scheme == "alg1"
+                 else run_algorithm2(cfg, r, k, amp, rng_proto))
         n_used, overlap = trace.n_used, trace.rounds[trace.chosen_round].overlap_true
         met = cfg.overlap_below_threshold(trace.rounds[0].overlap_est)
         round_two = trace.round_two_sq
-    value = sinr_and_rate(rate_config(cfg, jammer), overlap, n_used)[1]
+    value = sinr_and_rate(cfg, overlap, n_used)[1]
     return value, n_used, overlap, overlap_one, met, round_two
 
 
 def _trial_chunk(args):
-    cfg, scheme, jammer, start, stop = args
+    cfg, scheme, start, stop = args
     rates, n_used, overlaps, overlaps_one, met, round_two = zip(
-        *(simulate_one_trial(cfg, scheme, jammer, i) for i in range(start, stop)))
+        *(simulate_one_trial(cfg, scheme, i) for i in range(start, stop)))
     return (np.array(rates), np.array(n_used, dtype=np.int64), np.array(overlaps),
             np.array(overlaps_one), np.array(met, dtype=bool), np.array(round_two))
 
 
-def run_trials(cfg: SystemConfig, scheme: str, jammer: JammerSpec, n_trials: int,
-               n_workers: int = 1) -> TrialData:
+def run_trials(cfg: SystemConfig, scheme: str, n_trials: int, n_workers: int = 1) -> TrialData:
     """All trial outcomes for one scheme.
 
     Results are keyed by trial index, so the worker count only changes wall
@@ -154,11 +137,10 @@ def run_trials(cfg: SystemConfig, scheme: str, jammer: JammerSpec, n_trials: int
     """
     check_count("n_trials", n_trials)
     check_count("worker count", n_workers)
-    validate_combination(cfg, scheme, jammer)
+    validate_combination(cfg, scheme)
     n_workers = min(n_workers, os.cpu_count() or 1)
     step = n_trials if n_workers == 1 else max(1, math.ceil(n_trials / (4 * n_workers)))
-    chunks = [(cfg, scheme, jammer, s, min(s + step, n_trials))
-              for s in range(0, n_trials, step)]
+    chunks = [(cfg, scheme, s, min(s + step, n_trials)) for s in range(0, n_trials, step)]
     if n_workers == 1:
         results = list(map(_trial_chunk, chunks))
     else:
@@ -215,7 +197,7 @@ def control_variate_mean(y: np.ndarray, columns: np.ndarray | None = None,
     return float(y_bar), stderr
 
 
-def _control_variates(cfg: SystemConfig, scheme: str, jammer: JammerSpec,
+def _control_variates(cfg: SystemConfig, scheme: str,
                       data: TrialData) -> tuple[np.ndarray, tuple[float, ...]]:
     """The control-variate columns of an alg row's trials, and their exact means.
 
@@ -233,36 +215,33 @@ def _control_variates(cfg: SystemConfig, scheme: str, jammer: JammerSpec,
     round two's draw, for alg2 at tau = 1, and at n_max = 1, where no trial
     retransmits.
     """
-    x = conventional_rates(cfg, jammer, data.round_one_overlap_sq)
+    x = conventional_rates(cfg, data.round_one_overlap_sq)
     d = data.round_one_met - stop_probability(cfg, data.round_one_overlap_sq)
     retx = ~data.round_one_met
     round_two = np.zeros(len(retx))
-    if cfg.n_max >= 2 and jammer.is_random:
+    if cfg.n_max >= 2 and cfg.jammer.is_random:
         if scheme == "alg1":
-            round_two[retx] = (conventional_rates(cfg, jammer, data.round_two_sq[retx])
-                               - conventional_mean(cfg, jammer))
+            round_two[retx] = (conventional_rates(cfg, data.round_two_sq[retx])
+                               - conventional_mean(cfg))
         elif cfg.tau > 1:
-            round_two[retx] = (retransmit_rates(cfg, jammer, data.round_two_sq[retx],
+            round_two[retx] = (retransmit_rates(cfg, data.round_two_sq[retx],
                                                 data.round_one_overlap_sq[retx])
-                               - retransmit_mean(cfg, jammer))
-    return (np.column_stack([x, d, d * x, round_two]),
-            (conventional_mean(cfg, jammer), 0.0, 0.0, 0.0))
+                               - retransmit_mean(cfg))
+    return np.column_stack([x, d, d * x, round_two]), (conventional_mean(cfg), 0.0, 0.0, 0.0)
 
 
-def average_rate(cfg: SystemConfig, scheme: str, jammer: JammerSpec, n_trials: int,
-                 n_workers: int = 1) -> RateSummary:
+def average_rate(cfg: SystemConfig, scheme: str, n_trials: int, n_workers: int = 1) -> RateSummary:
     """Mean closed-form rate, its standard error, and the retransmission counts.
 
     A conventional row is the plain sample mean. An alg row is the
     control-variate mean (control_variate_mean) on its trials' four
     columns (_control_variates).
     """
-    data = run_trials(cfg, scheme, jammer, n_trials, n_workers=n_workers)
+    data = run_trials(cfg, scheme, n_trials, n_workers=n_workers)
     if scheme == "conventional":
         mean, stderr = control_variate_mean(data.rates)
     else:
-        mean, stderr = control_variate_mean(data.rates,
-                                            *_control_variates(cfg, scheme, jammer, data))
+        mean, stderr = control_variate_mean(data.rates, *_control_variates(cfg, scheme, data))
     hist = {int(k): int(c) for k, c in enumerate(np.bincount(data.n_used)) if c > 0}
     return RateSummary(mean_rate=mean, stderr=stderr,
                        n_used_hist=hist, mean_n_used=float(data.n_used.mean()))

@@ -35,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import JammerSpec, crandn
-from .config import SystemConfig, check_count
+from .channel import crandn
+from .config import SystemConfig, check_count, validate_combination
 from .estimation import mmse_coefficients, mmse_terms, wishart_factor
-from .rates import effective_sinr, rate_config, sinr_and_rate
+from .rates import effective_sinr, sinr_and_rate
 from .rng import TAG_MOMENTS, substream
 
 # E[g(t)] for t ~ Exp(1) by Gauss-Legendre on [0, 2^-40] and the panels
@@ -60,65 +60,63 @@ def _exp_rule() -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(t.ravel().tolist()), tuple((half * w * np.exp(-t)).ravel().tolist())
 
 
-def _random_kind_mean(jammer: JammerSpec, g: Callable[[np.ndarray], Sequence[float]],
+def _random_kind_mean(cfg: SystemConfig, g: Callable[[np.ndarray], Sequence[float]],
                       gaussian_div: int, sphere_dof: int, sphere_div: int) -> float:
-    """E[g(v)] for a gaussian or sphere jammer, v a function of t ~ Exp(1) (_exp_rule).
+    """E[g(v)] under cfg's gaussian or sphere jammer, v a function of t ~ Exp(1) (_exp_rule).
 
     gaussian: v = t / gaussian_div. sphere: v = -expm1(-t / sphere_dof) /
     sphere_div, or 1 / sphere_div surely when sphere_dof is 0. Nodes map one
     Python float at a time: np.expm1 and math.expm1 differ in the last bit
     on some inputs."""
-    if jammer.kind == "sphere" and sphere_dof == 0:
+    if cfg.jammer.kind == "sphere" and sphere_dof == 0:
         return float(g(np.array([1.0 / sphere_div]))[0])
     nodes, weights = _exp_rule()
-    if jammer.kind == "gaussian":
+    if cfg.jammer.kind == "gaussian":
         values = [t / gaussian_div for t in nodes]
     else:
         values = [-math.expm1(-t / sphere_dof) / sphere_div for t in nodes]
     return math.fsum(w * v for v, w in zip(g(np.array(values)), weights))
 
 
-def round_one_mean(cfg: SystemConfig, jammer: JammerSpec,
-                   g: Callable[[np.ndarray], Sequence[float]]) -> float:
+def round_one_mean(cfg: SystemConfig, g: Callable[[np.ndarray], Sequence[float]]) -> float:
     """E[g(|a|^2)] over the exact law of round one's squared overlap |a|^2.
 
     g maps a 1-D array of squared overlaps to their values, one per entry.
-    The law depends on the jammer kind (draw_overlap_amplitude): gaussian
+    The law depends on cfg.jammer's kind (draw_overlap_amplitude): gaussian
     gives Exp(mean 1/tau); sphere gives Beta(1, tau - 1), which is
     1 - exp(-t / (tau - 1)) for t ~ Exp(1), and 1 at tau = 1. Both are
     integrated over t (_random_kind_mean). codeword hits the user's pilot
     with probability 1/tau, or surely or never when first_pilot is set;
     absent gives 0.
     """
-    if jammer.is_random:
-        return _random_kind_mean(jammer, g, cfg.tau, cfg.tau - 1, 1)
-    if jammer.kind == "absent":
+    if cfg.jammer.is_random:
+        return _random_kind_mean(cfg, g, cfg.tau, cfg.tau - 1, 1)
+    if cfg.jammer.kind == "absent":
         return float(g(np.zeros(1))[0])
-    j = jammer.pilot(cfg.tau)
+    j = cfg.jammer.pilot(cfg.tau)
     if cfg.first_pilot is not None:
         return float(g(np.array([float(cfg.first_pilot == j)]))[0])
     hit, miss = g(np.array([1.0, 0.0]))
     return float(hit / cfg.tau + miss * (1.0 - 1.0 / cfg.tau))
 
 
-def _rates(cfg: SystemConfig, jammer: JammerSpec, overlaps: np.ndarray, n_used: int) -> np.ndarray:
-    """rate(overlap, n_used) under rate_config(cfg, jammer) at each squared overlap."""
-    rc = rate_config(cfg, jammer)
-    return np.array([sinr_and_rate(rc, overlap_sq, n_used)[1] for overlap_sq in overlaps.tolist()])
+def _rates(cfg: SystemConfig, overlaps: np.ndarray, n_used: int) -> np.ndarray:
+    """rate(overlap, n_used) under cfg at each squared overlap."""
+    return np.array([sinr_and_rate(cfg, overlap_sq, n_used)[1] for overlap_sq in overlaps.tolist()])
 
 
-def conventional_rates(cfg: SystemConfig, jammer: JammerSpec, overlaps: np.ndarray) -> np.ndarray:
-    """Conventional rate rate(|a|^2, 1) under rate_config(cfg, jammer) at each squared overlap.
+def conventional_rates(cfg: SystemConfig, overlaps: np.ndarray) -> np.ndarray:
+    """Conventional rate rate(|a|^2, 1) under cfg at each squared overlap.
 
     Bit-identical to the rate of a conventional trial at that overlap.
     """
-    return _rates(cfg, jammer, overlaps, 1)
+    return _rates(cfg, overlaps, 1)
 
 
 @functools.lru_cache(maxsize=256)
-def conventional_mean(cfg: SystemConfig, jammer: JammerSpec) -> float:
-    """Mean conventional rate E[rate(|a|^2, 1)] under rate_config(cfg, jammer)."""
-    return round_one_mean(cfg, jammer, functools.partial(conventional_rates, cfg, jammer))
+def conventional_mean(cfg: SystemConfig) -> float:
+    """Mean conventional rate E[rate(|a|^2, 1)] under cfg."""
+    return round_one_mean(cfg, functools.partial(conventional_rates, cfg))
 
 
 # _poisson_sum stops once every term is below _SUM_TOL. The terms shrink
@@ -190,34 +188,33 @@ def stop_probability(cfg: SystemConfig, overlap_sq) -> np.ndarray:
     return _lower_gamma_regularized(cfg.M, x_star / (pilot + jamming * overlap_sq + 1.0))
 
 
-def stop_share(cfg: SystemConfig, jammer: JammerSpec) -> float:
+def stop_share(cfg: SystemConfig) -> float:
     """Probability that round one's blind estimate meets the threshold."""
-    return round_one_mean(cfg, jammer, functools.partial(stop_probability, cfg))
+    return round_one_mean(cfg, functools.partial(stop_probability, cfg))
 
 
-def alg1_mean_n_used(cfg: SystemConfig, jammer: JammerSpec) -> float:
+def alg1_mean_n_used(cfg: SystemConfig) -> float:
     """alg1's exact mean transmission count, for n_max <= 2.
 
     At n_max = 2 alg1 retransmits exactly when round one's blind estimate
     misses the threshold, so the mean is 2 - stop_share; at n_max = 1 it is
     1. n_max > 2 raises ValueError: every round sees the trial's one
     channel factor R, so round two's stop decision is not independent of
-    round one's, and the count is no function of stop_share alone.
+    round one's, and the count is no function of stop_share alone. So does
+    a cfg alg1 cannot run (validate_combination).
     """
-    if jammer.kind == "codeword":
-        raise ValueError("alg1 assumes random jamming; a codeword jammer is deterministic")
+    validate_combination(cfg, "alg1")
     if cfg.n_max > 2:
         raise ValueError(f"the exact count needs n_max <= 2, got {cfg.n_max}")
-    return 1.0 if cfg.n_max == 1 else 2.0 - stop_share(cfg, jammer)
+    return 1.0 if cfg.n_max == 1 else 2.0 - stop_share(cfg)
 
 
-def other_min_mean(cfg: SystemConfig, jammer: JammerSpec,
-                   g: Callable[[np.ndarray], Sequence[float]]) -> float:
+def other_min_mean(cfg: SystemConfig, g: Callable[[np.ndarray], Sequence[float]]) -> float:
     """E[g(v)] over the exact law of v, alg2's round-two draw, freed of round one.
 
     g maps a 1-D array of values of v to their values, one per entry. On
     its retransmit branch alg2 draws the other tau - 1 codebook coordinates
-    of the jamming sequence given round one's amplitude a
+    of cfg.jammer's sequence given round one's amplitude a
     (complete_amplitudes); m is their smallest squared modulus
     (ProtocolTrace.round_two_sq). gaussian draws them i.i.d. CN(0, 1/tau),
     so v = m ~ Exp(mean 1/(tau (tau - 1))). sphere draws them uniformly on
@@ -229,40 +226,40 @@ def other_min_mean(cfg: SystemConfig, jammer: JammerSpec,
     (_random_kind_mean). Kinds whose coordinates round one fixes (codeword,
     absent) and tau = 1, which has no other coordinate, raise ValueError.
     """
-    tau = cfg.tau
+    tau, jammer = cfg.tau, cfg.jammer
     if not jammer.is_random or tau < 2:
         raise ValueError(f"a {jammer.kind} jammer at tau={tau} draws no random other coordinates")
-    return _random_kind_mean(jammer, g, tau * (tau - 1), tau - 2, tau - 1)
+    return _random_kind_mean(cfg, g, tau * (tau - 1), tau - 2, tau - 1)
 
 
-def _retransmit_rates_at(cfg: SystemConfig, jammer: JammerSpec, v: np.ndarray) -> np.ndarray:
+def _retransmit_rates_at(cfg: SystemConfig, v: np.ndarray) -> np.ndarray:
     # sphere's v is m over 1 - |a|^2, whose mean is 1 - 1/tau
-    scale = 1.0 if jammer.kind == "gaussian" else 1.0 - 1.0 / cfg.tau
-    return _rates(cfg, jammer, scale * v, 2)
+    scale = 1.0 if cfg.jammer.kind == "gaussian" else 1.0 - 1.0 / cfg.tau
+    return _rates(cfg, scale * v, 2)
 
 
-def retransmit_rates(cfg: SystemConfig, jammer: JammerSpec, round_two_sq: np.ndarray,
+def retransmit_rates(cfg: SystemConfig, round_two_sq: np.ndarray,
                      overlap_one_sq: np.ndarray) -> np.ndarray:
     """h(v) per alg2 trial that drew round two, from its m and round one's squared overlap.
 
     m is the trial's round_two_sq, and v is other_min_mean's variable: m
     for gaussian, m / (1 - |a|^2) for sphere (1 surely at tau = 2). h is
-    the two-round rate rate(s v, 2) under rate_config(cfg, jammer), with
+    the two-round rate rate(s v, 2) under cfg, with
     s = 1 for gaussian and 1 - 1/tau for sphere, so that s v is m at round
     one's mean overlap: the rate alg2 gets when it retransmits on the pilot
     of smallest overlap.
     """
     v = np.asarray(round_two_sq, dtype=float)
-    if jammer.kind == "sphere":
+    if cfg.jammer.kind == "sphere":
         # at tau = 2 the ratio is 1 surely; computed, it would carry rounding noise
         v = np.ones(v.shape) if cfg.tau == 2 else v / (1.0 - np.asarray(overlap_one_sq))
-    return _retransmit_rates_at(cfg, jammer, v)
+    return _retransmit_rates_at(cfg, v)
 
 
 @functools.lru_cache(maxsize=256)
-def retransmit_mean(cfg: SystemConfig, jammer: JammerSpec) -> float:
+def retransmit_mean(cfg: SystemConfig) -> float:
     """E[h(v)], the exact mean of retransmit_rates on a trial that draws round two."""
-    return other_min_mean(cfg, jammer, functools.partial(_retransmit_rates_at, cfg, jammer))
+    return other_min_mean(cfg, functools.partial(_retransmit_rates_at, cfg))
 
 
 # verify_moments passes a quantity when |emp - th| <= MOMENT_Z * stderr. A

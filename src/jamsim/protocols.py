@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import JammerSpec, complete_amplitudes, draw_overlap_amplitude, overlap_amplitude
-from .config import SystemConfig
+from .channel import complete_amplitudes, draw_overlap_amplitude, overlap_amplitude
+from .config import SystemConfig, validate_combination
 from .estimation import (despread_power, estimate_jammer_gram, estimate_overlap_sq,
                          receive_block_factor, receive_despread, run_training)
 
@@ -58,21 +58,20 @@ def select_retransmission_pilot(vecs: np.ndarray, lam: np.ndarray, opt_mode: str
     raise ValueError(f"unknown opt_mode {opt_mode!r}")
 
 
-def run_algorithm1(cfg: SystemConfig, r: np.ndarray, k: int, amp: complex,
-                   jammer: JammerSpec, rng) -> ProtocolTrace:
+def run_algorithm1(cfg: SystemConfig, r: np.ndarray, k: int, amp: complex, rng) -> ProtocolTrace:
     """Retransmission loop against random jamming.
 
     r is the channel factor of the trial (see gen_channel_factor). Round 1
     sends codeword k, and amp is its overlap amplitude with the jamming
     sequence (see draw_overlap_amplitude). Each later round the user sends a
-    uniformly drawn codeword and the jammer a fresh sequence drawn from its
-    spec, of which only the new amplitude is drawn; the receiver stops once
-    its blind overlap estimate meets the threshold or n_max transmissions
-    are spent. All rounds are buffered and chosen_round marks the best
-    estimate (the first, on a tie).
+    uniformly drawn codeword and cfg.jammer a fresh sequence, of which only
+    the new amplitude is drawn; the receiver stops once its blind overlap
+    estimate meets the threshold or n_max transmissions are spent. All
+    rounds are buffered and chosen_round marks the best estimate (the
+    first, on a tie). A cfg alg1 cannot run raises ValueError
+    (validate_combination).
     """
-    if jammer.kind == "codeword":
-        raise ValueError("the random-jamming protocol expects a random or absent jammer")
+    validate_combination(cfg, "alg1")
     if not 0 <= k < cfg.tau:
         raise ValueError(f"pilot index must lie in [0, tau={cfg.tau}), got {k}")
     rounds = []
@@ -81,7 +80,7 @@ def run_algorithm1(cfg: SystemConfig, r: np.ndarray, k: int, amp: complex,
     for n in range(cfg.n_max):
         if n:
             k = int(rng.integers(cfg.tau))
-            amp = draw_overlap_amplitude(rng, jammer, k, cfg.tau)
+            amp = draw_overlap_amplitude(rng, cfg.jammer, k, cfg.tau)
         overlap_est = run_training(cfg, r, amp, rng)
         rounds.append(RoundRecord(abs(amp) ** 2, overlap_est))
         if overlap_est < rounds[chosen].overlap_est:
@@ -93,9 +92,8 @@ def run_algorithm1(cfg: SystemConfig, r: np.ndarray, k: int, amp: complex,
     return ProtocolTrace(tuple(rounds), len(rounds), stop_reason, chosen, round_two)
 
 
-def run_algorithm2(cfg: SystemConfig, r: np.ndarray, k: int, amp: complex,
-                   jammer: JammerSpec, rng) -> ProtocolTrace:
-    """Pilot adaptation against a jammer that replays one sequence s_j.
+def run_algorithm2(cfg: SystemConfig, r: np.ndarray, k: int, amp: complex, rng) -> ProtocolTrace:
+    """Pilot adaptation against a jammer (cfg.jammer) that replays one sequence s_j.
 
     r is the channel factor of the trial (see gen_channel_factor). Round 1
     sends codeword k, and amp is its overlap amplitude with s_j (see
@@ -119,7 +117,7 @@ def run_algorithm2(cfg: SystemConfig, r: np.ndarray, k: int, amp: complex,
         return ProtocolTrace(tuple(rounds), 1, "threshold_met", 0)
     if cfg.n_max < 2:
         return ProtocolTrace(tuple(rounds), 1, "n_max_reached", 0)
-    amps = complete_amplitudes(rng, jammer, k, amp, cfg.tau)
+    amps = complete_amplitudes(rng, cfg.jammer, k, amp, cfg.tau)
     overlaps = amps.real ** 2 + amps.imag ** 2
     overlaps[k] = np.inf        # the smallest of the other pilots' overlaps
     other_min = float(overlaps.min()) if cfg.tau > 1 else 0.0

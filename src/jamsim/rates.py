@@ -9,7 +9,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .channel import JammerSpec
 from .config import SystemConfig
 from .estimation import mmse_coefficients
 
@@ -33,14 +32,6 @@ def _sinr_terms(cfg: SystemConfig) -> tuple[float, float, float]:
     return (cfg.M * (cfg.q_d * cfg.q_t / cfg.p_t) * (cfg.beta_j / cfg.beta_u) ** 2,
             cfg.p_d * cfg.beta_u + cfg.q_d * cfg.beta_j,
             cfg.M * cfg.p_d)
-
-
-@functools.lru_cache
-def rate_config(cfg: SystemConfig, jammer: JammerSpec) -> SystemConfig:
-    """Config used for rate formulas: q_d is zero when no data-phase jamming."""
-    if jammer.kind == "absent" or not jammer.data_phase_active:
-        return cfg.with_powers(cfg.p_t, cfg.p_d, cfg.q_t, 0.0)
-    return cfg
 
 
 def effective_sinr(cfg: SystemConfig, gamma_u: float, overlap_sq: float) -> float:

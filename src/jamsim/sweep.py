@@ -5,9 +5,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .config import SystemConfig, check_count, snr_db_to_power
-from .channel import JammerSpec
-from .montecarlo import SCHEMES, validate_combination, average_rate
+from .config import SCHEMES, SystemConfig, check_count, snr_db_to_power, validate_combination
+from .montecarlo import average_rate
 
 AXES = ("tau_over_T", "M", "snr_db", "epsilon")
 PRESET_NAMES = ("fig2", "fig3")
@@ -52,13 +51,12 @@ def derive_config(base: SystemConfig, axis: str, value: float) -> SystemConfig:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep: an axis, its values, and the schemes to average."""
+    """One sweep: an axis, its values, the schemes to average, and the base config."""
 
     axis: str
     values: tuple[float, ...]
     schemes: tuple[str, ...]
     base: SystemConfig
-    jammer: JammerSpec = JammerSpec()
     n_trials: int = 1000
     n_workers: int = 1
     label: str | None = None    # axis name written to the CSV, defaults to axis
@@ -77,7 +75,7 @@ class SweepSpec:
             cfg = derive_config(self.base, self.axis, value)
             for scheme in self.schemes:
                 try:
-                    validate_combination(cfg, scheme, self.jammer)
+                    validate_combination(cfg, scheme)
                 except ValueError as err:
                     raise ValueError(f"axis {self.axis}={value:g}: {err}") from None
 
@@ -109,8 +107,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     for value in spec.values:
         cfg = derive_config(spec.base, spec.axis, value)
         for scheme in spec.schemes:
-            summary = average_rate(cfg, scheme, spec.jammer, spec.n_trials,
-                                   n_workers=spec.n_workers)
+            summary = average_rate(cfg, scheme, spec.n_trials, n_workers=spec.n_workers)
             rows.append(SweepRow(axis=spec.axis_label, value=float(value), scheme=scheme,
                                  mean_rate=summary.mean_rate, stderr=summary.stderr,
                                  mean_n_used=summary.mean_n_used,
@@ -135,7 +132,7 @@ def preset_specs(name: str, n_trials: int, master_seed: int, n_workers: int) -> 
     fig2 sweeps the training payload tau/T at M=50 for 0 and 10 dB (the
     grid stops at 0.45 because two transmissions must fit in the block);
     fig3 sweeps the antenna count at 5 dB. Both run all three schemes under
-    Gaussian jamming with epsilon=0.1.
+    the default Gaussian jammer with epsilon=0.1.
     """
     if name == "fig2":
         specs = []
@@ -143,9 +140,8 @@ def preset_specs(name: str, n_trials: int, master_seed: int, n_workers: int) -> 
             power = snr_db_to_power(snr_db)
             base = SystemConfig(M=50, T=200, tau=10, P=power, Q=power,
                                 epsilon=0.1, n_max=2, master_seed=master_seed)
-            specs.append(SweepSpec(axis="tau_over_T", values=_FIG2_TAU_FRACTIONS,
-                                   schemes=SCHEMES, base=base, jammer=JammerSpec(),
-                                   n_trials=n_trials, n_workers=n_workers,
+            specs.append(SweepSpec(axis="tau_over_T", values=_FIG2_TAU_FRACTIONS, schemes=SCHEMES,
+                                   base=base, n_trials=n_trials, n_workers=n_workers,
                                    label=f"tau_over_T[snr_db={snr_db:g}]"))
         return specs
     if name == "fig3":
@@ -153,8 +149,7 @@ def preset_specs(name: str, n_trials: int, master_seed: int, n_workers: int) -> 
         base = SystemConfig(M=10, T=200, tau=20, P=power, Q=power,
                             epsilon=0.1, n_max=2, master_seed=master_seed)
         return [SweepSpec(axis="M", values=_FIG3_ANTENNAS, schemes=SCHEMES,
-                          base=base, jammer=JammerSpec(), n_trials=n_trials,
-                          n_workers=n_workers)]
+                          base=base, n_trials=n_trials, n_workers=n_workers)]
     raise ValueError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
 
 

@@ -116,15 +116,15 @@ def test_criterion_5_retransmission_beats_conventional():
     # estimate is noisy enough that alg1's pick often misses its truly best
     # round, and it loses by more than 3 stderr; that finding is pinned too.
     power = snr_db_to_power(10.0)
-    jam = JammerSpec(kind="gaussian")
     details = []
     ok = True
     for m, trials, alg1_wins in ((200, 10000, True), (50, 50000, False)):
         cfg = SystemConfig(M=m, T=200, tau=20, P=power, Q=power,
-                           epsilon=0.1, n_max=2, master_seed=105)
-        conv = run_trials(cfg, "conventional", jam, trials)
+                           epsilon=0.1, n_max=2, master_seed=105,
+                           jammer=JammerSpec(kind="gaussian"))
+        conv = run_trials(cfg, "conventional", trials)
         for scheme, wins in (("alg1", alg1_wins), ("alg2", True)):
-            diff = run_trials(cfg, scheme, jam, trials).rates - conv.rates  # paired
+            diff = run_trials(cfg, scheme, trials).rates - conv.rates  # paired
             stderr = diff.std(ddof=1) / math.sqrt(trials)
             details.append(f"M={m} {scheme}: {diff.mean():+.4f} bits = "
                            f"{diff.mean() / stderr:+.1f} stderr")
@@ -141,12 +141,12 @@ def test_criterion_6_adaptation_restores_scaling_with_m():
     means = {}
     for scheme in ("alg2", "conventional"):
         for m in (100, 400):
-            cfg = SystemConfig(M=m, T=200, tau=10, P=power, Q=power,
-                               epsilon=0.1, n_max=2, master_seed=106, first_pilot=0)
             # worst-case deterministic attack: the jammer sits exactly on the
             # codeword the user opens with
-            jam = JammerSpec(kind="codeword", codeword_index=0)
-            data = run_trials(cfg, scheme, jam, trials)
+            cfg = SystemConfig(M=m, T=200, tau=10, P=power, Q=power,
+                               epsilon=0.1, n_max=2, master_seed=106, first_pilot=0,
+                               jammer=JammerSpec(kind="codeword", codeword_index=0))
+            data = run_trials(cfg, scheme, trials)
             means[scheme, m] = float(data.rates.mean())
     adapt_gain = means["alg2", 400] - means["alg2", 100]
     conv_gain = means["conventional", 400] - means["conventional", 100]
@@ -192,8 +192,7 @@ def test_criterion_8_sweeps_reproduce_across_worker_counts():
                          schemes=("conventional", "alg1"),
                          base=SystemConfig(M=8, T=40, tau=4, P=1.0, Q=1.0,
                                            epsilon=0.1, n_max=2, master_seed=108),
-                         jammer=JammerSpec(), n_trials=400,
-                         n_workers=workers)
+                         n_trials=400, n_workers=workers)
         return run_sweep(spec)
 
     reference = sweep_rows(1)

@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import pytest
 
-from jamsim import SystemConfig, snr_db_to_power
+from jamsim import JammerSpec, SystemConfig, snr_db_to_power
 
 
 def test_uniform_policy_saturates_budgets():
@@ -86,10 +87,24 @@ def test_snr_conversion():
     assert snr_db_to_power(5.0) == pytest.approx(10 ** 0.5)
 
 
-def test_with_powers_revalidates():
+def test_replaced_powers_revalidate():
     cfg = SystemConfig(M=4, T=100, tau=5, P=1.0, Q=1.0)
-    silenced = cfg.with_powers(cfg.p_t, cfg.p_d, cfg.q_t, 0.0)
+    silenced = dataclasses.replace(cfg, powers=(cfg.p_t, cfg.p_d, cfg.q_t, 0.0))
     assert silenced.q_d == 0.0 and silenced.q_t == 1.0
     assert math.isclose(silenced.p_d, cfg.p_d)
-    with pytest.raises(ValueError):
-        cfg.with_powers(30.0, 1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="user power budget"):
+        dataclasses.replace(cfg, powers=(30.0, 1.0, 1.0, 1.0))
+
+
+def test_jammer_is_checked_with_the_config():
+    # a codeword jammer's index must name one of the tau pilots, here and
+    # after any replace that shrinks tau
+    codeword = JammerSpec(kind="codeword", codeword_index=4)
+    assert SystemConfig(tau=5, jammer=codeword).jammer.pilot(5) == 4
+    with pytest.raises(ValueError, match="codeword_index 4 out of range for tau=4"):
+        SystemConfig(tau=4, jammer=codeword)
+    with pytest.raises(ValueError, match="codeword_index 4 out of range"):
+        dataclasses.replace(SystemConfig(tau=5, jammer=codeword), tau=3)
+    with pytest.raises(ValueError, match="must be a JammerSpec"):
+        SystemConfig(jammer="gaussian")
+    assert SystemConfig().jammer == JammerSpec()

@@ -1,10 +1,12 @@
-"""Every module of the package uses each name it imports, and imports no
-underscore name of another module.
+"""Every module of the package uses each name it imports, imports no
+underscore name of another module, and passes the jammer inside the config.
 
 A name moved out of a module tends to leave its import behind; a private
 name another module reads is part of its owner's API under a name that
-says otherwise. These checks read the source with ast alone. __init__.py is
-exempt from the first, since its imports are the package's public names.
+says otherwise. The jammer is a field of SystemConfig, so only channel.py's
+per-kind sequence draws take a bare JammerSpec. These checks read the
+source with ast alone. __init__.py is exempt from the first, since its
+imports are the package's public names.
 """
 
 import ast
@@ -52,3 +54,30 @@ def test_private_imports_are_found():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_no_private_name(path):
     assert _private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _jammer_parameters(source: str) -> list[str]:
+    """function.parameter for every parameter that source annotates JammerSpec, in source order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]:
+                if arg is not None and arg.annotation is not None and \
+                        "JammerSpec" in ast.unparse(arg.annotation):
+                    found.append(f"{node.name}.{arg.arg}")
+    return found
+
+
+def test_jammer_parameters_are_found():
+    source = ("def f(cfg, jammer: JammerSpec): pass\n"
+              "def g(rng, *, spec: 'JammerSpec | None' = None): pass\n"
+              "class C:\n    def h(self, j: config.JammerSpec, n: int): pass\n"
+              "def k(jammer, tau: int) -> JammerSpec: pass\n")
+    assert _jammer_parameters(source) == ["f.jammer", "g.spec", "h.j"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "channel.py"],
+                         ids=lambda p: p.name)
+def test_only_the_sequence_draws_take_a_bare_jammer(path):
+    assert _jammer_parameters(path.read_text(encoding="utf-8")) == []

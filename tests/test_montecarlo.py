@@ -30,10 +30,9 @@ def _cfg(**kw):
 
 def test_same_seed_reproduces_everything():
     cfg = _cfg(master_seed=123)
-    jam = JammerSpec()
     for scheme in ("conventional", "alg1", "alg2"):
-        a = run_trials(cfg, scheme, jam, 300)
-        b = run_trials(cfg, scheme, jam, 300)
+        a = run_trials(cfg, scheme, 300)
+        b = run_trials(cfg, scheme, 300)
         assert np.array_equal(a.rates, b.rates)
         assert np.array_equal(a.n_used, b.n_used)
 
@@ -41,11 +40,9 @@ def test_same_seed_reproduces_everything():
 def test_single_trial_matches_batch_position():
     # trial k run alone is bit-identical to trial k inside a batch
     cfg = _cfg(master_seed=9)
-    jam = JammerSpec()
-    batch = run_trials(cfg, "alg1", jam, 50)
+    batch = run_trials(cfg, "alg1", 50)
     for k in (0, 7, 49):
-        rate, n_used, overlap, overlap_one, met, round_two = simulate_one_trial(cfg, "alg1",
-                                                                              jam, k)
+        rate, n_used, overlap, overlap_one, met, round_two = simulate_one_trial(cfg, "alg1", k)
         assert rate == batch.rates[k]
         assert n_used == batch.n_used[k]
         assert overlap == batch.overlap_sq[k]
@@ -58,14 +55,13 @@ def test_single_trial_matches_batch_position():
 def test_single_trial_rejects_a_bool_index(scheme):
     # True would otherwise key the stream of trial 1
     with pytest.raises(ValueError, match="stream key words"):
-        simulate_one_trial(_cfg(), scheme, JammerSpec(), True)
+        simulate_one_trial(_cfg(), scheme, True)
 
 
 def test_worker_count_does_not_change_values():
     cfg = _cfg(M=16, tau=4, master_seed=31)
-    jam = JammerSpec()
-    serial = run_trials(cfg, "alg1", jam, 240, n_workers=1)
-    parallel = run_trials(cfg, "alg1", jam, 240, n_workers=2)
+    serial = run_trials(cfg, "alg1", 240, n_workers=1)
+    parallel = run_trials(cfg, "alg1", 240, n_workers=2)
     for field in dataclasses.fields(serial):
         assert np.array_equal(getattr(serial, field.name), getattr(parallel, field.name))
 
@@ -88,19 +84,18 @@ def test_pool_size_is_capped_by_cpus_and_chunks(monkeypatch):
     monkeypatch.setattr(jamsim.montecarlo, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(jamsim.montecarlo.os, "cpu_count", lambda: 8)
     cfg = _cfg(M=8, tau=4, master_seed=31)
-    jam = JammerSpec()
-    serial = run_trials(cfg, "alg1", jam, 40)
-    huge = run_trials(cfg, "alg1", jam, 40, n_workers=10**6)
-    few_chunks = run_trials(cfg, "alg1", jam, 3, n_workers=6)
+    serial = run_trials(cfg, "alg1", 40)
+    huge = run_trials(cfg, "alg1", 40, n_workers=10**6)
+    few_chunks = run_trials(cfg, "alg1", 3, n_workers=6)
     assert pool_sizes == [8, 3]
     assert np.array_equal(huge.rates, serial.rates)
     assert np.array_equal(few_chunks.rates, serial.rates[:3])
     monkeypatch.setattr(jamsim.montecarlo.os, "cpu_count", lambda: 1)
-    assert np.array_equal(run_trials(cfg, "alg1", jam, 40, n_workers=4).rates, serial.rates)
+    assert np.array_equal(run_trials(cfg, "alg1", 40, n_workers=4).rates, serial.rates)
     assert pool_sizes == [8, 3]     # one CPU runs serially
     for bad in (0, -2):
         with pytest.raises(ValueError, match="worker count"):
-            run_trials(cfg, "alg1", jam, 10, n_workers=bad)
+            run_trials(cfg, "alg1", 10, n_workers=bad)
 
 
 @pytest.mark.parametrize("run", [run_trials, average_rate])
@@ -114,7 +109,7 @@ def test_pool_size_is_capped_by_cpus_and_chunks(monkeypatch):
 ])
 def test_counts_must_be_integers(run, n_trials, n_workers, message):
     with pytest.raises(ValueError, match=message):
-        run(_cfg(), "alg1", JammerSpec(), n_trials, n_workers=n_workers)
+        run(_cfg(), "alg1", n_trials, n_workers=n_workers)
 
 
 # recorded mean_rate of 200 trials per (config, scheme). A change that alters
@@ -159,8 +154,8 @@ _PINNED_CASES = {
 @pytest.mark.parametrize("mode,scheme", sorted(_PINNED_MEANS))
 def test_seed_to_value_mapping_is_pinned(mode, scheme):
     overrides, jammer = _PINNED_CASES[mode]
-    cfg = SystemConfig(**{**_PINNED_BASE, **overrides})
-    mean = run_trials(cfg, scheme, jammer, 200).rates.mean()
+    cfg = SystemConfig(**{**_PINNED_BASE, **overrides}, jammer=jammer)
+    mean = run_trials(cfg, scheme, 200).rates.mean()
     assert mean == pytest.approx(_PINNED_MEANS[mode, scheme], rel=1e-9)
 
 
@@ -168,18 +163,16 @@ def test_schemes_share_first_round_draws():
     # paired comparisons rely on equal trial indices seeing the same
     # round-one sequences
     cfg = _cfg(master_seed=77)
-    jam = JammerSpec()
-    conv = run_trials(cfg, "conventional", jam, 100)
+    conv = run_trials(cfg, "conventional", 100)
     for scheme in ("alg1", "alg2"):
-        data = run_trials(cfg, scheme, jam, 100)
+        data = run_trials(cfg, scheme, 100)
         single = data.n_used == 1
         assert single.any() and not single.all()
         assert np.array_equal(conv.overlap_sq[single], data.overlap_sq[single])
         # each alg trial carries round one's overlap, and so its paired
         # conventional rate, bit for bit
         assert np.array_equal(data.round_one_overlap_sq, conv.overlap_sq)
-        assert np.array_equal(conventional_rates(cfg, jam, data.round_one_overlap_sq),
-                              conv.rates)
+        assert np.array_equal(conventional_rates(cfg, data.round_one_overlap_sq), conv.rates)
     assert np.array_equal(conv.round_one_overlap_sq, conv.overlap_sq)
     assert not conv.round_one_met.any()
 
@@ -190,17 +183,17 @@ def test_alg2_round_one_is_the_conventional_round():
     # training round draws it; a trial that stops at the threshold has the
     # conventional rate
     cfg = _cfg(master_seed=21)
-    jam = JammerSpec()
+    jam = cfg.jammer
     n = 200
-    conv = run_trials(cfg, "conventional", jam, n)
-    alg2 = run_trials(cfg, "alg2", jam, n)
+    conv = run_trials(cfg, "conventional", n)
+    alg2 = run_trials(cfg, "alg2", n)
     stops = []
     for i in range(n):
         r = gen_channel_factor(substream(cfg.master_seed, i, TAG_CHANNEL), cfg.M, cfg.beta_u,
                                cfg.beta_j)
         rng = substream(cfg.master_seed, i, TAG_PROTOCOL)
         k = int(rng.integers(cfg.tau))
-        trace = run_algorithm2(cfg, r, k, draw_overlap_amplitude(rng, jam, k, cfg.tau), jam, rng)
+        trace = run_algorithm2(cfg, r, k, draw_overlap_amplitude(rng, jam, k, cfg.tau), rng)
         rng = substream(cfg.master_seed, i, TAG_PROTOCOL)
         k = int(rng.integers(cfg.tau))
         training = run_training(cfg, r, draw_overlap_amplitude(rng, jam, k, cfg.tau), rng)
@@ -218,9 +211,8 @@ def test_alg2_at_n_max_one_is_the_conventional_scheme():
     # one transmission allowed: alg2 stops after round one even when its
     # estimate is far above the threshold, so it has the conventional rates
     cfg = _cfg(n_max=1, P=10.0, Q=10.0)
-    jam = JammerSpec()
-    conv = run_trials(cfg, "conventional", jam, 500)
-    alg2 = run_trials(cfg, "alg2", jam, 500)
+    conv = run_trials(cfg, "conventional", 500)
+    alg2 = run_trials(cfg, "alg2", 500)
     assert np.all(alg2.n_used == 1)
     assert np.array_equal(alg2.rates, conv.rates)
 
@@ -232,22 +224,21 @@ def test_alg1_is_rated_at_the_round_its_receiver_picks():
     # at the true overlap of the round chosen by blind estimates, which at
     # M=50 is not always the round with the smallest true overlap
     cfg = _cfg(master_seed=13)
-    jam = JammerSpec()
     not_min = 0
     for i in range(200):
         rng = substream(cfg.master_seed, i, TAG_PROTOCOL)
         k = int(rng.integers(cfg.tau))
-        amp = draw_overlap_amplitude(rng, jam, k, cfg.tau)
+        amp = draw_overlap_amplitude(rng, cfg.jammer, k, cfg.tau)
         r = gen_channel_factor(substream(cfg.master_seed, i, TAG_CHANNEL), cfg.M, cfg.beta_u,
                                cfg.beta_j)
-        trace = run_algorithm1(cfg, r, k, amp, jam, rng)
+        trace = run_algorithm1(cfg, r, k, amp, rng)
         overlap = trace.rounds[trace.chosen_round].overlap_true
         expected = rate_from_overlap(cfg, overlap, trace.n_used).rate
         first = trace.rounds[0]
         met = cfg.overlap_below_threshold(first.overlap_est)
         second = trace.rounds[1].overlap_true if trace.n_used > 1 else 0.0
-        assert simulate_one_trial(cfg, "alg1", jam, i) == (expected, trace.n_used, overlap,
-                                                           first.overlap_true, met, second)
+        assert simulate_one_trial(cfg, "alg1", i) == (expected, trace.n_used, overlap,
+                                                      first.overlap_true, met, second)
         not_min += overlap > min(r.overlap_true for r in trace.rounds)
     assert not_min > 0
 
@@ -257,14 +248,13 @@ def test_engine_rates_through_rate_from_overlap(scheme):
     # the engine's rate is rate_from_overlap's, bit for bit, on every scheme,
     # and an overflowing config raises there rather than leaving a row
     cfg = _cfg(master_seed=31)
-    jam = JammerSpec()
     for i in range(50):
-        rate, n_used, overlap, *_ = simulate_one_trial(cfg, scheme, jam, i)
+        rate, n_used, overlap, *_ = simulate_one_trial(cfg, scheme, i)
         assert rate == rate_from_overlap(cfg, overlap, n_used).rate
     with pytest.raises(ValueError, match="overflow the SINR"):
-        simulate_one_trial(_cfg(P=1e160, Q=1e160), scheme, jam, 0)
+        simulate_one_trial(_cfg(P=1e160, Q=1e160), scheme, 0)
     with pytest.raises(ValueError, match="overflow the SINR"):
-        run_trials(_cfg(P=1e160, Q=1e160), scheme, jam, 3)
+        run_trials(_cfg(P=1e160, Q=1e160), scheme, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +264,8 @@ def test_engine_rates_through_rate_from_overlap(scheme):
 @pytest.mark.parametrize("scheme", ["conventional", "alg1", "alg2"])
 def test_absent_jammer_rate_is_deterministic(scheme):
     cfg = _cfg(M=4096, tau=4, master_seed=5)
-    jam = JammerSpec(kind="absent")
-    summary = average_rate(cfg, scheme, jam, 200)
-    silent = cfg.with_powers(cfg.p_t, cfg.p_d, cfg.q_t, 0.0)
+    summary = average_rate(dataclasses.replace(cfg, jammer=JammerSpec(kind="absent")), scheme, 200)
+    silent = dataclasses.replace(cfg, powers=(cfg.p_t, cfg.p_d, cfg.q_t, 0.0))
     expected = rate_from_overlap(silent, 0.0, 1).rate
     assert summary.mean_rate == expected
     assert summary.stderr == 0.0
@@ -284,17 +273,35 @@ def test_absent_jammer_rate_is_deterministic(scheme):
 
 
 def test_data_phase_flag_controls_jammer_power_in_rate():
-    cfg = _cfg(master_seed=6)
-    on = average_rate(cfg, "conventional", JammerSpec(data_phase_active=True), 100)
-    off = average_rate(cfg, "conventional", JammerSpec(data_phase_active=False), 100)
+    on = average_rate(_cfg(master_seed=6), "conventional", 100)
+    off = average_rate(_cfg(master_seed=6, jammer=JammerSpec(data_phase_active=False)),
+                       "conventional", 100)
     assert off.mean_rate > on.mean_rate
+
+
+@pytest.mark.parametrize("jammer", [JammerSpec(kind="absent"),
+                                    JammerSpec(data_phase_active=False),
+                                    JammerSpec(kind="sphere", data_phase_active=False)],
+                         ids=["absent", "gaussian-data-phase-off", "sphere-data-phase-off"])
+def test_a_jammer_off_the_data_phase_puts_no_power_there(jammer):
+    # q_d reads 0 whatever the powers, and every scheme's rates are those of
+    # explicit q_d = 0 powers under a jammer that hits the data phase, bit
+    # for bit
+    cfg = SystemConfig(**_PINNED_BASE, jammer=jammer)
+    assert cfg.q_d == 0.0 and cfg.q_t == cfg.Q
+    assert dataclasses.replace(cfg, powers=(10.0, 10.0, 10.0, 10.0)).q_d == 0.0
+    explicit = dataclasses.replace(cfg, powers=(cfg.p_t, cfg.p_d, cfg.q_t, 0.0),
+                                   jammer=dataclasses.replace(jammer, data_phase_active=True))
+    assert explicit.q_d == 0.0
+    for scheme in ("conventional", "alg1", "alg2"):
+        assert np.array_equal(run_trials(cfg, scheme, 200).rates,
+                              run_trials(explicit, scheme, 200).rates)
 
 
 def test_conventional_mean_reproducible_at_scale():
     cfg = _cfg(tau=20, master_seed=404)
-    jam = JammerSpec()
-    one = average_rate(cfg, "conventional", jam, 50000)
-    two = average_rate(cfg, "conventional", jam, 50000)
+    one = average_rate(cfg, "conventional", 50000)
+    two = average_rate(cfg, "conventional", 50000)
     assert one.mean_rate == two.mean_rate
 
 
@@ -305,9 +312,8 @@ def test_conventional_mean_reproducible_at_scale():
 def test_alg1_beats_conventional_at_small_training_payload():
     power = snr_db_to_power(10.0)
     cfg = _cfg(P=power, Q=power, master_seed=11)
-    jam = JammerSpec()
-    conv = run_trials(cfg, "conventional", jam, 10000)
-    alg1 = run_trials(cfg, "alg1", jam, 10000)
+    conv = run_trials(cfg, "conventional", 10000)
+    alg1 = run_trials(cfg, "alg1", 10000)
     diff = alg1.rates - conv.rates
     stderr = diff.std(ddof=1) / math.sqrt(len(diff))
     assert diff.mean() > 3 * stderr
@@ -317,10 +323,10 @@ def test_alg2_eigen_search_escapes_codeword_jammer():
     # the jammer sits on the codeword the user opens with; the eigenvector
     # pilot all but nulls it, so alg2 keeps scaling where conventional saturates
     power = snr_db_to_power(5.0)
-    cfg = _cfg(M=400, P=power, Q=power, first_pilot=0, opt_mode="eigen")
-    jam = JammerSpec(kind="codeword", codeword_index=0)
-    alg2 = run_trials(cfg, "alg2", jam, 300)
-    conv = run_trials(cfg, "conventional", jam, 300)
+    cfg = _cfg(M=400, P=power, Q=power, first_pilot=0, opt_mode="eigen",
+               jammer=JammerSpec(kind="codeword", codeword_index=0))
+    alg2 = run_trials(cfg, "alg2", 300)
+    conv = run_trials(cfg, "conventional", 300)
     assert np.all(alg2.n_used == 2)
     assert alg2.overlap_sq.max() < 0.01
     assert alg2.rates.mean() > conv.rates.mean() + 5
@@ -332,8 +338,8 @@ def test_trials_never_build_the_codebook():
     make_codebook.cache_clear()
     jammers = (JammerSpec(), JammerSpec(kind="codeword", codeword_index=1))
     for tau, mode, jam in itertools.product((6, 20), ("codebook", "eigen"), jammers):
-        cfg = _cfg(M=16, T=60, tau=tau, P=10.0, Q=10.0, opt_mode=mode)
-        assert run_trials(cfg, "alg2", jam, 50).n_used.max() == 2
+        cfg = _cfg(M=16, T=60, tau=tau, P=10.0, Q=10.0, opt_mode=mode, jammer=jam)
+        assert run_trials(cfg, "alg2", 50).n_used.max() == 2
     info = make_codebook.cache_info()
     assert info.hits == info.misses == 0, info
 
@@ -373,9 +379,8 @@ def test_control_variate_rows_are_calibrated_and_unbiased(case):
     # coefficients
     scheme, overrides, blocks, size = _CV_RUNS[case]
     cfg = _cfg(**overrides)
-    jam = JammerSpec()
-    data = run_trials(cfg, scheme, jam, blocks * size)
-    columns, known = _control_variates(cfg, scheme, jam, data)
+    data = run_trials(cfg, scheme, blocks * size)
+    columns, known = _control_variates(cfg, scheme, data)
     ys = data.rates.reshape(blocks, size)
     rows = np.array([control_variate_mean(y, c, known)
                      for y, c in zip(ys, columns.reshape(blocks, size, -1))])
@@ -403,7 +408,7 @@ def test_control_variate_rows_are_calibrated_and_unbiased(case):
         assert abs(z.mean()) <= _CV_BIAS_Z[case], z.mean()
     assert 0.7 <= z.std(ddof=1) <= 1.4, z.std(ddof=1)
     # a row of average_rate is this estimator over the run's first block
-    row = average_rate(cfg, scheme, jam, size)
+    row = average_rate(cfg, scheme, size)
     assert (row.mean_rate, row.stderr) == tuple(rows[0])
 
 
@@ -430,19 +435,19 @@ def test_constant_control_variate_gives_the_plain_mean(scheme, jam, first_pilot)
     # epsilon = 1 every round one stops, d is 0 too, and the row is the
     # plain mean with the plain stderr
     n = 120
-    cfg = _cfg(M=16, tau=4, first_pilot=first_pilot, master_seed=8)
-    data = run_trials(cfg, scheme, jam, n)
-    columns, _ = _control_variates(cfg, scheme, jam, data)
+    cfg = _cfg(M=16, tau=4, first_pilot=first_pilot, master_seed=8, jammer=jam)
+    data = run_trials(cfg, scheme, n)
+    columns, _ = _control_variates(cfg, scheme, data)
     assert columns[:, 0].min() == columns[:, 0].max()
     assert not columns[:, 3].any()
     d = columns[:, 1]
     assert d.min() < d.max()
-    row = average_rate(cfg, scheme, jam, n)
+    row = average_rate(cfg, scheme, n)
     assert (row.mean_rate, row.stderr) == pytest.approx(
         _regression_by_hand(data.rates, d, 0.0), rel=1e-9)
-    cfg = _cfg(M=16, tau=4, first_pilot=first_pilot, master_seed=8, epsilon=1.0)
-    data = run_trials(cfg, scheme, jam, n)
-    row = average_rate(cfg, scheme, jam, n)
+    cfg = dataclasses.replace(cfg, epsilon=1.0)
+    data = run_trials(cfg, scheme, n)
+    row = average_rate(cfg, scheme, n)
     assert row.mean_rate == float(data.rates.mean())
     assert row.stderr == float(data.rates.std(ddof=1) / math.sqrt(n))
 
@@ -451,13 +456,11 @@ def test_absent_jammer_alg1_row_is_exact():
     # the rate is one value when round one stops and another when it does
     # not, a linear function of S, so the columns explain every trial: the
     # row is the exact mean p r1 + (1 - p) r2 with a zero stderr
-    cfg = _cfg(M=16, tau=4, master_seed=8)
-    jam = JammerSpec(kind="absent")
+    cfg = _cfg(M=16, tau=4, master_seed=8, jammer=JammerSpec(kind="absent"))
     p = float(stop_probability(cfg, 0.0))
-    silent = cfg.with_powers(cfg.p_t, cfg.p_d, cfg.q_t, 0.0)
-    exact = (p * rate_from_overlap(silent, 0.0, 1).rate
-             + (1 - p) * rate_from_overlap(silent, 0.0, 2).rate)
-    row = average_rate(cfg, "alg1", jam, 120)
+    exact = (p * rate_from_overlap(cfg, 0.0, 1).rate
+             + (1 - p) * rate_from_overlap(cfg, 0.0, 2).rate)
+    row = average_rate(cfg, "alg1", 120)
     assert row.mean_rate == pytest.approx(exact, rel=1e-12)
     assert row.stderr < 1e-12
 
@@ -504,17 +507,17 @@ def test_control_variate_mean_falls_back_and_regresses():
 def test_invalid_scheme_and_jammer_combinations():
     cfg = _cfg()
     with pytest.raises(ValueError):
-        average_rate(cfg, "alg1", JammerSpec(kind="codeword"), 10)
+        average_rate(_cfg(jammer=JammerSpec(kind="codeword")), "alg1", 10)
     with pytest.raises(ValueError):
-        average_rate(_cfg(first_pilot=0), "alg1", JammerSpec(), 10)
+        average_rate(_cfg(first_pilot=0), "alg1", 10)
     with pytest.raises(ValueError):
-        average_rate(cfg, "waterfilling", JammerSpec(), 10)
+        average_rate(cfg, "waterfilling", 10)
     with pytest.raises(ValueError):
-        average_rate(cfg, "conventional", JammerSpec(), 0)
+        average_rate(cfg, "conventional", 0)
     with pytest.raises(ValueError):
         JammerSpec(kind="psychic")
     with pytest.raises(ValueError):
-        average_rate(cfg, "alg2", JammerSpec(kind="codeword", codeword_index=99), 10)
+        _cfg(jammer=JammerSpec(kind="codeword", codeword_index=99))
 
 
 # ---------------------------------------------------------------------------

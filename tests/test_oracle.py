@@ -3,6 +3,7 @@ independent Simpson rule and against the trial engine, and alg2's round-two
 law (other_min_mean, retransmit_rates, retransmit_mean) against its
 moments and against brute-force draws of the jamming sequence."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,10 +25,12 @@ def _cfg(**kw):
 
 
 def _silent(cfg):
-    return cfg.with_powers(cfg.p_t, cfg.p_d, cfg.q_t, 0.0)
+    """cfg with explicit powers of q_d = 0, under a jammer that hits the data phase."""
+    return dataclasses.replace(cfg, powers=(cfg.p_t, cfg.p_d, cfg.q_t, 0.0),
+                               jammer=dataclasses.replace(cfg.jammer, data_phase_active=True))
 
 
-def _simpson_mean(cfg, jammer):
+def _simpson_mean(cfg):
     """E[rate(X, 1)] by Simpson's rule in X itself, on geometric panels of its support.
 
     X ~ Exp(mean 1/tau) for gaussian, density tau e^(-tau x) on [0, 70/tau];
@@ -35,9 +38,9 @@ def _simpson_mean(cfg, jammer):
     The panels start at 1e-13 so that the rate's turn near 0 at large M is
     resolved.
     """
-    rc = cfg if jammer.data_phase_active else _silent(cfg)
+    rc = cfg if cfg.jammer.data_phase_active else _silent(cfg)
     tau = cfg.tau
-    if jammer.kind == "gaussian":
+    if cfg.jammer.kind == "gaussian":
         top = 70.0 / tau
 
         def density(x):
@@ -56,66 +59,62 @@ def _simpson_mean(cfg, jammer):
     return total
 
 
+_SPHERE = JammerSpec(kind="sphere")
 _CONTINUOUS = {
-    "gaussian": (_cfg(), JammerSpec()),
-    "sphere": (_cfg(), JammerSpec(kind="sphere")),
-    "gaussian-data-phase-off": (_cfg(), JammerSpec(data_phase_active=False)),
-    "gaussian-explicit-powers": (_cfg(P=1.0, Q=1.0, powers=(1.2, 0.95, 2.0, 0.7)),
-                                 JammerSpec()),
-    "sphere-tau-2": (_cfg(tau=2), JammerSpec(kind="sphere")),
-    "gaussian-large-m": (_cfg(M=5000, tau=2), JammerSpec()),
-    "sphere-large-m-first-pilot": (_cfg(M=5000, tau=4, first_pilot=1),
-                                   JammerSpec(kind="sphere")),
+    "gaussian": _cfg(),
+    "sphere": _cfg(jammer=_SPHERE),
+    "gaussian-data-phase-off": _cfg(jammer=JammerSpec(data_phase_active=False)),
+    "gaussian-explicit-powers": _cfg(P=1.0, Q=1.0, powers=(1.2, 0.95, 2.0, 0.7)),
+    "sphere-tau-2": _cfg(tau=2, jammer=_SPHERE),
+    "gaussian-large-m": _cfg(M=5000, tau=2),
+    "sphere-large-m-first-pilot": _cfg(M=5000, tau=4, first_pilot=1, jammer=_SPHERE),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_CONTINUOUS))
 def test_conventional_mean_matches_a_simpson_rule(case):
-    cfg, jammer = _CONTINUOUS[case]
-    assert conventional_mean(cfg, jammer) == pytest.approx(_simpson_mean(cfg, jammer),
-                                                           abs=1e-7)
+    cfg = _CONTINUOUS[case]
+    assert conventional_mean(cfg) == pytest.approx(_simpson_mean(cfg), abs=1e-7)
 
 
 def test_conventional_mean_of_the_point_laws():
     cfg = _cfg(tau=4)
     at_zero, at_one = (rate_from_overlap(cfg, x, 1).rate for x in (0.0, 1.0))
-    assert conventional_mean(cfg, JammerSpec(kind="absent")) == \
+    assert conventional_mean(_cfg(tau=4, jammer=JammerSpec(kind="absent"))) == \
         rate_from_overlap(_silent(cfg), 0.0, 1).rate
     codeword = JammerSpec(kind="codeword", codeword_index=2)
-    assert conventional_mean(cfg, codeword) == pytest.approx(
+    assert conventional_mean(_cfg(tau=4, jammer=codeword)) == pytest.approx(
         at_one / 4 + 3 * at_zero / 4, rel=1e-15)
-    assert conventional_mean(_cfg(tau=4, first_pilot=2), codeword) == at_one
-    assert conventional_mean(_cfg(tau=4, first_pilot=0), codeword) == at_zero
+    assert conventional_mean(_cfg(tau=4, first_pilot=2, jammer=codeword)) == at_one
+    assert conventional_mean(_cfg(tau=4, first_pilot=0, jammer=codeword)) == at_zero
     off = JammerSpec(kind="codeword", codeword_index=2, data_phase_active=False)
-    assert conventional_mean(_cfg(tau=4, first_pilot=2), off) == \
+    assert conventional_mean(_cfg(tau=4, first_pilot=2, jammer=off)) == \
         rate_from_overlap(_silent(cfg), 1.0, 1).rate
-    one = _cfg(tau=1)
-    assert conventional_mean(one, JammerSpec(kind="sphere")) == \
-        rate_from_overlap(one, 1.0, 1).rate
+    one = _cfg(tau=1, jammer=_SPHERE)
+    assert conventional_mean(one) == rate_from_overlap(one, 1.0, 1).rate
     with pytest.raises(ValueError, match="out of range"):
-        conventional_mean(cfg, JammerSpec(kind="codeword", codeword_index=4))
+        _cfg(tau=4, jammer=JammerSpec(kind="codeword", codeword_index=4))
 
 
 # each random law once, with the variants on top of it; 10^5 trials on two
 # workers. The point laws (absent, codeword with first_pilot) give one rate on
 # every trial, so a few hundred trials test them as well as 10^5 would.
+_CODEWORD_1 = JammerSpec(kind="codeword", codeword_index=1)
 _ENGINE_CASES = {
-    "gaussian-explicit-powers": (_cfg(P=1.0, Q=1.0, powers=(1.2, 0.95, 2.0, 0.7)),
-                                 JammerSpec(), 10**5),
-    "sphere-data-phase-off": (_cfg(tau=4), JammerSpec(kind="sphere", data_phase_active=False),
-                              10**5),
-    "codeword": (_cfg(tau=4), JammerSpec(kind="codeword", codeword_index=1), 10**5),
-    "absent": (_cfg(), JammerSpec(kind="absent"), 300),
-    "codeword-first-pilot": (_cfg(tau=4, first_pilot=1),
-                             JammerSpec(kind="codeword", codeword_index=1), 300),
+    "gaussian-explicit-powers": (_cfg(P=1.0, Q=1.0, powers=(1.2, 0.95, 2.0, 0.7)), 10**5),
+    "sphere-data-phase-off": (
+        _cfg(tau=4, jammer=JammerSpec(kind="sphere", data_phase_active=False)), 10**5),
+    "codeword": (_cfg(tau=4, jammer=_CODEWORD_1), 10**5),
+    "absent": (_cfg(jammer=JammerSpec(kind="absent")), 300),
+    "codeword-first-pilot": (_cfg(tau=4, first_pilot=1, jammer=_CODEWORD_1), 300),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_ENGINE_CASES))
 def test_conventional_mean_matches_the_engine(case):
-    cfg, jammer, n = _ENGINE_CASES[case]
-    rates = run_trials(cfg, "conventional", jammer, n, n_workers=2).rates
-    exact = conventional_mean(cfg, jammer)
+    cfg, n = _ENGINE_CASES[case]
+    rates = run_trials(cfg, "conventional", n, n_workers=2).rates
+    exact = conventional_mean(cfg)
     if rates.min() == rates.max():
         assert rates[0] == exact
         return
@@ -141,8 +140,8 @@ def _other_min_moments(kind, tau):
 @pytest.mark.parametrize("tau", [2, 3, 4, 20, 90])
 @pytest.mark.parametrize("kind", ["gaussian", "sphere"])
 def test_other_min_quadrature_matches_its_moments(kind, tau):
-    cfg = _cfg(tau=tau)
-    moments = [other_min_mean(cfg, JammerSpec(kind=kind), g)
+    cfg = _cfg(tau=tau, jammer=JammerSpec(kind=kind))
+    moments = [other_min_mean(cfg, g)
                for g in (np.ones_like, lambda v: v, lambda v: v ** 2)]
     assert moments == pytest.approx([1.0, *_other_min_moments(kind, tau)], rel=1e-12, abs=0)
 
@@ -156,8 +155,8 @@ def test_other_min_law_matches_brute_force_draws(kind, tau):
     # retransmit rate's match the exact law, and v is independent of round
     # one: v (|a|^2 - 1/tau) has mean 0
     n = 20000
-    cfg = _cfg(tau=tau)
-    jam = JammerSpec(kind=kind)
+    cfg = _cfg(tau=tau, jammer=JammerSpec(kind=kind))
+    jam = cfg.jammer
     rng = substream(71, tau)
     m, overlap_one = np.empty(n), np.empty(n)
     for i in range(n):
@@ -171,7 +170,7 @@ def test_other_min_law_matches_brute_force_draws(kind, tau):
     samples = {
         "v": (v, mean),
         "v^2": (v ** 2, second),
-        "rate": (retransmit_rates(cfg, jam, m, overlap_one), retransmit_mean(cfg, jam)),
+        "rate": (retransmit_rates(cfg, m, overlap_one), retransmit_mean(cfg)),
         "v (|a|^2 - 1/tau)": (v * (overlap_one - 1 / tau), 0.0),
     }
     for name, (x, exact) in samples.items():
@@ -199,15 +198,15 @@ _PINNED_EXACT = {
 
 @pytest.mark.parametrize("kind,tau", sorted(_PINNED_EXACT))
 def test_exact_means_are_pinned(kind, tau):
-    cfg, jam = _cfg(tau=tau), JammerSpec(kind=kind)
-    assert (conventional_mean(cfg, jam), stop_share(cfg, jam),
-            retransmit_mean(cfg, jam)) == _PINNED_EXACT[kind, tau]
+    cfg = _cfg(tau=tau, jammer=JammerSpec(kind=kind))
+    assert (conventional_mean(cfg), stop_share(cfg), retransmit_mean(cfg)) == \
+        _PINNED_EXACT[kind, tau]
 
 
 def test_other_min_needs_random_other_coordinates():
-    for cfg, jam in ((_cfg(), JammerSpec(kind="absent")),
-                     (_cfg(), JammerSpec(kind="codeword")),
-                     (_cfg(tau=1), JammerSpec()),
-                     (_cfg(tau=1), JammerSpec(kind="sphere"))):
+    for cfg in (_cfg(jammer=JammerSpec(kind="absent")),
+                _cfg(jammer=JammerSpec(kind="codeword")),
+                _cfg(tau=1),
+                _cfg(tau=1, jammer=_SPHERE)):
         with pytest.raises(ValueError, match="no random other coordinates"):
-            retransmit_mean(cfg, jam)
+            retransmit_mean(cfg)

@@ -1,13 +1,15 @@
 import copy
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from jamsim import (JammerSpec, SystemConfig, draw_overlap_amplitude, gen_channel_factor,
-                    run_algorithm1, run_algorithm2, substream)
+from jamsim import (JammerSpec, SystemConfig, average_rate, draw_overlap_amplitude,
+                    gen_channel_factor, run_algorithm1, run_algorithm2, substream)
 from jamsim.channel import complete_amplitudes, crandn, jamming_overlap_sq, make_codebook
 from jamsim.estimation import estimate_overlap_sq, receive_despread
+from jamsim.oracle import alg1_mean_n_used
 from jamsim.protocols import select_retransmission_pilot
 
 
@@ -21,11 +23,11 @@ def _channels(cfg, seed):
     return gen_channel_factor(substream(seed, 0), cfg.M, cfg.beta_u, cfg.beta_j)
 
 
-def _alg1(cfg, r, jammer, rng):
+def _alg1(cfg, r, rng):
     # round one drawn as the trial engine draws it: pilot index, then its
     # overlap amplitude with the jamming sequence
     k = int(rng.integers(cfg.tau))
-    return run_algorithm1(cfg, r, k, draw_overlap_amplitude(rng, jammer, k, cfg.tau), jammer, rng)
+    return run_algorithm1(cfg, r, k, draw_overlap_amplitude(rng, cfg.jammer, k, cfg.tau), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -33,9 +35,9 @@ def _alg1(cfg, r, jammer, rng):
 # ---------------------------------------------------------------------------
 
 def test_alg1_absent_jammer_stops_first_round():
-    cfg = _cfg(M=4096, tau=4)
+    cfg = _cfg(M=4096, tau=4, jammer=JammerSpec(kind="absent"))
     r = _channels(cfg, 1)
-    trace = _alg1(cfg, r, JammerSpec(kind="absent"), substream(1, 1))
+    trace = _alg1(cfg, r, substream(1, 1))
     assert trace.n_used == 1
     assert trace.stop_reason == "threshold_met"
     assert trace.rounds[0].overlap_true == 0.0
@@ -46,7 +48,7 @@ def test_alg1_threshold_one_never_retransmits():
     cfg = _cfg(epsilon=1.0)
     r = _channels(cfg, 2)
     for k in range(5):
-        trace = _alg1(cfg, r, JammerSpec(), substream(2, k))
+        trace = _alg1(cfg, r, substream(2, k))
         assert trace.n_used == 1
         assert trace.stop_reason == "threshold_met"
 
@@ -59,8 +61,7 @@ def test_alg1_zero_threshold_forces_full_budget_and_matches_hand_steps():
     # ||y_t||^2 = |R11 c1 + R12 c2 + z1|^2 + |R22 c2 + z2|^2 + Gamma(M - 2)
     cfg = _cfg(M=10000, tau=8, epsilon=0.0)
     r = _channels(cfg, 3)
-    jam = JammerSpec()
-    trace = _alg1(cfg, r, jam, substream(3, 1))
+    trace = _alg1(cfg, r, substream(3, 1))
     assert trace.n_used == cfg.n_max == 2
     assert trace.stop_reason == "n_max_reached"
 
@@ -84,10 +85,9 @@ def test_alg1_zero_threshold_forces_full_budget_and_matches_hand_steps():
 
 def test_alg1_round_one_success_means_single_round():
     cfg = _cfg(M=2048, tau=4)
-    jam = JammerSpec()
     for k in range(20):
         r = _channels(cfg, 100 + k)
-        trace = _alg1(cfg, r, jam, substream(100 + k, 1))
+        trace = _alg1(cfg, r, substream(100 + k, 1))
         assert 1 <= trace.n_used <= cfg.n_max
         assert len(trace.rounds) == trace.n_used
         if trace.rounds[0].overlap_est <= cfg.epsilon:
@@ -95,10 +95,29 @@ def test_alg1_round_one_success_means_single_round():
 
 
 def test_alg1_rejects_deterministic_jammer():
+    # nor does it take a first pilot, which it would draw over
     cfg = _cfg()
     r = _channels(cfg, 4)
-    with pytest.raises(ValueError):
-        run_algorithm1(cfg, r, 0, 1 + 0j, JammerSpec(kind="codeword"), substream(4, 1))
+    with pytest.raises(ValueError, match="codeword"):
+        run_algorithm1(_cfg(jammer=JammerSpec(kind="codeword")), r, 0, 1 + 0j, substream(4, 1))
+    with pytest.raises(ValueError, match="first_pilot"):
+        run_algorithm1(_cfg(first_pilot=0), r, 0, 0.3 + 0j, substream(4, 1))
+
+
+_ALG1_ENTRY_POINTS = {
+    "average_rate": lambda cfg: average_rate(cfg, "alg1", 10),
+    "run_algorithm1": lambda cfg: run_algorithm1(cfg, _channels(cfg, 4), 0, 1 + 0j,
+                                                 substream(4, 1)),
+    "alg1_mean_n_used": alg1_mean_n_used,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ALG1_ENTRY_POINTS))
+def test_alg1_codeword_rule_has_one_message(entry):
+    cfg = _cfg(jammer=JammerSpec(kind="codeword"))
+    with pytest.raises(ValueError) as err:
+        _ALG1_ENTRY_POINTS[entry](cfg)
+    assert str(err.value) == "alg1 assumes random jamming; a codeword jammer is deterministic"
 
 
 def test_alg1_rejects_bad_pilot_index():
@@ -106,7 +125,7 @@ def test_alg1_rejects_bad_pilot_index():
     r = _channels(cfg, 4)
     for k in (-1, cfg.tau):
         with pytest.raises(ValueError, match="pilot index"):
-            run_algorithm1(cfg, r, k, 0.3 + 0j, JammerSpec(), substream(4, 1))
+            run_algorithm1(cfg, r, k, 0.3 + 0j, substream(4, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +135,9 @@ def test_alg1_rejects_bad_pilot_index():
 def test_alg2_escapes_codeword_jammer_exactly(zero_noise):
     # jammer sits on the very codeword the user sends first; the adapted
     # pilot is any other codeword, orthogonal by construction
-    cfg = _cfg(M=1024, tau=4)
+    cfg = _cfg(M=1024, tau=4, jammer=JammerSpec(kind="codeword", codeword_index=1))
     r = _channels(cfg, 5)
-    jam = JammerSpec(kind="codeword", codeword_index=1)
-    trace = run_algorithm2(cfg, r, 1, 1 + 0j, jam, zero_noise)
+    trace = run_algorithm2(cfg, r, 1, 1 + 0j, zero_noise)
     assert trace.n_used == 2
     assert trace.rounds[0].overlap_true == pytest.approx(1.0)
     assert trace.rounds[1].overlap_true < 1e-24   # orthogonal codeword
@@ -129,23 +147,21 @@ def test_alg2_escapes_codeword_jammer_exactly(zero_noise):
 
 
 def test_alg2_orthogonal_jammer_stops_immediately():
-    cfg = _cfg(M=2048, tau=4)
+    cfg = _cfg(M=2048, tau=4, jammer=JammerSpec(kind="codeword", codeword_index=2))
     r = _channels(cfg, 6)
-    trace = run_algorithm2(cfg, r, 0, 0j, JammerSpec(kind="codeword", codeword_index=2),
-                           substream(6, 1))
+    trace = run_algorithm2(cfg, r, 0, 0j, substream(6, 1))
     assert trace.n_used == 1
     assert trace.stop_reason == "threshold_met"
     assert len(trace.rounds) == trace.n_used
 
 
 def test_alg2_absent_jammer_concentrates_on_one_round():
-    cfg = _cfg(M=2048, tau=4)
-    silent = JammerSpec(kind="absent")
+    cfg = _cfg(M=2048, tau=4, jammer=JammerSpec(kind="absent"))
     n_used = []
     for k in range(30):
         r = _channels(cfg, 300 + k)
         rng = substream(300 + k, 1)
-        trace = run_algorithm2(cfg, r, int(rng.integers(cfg.tau)), 0j, silent, rng)
+        trace = run_algorithm2(cfg, r, int(rng.integers(cfg.tau)), 0j, rng)
         n_used.append(trace.n_used)
     assert all(n == 1 for n in n_used)
 
@@ -153,23 +169,23 @@ def test_alg2_absent_jammer_concentrates_on_one_round():
 def test_alg2_rejects_bad_args():
     cfg = _cfg()
     r = _channels(cfg, 7)
-    jam = JammerSpec()
     with pytest.raises(ValueError):
         _cfg(opt_mode="psychic")
     for k in (-1, 99):
         with pytest.raises(ValueError, match="pilot index"):
-            run_algorithm2(cfg, r, k, 0.3 + 0j, jam, substream(7, 1))
+            run_algorithm2(cfg, r, k, 0.3 + 0j, substream(7, 1))
     # amplitudes no sequence of the jammer has: codeword 1 is orthogonal to
     # pilot 0, and a unit-norm sequence has no amplitude of modulus 2
     with pytest.raises(ValueError, match="cannot come from a codeword jammer"):
-        run_algorithm2(cfg, r, 0, 1 + 0j, JammerSpec(kind="codeword", codeword_index=1),
-                       substream(7, 1))
+        off_pilot = JammerSpec(kind="codeword", codeword_index=1)
+        run_algorithm2(dataclasses.replace(cfg, jammer=off_pilot), r, 0, 1 + 0j, substream(7, 1))
     with pytest.raises(ValueError, match="modulus <= 1"):
-        run_algorithm2(cfg, r, 0, 2 + 0j, JammerSpec(kind="sphere"), substream(7, 1))
+        run_algorithm2(dataclasses.replace(cfg, jammer=JammerSpec(kind="sphere")), r, 0, 2 + 0j,
+                       substream(7, 1))
     # 2*tau >= T is fine when n_max = 1 forbids the retransmission
     tight = SystemConfig(M=8, T=200, tau=120, n_max=1)
     r2 = _channels(tight, 8)
-    assert run_algorithm2(tight, r2, 0, 1 + 0j, jam, substream(8, 1)).n_used == 1
+    assert run_algorithm2(tight, r2, 0, 1 + 0j, substream(8, 1)).n_used == 1
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "sphere"])
@@ -177,8 +193,8 @@ def test_alg2_trace_carries_the_smallest_other_overlap(kind):
     # round_two_sq is the smallest squared modulus of the coordinates that
     # complete_amplitudes draws, read from a replay of the trace's draws; a
     # trace that stops at round one drew none and carries 0
-    cfg = _cfg(M=16, tau=8, P=10.0, Q=10.0)
-    jam = JammerSpec(kind=kind)
+    cfg = _cfg(M=16, tau=8, P=10.0, Q=10.0, jammer=JammerSpec(kind=kind))
+    jam = cfg.jammer
     drew = 0
     for seed in range(40):
         r = _channels(cfg, seed)
@@ -186,7 +202,7 @@ def test_alg2_trace_carries_the_smallest_other_overlap(kind):
         k = int(rng.integers(cfg.tau))
         amp = draw_overlap_amplitude(rng, jam, k, cfg.tau)
         replay = copy.deepcopy(rng)
-        trace = run_algorithm2(cfg, r, k, amp, jam, rng)
+        trace = run_algorithm2(cfg, r, k, amp, rng)
         if trace.stop_reason == "threshold_met":
             assert trace.round_two_sq == 0.0
             continue
@@ -297,10 +313,9 @@ def test_trace_round_bookkeeping():
     # alg1's round_two_sq is its second round's squared overlap, and 0 on a
     # trace that stops after round one
     cfg = _cfg(M=256, tau=4)
-    jam = JammerSpec()
     n_used = set()
     for seed in range(11, 31):
-        trace = _alg1(cfg, _channels(cfg, seed), jam, substream(seed, 1))
+        trace = _alg1(cfg, _channels(cfg, seed), substream(seed, 1))
         assert len(trace.rounds) == trace.n_used
         assert 0 <= trace.chosen_round < trace.n_used
         for rec in trace.rounds:

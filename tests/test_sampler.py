@@ -296,7 +296,7 @@ def test_small_arrays_shrink_the_channel_factor():
 # engine level: both protocols against a brute-force engine
 # ---------------------------------------------------------------------------
 
-def _reference_trial(cfg, scheme, jammer, rng):
+def _reference_trial(cfg, scheme, rng):
     """One trial of alg1 or alg2 on the full M x tau blocks.
 
     Returns (rate, n_used, overlap_est): the rate at the true overlap of the
@@ -304,7 +304,7 @@ def _reference_trial(cfg, scheme, jammer, rng):
     """
     codebook = make_codebook(cfg.tau)
     k = int(rng.integers(cfg.tau))
-    s_j = draw_jammer_sequence(rng, jammer, cfg.tau)
+    s_j = draw_jammer_sequence(rng, cfg.jammer, cfg.tau)
     g_u = gen_channel(rng, cfg.M, cfg.beta_u)
     g_j = gen_channel(rng, cfg.M, cfg.beta_j)
 
@@ -320,7 +320,7 @@ def _reference_trial(cfg, scheme, jammer, rng):
         for n in range(cfg.n_max):
             if n:
                 k = int(rng.integers(cfg.tau))
-                s_j = draw_jammer_sequence(rng, jammer, cfg.tau)
+                s_j = draw_jammer_sequence(rng, cfg.jammer, cfg.tau)
             rounds.append(play_round(codebook[k], s_j)[1])
             if cfg.overlap_below_threshold(rounds[-1][1]):
                 break
@@ -336,15 +336,15 @@ def _reference_trial(cfg, scheme, jammer, rng):
     return rate_from_overlap(cfg, true, 1).rate, 1, est
 
 
-def _chosen_estimate(cfg, scheme, jammer, index):
+def _chosen_estimate(cfg, scheme, index):
     """Blind estimate of the round the engine's trial decodes with, from a replayed trace."""
     rng = substream(cfg.master_seed, index, TAG_PROTOCOL)
     k = int(rng.integers(cfg.tau))
-    amp = draw_overlap_amplitude(rng, jammer, k, cfg.tau)
+    amp = draw_overlap_amplitude(rng, cfg.jammer, k, cfg.tau)
     r = gen_channel_factor(substream(cfg.master_seed, index, TAG_CHANNEL), cfg.M, cfg.beta_u,
                            cfg.beta_j)
     protocol = run_algorithm1 if scheme == "alg1" else run_algorithm2
-    trace = protocol(cfg, r, k, amp, jammer, rng)
+    trace = protocol(cfg, r, k, amp, rng)
     return trace.rounds[trace.chosen_round].overlap_est
 
 
@@ -364,14 +364,14 @@ def test_engine_matches_a_brute_force_engine(scheme, m, kind, opt_mode):
     # amplitudes, the codeword jammer (on codeword 2) its fixed one, and
     # eigen mode the retransmitted amplitude off the codebook
     cfg = SystemConfig(M=m, T=60, tau=6, P=10.0, Q=10.0, epsilon=0.1, n_max=2,
-                       master_seed=17, opt_mode=opt_mode)
-    jam = JammerSpec(kind=kind, codeword_index=2)
+                       master_seed=17, opt_mode=opt_mode,
+                       jammer=JammerSpec(kind=kind, codeword_index=2))
     n = 4000
-    engine = run_trials(cfg, scheme, jam, n)
-    estimates = [_chosen_estimate(cfg, scheme, jam, i) for i in range(n)]
+    engine = run_trials(cfg, scheme, n)
+    estimates = [_chosen_estimate(cfg, scheme, i) for i in range(n)]
     rng = substream(18, 0)
     rates, n_used, ref_estimates = np.array(
-        [_reference_trial(cfg, scheme, jam, rng) for _ in range(n)]).T
+        [_reference_trial(cfg, scheme, rng) for _ in range(n)]).T
     zs = {"rate": _z(engine.rates, rates), "n_used": _z(engine.n_used, n_used),
           "overlap_est": _z(estimates, ref_estimates)}
     assert 1.1 < n_used.mean() < 1.9

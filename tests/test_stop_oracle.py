@@ -55,9 +55,9 @@ def _gamma_cdf_by_trapezoid(m, x):
     return float(np.sum((density[1:] + density[:-1]) / 2) * (t[1] - t[0]))
 
 
-def _zero_mean_columns(cfg, scheme, jammer, data):
+def _zero_mean_columns(cfg, scheme, data):
     """S - P, (S - P) x and the round-two column per trial, x the conventional rate of round one."""
-    columns, means = _control_variates(cfg, scheme, jammer, data)
+    columns, means = _control_variates(cfg, scheme, data)
     assert means[1:] == (0.0, 0.0, 0.0)
     return columns[:, 1], columns[:, 2], columns[:, 3]
 
@@ -132,14 +132,14 @@ def test_stop_probability_needs_a_jammer_pilot_power():
 def test_overlap_quadrature_matches_its_moments(kind):
     # round_one_mean integrates 1, ov and ov^2 exactly: Exp(1/tau),
     # Beta(1, tau - 1) and the point masses
-    cfg = _cfg(10)
+    cfg = _cfg(10, jammer=JammerSpec(kind=kind))
     tau = cfg.tau
     mean, second = {
         "gaussian": (1 / tau, 2 / tau ** 2),
         "sphere": (1 / tau, 2 / (tau * (tau + 1))),
         "codeword": (1 / tau, 1 / tau),
     }[kind]
-    moments = [round_one_mean(cfg, JammerSpec(kind=kind), g)
+    moments = [round_one_mean(cfg, g)
                for g in (np.ones_like, lambda ov: ov, lambda ov: ov ** 2)]
     assert moments == pytest.approx([1.0, mean, second], rel=0, abs=1e-12)
 
@@ -147,35 +147,32 @@ def test_overlap_quadrature_matches_its_moments(kind):
 @pytest.mark.parametrize("m", ANTENNAS)
 @pytest.mark.parametrize("kind", ["gaussian", "sphere"])
 def test_alg1_spends_one_round_as_often_as_round_one_stops(kind, m):
-    cfg = _cfg(m)
-    jammer = JammerSpec(kind=kind)
-    p = stop_share(cfg, jammer)
+    cfg = _cfg(m, jammer=JammerSpec(kind=kind))
+    p = stop_share(cfg)
     assert 0.05 < p < 0.95
-    data = run_trials(cfg, "alg1", jammer, N_TRIALS)
+    data = run_trials(cfg, "alg1", N_TRIALS)
     single = data.n_used == 1
     assert np.array_equal(single, data.round_one_met)
     assert abs(_z(float(np.mean(single)), p, N_TRIALS)) <= Z_BOUND, (np.mean(single), p)
     # the mean count is 2 - p, and n_used - 1 is a coin of chance 1 - p
-    mean_n_used = alg1_mean_n_used(cfg, jammer)
+    mean_n_used = alg1_mean_n_used(cfg)
     assert mean_n_used == 2.0 - p
     assert abs(_z(float(data.n_used.mean()) - 1.0, mean_n_used - 1.0, N_TRIALS)) <= Z_BOUND
-    for column in _zero_mean_columns(cfg, "alg1", jammer, data):
+    for column in _zero_mean_columns(cfg, "alg1", data):
         _assert_mean_zero(column)
 
 
 def test_alg1_stops_after_round_one_when_epsilon_is_one():
     cfg = _cfg(50, epsilon=1.0)
-    assert stop_share(cfg, JammerSpec()) == pytest.approx(1.0, rel=0, abs=1e-12)
-    data = run_trials(cfg, "alg1", JammerSpec(), 200)
+    assert stop_share(cfg) == pytest.approx(1.0, rel=0, abs=1e-12)
+    data = run_trials(cfg, "alg1", 200)
     assert data.round_one_met.all() and np.all(data.n_used == 1)
 
 
 def test_alg1_mean_n_used_needs_at_most_two_rounds():
-    assert alg1_mean_n_used(_cfg(50, n_max=1), JammerSpec()) == 1.0
+    assert alg1_mean_n_used(_cfg(50, n_max=1)) == 1.0
     with pytest.raises(ValueError, match="n_max <= 2"):
-        alg1_mean_n_used(_cfg(50, T=200, n_max=3), JammerSpec())
-    with pytest.raises(ValueError, match="codeword"):
-        alg1_mean_n_used(_cfg(50), JammerSpec(kind="codeword"))
+        alg1_mean_n_used(_cfg(50, T=200, n_max=3))
 
 
 @pytest.mark.parametrize("m", ANTENNAS)
@@ -183,16 +180,15 @@ def test_codeword_round_one_meets_the_threshold_at_the_exact_rate(m):
     # alg1 cannot face a codeword jammer; round one's blind estimate is
     # replayed from the engine's draws: the pilot index and its amplitude
     # from the protocol stream, then the training round itself
-    cfg = _cfg(m)
-    jammer = JammerSpec(kind="codeword")
-    p = stop_share(cfg, jammer)
+    cfg = _cfg(m, jammer=JammerSpec(kind="codeword"))
+    p = stop_share(cfg)
     estimates = []
     for i in range(N_TRIALS):
         r = gen_channel_factor(substream(cfg.master_seed, i, TAG_CHANNEL), m, cfg.beta_u,
                                cfg.beta_j)
         rng = substream(cfg.master_seed, i, TAG_PROTOCOL)
         k = int(rng.integers(cfg.tau))
-        estimates.append(run_training(cfg, r, draw_overlap_amplitude(rng, jammer, k, cfg.tau),
+        estimates.append(run_training(cfg, r, draw_overlap_amplitude(rng, cfg.jammer, k, cfg.tau),
                                       rng))
     share = float(np.mean(np.array(estimates) <= cfg.epsilon))
     assert abs(_z(share, p, N_TRIALS)) <= Z_BOUND, (share, p)
@@ -205,16 +201,15 @@ def test_alg2_spends_one_round_at_least_as_often_as_round_one_stops(kind, m):
     # its search predicts no gain, so its single-transmission share is
     # bounded on one side only
     n = N_TRIALS // 4
-    cfg = _cfg(m)
-    jammer = JammerSpec(kind=kind)
-    p = stop_share(cfg, jammer)
-    data = run_trials(cfg, "alg2", jammer, n)
+    cfg = _cfg(m, jammer=JammerSpec(kind=kind))
+    p = stop_share(cfg)
+    data = run_trials(cfg, "alg2", n)
     met = float(np.mean(data.round_one_met))
     assert abs(_z(met, p, n)) <= Z_BOUND, (met, p)
     single = float(np.mean(data.n_used == 1))
     assert _z(single, p, n) >= -Z_BOUND, (single, p)
     assert np.all(data.n_used[data.round_one_met] == 1)
-    d, dx, round_two = _zero_mean_columns(cfg, "alg2", jammer, data)
+    d, dx, round_two = _zero_mean_columns(cfg, "alg2", data)
     _assert_mean_zero(d)
     _assert_mean_zero(dx)
     if kind in ("gaussian", "sphere"):

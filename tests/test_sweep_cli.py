@@ -50,6 +50,10 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="tau_over_T=0.02: first_pilot"):
         SweepSpec(axis="tau_over_T", values=(0.02, 0.1), schemes=("conventional",),
                   base=_base(T=200, tau=20, first_pilot=5))
+    codeword = JammerSpec(kind="codeword", codeword_index=5)
+    with pytest.raises(ValueError, match="tau_over_T=0.02: codeword_index 5 out of range"):
+        SweepSpec(axis="tau_over_T", values=(0.02, 0.1), schemes=("conventional",),
+                  base=_base(T=200, tau=20, jammer=codeword))
     # the blind overlap estimate of alg1 and alg2 needs training-phase jamming
     with pytest.raises(ValueError, match=r"M=8: alg2 .* needs q_t > 0"):
         SweepSpec(axis="M", values=(8.0, 16.0), schemes=("conventional", "alg2"),
@@ -88,7 +92,7 @@ def test_run_sweep_writes_schema_and_is_deterministic(tmp_path):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
     spec = SweepSpec(axis="M", values=(8.0, 16.0), schemes=("conventional", "alg1"),
-                     base=_base(), jammer=JammerSpec(), n_trials=150)
+                     base=_base(), n_trials=150)
     rows_a = run_sweep(spec)
     write_csv(rows_a, str(out_a))
     write_csv(run_sweep(spec), str(out_b))
@@ -102,11 +106,11 @@ def test_run_sweep_writes_schema_and_is_deterministic(tmp_path):
 def test_sweep_rows_round_trip_exactly():
     # re-running one row's parameters reproduces its mean bit for bit
     spec = SweepSpec(axis="M", values=(8.0, 16.0), schemes=("alg1",),
-                     base=_base(), jammer=JammerSpec(), n_trials=120)
+                     base=_base(jammer=JammerSpec(kind="sphere")), n_trials=120)
     rows = run_sweep(spec)
     for row in rows:
         cfg = derive_config(spec.base, spec.axis, row.value)
-        summary = average_rate(cfg, row.scheme, spec.jammer, row.n_trials)
+        summary = average_rate(cfg, row.scheme, row.n_trials)
         assert summary.mean_rate == row.mean_rate
         assert summary.stderr == row.stderr
 
@@ -144,10 +148,11 @@ def _run_cli(*args):
 
 
 def test_config_keys_cover_the_system_config_fields():
-    # every SystemConfig field but the per-phase powers has exactly one key
-    fields = {f.name for f in dataclasses.fields(SystemConfig)} - {"powers"}
+    # every SystemConfig field but the per-phase powers and the jammer has
+    # exactly one key; the jammer has two
+    fields = {f.name for f in dataclasses.fields(SystemConfig)} - {"powers", "jammer"}
     assert sorted(cli._FIELDS.values()) == sorted(fields)
-    assert set(cli._FIELDS) <= cli.KNOWN_KEYS
+    assert {*cli._FIELDS, "jammer", "jammer_data_phase"} <= cli.KNOWN_KEYS
 
 
 def test_each_command_reads_its_own_keys():
@@ -183,6 +188,16 @@ def test_cli_rejects_keys_a_command_does_not_read(tmp_path, capsys, argv, text, 
     err = capsys.readouterr().err
     assert all(name in err for name in named)
     assert not out.exists()
+
+
+def test_cli_rejects_a_codeword_index_beyond_tau(tmp_path, capsys):
+    # the scenario is part of the config, so the index is checked with it
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("tau = 4\njammer = codeword:99\ntrials = 5\n")
+    assert cli.main(["simulate", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: codeword_index 99 out of range for tau=4\n"
+    assert "scheme=" not in captured.out
 
 
 def test_cli_simulate_and_csv(tmp_path):
@@ -271,7 +286,7 @@ def test_cli_per_phase_powers(tmp_path):
     explicit = SystemConfig(M=16, T=40, tau=4, P=2.0, Q=1.0, master_seed=3,
                             powers=(2.0, 2.0, 1.0, 0.5))
     for row in _read_csv(out):
-        summary = average_rate(explicit, row["scheme"], JammerSpec(), 60)
+        summary = average_rate(explicit, row["scheme"], 60)
         assert float(row["mean_rate"]) == summary.mean_rate
     # a partial set of per-phase keys names the missing ones
     cfg.write_text("p_t = 0.5\ntrials = 5\n")
