@@ -13,12 +13,10 @@ import argparse
 import csv
 import sys
 
-from .config import (JAMMER_KINDS, SCHEMES, JammerSpec, SystemConfig, snr_db_to_power,
-                     validate_combination)
-from .montecarlo import average_rate
+from .config import JAMMER_KINDS, SCHEMES, JammerSpec, SystemConfig, snr_db_to_power
 from .oracle import MOMENT_Z, verify_moments
-from .sweep import (AXES, PRESET_NAMES, SweepRow, SweepSpec, run_preset,
-                    run_sweep, write_csv)
+from .sweep import (AXES, PRESET_NAMES, SweepSpec, point_rows, run_preset, run_sweep,
+                    write_csv)
 
 # config key -> SystemConfig field; snr_db and the per-phase powers are set apart
 _FIELDS = {"m": "M", "t": "T", "tau": "tau", "beta_u": "beta_u", "beta_j": "beta_j",
@@ -163,19 +161,14 @@ def _cmd_simulate(ns) -> int:
     mapping = _load_mapping(ns)
     cfg = system_config_from_mapping(mapping)
     schemes = schemes_from_mapping(mapping)
-    run_args = {"n_trials": SweepSpec.n_trials, **_present(mapping, _RUN_ARGS)}
-    for scheme in schemes:
-        validate_combination(cfg, scheme)     # fail before the first trial
+    run_args = {"n_trials": SweepSpec.n_trials, "n_workers": SweepSpec.n_workers,
+                **_present(mapping, _RUN_ARGS)}
     rows = []
-    for scheme in schemes:
-        summary = average_rate(cfg, scheme, **run_args)
-        print(f"scheme={scheme} mean_rate={summary.mean_rate:.6f} "
-              f"stderr={summary.stderr:.6f} mean_n_used={summary.mean_n_used:.4f} "
-              f"trials={run_args['n_trials']} seed={cfg.master_seed}")
-        rows.append(SweepRow(axis="single", value=0.0, scheme=scheme,
-                             mean_rate=summary.mean_rate, stderr=summary.stderr,
-                             mean_n_used=summary.mean_n_used,
-                             n_trials=run_args["n_trials"], seed=cfg.master_seed))
+    for row in point_rows(cfg, schemes, **run_args, axis="single", value=0.0):
+        print(f"scheme={row.scheme} mean_rate={row.mean_rate:.6f} "
+              f"stderr={row.stderr:.6f} mean_n_used={row.mean_n_used:.4f} "
+              f"trials={row.n_trials} seed={row.seed}")
+        rows.append(row)
     if "out" in mapping:
         write_csv(rows, mapping["out"])
         print(f"wrote {len(rows)} rows to {mapping['out']}")

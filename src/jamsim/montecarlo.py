@@ -21,7 +21,8 @@ factor of round one's block gram in those coordinates
 law of the M-antenna draws at a cost that does not grow with M.
 Conventional decides nothing, so it draws neither channels nor noise. Keyed
 streams make scheme comparisons paired and keep any execution order or
-worker count bit-reproducible.
+worker count bit-reproducible, so run_trials maps simulate_one_trial over
+the trial indices, in-process or on a process pool.
 
 Every trial also returns round one's squared overlap and, on alg trials,
 whether round one's blind estimate met the threshold and round two's draw
@@ -33,6 +34,7 @@ retransmit, a rate at round two's draw has an exact mean too
 (oracle.conventional_mean for alg1, oracle.retransmit_mean for alg2).
 """
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -120,36 +122,25 @@ def simulate_one_trial(cfg: SystemConfig, scheme: str,
     return value, n_used, overlap, overlap_one, met, round_two
 
 
-def _trial_chunk(args):
-    cfg, scheme, start, stop = args
-    rates, n_used, overlaps, overlaps_one, met, round_two = zip(
-        *(simulate_one_trial(cfg, scheme, i) for i in range(start, stop)))
-    return (np.array(rates), np.array(n_used, dtype=np.int64), np.array(overlaps),
-            np.array(overlaps_one), np.array(met, dtype=bool), np.array(round_two))
-
-
 def run_trials(cfg: SystemConfig, scheme: str, n_trials: int, n_workers: int = 1) -> TrialData:
-    """All trial outcomes for one scheme.
+    """All trial outcomes for one scheme: simulate_one_trial mapped over the trial indices.
 
     Results are keyed by trial index, so the worker count only changes wall
     time, never values. The pool never starts more workers than the machine
-    has CPUs or the run has chunks.
+    has CPUs or the run has trials, and one worker runs in-process.
     """
     check_count("n_trials", n_trials)
     check_count("worker count", n_workers)
     validate_combination(cfg, scheme)
-    n_workers = min(n_workers, os.cpu_count() or 1)
-    step = n_trials if n_workers == 1 else max(1, math.ceil(n_trials / (4 * n_workers)))
-    chunks = [(cfg, scheme, s, min(s + step, n_trials)) for s in range(0, n_trials, step)]
+    n_workers = min(n_workers, os.cpu_count() or 1, n_trials)
+    trial = functools.partial(simulate_one_trial, cfg, scheme)
     if n_workers == 1:
-        results = list(map(_trial_chunk, chunks))
+        outcomes = list(map(trial, range(n_trials)))
     else:
-        pool = ProcessPoolExecutor(max_workers=min(n_workers, len(chunks)))
-        try:
-            results = list(pool.map(_trial_chunk, chunks))
-        finally:
-            pool.shutdown()
-    return TrialData(*map(np.concatenate, zip(*results)))
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            outcomes = list(pool.map(trial, range(n_trials),
+                                     chunksize=math.ceil(n_trials / (4 * n_workers))))
+    return TrialData(*map(np.array, zip(*outcomes)))
 
 
 def control_variate_mean(y: np.ndarray, columns: np.ndarray | None = None,

@@ -96,6 +96,21 @@ class SweepRow:
     seed: int
 
 
+def point_rows(cfg: SystemConfig, schemes: tuple[str, ...], n_trials: int, n_workers: int,
+               axis: str, value: float):
+    """One SweepRow per scheme at one point, each yielded as soon as it is averaged.
+
+    Every scheme is checked against cfg before the first trial.
+    """
+    for scheme in schemes:
+        validate_combination(cfg, scheme)
+    for scheme in schemes:
+        summary = average_rate(cfg, scheme, n_trials, n_workers=n_workers)
+        yield SweepRow(axis=axis, value=float(value), scheme=scheme,
+                       mean_rate=summary.mean_rate, stderr=summary.stderr,
+                       mean_n_used=summary.mean_n_used, n_trials=n_trials, seed=cfg.master_seed)
+
+
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """One row per (axis value, scheme), deterministic in the master seed.
 
@@ -103,16 +118,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     seed, so any row re-run individually reproduces its mean exactly and
     scheme comparisons at one point are paired.
     """
-    rows = []
-    for value in spec.values:
-        cfg = derive_config(spec.base, spec.axis, value)
-        for scheme in spec.schemes:
-            summary = average_rate(cfg, scheme, spec.n_trials, n_workers=spec.n_workers)
-            rows.append(SweepRow(axis=spec.axis_label, value=float(value), scheme=scheme,
-                                 mean_rate=summary.mean_rate, stderr=summary.stderr,
-                                 mean_n_used=summary.mean_n_used,
-                                 n_trials=spec.n_trials, seed=cfg.master_seed))
-    return rows
+    return [row for value in spec.values
+            for row in point_rows(derive_config(spec.base, spec.axis, value), spec.schemes,
+                                  spec.n_trials, spec.n_workers, spec.axis_label, value)]
 
 
 def write_csv(rows, path: str):

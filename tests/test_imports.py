@@ -1,12 +1,14 @@
 """Every module of the package uses each name it imports, imports no
-underscore name of another module, and passes the jammer inside the config.
+underscore name of another module, and passes the jammer inside the config;
+the CLI imports nothing from the trial engine.
 
 A name moved out of a module tends to leave its import behind; a private
 name another module reads is part of its owner's API under a name that
 says otherwise. The jammer is a field of SystemConfig, so only channel.py's
-per-kind sequence draws take a bare JammerSpec. These checks read the
-source with ast alone. __init__.py is exempt from the first, since its
-imports are the package's public names.
+per-kind sequence draws take a bare JammerSpec. The CLI parses, prints and
+writes, and sweep.py turns a config and its schemes into rows. These checks
+read the source with ast alone. __init__.py is exempt from the first, since
+its imports are the package's public names.
 """
 
 import ast
@@ -81,3 +83,30 @@ def test_jammer_parameters_are_found():
                          ids=lambda p: p.name)
 def test_only_the_sequence_draws_take_a_bare_jammer(path):
     assert _jammer_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def _names_from(source: str, module: str) -> list[str]:
+    """The names that source imports from module, or module itself, in import order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == module:
+                found += [alias.name for alias in node.names]
+            else:
+                found += [alias.name for alias in node.names if alias.name == module]
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names
+                      if alias.name.split(".")[-1] == module]
+    return found
+
+
+def test_names_from_a_module_are_found():
+    source = ("from .montecarlo import a, b as c\nfrom jamsim.montecarlo import d\n"
+              "from . import montecarlo, sweep\nimport jamsim.montecarlo\n"
+              "from .sweep import montecarlo_like\nimport montecarlos\n")
+    assert _names_from(source, "montecarlo") == ["a", "b", "d", "montecarlo",
+                                                 "jamsim.montecarlo"]
+
+
+def test_cli_imports_nothing_from_the_trial_engine():
+    assert _names_from((PACKAGE / "cli.py").read_text(encoding="utf-8"), "montecarlo") == []

@@ -59,37 +59,49 @@ def test_single_trial_rejects_a_bool_index(scheme):
 
 
 def test_worker_count_does_not_change_values():
+    # 3 workers are capped at the machine's CPUs, and every count at 1 trial
     cfg = _cfg(M=16, tau=4, master_seed=31)
-    serial = run_trials(cfg, "alg1", 240, n_workers=1)
-    parallel = run_trials(cfg, "alg1", 240, n_workers=2)
-    for field in dataclasses.fields(serial):
-        assert np.array_equal(getattr(serial, field.name), getattr(parallel, field.name))
+    for n_trials in (1, 7, 240):
+        serial = run_trials(cfg, "alg1", n_trials, n_workers=1)
+        assert serial.n_used.dtype == np.int64 and serial.round_one_met.dtype == bool
+        for n_workers in (2, 3):
+            parallel = run_trials(cfg, "alg1", n_trials, n_workers=n_workers)
+            for field in dataclasses.fields(serial):
+                a, b = getattr(serial, field.name), getattr(parallel, field.name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (n_trials, n_workers)
 
 
-def test_pool_size_is_capped_by_cpus_and_chunks(monkeypatch):
-    # a recording stand-in for the pool: it runs chunks in-process, so no
-    # worker process starts whatever the requested count
-    pool_sizes = []
+def test_pool_size_is_capped_by_cpus_and_trials(monkeypatch):
+    # a recording stand-in for ProcessPoolExecutor: it runs the trials
+    # in-process, so no worker process starts whatever the requested count
+    pool_sizes, chunk_sizes = [], []
 
     class RecordingPool:
         def __init__(self, max_workers):
             pool_sizes.append(max_workers)
 
-        def map(self, fn, chunks):
-            return map(fn, chunks)
+        def __enter__(self):
+            return self
 
-        def shutdown(self):
-            pass
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, indices, chunksize=1):
+            chunk_sizes.append(chunksize)
+            return map(fn, indices)
 
     monkeypatch.setattr(jamsim.montecarlo, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(jamsim.montecarlo.os, "cpu_count", lambda: 8)
     cfg = _cfg(M=8, tau=4, master_seed=31)
     serial = run_trials(cfg, "alg1", 40)
     huge = run_trials(cfg, "alg1", 40, n_workers=10**6)
-    few_chunks = run_trials(cfg, "alg1", 3, n_workers=6)
+    few_trials = run_trials(cfg, "alg1", 3, n_workers=6)
     assert pool_sizes == [8, 3]
+    assert chunk_sizes == [2, 1]    # four chunks per worker, rounded up
     assert np.array_equal(huge.rates, serial.rates)
-    assert np.array_equal(few_chunks.rates, serial.rates[:3])
+    assert np.array_equal(few_trials.rates, serial.rates[:3])
+    assert np.array_equal(run_trials(cfg, "alg1", 1, n_workers=6).rates, serial.rates[:1])
+    assert pool_sizes == [8, 3]     # one trial runs serially
     monkeypatch.setattr(jamsim.montecarlo.os, "cpu_count", lambda: 1)
     assert np.array_equal(run_trials(cfg, "alg1", 40, n_workers=4).rates, serial.rates)
     assert pool_sizes == [8, 3]     # one CPU runs serially

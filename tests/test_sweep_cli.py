@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import jamsim.montecarlo
 from jamsim import (JammerSpec, SweepSpec, SystemConfig, average_rate, cli, run_preset,
                     run_sweep, write_csv)
 from jamsim.oracle import Moment
@@ -211,6 +212,24 @@ def test_cli_simulate_and_csv(tmp_path):
     assert "scheme=alg2" in proc.stdout
     rows = _read_csv(out)
     assert len(rows) == 2 and rows[0]["axis"] == "single"
+
+
+def test_cli_simulate_prints_each_row_before_the_next_scheme_runs(tmp_path, monkeypatch,
+                                                                   capsys):
+    # the scheme= lines printed since the last run_trials call, at each call
+    new_lines = []
+    run_trials = jamsim.montecarlo.run_trials
+
+    def recording_run_trials(*args, **kwargs):
+        new_lines.append(capsys.readouterr().out.count("scheme="))
+        return run_trials(*args, **kwargs)
+
+    monkeypatch.setattr(jamsim.montecarlo, "run_trials", recording_run_trials)
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("m = 8\nt = 40\ntau = 4\nschemes = conventional,alg1,alg2\ntrials = 5\n")
+    assert cli.main(["simulate", "--config", str(cfg)]) == 0
+    assert new_lines == [0, 1, 1]
+    assert capsys.readouterr().out.count("scheme=") == 1
 
 
 def test_cli_missing_config_is_usage_error(tmp_path):
