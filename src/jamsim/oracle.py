@@ -188,11 +188,13 @@ def stop_probability(cfg: SystemConfig, overlap_sq) -> np.ndarray:
     return _lower_gamma_regularized(cfg.M, x_star / (pilot + jamming * overlap_sq + 1.0))
 
 
+@functools.lru_cache(maxsize=256)
 def stop_share(cfg: SystemConfig) -> float:
     """Probability that round one's blind estimate meets the threshold."""
     return round_one_mean(cfg, functools.partial(stop_probability, cfg))
 
 
+@functools.lru_cache(maxsize=256)
 def alg1_mean_n_used(cfg: SystemConfig) -> float:
     """alg1's exact mean transmission count, for n_max <= 2.
 

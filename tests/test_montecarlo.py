@@ -364,22 +364,34 @@ def test_trials_never_build_the_codebook():
 # alg1 at tau = 10 and 0 dB. alg2 at tau = 90 and 10 dB, where round one's
 # stop decision is close to a coin flip at M = 50 and its two outcomes'
 # prelogs (0.55 and 0.1) differ most. alg2 at fig2's tau = 4 and 10 dB and
-# its 400 trials, where the round-two column carries most of the gain
+# its 400 trials, where the round-two column carries most of the gain.
+# alg1 and alg2 at fig3's largest point (M = 500, tau = 20, 5 dB) and its
+# 200 trials, where the stop probability column carries most of the gain
+_FIG3_POWER = snr_db_to_power(5.0)
 _CV_RUNS = {
     "alg1": ("alg1", dict(master_seed=17), 100, 200),
     "alg2": ("alg2", dict(tau=90, P=10.0, Q=10.0, master_seed=17), 50, 200),
     "alg2-tau4": ("alg2", dict(tau=4, P=10.0, Q=10.0, master_seed=17), 50, 400),
+    "alg1-fig3": ("alg1", dict(M=500, tau=20, P=_FIG3_POWER, Q=_FIG3_POWER, master_seed=17),
+                  100, 200),
+    "alg2-fig3": ("alg2", dict(M=500, tau=20, P=_FIG3_POWER, Q=_FIG3_POWER, master_seed=17),
+                  100, 200),
 }
-# the alg rows' mean stderr against the plain one, measured with the four
-# columns (and with the three round-one columns alone): alg1 0.52 (0.68),
-# alg2 at tau = 90 0.0030 (0.0030), at tau = 4 0.42 (0.85)
-_CV_GAIN = {"alg1": 0.6, "alg2": 0.01, "alg2-tau4": 0.55}
-# alg2: mean z of the rows against the pooled control-variate mean, the
-# O(1/n) bias of the fitted coefficients. At tau = 90 and 200 trials, about
-# 5e-5 bits: measured +0.31 and +0.33 (each +-0.08, 200 blocks at seeds 3
-# and 5). At tau = 4 and 400 trials: -0.12, -0.11 and -0.11 (200 blocks at
-# seeds 3, 5 and 7) and -0.10 here
-_CV_BIAS_Z = {"alg2": 0.8, "alg2-tau4": 0.3}
+# the alg rows' mean stderr against the plain one, measured with the five
+# columns (and with the first four alone): alg1 0.46 (0.52), alg2 at
+# tau = 90 0.0006 (0.0030), at tau = 4 0.39 (0.42), alg1 at fig3's M = 500
+# 0.18 (0.32), alg2 there 0.10 (0.57)
+_CV_GAIN = {"alg1": 0.55, "alg2": 0.002, "alg2-tau4": 0.5, "alg1-fig3": 0.25,
+            "alg2-fig3": 0.15}
+# cases whose rows are too sharp for the pooled plain mean to be a
+# reference: mean z of the rows against the pooled control-variate mean,
+# the O(1/n) bias of the fitted coefficients. At tau = 90 and 200 trials,
+# about 1e-5 bits: measured -0.45 here and -0.68 and -0.55 (50 blocks at
+# seeds 3 and 5). At tau = 4 and 400 trials: -0.12 here, -0.11 and -0.14
+# (50 blocks at seeds 3 and 5). At fig3's M = 500: alg1 -0.22 here and -0.15 to -0.27
+# (100 blocks at seeds 3, 4, 5, 7, 8 and 9), alg2 -0.11 here and -0.15 to
+# -0.16 (seeds 3, 5 and 7)
+_CV_BIAS_Z = {"alg2": 0.8, "alg2-tau4": 0.3, "alg1-fig3": 0.5, "alg2-fig3": 0.4}
 
 
 @pytest.mark.parametrize("case", sorted(_CV_RUNS))
@@ -404,7 +416,7 @@ def test_control_variate_rows_are_calibrated_and_unbiased(case):
     shift = means - plain
     shift_se = shift.std(ddof=1) / math.sqrt(blocks)
     assert abs(shift.mean()) <= 3 * shift_se, (shift.mean(), shift_se)
-    if scheme == "alg1":
+    if case not in _CV_BIAS_Z:
         # the shift is a small part of a row's noise, so its mean bounds the
         # bias to about 0.3 plain stderr, and the pooled plain mean is a
         # reference far sharper than a row
@@ -413,12 +425,14 @@ def test_control_variate_rows_are_calibrated_and_unbiased(case):
     else:
         # at tau = 90 the columns explain nearly all of a row, so the shift
         # is the plain mean's own noise and the pooled plain mean lies about
-        # 30 row stderrs off: z is taken against the pooled control-variate
-        # mean
+        # 30 row stderrs off; at fig3's M = 500 it lies about half a row
+        # stderr off. z is taken against the pooled control-variate mean
         pooled, _ = control_variate_mean(data.rates, columns, known)
         z = (means - pooled) / stderrs
         assert abs(z.mean()) <= _CV_BIAS_Z[case], z.mean()
     assert 0.7 <= z.std(ddof=1) <= 1.4, z.std(ddof=1)
+    # a near-zero stderr would show as one huge z that a z sd can hide
+    assert np.abs(z).max() <= 6.0, np.abs(z).max()
     # a row of average_rate is this estimator over the run's first block
     row = average_rate(cfg, scheme, size)
     assert (row.mean_rate, row.stderr) == tuple(rows[0])

@@ -14,7 +14,8 @@ at least that value. Given ov, the stop indicator S has mean P, so S - P and
 (S - P) times the conventional rate, a function of ov, have mean 0: two of
 the control variates average_rate adds on the alg rows. The third of mean
 0, (1 - S) times a rate at round two's draw less its exact mean, is checked
-here too: round two's draw is independent of round one.
+here too: round two's draw is independent of round one. So is a fourth, P
+itself, of mean stop_share.
 """
 
 import math
@@ -56,9 +57,21 @@ def _gamma_cdf_by_trapezoid(m, x):
 
 
 def _zero_mean_columns(cfg, scheme, data):
-    """S - P, (S - P) x and the round-two column per trial, x the conventional rate of round one."""
+    """S - P, (S - P) x and the round-two column per trial, x the conventional rate of round one.
+
+    Also checks the fifth column, P itself, against its known mean stop_share.
+    """
     columns, means = _control_variates(cfg, scheme, data)
-    assert means[1:] == (0.0, 0.0, 0.0)
+    assert means[1:4] == (0.0, 0.0, 0.0)
+    share = stop_share(cfg)
+    assert means[4] == share
+    p = columns[:, 4]
+    if p.min() == p.max():
+        # absent jammer: every trial has round one's overlap 0
+        assert p[0] == share
+    else:
+        stderr = p.std(ddof=1) / math.sqrt(len(p))
+        assert abs(p.mean() - share) <= Z_BOUND * stderr, (p.mean(), share, stderr)
     return columns[:, 1], columns[:, 2], columns[:, 3]
 
 
