@@ -1,5 +1,6 @@
 """Channel, pilot codebook, and the jamming sequence draws of each jammer kind."""
 
+import cmath
 import functools
 import math
 
@@ -89,25 +90,39 @@ def draw_jammer_sequence(rng, jammer: JammerSpec, tau: int) -> np.ndarray:
     return seq / np.linalg.norm(seq)
 
 
+def overlap_sq_law(jammer: JammerSpec, t: float, gaussian_div: int, sphere_dof: int,
+                   sphere_div: int) -> float:
+    """A random kind's squared-overlap law, as a nondecreasing map of t ~ Exp(1).
+
+    gaussian: t / gaussian_div, an exponential of mean 1 / gaussian_div.
+    sphere: -expm1(-t / sphere_dof) / sphere_div, a Beta(1, sphere_dof)
+    over sphere_div, or surely 1 / sphere_div when sphere_dof is 0. Round
+    one's law (draw_overlap_amplitude) is the map at (tau, tau - 1, 1), and
+    jamsim.oracle integrates it and alg2's round-two law over t.
+    """
+    if jammer.kind == "gaussian":
+        return t / gaussian_div
+    return -math.expm1(-t / sphere_dof) / sphere_div if sphere_dof else 1.0 / sphere_div
+
+
 def draw_overlap_amplitude(rng, jammer: JammerSpec, k: int, tau: int) -> complex:
     """Overlap amplitude s_j^T c_k* of a fresh jamming sequence with pilot k, from its exact law.
 
     The codebook C is unitary, so the amplitudes conj(C) s_j of one sequence
     with all tau pilots have the law of the sequence itself, and the one
-    with pilot k is drawn alone: gaussian gives CN(0, 1/tau); sphere gives
-    g / sqrt(|g|^2 + rho), with g ~ CN(0, 1) and rho ~ Gamma(tau - 1) the
-    squared norm of the other coordinates; codeword j gives 1 if j == k,
+    with pilot k is drawn alone. gaussian and sphere make one rng.random(2)
+    call and no other draw: its first uniform u sets |a|^2, overlap_sq_law
+    at (tau, tau - 1, 1) and t = -log1p(-u), which is the law's inverse CDF
+    at u and so nondecreasing in u alone (stratifying u stratifies |a|^2);
+    its second, phi, sets a's phase 2 pi phi. codeword j gives 1 if j == k,
     else 0; absent gives 0. absent and codeword draw nothing from rng.
     """
     if not 0 <= k < tau:
         raise ValueError(f"pilot index must lie in [0, tau={tau}), got {k}")
     if jammer.is_random:
-        re, im = rng.standard_normal(2).tolist()
-        if jammer.kind == "gaussian":
-            return complex(re, im) * math.sqrt(0.5 / tau)
-        g = complex(re, im) * math.sqrt(0.5)
-        rho = rng.gamma(tau - 1) if tau > 1 else 0.0
-        return g / math.sqrt(abs(g) ** 2 + rho)
+        u, phi = rng.random(2).tolist()
+        overlap_sq = overlap_sq_law(jammer, -math.log1p(-u), tau, tau - 1, 1)
+        return cmath.rect(math.sqrt(overlap_sq), 2.0 * math.pi * phi)
     return complex(jammer.pilot(tau) == k)
 
 
@@ -116,10 +131,10 @@ def complete_amplitudes(rng, jammer: JammerSpec, k: int, amp: complex, tau: int)
 
     gaussian draws the other tau - 1 coordinates i.i.d. CN(0, 1/tau),
     independent of amp. sphere draws them uniformly on the sphere of squared
-    radius 1 - |amp|^2 (that is rho / (|g|^2 + rho), see
-    draw_overlap_amplitude), so the whole vector has unit norm. codeword and
-    absent are fixed, and amp must match them. The sequence itself is
-    s_j = C^T times the result.
+    radius 1 - |amp|^2, so the whole vector has unit norm, and it is uniform
+    on the unit sphere when |amp|^2 has round one's law (overlap_sq_law,
+    draw_overlap_amplitude). codeword and absent are fixed, and amp must
+    match them. The sequence itself is s_j = C^T times the result.
     """
     if not 0 <= k < tau:
         raise ValueError(f"pilot index must lie in [0, tau={tau}), got {k}")

@@ -16,12 +16,13 @@ tau - 1 coordinates of the jamming sequence; other_min_mean integrates over
 its law (scaled free of round one for sphere), retransmit_rates is the
 two-round rate at it, and retransmit_mean its mean.
 
-average_rate steers the alg rows with all of these: the conventional rate
-has mean conventional_mean; the round-one stop indicator minus
-stop_probability has mean 0, alone and times the conventional rate; and on
-the trials that draw round two, the conventional rate at alg1's second
-overlap less conventional_mean, or retransmit_rates less retransmit_mean,
-has mean 0.
+average_rate steers the alg rows with all of these, five columns in all:
+the conventional rate has mean conventional_mean; the round-one stop
+indicator minus stop_probability has mean 0, alone and times the
+conventional rate; on the trials that draw round two, the conventional
+rate at alg1's second overlap less conventional_mean, or retransmit_rates
+less retransmit_mean, has mean 0; and stop_probability itself, p, has mean
+stop_share.
 
 verify_moments is the moment check: it compares Monte Carlo moments of the
 effective-noise decomposition behind the SINR formula with their closed
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import crandn
+from .channel import crandn, overlap_sq_law
 from .config import SystemConfig, check_count, validate_combination
 from .estimation import mmse_coefficients, mmse_terms, wishart_factor
 from .rates import effective_sinr, sinr_and_rate
@@ -62,19 +63,15 @@ def _exp_rule() -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 def _random_kind_mean(cfg: SystemConfig, g: Callable[[np.ndarray], Sequence[float]],
                       gaussian_div: int, sphere_dof: int, sphere_div: int) -> float:
-    """E[g(v)] under cfg's gaussian or sphere jammer, v a function of t ~ Exp(1) (_exp_rule).
+    """E[g(v)] under cfg's gaussian or sphere jammer, v = overlap_sq_law(t) for t ~ Exp(1).
 
-    gaussian: v = t / gaussian_div. sphere: v = -expm1(-t / sphere_dof) /
-    sphere_div, or 1 / sphere_div surely when sphere_dof is 0. Nodes map one
-    Python float at a time: np.expm1 and math.expm1 differ in the last bit
-    on some inputs."""
-    if cfg.jammer.kind == "sphere" and sphere_dof == 0:
-        return float(g(np.array([1.0 / sphere_div]))[0])
-    nodes, weights = _exp_rule()
-    if cfg.jammer.kind == "gaussian":
-        values = [t / gaussian_div for t in nodes]
-    else:
-        values = [-math.expm1(-t / sphere_dof) / sphere_div for t in nodes]
+    The nodes of _exp_rule map through overlap_sq_law one Python float at a
+    time: np.expm1 and math.expm1 differ in the last bit on some inputs. A
+    sphere's v at sphere_dof = 0 is the point 1 / sphere_div, where g is
+    read once."""
+    point_mass = cfg.jammer.kind == "sphere" and sphere_dof == 0
+    nodes, weights = ((0.0,), (1.0,)) if point_mass else _exp_rule()
+    values = [overlap_sq_law(cfg.jammer, t, gaussian_div, sphere_dof, sphere_div) for t in nodes]
     return math.fsum(w * v for v, w in zip(g(np.array(values)), weights))
 
 
@@ -83,9 +80,9 @@ def round_one_mean(cfg: SystemConfig, g: Callable[[np.ndarray], Sequence[float]]
 
     g maps a 1-D array of squared overlaps to their values, one per entry.
     The law depends on cfg.jammer's kind (draw_overlap_amplitude): gaussian
-    gives Exp(mean 1/tau); sphere gives Beta(1, tau - 1), which is
-    1 - exp(-t / (tau - 1)) for t ~ Exp(1), and 1 at tau = 1. Both are
-    integrated over t (_random_kind_mean). codeword hits the user's pilot
+    gives Exp(mean 1/tau) and sphere Beta(1, tau - 1), 1 at tau = 1, both
+    stated once as overlap_sq_law at (tau, tau - 1, 1) and integrated over
+    t ~ Exp(1) (_random_kind_mean). codeword hits the user's pilot
     with probability 1/tau, or surely or never when first_pilot is set;
     absent gives 0.
     """
@@ -222,9 +219,9 @@ def other_min_mean(cfg: SystemConfig, g: Callable[[np.ndarray], Sequence[float]]
     so v = m ~ Exp(mean 1/(tau (tau - 1))). sphere draws them uniformly on
     the sphere of squared radius 1 - |a|^2, so v = m / (1 - |a|^2) is the
     smallest coordinate of a flat Dirichlet on tau - 1 coordinates,
-    P(v > s) = (1 - (tau - 1) s)^(tau - 2): that is
-    -expm1(-t / (tau - 2)) / (tau - 1) for t ~ Exp(1), and 1 at tau = 2.
-    Either way v is independent of round one. Both are integrated over t
+    P(v > s) = (1 - (tau - 1) s)^(tau - 2), and 1 at tau = 2. Either way v
+    is independent of round one. Both laws are overlap_sq_law at
+    (tau (tau - 1), tau - 2, tau - 1), integrated over t ~ Exp(1)
     (_random_kind_mean). Kinds whose coordinates round one fixes (codeword,
     absent) and tau = 1, which has no other coordinate, raise ValueError.
     """

@@ -1,9 +1,12 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jamsim import JammerSpec, substream
+from jamsim import JammerSpec, draw_overlap_amplitude, substream
 from jamsim.channel import draw_jammer_sequence, gen_channel, jamming_overlap_sq, make_codebook
 
 
@@ -177,6 +180,45 @@ def test_jammer_kind_answers(kind, is_random, pilot):
     else:
         with pytest.raises(ValueError, match=r"codeword_index 3 out of range for tau=3"):
             jammer.pilot(3)
+
+
+class _FixedUniforms:
+    """A generator stand-in whose one draw method, random, returns a fixed (u, phi)."""
+
+    def __init__(self, u, phi):
+        self.pair = (u, phi)
+        self.sizes = []
+
+    def random(self, size):
+        self.sizes.append(size)
+        return np.array(self.pair)
+
+
+@pytest.mark.parametrize("tau", [1, 2, 20])
+@pytest.mark.parametrize("kind", ["gaussian", "sphere"])
+def test_overlap_amplitude_is_one_inverse_cdf_draw(kind, tau):
+    # the layout a stratified round one relies on: one random(2) call and no
+    # other draw (the stand-in has no other method), whose first uniform u
+    # sets |a|^2 by the closed-form inverse CDF at t = -ln(1 - u), t / tau
+    # for gaussian and 1 - exp(-t / (tau - 1)) for sphere (1 at tau = 1),
+    # and whose second, phi, sets a's phase 2 pi phi mod 2 pi
+    jammer = JammerSpec(kind=kind)
+    for u, phi in [(0.0, 0.3), (0.1, 0.3), (0.5, 0.9), (0.97, 0.02), (1 - 2.0 ** -53, 0.5)]:
+        rng = _FixedUniforms(u, phi)
+        a = draw_overlap_amplitude(rng, jammer, tau - 1, tau)
+        assert rng.sizes == [2]
+        t = -math.log1p(-u)
+        if kind == "gaussian":
+            law = t / tau
+        else:
+            law = 1.0 - math.exp(-t / (tau - 1)) if tau > 1 else 1.0
+        assert abs(a) ** 2 == pytest.approx(law, rel=1e-12)
+        if law > 0:
+            assert cmath.phase(a) % (2 * math.pi) == pytest.approx(2 * math.pi * phi, abs=1e-12)
+    for jammer in (JammerSpec(kind="absent"), JammerSpec(kind="codeword", codeword_index=0)):
+        rng = _FixedUniforms(0.5, 0.5)
+        draw_overlap_amplitude(rng, jammer, 0, tau)
+        assert rng.sizes == []
 
 
 def test_overlap_mean_is_one_over_tau():

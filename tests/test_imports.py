@@ -1,12 +1,15 @@
 """Every module of the package uses each name it imports, imports no
 underscore name of another module, and passes the jammer inside the config;
-the CLI imports nothing from the trial engine.
+the CLI imports nothing from the trial engine, and the oracle states no
+map of t ~ Exp(1) of its own.
 
 A name moved out of a module tends to leave its import behind; a private
 name another module reads is part of its owner's API under a name that
 says otherwise. The jammer is a field of SystemConfig, so only channel.py's
 per-kind sequence draws take a bare JammerSpec. The CLI parses, prints and
-writes, and sweep.py turns a config and its schemes into rows. These checks
+writes, and sweep.py turns a config and its schemes into rows. The random
+kinds' overlap law is stated once, as channel.overlap_sq_law, which the
+trial engine draws through and the oracle integrates through. These checks
 read the source with ast alone. __init__.py is exempt from the first, since
 its imports are the package's public names.
 """
@@ -110,3 +113,26 @@ def test_names_from_a_module_are_found():
 
 def test_cli_imports_nothing_from_the_trial_engine():
     assert _names_from((PACKAGE / "cli.py").read_text(encoding="utf-8"), "montecarlo") == []
+
+
+def _references(source: str, names: set[str]) -> list[str]:
+    """Each bare name or attribute in source spelled as one of names, calls included, in order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in names or \
+                isinstance(node, ast.Name) and node.id in names:
+            found.append((node.lineno, node.col_offset, ast.unparse(node)))
+    return [text for *_, text in sorted(found)]
+
+
+def test_references_are_found():
+    source = ("import math\nfrom numpy import log1p\nx = math.expm1(1.0)\n"
+              "y = [log1p(v) for v in np.expm1(z)]\nf = math.expm1\n"
+              "w = expm1_like(2)\n'expm1'\n")
+    assert _references(source, {"expm1", "log1p"}) == ["math.expm1", "log1p", "np.expm1",
+                                                        "math.expm1"]
+
+
+def test_the_oracle_integrates_through_the_one_overlap_law():
+    source = (PACKAGE / "oracle.py").read_text(encoding="utf-8")
+    assert _references(source, {"expm1", "log1p"}) == []

@@ -129,16 +129,16 @@ def test_counts_must_be_integers(run, n_trials, n_workers, message):
 # CHANGES.md; rel=1e-9 leaves room for another BLAS's rounding only.
 _PINNED_BASE = dict(M=16, T=60, tau=6, P=10.0, Q=10.0, epsilon=0.1, n_max=2, master_seed=7)
 _PINNED_MEANS = {
-    ("true_overlap", "conventional"): 1.9784444644052632,
-    ("true_overlap", "alg1"): 2.027644889839007,
-    ("true_overlap", "alg2"): 2.2502896404601653,
-    ("explicit_powers", "conventional"): 1.6427009133285886,
-    ("explicit_powers", "alg1"): 1.7092307741853232,
-    ("explicit_powers", "alg2"): 1.8929066780305426,
+    ("true_overlap", "conventional"): 1.9949233306551102,
+    ("true_overlap", "alg1"): 2.003970180035102,
+    ("true_overlap", "alg2"): 2.226857745351075,
+    ("explicit_powers", "conventional"): 1.6566718756712964,
+    ("explicit_powers", "alg1"): 1.685985029798639,
+    ("explicit_powers", "alg2"): 1.8583481803340454,
     # the other jammer kinds, under every scheme each kind allows
-    ("sphere", "conventional"): 1.9642392544311764,
-    ("sphere", "alg1"): 2.0310679707021615,
-    ("sphere", "alg2"): 2.2028615275533814,
+    ("sphere", "conventional"): 1.9647316397508165,
+    ("sphere", "alg1"): 1.9585605555165693,
+    ("sphere", "alg2"): 2.217024090998565,
     ("absent", "conventional"): 3.54250806732143,
     ("absent", "alg1"): 3.4145841648903787,
     ("absent", "alg2"): 3.4145841648903787,
@@ -147,9 +147,9 @@ _PINNED_MEANS = {
     ("codeword_first_pilot", "conventional"): 0.7564779407837855,
     ("codeword_first_pilot", "alg2"): 2.4606115309023515,
     # a jammer that spares the data phase: the rates see q_d = 0
-    ("data_phase_off", "conventional"): 3.3576336819051438,
-    ("data_phase_off", "alg1"): 3.205091742059177,
-    ("data_phase_off", "alg2"): 3.2582751785151562,
+    ("data_phase_off", "conventional"): 3.373668366040593,
+    ("data_phase_off", "alg1"): 3.2042369388834055,
+    ("data_phase_off", "alg2"): 3.255892100804738,
 }
 # (config overrides, jammer) per mode of _PINNED_MEANS
 _PINNED_CASES = {
@@ -378,19 +378,20 @@ _CV_RUNS = {
                   100, 200),
 }
 # the alg rows' mean stderr against the plain one, measured with the five
-# columns (and with the first four alone): alg1 0.46 (0.52), alg2 at
-# tau = 90 0.0006 (0.0030), at tau = 4 0.39 (0.42), alg1 at fig3's M = 500
-# 0.18 (0.32), alg2 there 0.10 (0.57)
+# columns: alg1 0.46, alg2 at tau = 90 0.0005, at tau = 4 0.39, alg1 at
+# fig3's M = 500 0.18, alg2 there 0.096. On round one's earlier draws (two
+# normals, and a Gamma draw for the sphere) the first four columns alone
+# gave 0.52, 0.0030, 0.42, 0.32 and 0.57
 _CV_GAIN = {"alg1": 0.55, "alg2": 0.002, "alg2-tau4": 0.5, "alg1-fig3": 0.25,
             "alg2-fig3": 0.15}
 # cases whose rows are too sharp for the pooled plain mean to be a
 # reference: mean z of the rows against the pooled control-variate mean,
 # the O(1/n) bias of the fitted coefficients. At tau = 90 and 200 trials,
-# about 1e-5 bits: measured -0.45 here and -0.68 and -0.55 (50 blocks at
-# seeds 3 and 5). At tau = 4 and 400 trials: -0.12 here, -0.11 and -0.14
-# (50 blocks at seeds 3 and 5). At fig3's M = 500: alg1 -0.22 here and -0.15 to -0.27
-# (100 blocks at seeds 3, 4, 5, 7, 8 and 9), alg2 -0.11 here and -0.15 to
-# -0.16 (seeds 3, 5 and 7)
+# about 1e-5 bits: measured -0.32 here and -0.36 to -0.52 (50 blocks at
+# seeds 3, 5 and 7). At tau = 4 and 400 trials: -0.17 here, -0.08 to -0.18
+# (50 blocks at seeds 3, 5 and 7). At fig3's M = 500, 100 blocks: alg1
+# -0.22 here and -0.17 to -0.30, alg2 -0.09 here and -0.09 to -0.15
+# (seeds 3, 5 and 7)
 _CV_BIAS_Z = {"alg2": 0.8, "alg2-tau4": 0.3, "alg1-fig3": 0.5, "alg2-fig3": 0.4}
 
 

@@ -57,7 +57,8 @@ def test_alg1_zero_threshold_forces_full_budget_and_matches_hand_steps():
     # epsilon = 0 never triggers the stop rule (estimates stay positive with
     # an active jammer at this array size), so every run spends n_max rounds;
     # the trace is then checked against a manual replay of the same stream:
-    # a ~ CN(0, 1/tau), then
+    # a ~ CN(0, 1/tau) by inverse CDF, |a|^2 = -ln(1 - u) / tau at phase
+    # 2 pi phi for uniforms (u, phi), then
     # ||y_t||^2 = |R11 c1 + R12 c2 + z1|^2 + |R22 c2 + z2|^2 + Gamma(M - 2)
     cfg = _cfg(M=10000, tau=8, epsilon=0.0)
     r = _channels(cfg, 3)
@@ -69,7 +70,8 @@ def test_alg1_zero_threshold_forces_full_budget_and_matches_hand_steps():
     expected_rounds = []
     for _ in range(2):
         replay.integers(cfg.tau)        # the round's pilot index
-        amp = crandn(replay)[()] / np.sqrt(cfg.tau)
+        u, phi = replay.random(2)
+        amp = np.sqrt(-np.log1p(-u) / cfg.tau) * np.exp(2j * np.pi * phi)
         z = crandn(replay, 2)
         c1 = np.sqrt(cfg.tau * cfg.p_t)
         c2 = np.sqrt(cfg.tau * cfg.q_t) * amp

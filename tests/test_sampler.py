@@ -83,8 +83,12 @@ def _z_or_equal(a, b):
 @pytest.mark.parametrize("kind,tau", AMPLITUDE_CASES)
 def test_overlap_amplitude_matches_a_drawn_sequence(kind, tau):
     # a = s_j^T c_k* drawn alone against the same amplitude of a whole drawn
-    # sequence, every pilot k in turn: the mean of a and the first two
-    # moments of |a|^2
+    # sequence, every pilot k in turn: the mean of a, the first two moments
+    # of |a|^2, and the share of |a|^2 below each quartile of its exact law,
+    # so that a wrong law with the right moments shows too. The quartiles are
+    # the closed-form inverse CDFs, -ln(1 - p) / tau of CN(0, 1/tau)'s
+    # squared modulus and 1 - (1 - p)^(1/(tau - 1)) of Beta(1, tau - 1); the
+    # sphere's point mass at tau = 1 has none to split
     jammer = JammerSpec(kind=kind)
     cb = make_codebook(tau)
     pilots = np.arange(12000) % tau
@@ -93,9 +97,13 @@ def test_overlap_amplitude_matches_a_drawn_sequence(kind, tau):
     rng = substream(22, tau)
     whole = np.array([overlap_amplitude(draw_jammer_sequence(rng, jammer, tau), cb[k])
                       for k in pilots])
-    zs = {name: _z_or_equal(stat(alone), stat(whole)) for name, stat in {
-        "Re a": np.real, "Im a": np.imag,
-        "|a|^2": lambda a: np.abs(a) ** 2, "|a|^4": lambda a: np.abs(a) ** 4}.items()}
+    stats = {"Re a": np.real, "Im a": np.imag,
+             "|a|^2": lambda a: np.abs(a) ** 2, "|a|^4": lambda a: np.abs(a) ** 4}
+    if kind == "gaussian" or tau > 1:
+        for p in (0.25, 0.5, 0.75):
+            q = -math.log1p(-p) / tau if kind == "gaussian" else 1.0 - (1.0 - p) ** (1 / (tau - 1))
+            stats[f"P(|a|^2 < q{p})"] = lambda a, q=q: np.abs(a) ** 2 < q
+    zs = {name: _z_or_equal(stat(alone), stat(whole)) for name, stat in stats.items()}
     assert max(map(abs, zs.values())) <= Z_BOUND, zs
 
 
