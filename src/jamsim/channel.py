@@ -105,23 +105,31 @@ def overlap_sq_law(jammer: JammerSpec, t: float, gaussian_div: int, sphere_dof: 
     return -math.expm1(-t / sphere_dof) / sphere_div if sphere_dof else 1.0 / sphere_div
 
 
-def draw_overlap_amplitude(rng, jammer: JammerSpec, k: int, tau: int) -> complex:
+def draw_overlap_amplitude(rng, jammer: JammerSpec, k: int, tau: int,
+                           stratum: tuple[int, int] | None = None) -> complex:
     """Overlap amplitude s_j^T c_k* of a fresh jamming sequence with pilot k, from its exact law.
 
     The codebook C is unitary, so the amplitudes conj(C) s_j of one sequence
     with all tau pilots have the law of the sequence itself, and the one
     with pilot k is drawn alone. gaussian and sphere make one rng.random(2)
-    call and no other draw: its first uniform u sets |a|^2, overlap_sq_law
-    at (tau, tau - 1, 1) and t = -log1p(-u), which is the law's inverse CDF
-    at u and so nondecreasing in u alone (stratifying u stratifies |a|^2);
-    its second, phi, sets a's phase 2 pi phi. codeword j gives 1 if j == k,
-    else 0; absent gives 0. absent and codeword draw nothing from rng.
+    call and no other draw: its first uniform U sets |a|^2, overlap_sq_law
+    at (tau, tau - 1, 1) and t = -log(1 - u), which is the law's inverse CDF
+    at u and so nondecreasing in u alone; its second, phi, sets a's phase
+    2 pi phi. Without a stratum u is U. stratum (h, H) draws u uniformly on
+    [h/H, (h+1)/H), as 1 - u = ((H - 1 - h) + (1 - U)) / H, so that the top
+    stratum's 1 - u never rounds to 0. codeword j gives 1 if j == k, else 0;
+    absent gives 0. absent and codeword draw nothing from rng.
     """
     if not 0 <= k < tau:
         raise ValueError(f"pilot index must lie in [0, tau={tau}), got {k}")
     if jammer.is_random:
         u, phi = rng.random(2).tolist()
-        overlap_sq = overlap_sq_law(jammer, -math.log1p(-u), tau, tau - 1, 1)
+        if stratum is None:
+            t = -math.log1p(-u)
+        else:
+            h, n_strata = stratum
+            t = -math.log(((n_strata - 1 - h) + (1.0 - u)) / n_strata)
+        overlap_sq = overlap_sq_law(jammer, t, tau, tau - 1, 1)
         return cmath.rect(math.sqrt(overlap_sq), 2.0 * math.pi * phi)
     return complex(jammer.pilot(tau) == k)
 

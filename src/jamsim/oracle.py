@@ -7,7 +7,8 @@ engine rates a conventional trial at that overlap alone, so the integral is
 exact up to quadrature error. stop_probability is
 the exact probability, given that overlap, that round one's blind estimate
 meets the threshold, stop_share its mean, and alg1_mean_n_used the mean
-transmission count of alg1 it implies at n_max = 2.
+transmission count of alg1 it implies at n_max = 2. alg1_stop_side_mean is
+the stop side of an alg1 row, E[rate 1{n_used = 1}].
 
 Round two's draws (ProtocolTrace.round_two_sq) have exact laws too,
 independent of round one. alg1's is a fresh draw of round one's law. alg2's,
@@ -206,6 +207,24 @@ def alg1_mean_n_used(cfg: SystemConfig) -> float:
     if cfg.n_max > 2:
         raise ValueError(f"the exact count needs n_max <= 2, got {cfg.n_max}")
     return 1.0 if cfg.n_max == 1 else 2.0 - stop_share(cfg)
+
+
+@functools.lru_cache(maxsize=256)
+def alg1_stop_side_mean(cfg: SystemConfig) -> float:
+    """E[rate 1{n_used = 1}] of alg1: its rate on the trials that spend one transmission.
+
+    At n_max >= 2 alg1 spends one exactly when round one's blind estimate
+    meets the threshold, with probability stop_probability given round
+    one's squared overlap, and is then rated at the conventional rate of
+    that overlap, so the mean is round_one_mean of their product. At
+    n_max = 1 every trial spends one, at the conventional rate. A cfg
+    alg1 cannot run raises ValueError (validate_combination).
+    """
+    validate_combination(cfg, "alg1")
+    if cfg.n_max == 1:
+        return conventional_mean(cfg)
+    return round_one_mean(cfg, lambda overlaps: (stop_probability(cfg, overlaps)
+                                                 * conventional_rates(cfg, overlaps)))
 
 
 def other_min_mean(cfg: SystemConfig, g: Callable[[np.ndarray], Sequence[float]]) -> float:

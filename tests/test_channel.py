@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from jamsim import JammerSpec, draw_overlap_amplitude, substream
 from jamsim.channel import draw_jammer_sequence, gen_channel, jamming_overlap_sq, make_codebook
+from jamsim.montecarlo import STRATA
 
 
 def test_gen_channel_rejects_degenerate_inputs():
@@ -219,6 +220,43 @@ def test_overlap_amplitude_is_one_inverse_cdf_draw(kind, tau):
         rng = _FixedUniforms(0.5, 0.5)
         draw_overlap_amplitude(rng, jammer, 0, tau)
         assert rng.sizes == []
+
+
+def _uniform_of(kind, tau, overlap_sq):
+    """The u whose closed-form inverse CDF is overlap_sq (tau >= 2 for sphere)."""
+    if kind == "gaussian":
+        return -math.expm1(-tau * overlap_sq)
+    return 1.0 - (1.0 - overlap_sq) ** (tau - 1)
+
+
+@pytest.mark.parametrize("tau", [2, 20])
+@pytest.mark.parametrize("kind", ["gaussian", "sphere"])
+def test_each_stratum_draws_its_slice_of_the_overlap_law(kind, tau):
+    # stratum (h, H) maps the first uniform U into u in [h/H, (h+1)/H) and
+    # reads the same inverse CDF at u; neighbouring strata share an edge up
+    # to rounding. With one random(2) call, as unstratified. The top
+    # stratum at U = 1 - 2^-53 gives a finite overlap, where the recipe
+    # 1 - (h + U)/H would round 1 - u to 0
+    assert (STRATA - 1 + (1 - 2.0 ** -53)) / STRATA == 1.0
+    jammer = JammerSpec(kind=kind)
+    for h in range(STRATA):
+        lo, hi = h / STRATA, (h + 1) / STRATA
+        for big_u in (0.0, 0.5, 1 - 2.0 ** -53):
+            rng = _FixedUniforms(big_u, 0.25)
+            a = draw_overlap_amplitude(rng, jammer, 0, tau, (h, STRATA))
+            assert rng.sizes == [2]
+            assert math.isfinite(abs(a))
+            u = _uniform_of(kind, tau, abs(a) ** 2)
+            assert lo - 1e-12 <= u <= hi + 1e-12, (h, big_u, u)
+            if big_u == 0.5:
+                assert u == pytest.approx((h + 0.5) / STRATA, rel=1e-12)
+                assert cmath.phase(a) == pytest.approx(math.pi / 2, abs=1e-12)
+    # there 1 - u is 2^-53 / H, t = -ln(1 - u) exactly ln H + 53 ln 2
+    top = draw_overlap_amplitude(_FixedUniforms(1 - 2.0 ** -53, 0.0), jammer, 0, tau,
+                                 (STRATA - 1, STRATA))
+    t = math.log(STRATA) + 53 * math.log(2)
+    law = t / tau if kind == "gaussian" else -math.expm1(-t / (tau - 1))
+    assert abs(top) ** 2 == pytest.approx(law, rel=1e-12)
 
 
 def test_overlap_mean_is_one_over_tau():

@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, imports no
 underscore name of another module, and passes the jammer inside the config;
-the CLI imports nothing from the trial engine, and the oracle states no
-map of t ~ Exp(1) of its own.
+the CLI imports nothing from the trial engine, the oracle states no
+map of t ~ Exp(1) of its own, and only the trial engine's round one draws
+a stratified overlap.
 
 A name moved out of a module tends to leave its import behind; a private
 name another module reads is part of its owner's API under a name that
@@ -9,9 +10,10 @@ says otherwise. The jammer is a field of SystemConfig, so only channel.py's
 per-kind sequence draws take a bare JammerSpec. The CLI parses, prints and
 writes, and sweep.py turns a config and its schemes into rows. The random
 kinds' overlap law is stated once, as channel.overlap_sq_law, which the
-trial engine draws through and the oracle integrates through. These checks
-read the source with ast alone. __init__.py is exempt from the first, since
-its imports are the package's public names.
+trial engine draws through and the oracle integrates through. Only round
+one is stratified: alg1's later rounds must stay independent of it. These
+checks read the source with ast alone. __init__.py is exempt from the
+first, since its imports are the package's public names.
 """
 
 import ast
@@ -136,3 +138,36 @@ def test_references_are_found():
 def test_the_oracle_integrates_through_the_one_overlap_law():
     source = (PACKAGE / "oracle.py").read_text(encoding="utf-8")
     assert _references(source, {"expm1", "log1p"}) == []
+
+
+def _stratified_draws(source: str) -> list[str]:
+    """The functions of source that pass draw_overlap_amplitude a stratum, once per call."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == \
+                "draw_overlap_amplitude" and \
+                (len(node.args) > 4 or any(kw.arg in ("stratum", None) for kw in node.keywords)):
+            found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_stratified_draws_are_found():
+    source = ("def f(rng):\n    draw_overlap_amplitude(rng, j, k, tau)\n"
+              "    return channel.draw_overlap_amplitude(rng, j, k, tau, (0, 5))\n"
+              "def g(rng, **kw):\n    draw_overlap_amplitude(rng, j, k, tau, stratum=s)\n"
+              "    draw_overlap_amplitude(rng, j, k, tau, **kw)\n"
+              "x = draw_overlap_amplitude(rng, j, 0, 4, s)\n")
+    assert _stratified_draws(source) == ["f", "g", "g", "<module>"]
+
+
+def test_only_the_trial_engine_stratifies_round_one():
+    found = [f"{path.stem}.{function}" for path in MODULES
+             for function in _stratified_draws(path.read_text(encoding="utf-8"))]
+    assert found == ["montecarlo.simulate_one_trial"]

@@ -9,7 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from jamsim import JammerSpec, SystemConfig, draw_overlap_amplitude, run_trials, substream
+from jamsim import (JammerSpec, SystemConfig, average_rate, draw_overlap_amplitude, run_trials,
+                    substream)
 from jamsim.channel import complete_amplitudes
 from jamsim.oracle import (conventional_mean, other_min_mean, retransmit_mean, retransmit_rates,
                            stop_share)
@@ -120,6 +121,14 @@ def test_conventional_mean_matches_the_engine(case):
         return
     stderr = rates.std(ddof=1) / math.sqrt(n)
     assert abs(rates.mean() - exact) <= Z_BOUND * stderr, (rates.mean(), exact, stderr)
+    if cfg.jammer.is_random:
+        # the reported row: with equal strata its mean is the plain mean,
+        # and its stratified stderr is about a quarter of the plain one
+        # (0.24 and 0.26 measured here)
+        row = average_rate(cfg, "conventional", n, n_workers=2)
+        assert row.mean_rate == rates.mean()
+        assert 0.0 < row.stderr < 0.35 * stderr, (row.stderr, stderr)
+        assert abs(row.mean_rate - exact) <= Z_BOUND * row.stderr, (row, exact)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from jamsim.channel import (complete_amplitudes, crandn, draw_jammer_sequence, g
 from jamsim.estimation import (despread, despread_power, estimate_jammer_gram,
                                estimate_overlap_sq, receive_block_factor, receive_despread,
                                receive_pilot_block, wishart_factor)
+from jamsim.montecarlo import STRATA
 from jamsim.protocols import select_retransmission_pilot
 from jamsim.rates import rate_from_overlap
 from jamsim.rng import TAG_CHANNEL, TAG_PROTOCOL
@@ -348,7 +349,7 @@ def _chosen_estimate(cfg, scheme, index):
     """Blind estimate of the round the engine's trial decodes with, from a replayed trace."""
     rng = substream(cfg.master_seed, index, TAG_PROTOCOL)
     k = int(rng.integers(cfg.tau))
-    amp = draw_overlap_amplitude(rng, cfg.jammer, k, cfg.tau)
+    amp = draw_overlap_amplitude(rng, cfg.jammer, k, cfg.tau, (index % STRATA, STRATA))
     r = gen_channel_factor(substream(cfg.master_seed, index, TAG_CHANNEL), cfg.M, cfg.beta_u,
                            cfg.beta_j)
     protocol = run_algorithm1 if scheme == "alg1" else run_algorithm2

@@ -15,7 +15,10 @@ at least that value. Given ov, the stop indicator S has mean P, so S - P and
 the control variates average_rate adds on the alg rows. The third of mean
 0, (1 - S) times a rate at round two's draw less its exact mean, is checked
 here too: round two's draw is independent of round one. So is a fourth, P
-itself, of mean stop_share.
+itself, of mean stop_share. alg1 stops at round one with probability P
+given ov and is then rated at the conventional rate x(ov), so its rate on
+the trials that spend one transmission has mean E[P x]
+(alg1_stop_side_mean).
 """
 
 import math
@@ -27,8 +30,9 @@ import pytest
 from jamsim import (JammerSpec, SystemConfig, draw_overlap_amplitude, gen_channel_factor,
                     run_trials, substream)
 from jamsim.estimation import run_training
-from jamsim.montecarlo import _control_variates
-from jamsim.oracle import alg1_mean_n_used, round_one_mean, stop_probability, stop_share
+from jamsim.montecarlo import _control_variates, stratified_mean
+from jamsim.oracle import (alg1_mean_n_used, alg1_stop_side_mean, conventional_mean,
+                           round_one_mean, stop_probability, stop_share)
 from jamsim.rng import TAG_CHANNEL, TAG_PROTOCOL
 
 Z_BOUND = 4.0
@@ -173,6 +177,26 @@ def test_alg1_spends_one_round_as_often_as_round_one_stops(kind, m):
     assert abs(_z(float(data.n_used.mean()) - 1.0, mean_n_used - 1.0, N_TRIALS)) <= Z_BOUND
     for column in _zero_mean_columns(cfg, "alg1", data):
         _assert_mean_zero(column)
+
+
+@pytest.mark.parametrize("m", ANTENNAS)
+@pytest.mark.parametrize("kind", ["gaussian", "sphere"])
+def test_alg1_stop_side_matches_the_engine(kind, m):
+    # E[rate 1{n_used = 1}], the stratified mean of the engine's trials,
+    # in units of its stderr
+    cfg = _cfg(m, jammer=JammerSpec(kind=kind))
+    data = run_trials(cfg, "alg1", N_TRIALS)
+    mean, stderr = stratified_mean(data.rates * (data.n_used == 1))
+    exact = alg1_stop_side_mean(cfg)
+    assert 0.0 < exact < conventional_mean(cfg)
+    assert abs(mean - exact) <= Z_BOUND * stderr, (mean, exact, stderr)
+
+
+def test_alg1_stop_side_at_one_transmission_is_the_conventional_mean():
+    cfg = _cfg(50, n_max=1)
+    assert alg1_stop_side_mean(cfg) == conventional_mean(cfg)
+    with pytest.raises(ValueError):
+        alg1_stop_side_mean(_cfg(50, jammer=JammerSpec(kind="codeword")))
 
 
 def test_alg1_stops_after_round_one_when_epsilon_is_one():
