@@ -90,8 +90,8 @@ def draw_jammer_sequence(rng, jammer: JammerSpec, tau: int) -> np.ndarray:
     return seq / np.linalg.norm(seq)
 
 
-def overlap_sq_law(jammer: JammerSpec, t: float, gaussian_div: int, sphere_dof: int,
-                   sphere_div: int) -> float:
+def overlap_sq_law(jammer: JammerSpec, t, gaussian_div: int, sphere_dof: int,
+                   sphere_div: int):
     """A random kind's squared-overlap law, as a nondecreasing map of t ~ Exp(1).
 
     gaussian: t / gaussian_div, an exponential of mean 1 / gaussian_div.
@@ -99,10 +99,29 @@ def overlap_sq_law(jammer: JammerSpec, t: float, gaussian_div: int, sphere_dof: 
     over sphere_div, or surely 1 / sphere_div when sphere_dof is 0. Round
     one's law (draw_overlap_amplitude) is the map at (tau, tau - 1, 1), and
     jamsim.oracle integrates it and alg2's round-two law over t.
+    t is a float or an array of them. A float goes through math.expm1, as
+    the draws always have: np.expm1 differs from it in the last bit on some
+    inputs.
     """
     if jammer.kind == "gaussian":
         return t / gaussian_div
-    return -math.expm1(-t / sphere_dof) / sphere_div if sphere_dof else 1.0 / sphere_div
+    expm1 = np.expm1 if np.ndim(t) else math.expm1
+    return -expm1(-t / sphere_dof) / sphere_div if sphere_dof else 1.0 / sphere_div
+
+
+def overlap_sq_law_inverse(jammer: JammerSpec, overlap_sq, gaussian_div: int, sphere_dof: int,
+                           sphere_div: int) -> np.ndarray:
+    """The t at which overlap_sq_law reaches each squared overlap, elementwise.
+
+    gaussian: overlap_sq gaussian_div. sphere, for sphere_dof >= 1:
+    -sphere_dof log1p(-overlap_sq sphere_div), inf from the law's top
+    1 / sphere_div on.
+    """
+    overlap_sq = np.asarray(overlap_sq, dtype=float)
+    if jammer.kind == "gaussian":
+        return overlap_sq * gaussian_div
+    with np.errstate(divide="ignore"):    # log1p(-1) = -inf gives t = inf
+        return -sphere_dof * np.log1p(-np.minimum(overlap_sq * sphere_div, 1.0))
 
 
 def draw_overlap_amplitude(rng, jammer: JammerSpec, k: int, tau: int,

@@ -34,9 +34,12 @@ the conventional rate at round one's overlap has the exact mean
 oracle.conventional_mean, the stop indicator has the exact mean
 oracle.stop_probability given that overlap, which in turn has the exact
 mean oracle.stop_share, and on the trials that retransmit, a rate at round
-two's draw has an exact mean too (oracle.conventional_mean for alg1,
-oracle.retransmit_mean for alg2). A conventional row is the stratified
-mean of its trials (stratified_mean).
+two's draw has an exact mean too: for alg1 the two-round rate at the
+better of its rounds' overlaps, given round one's
+(oracle.better_round_mean), for alg2 oracle.retransmit_mean. The alg rows'
+standard error centres its per-trial terms within round one's strata
+(control_variate_mean). A conventional row is the stratified mean of its
+trials (stratified_mean).
 """
 
 import functools
@@ -49,8 +52,8 @@ import numpy as np
 
 from .channel import draw_overlap_amplitude, gen_channel_factor
 from .config import SystemConfig, check_count, validate_combination
-from .oracle import (conventional_mean, conventional_rates, retransmit_mean, retransmit_rates,
-                     stop_probability, stop_share)
+from .oracle import (better_round_mean, better_round_rates, conventional_mean, conventional_rates,
+                     retransmit_mean, retransmit_rates, stop_probability, stop_share)
 from .protocols import run_algorithm1, run_algorithm2
 from .rates import sinr_and_rate
 from .rng import TAG_CHANNEL, TAG_PROTOCOL, substream
@@ -166,14 +169,17 @@ def control_variate_mean(y: np.ndarray, columns: np.ndarray | None = None,
     dropped. The estimate is the intercept of the least-squares fit of y on
     the columns less their means, that is mean(y) - b . (mean(columns) -
     means), solved rank-revealing so that collinear columns share one
-    coefficient. Its standard error is the jackknife-like sandwich (HC3):
-    the root of sum_i (a_i e_i / (1 - h_i))^2, with a_i the weight of y_i
-    in the intercept, e_i its residual and h_i its leverage. Unlike the
-    residuals' standard deviation it counts the noise of the fitted
-    coefficients and residuals whose spread changes with the columns.
-    Without a varying column, with fewer samples than varying columns plus
-    2, or when one sample alone fixes a coefficient (leverage 1), it is the
-    plain mean and its sample standard error (0 for one sample).
+    coefficient. Its standard error is the jackknife-like sandwich (HC3),
+    its terms a_i e_i / (1 - h_i) centred within round one's strata
+    (_stratified_spread), with a_i the weight of y_i in the intercept, e_i
+    its residual and h_i its leverage. Unlike the residuals' standard
+    deviation it counts the noise of the fitted coefficients and residuals
+    whose spread changes with the columns; unlike plain HC3 it leaves out
+    the spread between strata, which the stratified draw keeps out of the
+    mean. Without a varying column, with fewer samples than varying
+    columns plus 2, or when one sample alone fixes a coefficient (leverage
+    1), it is the plain mean and its sample standard error (0 for one
+    sample).
     """
     n = len(y)
     y_bar = y.mean()
@@ -196,10 +202,26 @@ def control_variate_mean(y: np.ndarray, columns: np.ndarray | None = None,
                 uy = u.T @ (y - y_bar)
                 resid = y - y_bar - u @ uy
                 weight = 1.0 / n - u @ w
-                return (float(y_bar - w @ uy),
-                        float(np.sqrt(np.sum((weight * resid / (1.0 - leverage)) ** 2))))
+                return float(y_bar - w @ uy), _stratified_spread(weight * resid / (1.0 - leverage))
     stderr = float(y.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return float(y_bar), stderr
+
+
+def _stratified_spread(terms: np.ndarray) -> float:
+    """Root of the sum of squares of the per-sample terms, each centred in its stratum.
+
+    Sample i lies in stratum i mod STRATA, and a stratum's sum of squares
+    about its mean is scaled by n_h / (n_h - 1), n_h its count. With fewer
+    than 2 STRATA samples, which leave a stratum without two, the terms
+    are not centred.
+    """
+    if len(terms) < 2 * STRATA:
+        return float(np.sqrt(np.sum(terms ** 2)))
+    total = 0.0
+    for h in range(STRATA):
+        part = terms[h::STRATA]
+        total += len(part) / (len(part) - 1) * float(np.sum((part - part.mean()) ** 2))
+    return math.sqrt(total)
 
 
 def stratified_mean(y: np.ndarray) -> tuple[float, float]:
@@ -232,9 +254,12 @@ def _control_variates(cfg: SystemConfig, scheme: str,
     stop indicator, the first three columns are x, of mean
     conventional_mean, and d and d x, both of mean 0, since x is a function
     of that overlap. The fourth is (1 - S)(f - E f), f a rate at round
-    two's draw (ProtocolTrace.round_two_sq): alg1's conventional rate, of
-    mean conventional_mean, or alg2's retransmit_rates, of mean
-    retransmit_mean.
+    two's draw (ProtocolTrace.round_two_sq). For alg1, f is
+    better_round_rates, the two-round rate at the smaller of round one's
+    and round two's squared overlaps, the round a receiver without
+    estimation error picks, and E f is its mean over round two's draw given
+    round one's overlap (better_round_mean). For alg2, f is
+    retransmit_rates, of mean retransmit_mean.
     With n_max >= 2 a trial draws round two exactly when S is 0, and that
     draw is independent of round one, so the column has mean 0. It is 0
     throughout under a codeword or absent jammer, where round one fixes
@@ -250,8 +275,9 @@ def _control_variates(cfg: SystemConfig, scheme: str,
     round_two = np.zeros(len(retx))
     if cfg.n_max >= 2 and cfg.jammer.is_random:
         if scheme == "alg1":
-            round_two[retx] = (conventional_rates(cfg, data.round_two_sq[retx])
-                               - conventional_mean(cfg))
+            one = data.round_one_overlap_sq[retx]
+            round_two[retx] = (better_round_rates(cfg, one, data.round_two_sq[retx])
+                               - better_round_mean(cfg, one))
         elif cfg.tau > 1:
             round_two[retx] = (retransmit_rates(cfg, data.round_two_sq[retx],
                                                 data.round_one_overlap_sq[retx])
@@ -268,8 +294,11 @@ def average_rate(cfg: SystemConfig, scheme: str, n_trials: int, n_workers: int =
     overlap alone, which trial i draws in stratum i mod STRATA. An alg row
     is the control-variate mean (control_variate_mean) on its trials' five
     columns (_control_variates). At fig3's M = 500 and 200 trials, the
-    fifth, round one's stop probability, takes the alg2 stderr from 0.57 to
-    0.10 of the plain one and alg1's from 0.32 to 0.18.
+    fifth, round one's stop probability, took the alg2 stderr from 0.57 to
+    0.10 of the plain one and alg1's from 0.32 to 0.18; alg1's fourth at
+    its better round and the stratum-centred stderr take them to 0.09 and
+    0.11. At fig2's tau = 4, 10 dB and 400 trials, they take alg1's from
+    0.46 to 0.24.
     """
     data = run_trials(cfg, scheme, n_trials, n_workers=n_workers)
     if scheme == "conventional":

@@ -11,19 +11,22 @@ transmission count of alg1 it implies at n_max = 2. alg1_stop_side_mean is
 the stop side of an alg1 row, E[rate 1{n_used = 1}].
 
 Round two's draws (ProtocolTrace.round_two_sq) have exact laws too,
-independent of round one. alg1's is a fresh draw of round one's law. alg2's,
-on its retransmit branch, is the smallest squared modulus of the other
-tau - 1 coordinates of the jamming sequence; other_min_mean integrates over
-its law (scaled free of round one for sphere), retransmit_rates is the
-two-round rate at it, and retransmit_mean its mean.
+independent of round one. alg1's is a fresh draw of round one's law:
+better_round_rates is the two-round rate at the smaller of its two rounds'
+squared overlaps, and better_round_mean its mean over round two's draw
+given round one's overlap, a 1-D integral up to that overlap. alg2's, on
+its retransmit branch, is the smallest squared modulus of the other tau - 1
+coordinates of the jamming sequence; other_min_mean integrates over its law
+(scaled free of round one for sphere), retransmit_rates is the two-round
+rate at it, and retransmit_mean its mean. All of these rate through
+rates.rates_at, bit-identical to the trial engine's rate.
 
 average_rate steers the alg rows with all of these, five columns in all:
 the conventional rate has mean conventional_mean; the round-one stop
 indicator minus stop_probability has mean 0, alone and times the
-conventional rate; on the trials that draw round two, the conventional
-rate at alg1's second overlap less conventional_mean, or retransmit_rates
-less retransmit_mean, has mean 0; and stop_probability itself, p, has mean
-stop_share.
+conventional rate; on the trials that draw round two, better_round_rates
+less better_round_mean (alg1), or retransmit_rates less retransmit_mean
+(alg2), has mean 0; and stop_probability itself, p, has mean stop_share.
 
 verify_moments is the moment check: it compares Monte Carlo moments of the
 effective-noise decomposition behind the SINR formula with their closed
@@ -37,10 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import crandn, overlap_sq_law
+from .channel import crandn, overlap_sq_law, overlap_sq_law_inverse
 from .config import SystemConfig, check_count, validate_combination
 from .estimation import mmse_coefficients, mmse_terms, wishart_factor
-from .rates import effective_sinr, sinr_and_rate
+from .rates import effective_sinr, rates_at
 from .rng import TAG_MOMENTS, substream
 
 # E[g(t)] for t ~ Exp(1) by Gauss-Legendre on [0, 2^-40] and the panels
@@ -98,17 +101,12 @@ def round_one_mean(cfg: SystemConfig, g: Callable[[np.ndarray], Sequence[float]]
     return float(hit / cfg.tau + miss * (1.0 - 1.0 / cfg.tau))
 
 
-def _rates(cfg: SystemConfig, overlaps: np.ndarray, n_used: int) -> np.ndarray:
-    """rate(overlap, n_used) under cfg at each squared overlap."""
-    return np.array([sinr_and_rate(cfg, overlap_sq, n_used)[1] for overlap_sq in overlaps.tolist()])
-
-
 def conventional_rates(cfg: SystemConfig, overlaps: np.ndarray) -> np.ndarray:
     """Conventional rate rate(|a|^2, 1) under cfg at each squared overlap.
 
     Bit-identical to the rate of a conventional trial at that overlap.
     """
-    return _rates(cfg, overlaps, 1)
+    return rates_at(cfg, overlaps, 1)
 
 
 @functools.lru_cache(maxsize=256)
@@ -227,6 +225,59 @@ def alg1_stop_side_mean(cfg: SystemConfig) -> float:
                                                  * conventional_rates(cfg, overlaps)))
 
 
+def better_round_rates(cfg: SystemConfig, overlap_one_sq, overlap_two_sq) -> np.ndarray:
+    """h = rate(min(o1, o2), 2) per alg1 trial that drew round two.
+
+    o1 and o2 are its rounds' squared overlaps: h is the two-round rate at
+    the better true overlap, the rate of a receiver that picks its round
+    without error.
+    """
+    return rates_at(cfg, np.minimum(overlap_one_sq, overlap_two_sq), 2)
+
+
+@functools.lru_cache(maxsize=256)
+def _better_round_panels(cfg: SystemConfig) -> np.ndarray:
+    """E[rate(o2, 2); t2 < edge] at each of _PANEL_EDGES but the last, o2 = law(t2), t2 ~ Exp(1).
+
+    The law is round one's; the sums are _exp_rule's, panel by panel.
+    """
+    nodes, weights = _exp_rule()
+    values = overlap_sq_law(cfg.jammer, np.array(nodes), cfg.tau, cfg.tau - 1, 1)
+    panels = (np.array(weights) * rates_at(cfg, values, 2)).reshape(-1, _PANEL_NODES).sum(axis=1)
+    return np.concatenate([[0.0], np.cumsum(panels[:-1])])
+
+
+def better_round_mean(cfg: SystemConfig, overlap_one_sq) -> np.ndarray:
+    """H(o1) = E[h | o1], the mean of better_round_rates over round two's draw, per o1.
+
+    alg1's round two is a fresh draw o2 of round one's law, independent of
+    round one, so with o2 = law(t), t ~ Exp(1) (overlap_sq_law at
+    (tau, tau - 1, 1)) and t1 the t at which the law reaches o1,
+    H(o1) = E[rate(o2, 2); t < t1] + e^(-t1) rate(o1, 2). The first term
+    is _exp_rule's panels below t1, summed once per cfg, plus one
+    Gauss-Legendre rule of _PANEL_NODES nodes on the part of t1's panel
+    below t1; past the last edge, where the rule stops, every panel is
+    whole. A sphere at tau = 1 draws o2 = 1 surely, so H(o1) = rate(o1, 2).
+    Kinds that fix round two's draw (codeword, absent) raise ValueError.
+    """
+    o1 = np.asarray(overlap_one_sq, dtype=float)
+    jammer, law = cfg.jammer, (cfg.tau, cfg.tau - 1, 1)
+    if not jammer.is_random:
+        raise ValueError(f"a {jammer.kind} jammer draws no fresh round two")
+    if jammer.kind == "sphere" and cfg.tau == 1:
+        return better_round_rates(cfg, o1, 1.0)
+    t1 = overlap_sq_law_inverse(jammer, o1, *law)
+    edges = np.array(_PANEL_EDGES)
+    panel = np.clip(np.searchsorted(edges, t1, side="right") - 1, 0, len(edges) - 2)
+    lo = edges[panel]
+    half = ((np.minimum(t1, edges[-1]) - lo) / 2)[..., None]
+    x, w = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    t = lo[..., None] + half * (1.0 + x)
+    below = np.sum(half * w * np.exp(-t) * rates_at(cfg, overlap_sq_law(jammer, t, *law), 2),
+                   axis=-1)
+    return _better_round_panels(cfg)[panel] + below + np.exp(-t1) * rates_at(cfg, o1, 2)
+
+
 def other_min_mean(cfg: SystemConfig, g: Callable[[np.ndarray], Sequence[float]]) -> float:
     """E[g(v)] over the exact law of v, alg2's round-two draw, freed of round one.
 
@@ -253,7 +304,7 @@ def other_min_mean(cfg: SystemConfig, g: Callable[[np.ndarray], Sequence[float]]
 def _retransmit_rates_at(cfg: SystemConfig, v: np.ndarray) -> np.ndarray:
     # sphere's v is m over 1 - |a|^2, whose mean is 1 - 1/tau
     scale = 1.0 if cfg.jammer.kind == "gaussian" else 1.0 - 1.0 / cfg.tau
-    return _rates(cfg, scale * v, 2)
+    return rates_at(cfg, scale * v, 2)
 
 
 def retransmit_rates(cfg: SystemConfig, round_two_sq: np.ndarray,

@@ -9,8 +9,10 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import SystemConfig
-from .estimation import mmse_coefficients
+from .estimation import mmse_coefficients, mmse_terms
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,30 @@ def sinr_and_rate(cfg: SystemConfig, overlap_sq: float, n_used: int = 1) -> tupl
     _, gamma_u = mmse_coefficients(cfg, overlap_sq)
     rho = effective_sinr(cfg, gamma_u, overlap_sq)
     return rho, rate(cfg, rho, n_used)
+
+
+def rates_at(cfg: SystemConfig, overlaps, n_used: int = 1) -> np.ndarray:
+    """sinr_and_rate's rate at each squared overlap of an array, bit for bit.
+
+    The SINR is sinr_and_rate's arithmetic, elementwise in the same order,
+    so every entry rounds as it does there; the logarithm goes through
+    math.log2 one float at a time, since np.log2 differs from it in the
+    last bit on some inputs. Raises ValueError where sinr_and_rate would.
+    """
+    overlaps = np.asarray(overlaps, dtype=float)
+    if np.any(overlaps < 0):
+        raise ValueError("overlap_sq must be nonnegative")
+    pilot, jamming, root, beta_u = mmse_terms(cfg)
+    contamination, interference, signal = _sinr_terms(cfg)
+    with np.errstate(over="ignore", invalid="ignore"):    # the check below reports them
+        gamma_u = root * beta_u / (pilot + jamming * overlaps + 1.0) * root * beta_u
+        den = interference + contamination * overlaps * gamma_u + 1.0
+        sinr = signal * gamma_u / den
+    if not (np.all(np.isfinite(den)) and np.all(np.isfinite(sinr))):
+        raise ValueError(
+            f"powers p_d={cfg.p_d:g}, q_t={cfg.q_t:g}, q_d={cfg.q_d:g} overflow the SINR")
+    logs = np.fromiter(map(math.log2, (1.0 + sinr).ravel().tolist()), float, sinr.size)
+    return cfg.prelog(n_used) * logs.reshape(overlaps.shape)
 
 
 def rate_from_overlap(cfg: SystemConfig, overlap_sq: float, n_used: int = 1) -> RateReport:

@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+
+from jamsim import run_trials
 
 
 class ZeroNoise:
@@ -17,3 +21,13 @@ class ZeroNoise:
 @pytest.fixture
 def zero_noise():
     return ZeroNoise()
+
+
+@pytest.fixture(scope="session")
+def trials():
+    """run_trials(cfg, scheme, n_trials), each run once per session.
+
+    Runs are deterministic in their arguments, so checks that need the same
+    trials share one run.
+    """
+    return functools.cache(run_trials)

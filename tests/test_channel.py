@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jamsim import JammerSpec, draw_overlap_amplitude, substream
-from jamsim.channel import draw_jammer_sequence, gen_channel, jamming_overlap_sq, make_codebook
+from jamsim.channel import (draw_jammer_sequence, gen_channel, jamming_overlap_sq, make_codebook,
+                            overlap_sq_law, overlap_sq_law_inverse)
 from jamsim.montecarlo import STRATA
 
 
@@ -257,6 +258,23 @@ def test_each_stratum_draws_its_slice_of_the_overlap_law(kind, tau):
     t = math.log(STRATA) + 53 * math.log(2)
     law = t / tau if kind == "gaussian" else -math.expm1(-t / (tau - 1))
     assert abs(top) ** 2 == pytest.approx(law, rel=1e-12)
+
+
+@pytest.mark.parametrize("law", [(20, 19, 1), (2, 1, 1), (380, 18, 19)])
+@pytest.mark.parametrize("kind", ["gaussian", "sphere"])
+def test_overlap_law_maps_arrays_and_inverts(kind, law):
+    # an array maps as its floats do, up to np.expm1's last bit; the inverse
+    # gives t back, and inf from the sphere's top 1 / sphere_div on
+    jammer = JammerSpec(kind=kind)
+    t = np.array([0.0, 1e-12, 0.3, 2.0, 38.0])
+    v = overlap_sq_law(jammer, t, *law)
+    assert v == pytest.approx([overlap_sq_law(jammer, x, *law) for x in t.tolist()],
+                              rel=1e-15, abs=0)
+    assert overlap_sq_law_inverse(jammer, v[:-1], *law) == pytest.approx(t[:-1], rel=1e-12)
+    if kind == "sphere":
+        top = 1.0 / law[2]
+        assert overlap_sq_law_inverse(jammer, np.array([top, 2 * top]), *law).tolist() == \
+            [math.inf, math.inf]
 
 
 def test_overlap_mean_is_one_over_tau():

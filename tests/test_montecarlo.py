@@ -365,15 +365,17 @@ def test_trials_never_build_the_codebook():
 # ---------------------------------------------------------------------------
 
 # one run per case: (scheme, config overrides, blocks, trials per block).
-# alg1 at tau = 10 and 0 dB. alg2 at tau = 90 and 10 dB, where round one's
-# stop decision is close to a coin flip at M = 50 and its two outcomes'
-# prelogs (0.55 and 0.1) differ most. alg2 at fig2's tau = 4 and 10 dB and
-# its 400 trials, where the round-two column carries most of the gain.
+# alg1 at tau = 10 and 0 dB. alg1 and alg2 at fig2's tau = 4 and 10 dB and
+# its 400 trials, the alg rows that weigh most in fig2's time to a target
+# stderr; there the round-two column carries most of the gain. alg2 at
+# tau = 90 and 10 dB, where round one's stop decision is close to a coin
+# flip at M = 50 and its two outcomes' prelogs (0.55 and 0.1) differ most.
 # alg1 and alg2 at fig3's largest point (M = 500, tau = 20, 5 dB) and its
 # 200 trials, where the stop probability column carries most of the gain
 _FIG3_POWER = snr_db_to_power(5.0)
 _CV_RUNS = {
     "alg1": ("alg1", dict(master_seed=17), 100, 200),
+    "alg1-tau4": ("alg1", dict(tau=4, P=10.0, Q=10.0, master_seed=17), 50, 400),
     "alg2": ("alg2", dict(tau=90, P=10.0, Q=10.0, master_seed=17), 50, 200),
     "alg2-tau4": ("alg2", dict(tau=4, P=10.0, Q=10.0, master_seed=17), 50, 400),
     "alg1-fig3": ("alg1", dict(M=500, tau=20, P=_FIG3_POWER, Q=_FIG3_POWER, master_seed=17),
@@ -381,29 +383,34 @@ _CV_RUNS = {
     "alg2-fig3": ("alg2", dict(M=500, tau=20, P=_FIG3_POWER, Q=_FIG3_POWER, master_seed=17),
                   100, 200),
 }
-# the alg rows' mean stderr against the plain one, measured with the five
-# columns on stratified round-one draws over seeds 3, 5, 7 and 17: alg1
-# 0.45-0.46, alg2 at tau = 90 0.0005-0.0006, at tau = 4 0.38-0.40, alg1 at
-# fig3's M = 500 0.18, alg2 there 0.096-0.099. On round one's earlier draws
-# (two normals, and a Gamma draw for the sphere) the first four columns
-# alone gave 0.52, 0.0030, 0.42, 0.32 and 0.57
-_CV_GAIN = {"alg1": 0.55, "alg2": 0.002, "alg2-tau4": 0.5, "alg1-fig3": 0.25,
-            "alg2-fig3": 0.15}
+# the alg rows' mean stderr against the plain one, measured over seeds 3, 5,
+# 7 and 17 with the five columns, alg1's fourth at its better round, and
+# HC3 centred within round one's strata: alg1 0.35-0.36, alg1-tau4
+# 0.23-0.25, alg2 at tau = 90 0.0005-0.0006, alg2-tau4 0.30-0.32, alg1 at
+# fig3's M = 500 0.11, alg2 there 0.089-0.093. The alg1, alg1-tau4,
+# alg2-tau4 and alg1-fig3 bounds fail an estimator with alg1's fourth
+# column at round two's overlap alone and plain HC3, which read 0.45-0.46,
+# 0.46-0.47, 0.38-0.40 and 0.18
+_CV_GAIN = {"alg1": 0.45, "alg1-tau4": 0.3, "alg2": 0.001, "alg2-tau4": 0.36, "alg1-fig3": 0.15,
+            "alg2-fig3": 0.12}
 # cases whose rows are too sharp for the pooled plain mean to be a
 # reference: the raw bias of a row, the mean of the rows less the pooled
 # control-variate mean, in units of the rows' mean stderr. It is the O(1/n)
 # bias of the fitted coefficients, and its own stderr is the rows' spread
-# over the root of the block count, in the same units. Measured on
-# stratified draws at seeds 3, 5, 7 and 17 (the test runs 17): at tau = 90
-# and 200 trials -0.32, -0.25, -0.20 and -0.37 (stderr 0.12-0.14, about
-# 1e-5 bits); at tau = 4 and 400 trials -0.02 to -0.07 (0.09-0.11); at
-# fig3's M = 500, alg1 -0.04 to -0.17 (0.08-0.10) and alg2 -0.04 to +0.04
-# (0.09-0.10)
-_CV_BIAS_Z = {"alg2": 0.8, "alg2-tau4": 0.3, "alg1-fig3": 0.4, "alg2-fig3": 0.3}
+# over the root of the block count, in the same units. alg1 at tau = 4 is
+# one: its rows' shift off the plain mean spreads by 0.09-0.12 plain
+# stderrs over the root of the block count, above the 0.1 the pooled plain
+# mean needs. Measured at seeds 3, 5, 7 and 17 (the test runs 17): alg1 at
+# tau = 4 and 400 trials -0.03 to -0.09 (stderr 0.12-0.17); alg2 at
+# tau = 90 and 200 trials -0.34, -0.27, -0.22 and -0.41 (0.13-0.15, about
+# 1e-5 bits); at tau = 4 -0.03 to -0.09 (0.11-0.15); at fig3's M = 500,
+# alg1 -0.03 to -0.15 (0.09-0.11) and alg2 -0.05 to +0.04 (0.09-0.10)
+_CV_BIAS_Z = {"alg1-tau4": 0.3, "alg2": 0.8, "alg2-tau4": 0.3, "alg1-fig3": 0.4,
+              "alg2-fig3": 0.3}
 
 
 @pytest.mark.parametrize("case", sorted(_CV_RUNS))
-def test_control_variate_rows_are_calibrated_and_unbiased(case):
+def test_control_variate_rows_are_calibrated_and_unbiased(case, trials):
     # disjoint blocks of trial indices of one run are independent rows, as
     # rows of as many master seeds would be. z of each row has sd near 1
     # when the stderr is right. The control variates move a row off its
@@ -412,7 +419,7 @@ def test_control_variate_rows_are_calibrated_and_unbiased(case):
     scheme, overrides, blocks, size = _CV_RUNS[case]
     assert size % STRATA == 0    # every block holds each stratum equally often
     cfg = _cfg(**overrides)
-    data = run_trials(cfg, scheme, blocks * size)
+    data = trials(cfg, scheme, blocks * size)
     columns, known = _control_variates(cfg, scheme, data)
     ys = data.rates.reshape(blocks, size)
     rows = np.array([control_variate_mean(y, c, known)
@@ -445,9 +452,9 @@ def test_control_variate_rows_are_calibrated_and_unbiased(case):
         bias = (means.mean() - pooled) / stderrs.mean()
         bias_se = means.std(ddof=1) / math.sqrt(blocks) / stderrs.mean()
         assert abs(bias) <= _CV_BIAS_Z[case], (bias, bias_se)
-    # HC3 takes the trials as independent, so it does not see the strata:
-    # alg2 at tau = 4 reads z sd 0.62-0.82 over seeds 3, 5, 7 and 17, the
-    # other cases 0.89-1.16
+    # HC3 centred within round one's strata; over seeds 3, 5, 7 and 17 z
+    # reads sd 0.80-1.22 and max |z| 1.9-5.0. Without the centring alg1-tau4
+    # reads sd 0.64 at seed 7, and alg2-tau4 0.62
     assert 0.7 <= z.std(ddof=1) <= 1.4, z.std(ddof=1)
     # a near-zero stderr would show as one huge z that a z sd can hide
     assert np.abs(z).max() <= 6.0, np.abs(z).max()
@@ -493,13 +500,25 @@ def test_stratified_conventional_rows_are_calibrated(case):
 
 
 def _regression_by_hand(y, columns, means):
-    """Intercept of y on [1, columns - means] and its HC3 standard error."""
+    """Intercept of y on [1, columns - means] and its HC3 standard error.
+
+    From 2 STRATA samples on, HC3's per-sample terms are centred within
+    the strata i mod STRATA, each stratum's sum of squares scaled by
+    n_h / (n_h - 1).
+    """
     z = np.column_stack([np.ones(len(y)), np.reshape(columns, (len(y), -1)) - means])
     inv = np.linalg.inv(z.T @ z)
     coef = inv @ z.T @ y
     resid = y - z @ coef
     leverage = np.einsum("ij,jk,ik->i", z, inv, z)
-    return coef[0], math.sqrt(np.sum(((inv @ z.T)[0] * resid / (1 - leverage)) ** 2))
+    terms = (inv @ z.T)[0] * resid / (1 - leverage)
+    if len(y) < 2 * STRATA:
+        return coef[0], math.sqrt(np.sum(terms ** 2))
+    strata = np.arange(len(y)) % STRATA
+    return coef[0], math.sqrt(sum(
+        np.sum(strata == h) / (np.sum(strata == h) - 1)
+        * np.sum((terms[strata == h] - terms[strata == h].mean()) ** 2)
+        for h in range(STRATA)))
 
 
 @pytest.mark.parametrize("scheme,jam,first_pilot", [
@@ -578,6 +597,14 @@ def test_control_variate_mean_falls_back_and_regresses():
     exact = 2.0 + cols @ [1.0, -0.5]
     assert control_variate_mean(exact, cols, known) == \
         pytest.approx((2.0 + 1.5 - 0.5 * 3.0, 0.0), abs=1e-12)
+    # from 2 STRATA samples on, the stderr centres HC3's terms within the
+    # strata; 23 samples leave the strata unequal
+    rng = np.random.default_rng(4)
+    x = rng.random((23, 2))
+    y = x @ [1.0, 2.0] + rng.standard_normal(23)
+    for n in (2 * STRATA - 1, 2 * STRATA, 23):
+        assert control_variate_mean(y[:n], x[:n], (0.5, 0.5)) == \
+            pytest.approx(_regression_by_hand(y[:n], x[:n], (0.5, 0.5)), rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

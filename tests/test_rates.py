@@ -1,12 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jamsim import SystemConfig
 from jamsim.estimation import mmse_coefficients
-from jamsim.rates import effective_sinr, rate, rate_from_overlap, rate_random_jamming
+from jamsim.rates import (effective_sinr, rate, rate_from_overlap, rate_random_jamming, rates_at,
+                          sinr_and_rate)
+from jamsim.sweep import PRESET_NAMES, derive_config, preset_specs
 
 
 def _cfg(**kw):
@@ -62,6 +65,42 @@ def test_sinr_overflow_raises():
         rate_from_overlap(SystemConfig(P=1e160, Q=1e160), 0.1)
     report = rate_from_overlap(SystemConfig(P=1e150, Q=1e150), 0.1)
     assert report.rate == pytest.approx(2.840449018569273, rel=1e-12)
+
+
+def _preset_configs():
+    return [derive_config(spec.base, spec.axis, value)
+            for name in PRESET_NAMES
+            for spec in preset_specs(name, n_trials=1, master_seed=0, n_workers=1)
+            for value in spec.values]
+
+
+def test_rates_at_is_sinr_and_rate_bit_for_bit():
+    # on every point of both presets, at the ends 0 and 1, at a draw of
+    # round one's law and at uniform overlaps, for every transmission count
+    rng = np.random.default_rng(11)
+    configs = _preset_configs()
+    assert len(configs) == 29
+    for cfg in configs:
+        overlaps = np.concatenate([[0.0, 1.0, 5e-324, 1e-300], rng.exponential(1 / cfg.tau, 300),
+                                   rng.random(300)])
+        for n_used in range(1, cfg.n_max + 1):
+            expected = [sinr_and_rate(cfg, ov, n_used)[1] for ov in overlaps.tolist()]
+            assert rates_at(cfg, overlaps, n_used).tolist() == expected, (cfg, n_used)
+    # any shape, a scalar included
+    cfg = configs[0]
+    grid = rng.random((3, 4))
+    assert rates_at(cfg, grid).shape == (3, 4)
+    assert rates_at(cfg, grid)[2, 1] == sinr_and_rate(cfg, float(grid[2, 1]))[1]
+    assert rates_at(cfg, 0.25, 2) == sinr_and_rate(cfg, 0.25, 2)[1]
+
+
+def test_rates_at_raises_where_sinr_and_rate_does():
+    with pytest.raises(ValueError, match="nonnegative"):
+        rates_at(_cfg(), np.array([0.1, -0.2]))
+    with pytest.raises(ValueError, match="overflow the SINR"):
+        rates_at(SystemConfig(P=1e160, Q=1e160), np.array([0.0, 0.1]))
+    with pytest.raises(ValueError, match="exceed T"):
+        rates_at(_cfg(), np.array([0.1]), 20)
 
 
 @settings(max_examples=60, deadline=None)

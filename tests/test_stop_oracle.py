@@ -18,7 +18,10 @@ here too: round two's draw is independent of round one. So is a fourth, P
 itself, of mean stop_share. alg1 stops at round one with probability P
 given ov and is then rated at the conventional rate x(ov), so its rate on
 the trials that spend one transmission has mean E[P x]
-(alg1_stop_side_mean).
+(alg1_stop_side_mean). alg1's round-two column is (1 - S)(h - H(ov)), with h
+the two-round rate at the smaller of its rounds' squared overlaps and H its
+mean over round two's fresh draw given ov (better_round_mean), checked here
+against a Simpson rule and the engine.
 """
 
 import math
@@ -29,10 +32,12 @@ import pytest
 
 from jamsim import (JammerSpec, SystemConfig, draw_overlap_amplitude, gen_channel_factor,
                     run_trials, substream)
+from jamsim.config import snr_db_to_power
 from jamsim.estimation import run_training
 from jamsim.montecarlo import _control_variates, stratified_mean
-from jamsim.oracle import (alg1_mean_n_used, alg1_stop_side_mean, conventional_mean,
-                           round_one_mean, stop_probability, stop_share)
+from jamsim.oracle import (alg1_mean_n_used, alg1_stop_side_mean, better_round_mean,
+                           conventional_mean, round_one_mean, stop_probability, stop_share)
+from jamsim.rates import rates_at
 from jamsim.rng import TAG_CHANNEL, TAG_PROTOCOL
 
 Z_BOUND = 4.0
@@ -197,6 +202,82 @@ def test_alg1_stop_side_at_one_transmission_is_the_conventional_mean():
     assert alg1_stop_side_mean(cfg) == conventional_mean(cfg)
     with pytest.raises(ValueError):
         alg1_stop_side_mean(_cfg(50, jammer=JammerSpec(kind="codeword")))
+
+
+def _better_round_by_simpson(cfg, o1):
+    """E[rate(min(o1, o2), 2)] by Simpson's rule in o2 itself, o2 of round one's law.
+
+    rate(o1, 2) P(o2 >= o1) plus the integral of rate(v, 2) times o2's
+    density on [0, o1]: tau e^(-tau v) for gaussian, (tau - 1)(1 - v)^(tau - 2)
+    for sphere. Geometric panels from 1e-13 (or o1 / 2) on resolve the rate's
+    turn near 0 at large M.
+    """
+    tau = cfg.tau
+    if cfg.jammer.kind == "gaussian":
+        survival = math.exp(-tau * o1)
+
+        def density(v):
+            return tau * np.exp(-tau * v)
+    else:
+        survival = (1.0 - o1) ** (tau - 1)
+
+        def density(v):
+            return (tau - 1) * (1.0 - v) ** (tau - 2)
+    total = survival * float(rates_at(cfg, o1, 2))
+    if o1 > 0.0:
+        edges = [0.0, *np.geomspace(min(1e-13, o1 / 2), o1, 60)]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            v = np.linspace(lo, hi, 201)
+            g = density(v) * rates_at(cfg, v, 2)
+            total += (v[1] - v[0]) / 3 * (g[0] + g[-1] + 4 * g[1:-1:2].sum()
+                                          + 2 * g[2:-1:2].sum())
+    return total
+
+
+@pytest.mark.parametrize("m", (10, 50, 500, 5000))
+@pytest.mark.parametrize("kind", ["gaussian", "sphere"])
+def test_better_round_mean_matches_a_simpson_rule(kind, m):
+    cfg = _cfg(m, jammer=JammerSpec(kind=kind))
+    o1 = np.array([0.0, 1e-9, 1e-5, 1e-3, 0.01, 0.05, 0.125, 0.3, 0.6, 0.9, 0.999, 1.0])
+    expected = [_better_round_by_simpson(cfg, v) for v in o1.tolist()]
+    assert better_round_mean(cfg, o1) == pytest.approx(expected, rel=0, abs=1e-9)
+
+
+def test_better_round_mean_at_the_ends():
+    # o1 = 0 leaves nothing to improve on; from its law's top on (sphere's 1)
+    # round two is always as good, and H is rate(o2, 2)'s mean; a sphere at
+    # tau = 1 draws o2 = 1 surely
+    cfg = _cfg(50, jammer=JammerSpec(kind="sphere"))
+    at_zero, at_one = better_round_mean(cfg, np.array([0.0, 1.0]))
+    assert at_zero == rates_at(cfg, 0.0, 2)
+    assert at_one == pytest.approx(round_one_mean(cfg, lambda v: rates_at(cfg, v, 2)),
+                                   rel=1e-13)
+    one = _cfg(50, tau=1, jammer=JammerSpec(kind="sphere"))
+    assert better_round_mean(one, np.array([0.3, 1.0])).tolist() == \
+        rates_at(one, np.array([0.3, 1.0]), 2).tolist()
+    with pytest.raises(ValueError, match="no fresh round two"):
+        better_round_mean(_cfg(50, jammer=JammerSpec(kind="absent")), np.array([0.0]))
+
+
+# fig2's tau = 4 at 10 dB and fig3's M = 500 at 5 dB, 20000 trials each:
+# the runs of test_montecarlo.py's calibration cases alg1-tau4 and alg1-fig3
+_FIG3_POWER = snr_db_to_power(5.0)
+_BETTER_ROUND_RUNS = {50: dict(tau=4, P=10.0, Q=10.0),
+                      500: dict(tau=20, P=_FIG3_POWER, Q=_FIG3_POWER)}
+
+
+@pytest.mark.parametrize("m", sorted(_BETTER_ROUND_RUNS))
+def test_alg1_better_round_column_has_mean_zero(m, trials):
+    # round two is a fresh draw independent of round one, so the engine's
+    # (1 - S)(h - H) averages to 0 (mean z over seeds 3, 5, 7, 8, 9 and 11
+    # at M = 50: -1.76 to +0.74); here its stderr is 0.0039 bits at M = 50
+    # and 0.0029 at M = 500, and z reads +2.20 and +1.14
+    cfg = SystemConfig(M=m, T=200, epsilon=0.1, n_max=2, master_seed=17,
+                       **_BETTER_ROUND_RUNS[m])
+    data = trials(cfg, "alg1", 5 * N_TRIALS)
+    column = _control_variates(cfg, "alg1", data)[0][:, 3]
+    assert np.array_equal(column != 0.0, ~data.round_one_met)
+    _assert_mean_zero(column)
 
 
 def test_alg1_stops_after_round_one_when_epsilon_is_one():
