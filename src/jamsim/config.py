@@ -1,6 +1,7 @@
 """System parameters of one simulated uplink, its jamming scenario included,
 and the rules on which scheme can run against which scenario."""
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -179,6 +180,41 @@ class SystemConfig:
         if self.jammer.kind == "absent" or not self.jammer.data_phase_active:
             return 0.0
         return self.Q if self.powers is None else self.powers[3]
+
+    # Derived per-config terms, computed on first use and held by the
+    # instance: a trial reads them several times, and a cache keyed by the
+    # config would hash it, and compare it field by field, on every read.
+    # dataclasses.replace builds a fresh instance, so its terms are fresh.
+    @functools.cached_property
+    def training_amplitudes(self) -> tuple[float, float]:
+        """sqrt(tau p_t) and sqrt(tau q_t), the pilot's and the jammer's training amplitudes."""
+        return math.sqrt(self.tau * self.p_t), math.sqrt(self.tau * self.q_t)
+
+    @functools.cached_property
+    def mmse_terms(self) -> tuple[float, float, float, float]:
+        """tau p_t beta_u, tau q_t beta_j, sqrt(tau p_t) and beta_u."""
+        return (self.tau * self.p_t * self.beta_u, self.tau * self.q_t * self.beta_j,
+                self.training_amplitudes[0], self.beta_u)
+
+    @functools.cached_property
+    def sinr_terms(self) -> tuple[float, float, float]:
+        """Factors of the effective SINR: contamination scale, interference, signal scale."""
+        if self.p_t <= 0:
+            raise ValueError("effective SINR is undefined for p_t = 0")
+        return (self.M * (self.q_d * self.q_t / self.p_t) * (self.beta_j / self.beta_u) ** 2,
+                self.p_d * self.beta_u + self.q_d * self.beta_j,
+                self.M * self.p_d)
+
+    @functools.cached_property
+    def gram_terms(self) -> tuple[float, float, float]:
+        """Scalings of the blind jammer gram estimate, for q_t > 0.
+
+        With s = tau q_t beta_j: M s, which divides the raw gram,
+        p_t beta_u / (q_t beta_j), the weight of the pilot term, and 1 / s,
+        the noise floor subtracted from its eigenvalues.
+        """
+        scale = self.mmse_terms[1]
+        return scale * self.M, self.p_t * self.beta_u / (self.q_t * self.beta_j), 1.0 / scale
 
     def prelog(self, n_used: int = 1) -> float:
         """Fraction of the coherence block left for data after n_used pilots."""

@@ -43,13 +43,6 @@ def despread(block: np.ndarray, s_u: np.ndarray) -> np.ndarray:
     return block @ np.conj(s_u)
 
 
-@functools.lru_cache(maxsize=256)
-def mmse_terms(cfg: SystemConfig) -> tuple[float, float, float, float]:
-    """tau p_t beta_u, tau q_t beta_j, sqrt(tau p_t) and beta_u of one config."""
-    return (cfg.tau * cfg.p_t * cfg.beta_u, cfg.tau * cfg.q_t * cfg.beta_j,
-            math.sqrt(cfg.tau * cfg.p_t), cfg.beta_u)
-
-
 def mmse_coefficients(cfg: SystemConfig, overlap_sq: float) -> tuple[float, float]:
     """MMSE scaling c_u and per-entry estimate variance gamma_u.
 
@@ -58,7 +51,7 @@ def mmse_coefficients(cfg: SystemConfig, overlap_sq: float) -> tuple[float, floa
     """
     if overlap_sq < 0:
         raise ValueError("overlap_sq must be nonnegative")
-    pilot, jamming, root, beta_u = mmse_terms(cfg)
+    pilot, jamming, root, beta_u = cfg.mmse_terms
     c_u = root * beta_u / (pilot + jamming * overlap_sq + 1.0)
     return c_u, c_u * root * beta_u
 
@@ -88,52 +81,60 @@ def estimate_overlap_sq(y_norm_sq: float, cfg: SystemConfig) -> float:
         raise ValueError("overlap estimation needs q_t > 0")
     if not y_norm_sq >= 0:
         raise ValueError(f"||y_t||^2 must be nonnegative, got {y_norm_sq}")
-    pilot, jamming, _, _ = mmse_terms(cfg)
+    pilot, jamming, _, _ = cfg.mmse_terms
     raw = (y_norm_sq / cfg.M - pilot - 1.0) / jamming
     return min(max(raw, 0.0), 1.0)
 
 
-def estimate_jammer_gram(factor: np.ndarray, s_u: np.ndarray,
+def estimate_jammer_gram(factor: np.ndarray, k: int,
                          cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Blind estimate of the jammer sequence outer product s_j* s_j^T, as eigenpairs.
 
-    Takes any factor A of the block gram, A^H A = block^H block, in
-    orthonormal coordinates where the pilot is the unit vector s_u (alg2 uses
-    codebook coordinates, s_u = e_k), removes the pilot and noise
+    Takes any factor A of the block gram in codebook coordinates, where the
+    pilot, codeword k, is the unit vector e_k (receive_block_factor draws
+    one): A^H A = C block^H block C^H. It removes the pilot and noise
     contributions from A^H A / M, then repairs the finite-M result: take the
     Hermitian matrix of its lower triangle and project it onto the PSD cone by
     clipping negative eigenvalues (the limit is Hermitian PSD of rank one, and
-    PSD-ness keeps downstream quadratic forms nonnegative). The noise term
-    -I / (tau q_t beta_j) only shifts the eigenvalues, so it is subtracted
-    from them. When A has m rows and m + 1 < tau, the raw estimate is
-    -I / (tau q_t beta_j) off span(range(A^H), s_u*), where clipping zeroes
-    it, so only its restriction to that span, taken from a thin QR, is
-    eigen-decomposed.
+    PSD-ness keeps downstream quadratic forms nonnegative). The pilot term
+    sits at entry (k, k) alone. The noise term -I / (tau q_t beta_j) only
+    shifts the eigenvalues, so it is subtracted from them. When A has m rows
+    and m + 1 < tau, the raw estimate is -I / (tau q_t beta_j) off
+    span(range(A^H), e_k), where clipping zeroes it, so only its restriction
+    to that span, taken from a thin QR, is eigen-decomposed.
 
-    Returns (vecs, lam): orthonormal columns and their clipped eigenvalues
-    in ascending order, so that the estimate is vecs diag(lam) vecs^H. Only
-    the pairs that clipping leaves positive are returned, after a smallest
-    pair (vecs[:, 0], lam[0]) for the eigen-mode search; on the span path
-    that is a unit vector off the span, with eigenvalue 0.
+    Returns (vecs, lam): orthonormal columns, in codebook coordinates, and
+    their clipped eigenvalues in ascending order, so that the estimate is
+    vecs diag(lam) vecs^H. Only the pairs that clipping leaves positive are
+    returned, after a smallest pair (vecs[:, 0], lam[0]) for the eigen-mode
+    search; on the span path that is a unit vector off the span, with
+    eigenvalue 0.
     """
     if cfg.q_t <= 0:
         raise ValueError("jammer gram estimation needs q_t > 0")
     if factor.ndim != 2 or factor.shape[1] != cfg.tau:
         raise ValueError(f"gram factor must have tau={cfg.tau} columns, got shape {factor.shape}")
-    if len(s_u) != cfg.tau:
-        raise ValueError(f"pilot must have length tau={cfg.tau}")
-    scale = cfg.tau * cfg.q_t * cfg.beta_j
-    u = np.conj(s_u)
+    if not 0 <= k < cfg.tau:
+        raise ValueError(f"pilot index must lie in [0, tau={cfg.tau}), got {k}")
+    m_scale, pilot_weight, floor = cfg.gram_terms
+    m = len(factor)
     basis = None
-    if len(factor) + 1 < cfg.tau:
-        # [A^H u] = basis @ coords: A and u in coordinates of the span
-        basis, coords = np.linalg.qr(np.column_stack((factor.conj().T, u)))
-        factor, u = coords[:, :-1].conj().T, coords[:, -1]
+    if m + 1 < cfg.tau:
+        # [A^H e_k] = basis @ coords: A and e_k in coordinates of the span
+        stacked = np.zeros((cfg.tau, m + 1), dtype=np.complex128)
+        stacked[:, :m] = factor.conj().T
+        stacked[k, m] = 1.0
+        basis, coords = np.linalg.qr(stacked)
+        factor = coords[:, :m].conj().T
     raw = factor.conj().T @ factor
-    raw /= scale * cfg.M
-    raw -= (cfg.p_t * cfg.beta_u / (cfg.q_t * cfg.beta_j)) * np.outer(u, np.conj(u))
+    raw /= m_scale
+    if basis is None:
+        raw[k, k] -= pilot_weight
+    else:
+        u = coords[:, m]
+        raw -= pilot_weight * np.outer(u, np.conj(u))
     eigvals, eigvecs = np.linalg.eigh(raw)     # reads the lower triangle only
-    lam = np.maximum(eigvals - 1.0 / scale, 0.0)
+    lam = np.maximum(eigvals - floor, 0.0)
     keep = lam > 0.0
     if basis is None:
         keep[0] = True
@@ -160,8 +161,8 @@ def receive_despread(cfg: SystemConfig, r: np.ndarray, amp: complex,
     of R, so ||y_t||^2 = ||y_q||^2 + resid. The arithmetic is on Python
     scalars: at this size numpy's per-call cost exceeds the work.
     """
-    c_u = math.sqrt(cfg.tau * cfg.p_t)
-    c_j = math.sqrt(cfg.tau * cfg.q_t) * amp
+    c_u, c_j = cfg.training_amplitudes
+    c_j *= amp
     z = rng.standard_normal(2 * len(r)).tolist()
     y_q = tuple(r_u * c_u + r_j * c_j + complex(re, im) * _SQRT_HALF
                 for (r_u, r_j), re, im in zip(r.tolist(), z[::2], z[1::2]))
@@ -174,8 +175,15 @@ def despread_power(y_q, resid: float) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def _upper_indices(tau: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(tau, 1)
+def _bartlett_layout(n: int, tau: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat layout of a tau x tau Bartlett factor of CW_tau(n, I), row-major.
+
+    The positions of its entries above the diagonal and of its diagonal,
+    and the diagonal's Gamma shapes n - i as floats.
+    """
+    rows, cols = np.triu_indices(tau, 1)
+    diag = np.arange(tau)
+    return rows * tau + cols, diag * (tau + 1), (n - diag).astype(float)
 
 
 def wishart_factor(rng, n: int, tau: int, batch: tuple[int, ...] = ()) -> np.ndarray:
@@ -188,12 +196,11 @@ def wishart_factor(rng, n: int, tau: int, batch: tuple[int, ...] = ()) -> np.nda
     """
     if n < tau:
         return crandn(rng, *batch, n, tau)
-    b = np.zeros((*batch, tau, tau), dtype=np.complex128)
-    rows, cols = _upper_indices(tau)
-    b[..., rows, cols] = crandn(rng, *batch, tau * (tau - 1) // 2)
-    i = np.arange(tau)
-    b[..., i, i] = np.sqrt(rng.gamma(n - i, size=(*batch, tau)))
-    return b
+    upper, diag, dof = _bartlett_layout(n, tau)
+    b = np.zeros((*batch, tau * tau), dtype=np.complex128)
+    b[..., upper] = crandn(rng, *batch, len(upper))
+    b[..., diag] = np.sqrt(rng.standard_gamma(dof, size=(*batch, tau)))
+    return b.reshape(*batch, tau, tau)
 
 
 def receive_block_factor(cfg: SystemConfig, r: np.ndarray, k: int, amps: np.ndarray,
@@ -210,17 +217,31 @@ def receive_block_factor(cfg: SystemConfig, r: np.ndarray, k: int, amps: np.ndar
       sqrt(tau q_t) r[:, 1] amps^T + Z, column k y_q     (the span of Q)
       n0, column k sqrt(resid)                          (when M >= 3)
       X, column k 0, X^H X ~ CW_tau(M - 3, I)   (Bartlett's factor when M - 3 >= tau)
-    with Z, n0 and X drawn fresh: the cost is flat in M once M - 3 >= tau.
+    with Z, n0 and X drawn fresh, in that order, by one crandn call (of
+    Bartlett's factor, the entries above its diagonal; the diagonal's Gamma
+    draws follow, as in wishart_factor): the cost is flat in M once
+    M - 3 >= tau.
     """
-    parts = [np.outer(r[:, 1], math.sqrt(cfg.tau * cfg.q_t) * amps) + crandn(rng, len(r), cfg.tau)]
-    lead = list(y_q)
-    if cfg.M >= 3:
-        parts.append(crandn(rng, 1, cfg.tau))
-        lead.append(math.sqrt(resid))
-    parts.append(wishart_factor(rng, max(cfg.M - 3, 0), cfg.tau))
-    factor = np.vstack(parts)
-    factor[:, k] = 0.0
-    factor[:len(lead), k] = lead
+    tau = cfg.tau
+    n = max(cfg.M - 3, 0)
+    lead = (*y_q, math.sqrt(resid)) if cfg.M >= 3 else y_q
+    head = len(lead)
+    if n < tau:
+        factor = crandn(rng, head + n, tau)
+    else:
+        upper, diag, dof = _bartlett_layout(n, tau)
+        cut = head * tau
+        draws = crandn(rng, cut + len(upper))
+        factor = np.zeros((head + tau, tau), dtype=np.complex128)
+        flat = factor.reshape(-1)
+        flat[:cut] = draws[:cut]
+        bartlett = flat[cut:]
+        bartlett[upper] = draws[cut:]
+        bartlett[diag] = np.sqrt(rng.standard_gamma(dof))
+    # outer(r[:, 1], sqrt(tau q_t) amps), added to Z
+    factor[:len(r)] += r[:, 1, None] * (cfg.training_amplitudes[1] * amps)
+    factor[:head, k] = lead
+    factor[head:, k] = 0.0
     return factor
 
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from .channel import crandn, overlap_sq_law, overlap_sq_law_inverse
 from .config import SystemConfig, check_count, validate_combination
-from .estimation import mmse_coefficients, mmse_terms, wishart_factor
+from .estimation import mmse_coefficients, wishart_factor
 from .rates import effective_sinr, rates_at
 from .rng import TAG_MOMENTS, substream
 
@@ -56,9 +56,18 @@ _PANEL_NODES = 10
 
 
 @functools.cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes on [-1, 1] and weights of the _PANEL_NODES-node Gauss-Legendre rule, read-only."""
+    x, w = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+@functools.cache
 def _exp_rule() -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Nodes t and weights of E[g(t)], t ~ Exp(1)."""
-    x, w = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    x, w = _legendre_rule()
     lo, hi = np.array(_PANEL_EDGES[:-1]), np.array(_PANEL_EDGES[1:])
     half = (hi - lo)[:, None] / 2
     t = (lo[:, None] + half) + half * x
@@ -175,7 +184,7 @@ def stop_probability(cfg: SystemConfig, overlap_sq) -> np.ndarray:
     regularized lower incomplete gamma function, and 1 when epsilon >= 1.
     """
     overlap_sq = np.asarray(overlap_sq, dtype=float)
-    pilot, jamming, _, _ = mmse_terms(cfg)
+    pilot, jamming, _, _ = cfg.mmse_terms
     if jamming <= 0:
         raise ValueError("overlap estimation needs q_t > 0")
     if cfg.epsilon >= 1.0:
@@ -271,7 +280,7 @@ def better_round_mean(cfg: SystemConfig, overlap_one_sq) -> np.ndarray:
     panel = np.clip(np.searchsorted(edges, t1, side="right") - 1, 0, len(edges) - 2)
     lo = edges[panel]
     half = ((np.minimum(t1, edges[-1]) - lo) / 2)[..., None]
-    x, w = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    x, w = _legendre_rule()
     t = lo[..., None] + half * (1.0 + x)
     below = np.sum(half * w * np.exp(-t) * rates_at(cfg, overlap_sq_law(jammer, t, *law), 2),
                    axis=-1)
@@ -383,8 +392,7 @@ def verify_moments(cfg: SystemConfig, overlap_sq: float, n_trials: int) -> dict[
     c_u, gamma_u = mmse_coefficients(cfg, overlap_sq)
 
     rng = substream(cfg.master_seed, int(round(overlap_sq * 1e6)), TAG_MOMENTS)
-    sqrt_tp = math.sqrt(cfg.tau * cfg.p_t)
-    sqrt_tq = math.sqrt(cfg.tau * cfg.q_t)
+    sqrt_tp, sqrt_tq = cfg.training_amplitudes
     scale = np.sqrt([cfg.beta_u, cfg.beta_j, 1.0, 1.0])
     sums = np.zeros(4)
     cross = np.zeros((4, 4))

@@ -122,7 +122,7 @@ def run_algorithm2(cfg: SystemConfig, r: np.ndarray, k: int, amp: complex, rng) 
     overlaps[k] = np.inf        # the smallest of the other pilots' overlaps
     other_min = float(overlaps.min()) if cfg.tau > 1 else 0.0
     factor = receive_block_factor(cfg, r, k, amps, y_q, resid, rng)
-    vecs, lam = estimate_jammer_gram(factor, np.eye(cfg.tau)[k], cfg)
+    vecs, lam = estimate_jammer_gram(factor, k, cfg)
     w, predicted = select_retransmission_pilot(vecs, lam, cfg.opt_mode)
     if not predicted < overlap_est:
         return ProtocolTrace(tuple(rounds), 1, "opt_no_better", 0, other_min)

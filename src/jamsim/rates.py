@@ -5,14 +5,13 @@ worst-case Gaussian noise, so every rate here is prelog * log2(1 + sinr)
 with prelog = 1 - n_used*tau/T.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import SystemConfig
-from .estimation import mmse_coefficients, mmse_terms
+from .estimation import mmse_coefficients
 
 
 @dataclass(frozen=True)
@@ -24,16 +23,6 @@ class RateReport:
     n_used: int             # pilot transmissions spent
     overlap_sq_used: float  # squared overlap the formulas were evaluated at
     prelog: float
-
-
-@functools.lru_cache(maxsize=256)
-def _sinr_terms(cfg: SystemConfig) -> tuple[float, float, float]:
-    """Per-config factors of the SINR: contamination scale, interference, signal scale."""
-    if cfg.p_t <= 0:
-        raise ValueError("effective SINR is undefined for p_t = 0")
-    return (cfg.M * (cfg.q_d * cfg.q_t / cfg.p_t) * (cfg.beta_j / cfg.beta_u) ** 2,
-            cfg.p_d * cfg.beta_u + cfg.q_d * cfg.beta_j,
-            cfg.M * cfg.p_d)
 
 
 def effective_sinr(cfg: SystemConfig, gamma_u: float, overlap_sq: float) -> float:
@@ -49,7 +38,7 @@ def effective_sinr(cfg: SystemConfig, gamma_u: float, overlap_sq: float) -> floa
         raise ValueError("gamma_u must be nonnegative")
     if overlap_sq < 0:
         raise ValueError("overlap_sq must be nonnegative")
-    contamination, interference, signal = _sinr_terms(cfg)
+    contamination, interference, signal = cfg.sinr_terms
     den = interference + contamination * overlap_sq * gamma_u + 1.0
     sinr = signal * gamma_u / den
     if not (math.isfinite(den) and math.isfinite(sinr)):
@@ -86,8 +75,8 @@ def rates_at(cfg: SystemConfig, overlaps, n_used: int = 1) -> np.ndarray:
     overlaps = np.asarray(overlaps, dtype=float)
     if np.any(overlaps < 0):
         raise ValueError("overlap_sq must be nonnegative")
-    pilot, jamming, root, beta_u = mmse_terms(cfg)
-    contamination, interference, signal = _sinr_terms(cfg)
+    pilot, jamming, root, beta_u = cfg.mmse_terms
+    contamination, interference, signal = cfg.sinr_terms
     with np.errstate(over="ignore", invalid="ignore"):    # the check below reports them
         gamma_u = root * beta_u / (pilot + jamming * overlaps + 1.0) * root * beta_u
         den = interference + contamination * overlaps * gamma_u + 1.0

@@ -108,3 +108,57 @@ def test_jammer_is_checked_with_the_config():
     with pytest.raises(ValueError, match="must be a JammerSpec"):
         SystemConfig(jammer="gaussian")
     assert SystemConfig().jammer == JammerSpec()
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+_TERM_CONFIGS = [
+    SystemConfig(M=7, T=90, tau=6, beta_u=0.7, beta_j=1.3, P=3.1, Q=2.2),
+    SystemConfig(M=7, T=90, tau=6, P=1.0, Q=1.0, powers=(1.2, 0.95, 2.0, 0.7)),
+    SystemConfig(M=50, T=200, tau=4, P=10.0, Q=10.0, jammer=JammerSpec(data_phase_active=False)),
+]
+
+
+@pytest.mark.parametrize("cfg", _TERM_CONFIGS)
+def test_held_terms_are_the_expressions_they_stand_for(cfg):
+    # bit for bit, and computed once: a second read returns the same tuple
+    assert _bits(cfg.training_amplitudes) == _bits(
+        (math.sqrt(cfg.tau * cfg.p_t), math.sqrt(cfg.tau * cfg.q_t)))
+    assert _bits(cfg.mmse_terms) == _bits(
+        (cfg.tau * cfg.p_t * cfg.beta_u, cfg.tau * cfg.q_t * cfg.beta_j,
+         math.sqrt(cfg.tau * cfg.p_t), cfg.beta_u))
+    assert _bits(cfg.sinr_terms) == _bits(
+        (cfg.M * (cfg.q_d * cfg.q_t / cfg.p_t) * (cfg.beta_j / cfg.beta_u) ** 2,
+         cfg.p_d * cfg.beta_u + cfg.q_d * cfg.beta_j, cfg.M * cfg.p_d))
+    scale = cfg.tau * cfg.q_t * cfg.beta_j
+    assert _bits(cfg.gram_terms) == _bits(
+        (scale * cfg.M, cfg.p_t * cfg.beta_u / (cfg.q_t * cfg.beta_j), 1.0 / scale))
+    for name in ("training_amplitudes", "mmse_terms", "sinr_terms", "gram_terms"):
+        assert getattr(cfg, name) is getattr(cfg, name)
+
+
+def test_sinr_terms_need_training_power():
+    with pytest.raises(ValueError, match="undefined for p_t = 0"):
+        SystemConfig(P=0.0).sinr_terms
+
+
+def _terms(cfg):
+    return cfg.training_amplitudes, cfg.mmse_terms, cfg.sinr_terms, cfg.gram_terms
+
+
+@pytest.mark.parametrize("field,value", [
+    ("M", 9), ("tau", 5), ("beta_u", 0.5), ("beta_j", 2.0), ("P", 4.0), ("Q", 1.5),
+    ("powers", (1.2, 0.95, 2.0, 0.7)), ("jammer", JammerSpec(data_phase_active=False)),
+])
+def test_replace_gives_fresh_terms(field, value):
+    # the terms are computed on the original first; a replaced config holds
+    # those of its own fields, as one built from scratch does
+    cfg = SystemConfig(M=8, T=60, tau=4, P=2.0, Q=3.0)
+    before = _terms(cfg)
+    replaced = dataclasses.replace(cfg, **{field: value})
+    built = SystemConfig(**{**{f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)},
+                            field: value})
+    assert _terms(replaced) == _terms(built) != before
+    assert _terms(cfg) == before

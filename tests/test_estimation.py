@@ -212,17 +212,18 @@ def test_overlap_estimate_needs_jammer_power():
 
 def test_estimators_reject_malformed_statistics():
     # ||y_t||^2 must be a nonnegative number, the gram factor must have tau
-    # columns, the pilot length tau, and the jammer some training power
+    # columns, the pilot index lie in [0, tau), and the jammer some training power
     for bad in (-1.0, float("nan")):
         with pytest.raises(ValueError, match="nonnegative"):
             estimate_overlap_sq(bad, _cfg())
     for bad in (np.zeros((4, 3), dtype=complex), np.zeros(2, dtype=complex)):
         with pytest.raises(ValueError, match="tau=2 columns"):
-            estimate_jammer_gram(bad, np.ones(2), _cfg())
-    with pytest.raises(ValueError, match="pilot must have length"):
-        estimate_jammer_gram(np.zeros((4, 2), dtype=complex), np.ones(3), _cfg())
+            estimate_jammer_gram(bad, 0, _cfg())
+    for bad in (-1, 2):
+        with pytest.raises(ValueError, match=r"pilot index must lie in \[0, tau=2\)"):
+            estimate_jammer_gram(np.zeros((4, 2), dtype=complex), bad, _cfg())
     with pytest.raises(ValueError, match="q_t > 0"):
-        estimate_jammer_gram(np.zeros((4, 2), dtype=complex), np.ones(2), _cfg(Q=0.0))
+        estimate_jammer_gram(np.zeros((4, 2), dtype=complex), 0, _cfg(Q=0.0))
 
 
 def test_overlap_estimate_converges_with_antennas():
@@ -267,6 +268,19 @@ def _rebuild(pairs):
     return (vecs * lam) @ vecs.conj().T
 
 
+def _in_sequences(pairs, cb):
+    """An estimate in codebook coordinates, rebuilt in sequence coordinates."""
+    return cb.conj().T @ _rebuild(pairs) @ cb
+
+
+def _gram_estimate(factor, k, cb, cfg):
+    """The estimate from a gram factor in sequence coordinates, with pilot cb[k].
+
+    factor @ C^H takes the factor to codebook coordinates, where the pilot is e_k.
+    """
+    return _in_sequences(estimate_jammer_gram(factor @ cb.conj().T, k, cfg), cb)
+
+
 def test_gram_estimate_inverts_limit_exactly():
     cfg = _cfg(M=6, tau=3, T=50, P=1.2, Q=0.8)
     cb = make_codebook(3)
@@ -276,17 +290,18 @@ def test_gram_estimate_inverts_limit_exactly():
     limit = (cfg.tau * cfg.p_t * cfg.beta_u * np.outer(np.conj(s_u), s_u)
              + cfg.tau * cfg.q_t * cfg.beta_j * target + np.eye(3))
     # gram / M at its limit, passed as a factor of the gram
-    est = _rebuild(estimate_jammer_gram(np.linalg.cholesky(cfg.M * limit).conj().T, s_u, cfg))
+    est = _gram_estimate(np.linalg.cholesky(cfg.M * limit).conj().T, 0, cb, cfg)
     assert np.allclose(est, target, atol=1e-10)
 
 
 def test_gram_estimate_rank_one_basis_case():
     cfg = _cfg(M=4, tau=2, T=50, P=1.0, Q=1.0)
-    s_u = make_codebook(2)[0]
+    cb = make_codebook(2)
+    s_u = cb[0]
     s_j = np.array([1.0, 0.0], dtype=complex)
     limit = (cfg.tau * cfg.p_t * np.outer(np.conj(s_u), s_u)
              + cfg.tau * cfg.q_t * np.outer(np.conj(s_j), s_j) + np.eye(2))
-    est = _rebuild(estimate_jammer_gram(np.linalg.cholesky(cfg.M * limit).conj().T, s_u, cfg))
+    est = _gram_estimate(np.linalg.cholesky(cfg.M * limit).conj().T, 0, cb, cfg)
     assert np.allclose(est, [[1.0, 0.0], [0.0, 0.0]], atol=1e-10)
 
 
@@ -298,7 +313,7 @@ def test_gram_estimate_hermitian_psd_on_noisy_data():
     g_j = gen_channel(rng, 64, 1.0)
     s_j = crandn(rng, 4) / 2.0
     block = receive_pilot_block(cfg, g_u, g_j, cb[1], s_j, rng)
-    vecs, lam = estimate_jammer_gram(block, cb[1], cfg)
+    vecs, lam = estimate_jammer_gram(block @ cb.conj().T, 1, cfg)
     assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(vecs.shape[1]))) < 1e-12
     assert np.all(lam >= 0) and np.all(np.diff(lam) >= 0)
     assert np.all(lam[1:] > 0)      # clipped pairs are dropped, the smallest kept
@@ -321,7 +336,7 @@ def test_gram_estimate_error_shrinks_with_antennas():
             g_u = gen_channel(rng, m, 1.0)
             g_j = gen_channel(rng, m, 1.0)
             block = receive_pilot_block(cfg, g_u, g_j, s_u, s_j, rng)
-            est = _rebuild(estimate_jammer_gram(block, s_u, cfg))
+            est = _gram_estimate(block, 0, cb, cfg)
             errs.append(np.linalg.norm(est - target))
         medians[m] = np.median(errs)
     assert medians[10000] < medians[100]
@@ -339,7 +354,11 @@ def _full_projection(factor, s_u, cfg):
 
 
 def _round_one_factors(m, tau, trials):
-    """(cfg, s_u, factor) of alg2's round one for a few pilot/jammer pairs."""
+    """(cfg, k, factor) of alg2's round one for a few pilot/jammer pairs.
+
+    The factor is drawn in codebook coordinates; @ cb takes it to sequences,
+    where the pilot is cb[k].
+    """
     cfg = _cfg(M=m, tau=tau, T=4 * tau, P=2.0, Q=3.0)
     cb = make_codebook(tau)
     rng = substream(91, m)
@@ -352,31 +371,31 @@ def _round_one_factors(m, tau, trials):
             s_j = crandn(rng, tau) / np.sqrt(tau)
         r = gen_channel_factor(rng, m, cfg.beta_u, cfg.beta_j)
         y_q, resid = receive_despread(cfg, r, overlap_amplitude(s_j, s_u), rng)
-        # the factor is drawn in codebook coordinates; @ cb takes it to sequences
-        yield cfg, s_u, receive_block_factor(cfg, r, k, cb.conj() @ s_j, y_q, resid, rng) @ cb
+        yield cfg, k, receive_block_factor(cfg, r, k, cb.conj() @ s_j, y_q, resid, rng)
 
 
 @pytest.mark.parametrize("m,tau", [(50, 90), (10, 20), (2, 4)])
 def test_gram_estimate_on_the_factor_span_is_exact(m, tau):
     # with m + 1 < tau the estimator eigen-decomposes only on
-    # span(range(A^H), s_u*); the rebuilt estimate must match the full
-    # projection of the same raw gram, and both searches must read it right
+    # span(range(A^H), e_k); the rebuilt estimate must match the full
+    # projection of the same raw gram, taken in sequence coordinates, and
+    # both searches must read it right
     cb = make_codebook(tau)
-    for cfg, s_u, factor in _round_one_factors(m, tau, 5):
+    for cfg, k, factor in _round_one_factors(m, tau, 5):
         assert len(factor) + 1 < tau
-        vecs, lam = estimate_jammer_gram(factor, s_u, cfg)
+        vecs, lam = estimate_jammer_gram(factor, k, cfg)
         assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(vecs.shape[1]))) < 1e-12
-        ref = _rebuild(_full_projection(factor, s_u, cfg))
+        ref = _rebuild(_full_projection(factor @ cb, cb[k], cfg))
         norm = np.linalg.norm(ref)
         assert norm > 0
-        assert np.linalg.norm(_rebuild((vecs, lam)) - ref) <= 1e-12 * norm
+        assert np.linalg.norm(_in_sequences((vecs, lam), cb) - ref) <= 1e-12 * norm
         quad = np.einsum("ij,jk,ik->i", cb, ref, cb.conj()).real
-        w, predicted = select_retransmission_pilot(cb @ vecs, lam, "codebook")
+        w, predicted = select_retransmission_pilot(vecs, lam, "codebook")
         (idx,) = np.flatnonzero(w)
         assert idx == int(np.argmin(quad))
         assert predicted == pytest.approx(quad[idx], rel=1e-12, abs=1e-12 * norm)
         # the span's complement is a null space of the estimate
-        w, predicted = select_retransmission_pilot(cb @ vecs, lam, "eigen")
+        w, predicted = select_retransmission_pilot(vecs, lam, "eigen")
         pilot = w @ cb
         assert predicted == 0.0
         assert abs(np.real(pilot @ ref @ np.conj(pilot))) <= 1e-12 * norm
@@ -388,12 +407,12 @@ def test_eigen_mode_reads_the_smallest_eigenpair(m, tau):
     # on the span path (m + 1 < tau, where it is 0) and on the full one; the
     # pilot is a unit vector whose quadratic form on the estimate is that value
     cb = make_codebook(tau)
-    for cfg, s_u, factor in _round_one_factors(m, tau, 4):
-        vecs, lam = estimate_jammer_gram(factor, s_u, cfg)
-        w, predicted = select_retransmission_pilot(cb @ vecs, lam, "eigen")
+    for cfg, k, factor in _round_one_factors(m, tau, 4):
+        vecs, lam = estimate_jammer_gram(factor, k, cfg)
+        w, predicted = select_retransmission_pilot(vecs, lam, "eigen")
         pilot = w @ cb
         assert predicted == lam.min()
-        ref_vecs, ref_lam = _full_projection(factor, s_u, cfg)
+        ref_vecs, ref_lam = _full_projection(factor @ cb, cb[k], cfg)
         ref = _rebuild((ref_vecs, ref_lam))
         norm = np.linalg.norm(ref)
         if len(factor) + 1 < tau:
@@ -406,7 +425,7 @@ def test_eigen_mode_reads_the_smallest_eigenpair(m, tau):
 def test_gram_estimate_needs_jammer_power():
     cfg = _cfg(Q=0.0)
     with pytest.raises(ValueError):
-        estimate_jammer_gram(np.zeros((2, 2), dtype=complex), np.ones(2), cfg)
+        estimate_jammer_gram(np.zeros((2, 2), dtype=complex), 0, cfg)
 
 
 # ---------------------------------------------------------------------------

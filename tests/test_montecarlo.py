@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -28,6 +29,20 @@ def _cfg(**kw):
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
+
+def test_a_pickled_config_gives_the_same_trials():
+    # pool workers receive the config pickled, with the per-config terms
+    # it has computed so far
+    cfg = _cfg(M=20, tau=6, P=10.0, Q=10.0, master_seed=5)
+    runs = {scheme: run_trials(cfg, scheme, 60) for scheme in ("conventional", "alg1", "alg2")}
+    assert {"mmse_terms", "sinr_terms", "gram_terms"} <= set(vars(cfg))
+    clone = pickle.loads(pickle.dumps(cfg))
+    assert clone == cfg and vars(clone) == vars(cfg)
+    for scheme, data in runs.items():
+        again = run_trials(clone, scheme, 60)
+        for field in dataclasses.fields(data):
+            assert np.array_equal(getattr(again, field.name), getattr(data, field.name))
+
 
 def test_same_seed_reproduces_everything():
     cfg = _cfg(master_seed=123)
@@ -151,6 +166,13 @@ _PINNED_MEANS = {
     ("data_phase_off", "conventional"): 3.3696445436506606,
     ("data_phase_off", "alg1"): 3.2065045885974484,
     ("data_phase_off", "alg2"): 3.2548917808009774,
+    # alg2's gram estimate off the base's Bartlett branch: a Gaussian X
+    # with a full eigh (M - 3 < tau <= M + 1), the span path (tau > M + 1)
+    # under both random jammers, and the eigen-mode search
+    ("gaussian_x", "alg2"): 1.4345538752939604,
+    ("span", "alg2"): 1.1455833336638859,
+    ("span_sphere", "alg2"): 1.1413327758395784,
+    ("eigen", "alg2"): 2.262073490672999,
 }
 # (config overrides, jammer) per mode of _PINNED_MEANS
 _PINNED_CASES = {
@@ -161,6 +183,10 @@ _PINNED_CASES = {
     "codeword": ({}, JammerSpec(kind="codeword", codeword_index=2)),
     "codeword_first_pilot": ({"first_pilot": 2}, JammerSpec(kind="codeword", codeword_index=2)),
     "data_phase_off": ({}, JammerSpec(data_phase_active=False)),
+    "gaussian_x": ({"M": 6}, JammerSpec()),
+    "span": ({"M": 4}, JammerSpec()),
+    "span_sphere": ({"M": 4}, JammerSpec(kind="sphere")),
+    "eigen": ({"opt_mode": "eigen"}, JammerSpec()),
 }
 
 
@@ -170,6 +196,28 @@ def test_seed_to_value_mapping_is_pinned(mode, scheme):
     cfg = SystemConfig(**{**_PINNED_BASE, **overrides}, jammer=jammer)
     mean = run_trials(cfg, scheme, 200).rates.mean()
     assert mean == pytest.approx(_PINNED_MEANS[mode, scheme], rel=1e-9)
+
+
+@pytest.mark.parametrize("scheme", ["conventional", "alg1", "alg2"])
+def test_trials_do_not_hash_or_compare_the_config(monkeypatch, scheme):
+    # the per-config terms a trial reads are held by the config itself, so
+    # the config is hashed and compared a fixed number of times per run, not
+    # per trial; fresh equal configs, as each sweep row builds, count alike
+    counts = {"__hash__": 0, "__eq__": 0}
+    for name in counts:
+        original = getattr(SystemConfig, name)
+
+        def counted(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(SystemConfig, name, counted)
+    seen = []
+    for n_trials in (50, 500):
+        counts.update({"__hash__": 0, "__eq__": 0})
+        run_trials(_cfg(P=10.0, Q=10.0, tau=4, master_seed=3), scheme, n_trials)
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
 
 
 def test_schemes_share_first_round_draws():

@@ -337,8 +337,9 @@ def _reference_trial(cfg, scheme, rng):
         return rate_from_overlap(cfg, true, len(rounds)).rate, len(rounds), est
     block, (true, est) = play_round(codebook[k], s_j)
     if not cfg.overlap_below_threshold(est):
-        vecs, lam = estimate_jammer_gram(block, codebook[k], cfg)
-        w, predicted = select_retransmission_pilot(codebook @ vecs, lam, cfg.opt_mode)
+        # block C^H is the block in codebook coordinates, where the pilot is e_k
+        vecs, lam = estimate_jammer_gram(block @ codebook.conj().T, k, cfg)
+        w, predicted = select_retransmission_pilot(vecs, lam, cfg.opt_mode)
         if predicted < est:
             true, est = play_round(w @ codebook, s_j)[1]
             return rate_from_overlap(cfg, true, 2).rate, 2, est

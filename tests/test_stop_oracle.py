@@ -24,6 +24,7 @@ mean over round two's fresh draw given ov (better_round_mean), checked here
 against a Simpson rule and the engine.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -257,6 +258,19 @@ def test_better_round_mean_at_the_ends():
         rates_at(one, np.array([0.3, 1.0]), 2).tolist()
     with pytest.raises(ValueError, match="no fresh round two"):
         better_round_mean(_cfg(50, jammer=JammerSpec(kind="absent")), np.array([0.0]))
+
+
+def test_better_round_mean_reuses_one_legendre_rule(monkeypatch):
+    # the rule on the part-panel below t1 is the one _exp_rule is built
+    # from, computed once per process, not once per alg1 row
+    cfg = _cfg(50, jammer=JammerSpec(kind="gaussian"))
+    o1 = np.array([1e-3, 0.05, 0.3])
+    expected = better_round_mean(cfg, o1)
+    calls = []
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda *args: calls.append(args))
+    assert better_round_mean(cfg, o1).tolist() == expected.tolist()
+    assert better_round_mean(dataclasses.replace(cfg, M=60), o1).shape == o1.shape
+    assert calls == []
 
 
 # fig2's tau = 4 at 10 dB and fig3's M = 500 at 5 dB, 20000 trials each:

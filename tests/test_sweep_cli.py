@@ -148,6 +148,18 @@ def _run_cli(*args):
                           capture_output=True, text=True, env=env)
 
 
+def test_pooled_preset_writes_the_serial_csv(tmp_path):
+    # pool workers rebuild each row's config from a pickle, with the terms
+    # it holds; their rows are the serial rows, byte for byte
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"fig3-{threads}.csv"
+        assert cli.main(["preset", "fig3", "--trials", "20", "--threads", threads,
+                         "--out", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 def test_config_keys_cover_the_system_config_fields():
     # every SystemConfig field but the per-phase powers and the jammer has
     # exactly one key; the jammer has two
