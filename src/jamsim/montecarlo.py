@@ -45,7 +45,7 @@ trials (stratified_mean).
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +64,23 @@ from .rng import TAG_CHANNEL, TAG_PROTOCOL, substream
 # tail stays near the plain mean's: a seed's rows leave 4 stderrs 0.003-0.006
 # times, against 0.001-0.0025 plain and 0.004-0.009 for 8
 STRATA = 5
+
+
+def __getattr__(name):
+    # ProcessPoolExecutor is bound on first use: importing it loads
+    # multiprocessing, which a serial run never needs
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on (its affinity mask where the platform has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -143,18 +160,23 @@ def run_trials(cfg: SystemConfig, scheme: str, n_trials: int, n_workers: int = 1
     """All trial outcomes for one scheme: simulate_one_trial mapped over the trial indices.
 
     Results are keyed by trial index, so the worker count only changes wall
-    time, never values. The pool never starts more workers than the machine
-    has CPUs or the run has trials, and one worker runs in-process.
+    time, never values. The pool never starts more workers than there are
+    CPUs this process may run on (_usable_cpus) or trials, and one worker
+    runs in-process, so a serial run never loads the pool machinery; a
+    pooled run loads it at its first pool.
     """
     check_count("n_trials", n_trials)
     check_count("worker count", n_workers)
     validate_combination(cfg, scheme)
-    n_workers = min(n_workers, os.cpu_count() or 1, n_trials)
+    n_workers = min(n_workers, _usable_cpus(), n_trials)
     trial = functools.partial(simulate_one_trial, cfg, scheme)
     if n_workers == 1:
         outcomes = list(map(trial, range(n_trials)))
     else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        # a module attribute, not a bare name: a bare name never reaches the
+        # module's __getattr__, and the attribute sees a replacement of it
+        pool_class = sys.modules[__name__].ProcessPoolExecutor
+        with pool_class(max_workers=n_workers) as pool:
             outcomes = list(pool.map(trial, range(n_trials),
                                      chunksize=math.ceil(n_trials / (4 * n_workers))))
     return TrialData(*map(np.array, zip(*outcomes)))

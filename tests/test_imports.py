@@ -1,19 +1,22 @@
 """Every module of the package uses each name it imports, imports no
-underscore name of another module, and passes the jammer inside the config;
-the CLI imports nothing from the trial engine, the oracle states no
-map of t ~ Exp(1) of its own, and only the trial engine's round one draws
-a stratified overlap.
+underscore name of another module, loads no process-pool machinery at import
+time, and passes the jammer inside the config; the CLI imports nothing from
+the trial engine, the oracle states no map of t ~ Exp(1) of its own, and
+only the trial engine's round one draws a stratified overlap.
 
 A name moved out of a module tends to leave its import behind; a private
 name another module reads is part of its owner's API under a name that
-says otherwise. The jammer is a field of SystemConfig, so only channel.py's
-per-kind sequence draws take a bare JammerSpec. The CLI parses, prints and
-writes, and sweep.py turns a config and its schemes into rows. The random
-kinds' overlap law is stated once, as channel.overlap_sq_law, which the
-trial engine draws through and the oracle integrates through. Only round
-one is stratified: alg1's later rounds must stay independent of it. These
-checks read the source with ast alone. __init__.py is exempt from the
-first, since its imports are the package's public names.
+says otherwise. concurrent.futures and multiprocessing may be imported only
+in a function body: only a pooled run uses them, and loading them at import
+time costs every serial run and every CLI call about 25 ms. The jammer is a
+field of SystemConfig, so only channel.py's per-kind sequence draws take a
+bare JammerSpec. The CLI parses, prints and writes, and sweep.py turns a
+config and its schemes into rows. The random kinds' overlap law is stated
+once, as channel.overlap_sq_law, which the trial engine draws through and
+the oracle integrates through. Only round one is stratified: alg1's later
+rounds must stay independent of it. These checks read the source with ast
+alone. __init__.py is exempt from the first, since its imports are the
+package's public names.
 """
 
 import ast
@@ -111,6 +114,40 @@ def test_names_from_a_module_are_found():
               "from .sweep import montecarlo_like\nimport montecarlos\n")
     assert _names_from(source, "montecarlo") == ["a", "b", "d", "montecarlo",
                                                  "jamsim.montecarlo"]
+
+
+def _module_level_imports(source: str) -> list[str]:
+    """The modules that source imports outside every function body, in source order."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.Import):
+            found.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.append("." * node.level + (node.module or ""))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_module_level_imports_are_found():
+    source = ("import os, multiprocessing.pool as mp\nfrom concurrent.futures import a\n"
+              "from . import b\nif x:\n    import socket\nclass C:\n    import csv\n"
+              "def f():\n    import concurrent.futures\n"
+              "async def g():\n    from multiprocessing import Pool\n")
+    assert _module_level_imports(source) == ["os", "multiprocessing.pool", "concurrent.futures",
+                                             ".", "socket", "csv"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_loads_the_pool_machinery_on_import(path):
+    found = [name for name in _module_level_imports(path.read_text(encoding="utf-8"))
+             if name.split(".")[0] in ("concurrent", "multiprocessing")]
+    assert found == []
 
 
 def test_cli_imports_nothing_from_the_trial_engine():

@@ -1,7 +1,12 @@
 import dataclasses
 import itertools
+import json
 import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +18,14 @@ from jamsim import (JammerSpec, SystemConfig, average_rate, draw_overlap_amplitu
 from jamsim.channel import crandn, make_codebook
 from jamsim.config import snr_db_to_power
 from jamsim.estimation import mmse_coefficients, run_training
-from jamsim.montecarlo import STRATA, _control_variates, control_variate_mean, stratified_mean
+from jamsim.montecarlo import (STRATA, _control_variates, _usable_cpus, control_variate_mean,
+                               stratified_mean)
 from jamsim.oracle import (MOMENT_Z, Moment, conventional_mean, conventional_rates,
                            stop_probability)
 from jamsim.rates import rate_from_overlap
 from jamsim.rng import TAG_CHANNEL, TAG_PROTOCOL
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _cfg(**kw):
@@ -107,7 +115,9 @@ def test_pool_size_is_capped_by_cpus_and_trials(monkeypatch):
             return map(fn, indices)
 
     monkeypatch.setattr(jamsim.montecarlo, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(jamsim.montecarlo.os, "cpu_count", lambda: 8)
+    # the cap is the CPUs this process may run on, not the machine's count
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     cfg = _cfg(M=8, tau=4, master_seed=31)
     serial = run_trials(cfg, "alg1", 40)
     huge = run_trials(cfg, "alg1", 40, n_workers=10**6)
@@ -118,12 +128,63 @@ def test_pool_size_is_capped_by_cpus_and_trials(monkeypatch):
     assert np.array_equal(few_trials.rates, serial.rates[:3])
     assert np.array_equal(run_trials(cfg, "alg1", 1, n_workers=6).rates, serial.rates[:1])
     assert pool_sizes == [8, 3]     # one trial runs serially
-    monkeypatch.setattr(jamsim.montecarlo.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert np.array_equal(run_trials(cfg, "alg1", 40, n_workers=4).rates, serial.rates)
     assert pool_sizes == [8, 3]     # one CPU runs serially
     for bad in (0, -2):
         with pytest.raises(ValueError, match="worker count"):
             run_trials(cfg, "alg1", 10, n_workers=bad)
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert _usable_cpus() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert _usable_cpus() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _usable_cpus() == 1
+
+
+_POOL_PROBE = """
+import json, sys
+import numpy as np
+import jamsim.cli
+import jamsim.montecarlo as mc
+from jamsim import SystemConfig, run_trials
+
+def pool_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("concurrent", "multiprocessing"))
+
+cfg = SystemConfig(M=8, T=200, tau=4, P=1.0, Q=1.0, epsilon=0.1, n_max=2, master_seed=5)
+serial = run_trials(cfg, "alg2", 6, n_workers=1)
+after_serial = pool_modules()
+pooled = run_trials(cfg, "alg2", 6, n_workers=2)
+bound = mc.__dict__.get("ProcessPoolExecutor")
+print(json.dumps({
+    "after_serial": after_serial,
+    "equal": all(np.array_equal(getattr(serial, f), getattr(pooled, f))
+                 for f in serial.__dataclass_fields__),
+    "bound": None if bound is None else f"{bound.__module__}.{bound.__qualname__}",
+    "cpus": mc._usable_cpus(),
+}))
+"""
+
+
+def test_only_a_pooled_run_loads_the_pool_machinery():
+    # a fresh interpreter, since this one may have loaded the pool already;
+    # it imports jamsim from this checkout's src, installed or not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _POOL_PROBE],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    probe = json.loads(done.stdout)
+    assert probe["after_serial"] == []
+    assert probe["equal"]
+    # the pooled run starts at most 2 workers, and none on a single CPU
+    assert probe["bound"] == ("concurrent.futures.process.ProcessPoolExecutor"
+                              if probe["cpus"] >= 2 else None)
 
 
 @pytest.mark.parametrize("run", [run_trials, average_rate])
