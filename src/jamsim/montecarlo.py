@@ -13,12 +13,12 @@ first-round overlaps. A round matters only through that amplitude, and the
 codebook is unitary, so the amplitude is drawn from its exact law
 (draw_overlap_amplitude) in place of a whole sequence. Round one's squared
 overlap is the inverse CDF of one uniform, and trial i draws that uniform
-in stratum i mod STRATA of STRATA equal ones; later rounds are not
-stratified, so alg1's round two stays independent of round one. For alg1
-and alg2 the protocol stream then draws, round by round, the statistic the
-receiver decides from: ||y_t||^2 (receive_despread) for every round,
-drawn the same way in round one, and for alg2, only when it goes on to
-retransmit, the other codebook coordinates of the sequence
+in stratum trial_strata(i), i mod STRATA, of STRATA equal ones; later
+rounds are not stratified, so alg1's round two stays independent of round
+one. For alg1 and alg2 the protocol stream then draws, round by round, the
+statistic the receiver decides from: ||y_t||^2 (receive_despread) for
+every round, drawn the same way in round one, and for alg2, only when it
+goes on to retransmit, the other codebook coordinates of the sequence
 (complete_amplitudes) and a factor of round one's block gram in those
 coordinates (receive_block_factor), where alg2 searches its pilot. All
 follow the exact law of the M-antenna draws at a cost that does not grow
@@ -36,10 +36,11 @@ oracle.stop_probability given that overlap, which in turn has the exact
 mean oracle.stop_share, and on the trials that retransmit, a rate at round
 two's draw has an exact mean too: for alg1 the two-round rate at the
 better of its rounds' overlaps, given round one's
-(oracle.better_round_mean), for alg2 oracle.retransmit_mean. The alg rows'
-standard error centres its per-trial terms within round one's strata
-(control_variate_mean). A conventional row is the stratified mean of its
-trials (stratified_mean).
+(oracle.better_round_mean), for alg2 oracle.retransmit_mean. Every row is
+one estimator over round one's strata (control_variate_mean): a
+conventional row has no control variate and is the stratified mean of its
+trials; an alg row's standard error centres its per-trial terms within the
+strata.
 """
 
 import functools
@@ -59,10 +60,11 @@ from .rates import sinr_and_rate
 from .rng import TAG_CHANNEL, TAG_PROTOCOL, substream
 
 # the number of equal strata of round one's uniform; trial i draws in
-# stratum i mod STRATA. On the presets' grids (README) 5 cuts a conventional
-# row's variance 7-19x, against 5-12x for 4 and 12-45x for 8, while its z
-# tail stays near the plain mean's: a seed's rows leave 4 stderrs 0.003-0.006
-# times, against 0.001-0.0025 plain and 0.004-0.009 for 8
+# stratum trial_strata(i), i mod STRATA. On the presets' grids (README) 5
+# cuts a conventional row's variance 7-19x, against 5-12x for 4 and 12-45x
+# for 8, while its z tail stays near the plain mean's: a seed's rows leave
+# 4 stderrs 0.003-0.006 times, against 0.001-0.0025 plain and 0.004-0.009
+# for 8
 STRATA = 5
 
 
@@ -122,7 +124,7 @@ def simulate_one_trial(cfg: SystemConfig, scheme: str,
     Reproducible from (cfg.master_seed, index) alone. Round one, the pilot
     index and its overlap amplitude, is drawn here for every scheme, so
     schemes are paired at equal indices; its squared overlap is drawn in
-    stratum index mod STRATA of its law (draw_overlap_amplitude). The rate
+    stratum trial_strata(index) of its law (draw_overlap_amplitude). The rate
     is the closed-form achievable rate (sinr_and_rate, bit-identical to
     rate_from_overlap) at the true overlap of the round the receiver
     decodes with, and pays for every transmission spent. The MR combiner's
@@ -140,7 +142,7 @@ def simulate_one_trial(cfg: SystemConfig, scheme: str,
     # round one: the pilot index, then its overlap amplitude with the
     # jamming sequence, which alg2's jammer replays for the whole trial
     k = cfg.first_pilot if cfg.first_pilot is not None else int(rng_proto.integers(cfg.tau))
-    amp = draw_overlap_amplitude(rng_proto, cfg.jammer, k, cfg.tau, (index % STRATA, STRATA))
+    amp = draw_overlap_amplitude(rng_proto, cfg.jammer, k, cfg.tau, (trial_strata(index), STRATA))
     overlap_one = abs(amp) ** 2
     if scheme == "conventional":
         n_used, overlap, met, round_two = 1, overlap_one, False, 0.0
@@ -182,29 +184,48 @@ def run_trials(cfg: SystemConfig, scheme: str, n_trials: int, n_workers: int = 1
     return TrialData(*map(np.array, zip(*outcomes)))
 
 
-def control_variate_mean(y: np.ndarray, columns: np.ndarray | None = None,
-                         means: float | tuple[float, ...] = 0.0) -> tuple[float, float]:
-    """Mean of the samples y and its standard error, steered by control variates.
+def trial_strata(index: int | np.ndarray) -> int | np.ndarray:
+    """Round one's stratum of trial index, or of each trial of an index array: index mod STRATA."""
+    return index % STRATA
 
-    columns holds one control variate per column, one row per sample, and
-    means their exact means. Columns that take one value throughout are
-    dropped. The estimate is the intercept of the least-squares fit of y on
-    the columns less their means, that is mean(y) - b . (mean(columns) -
-    means), solved rank-revealing so that collinear columns share one
-    coefficient. Its standard error is the jackknife-like sandwich (HC3),
-    its terms a_i e_i / (1 - h_i) centred within round one's strata
-    (_stratified_spread), with a_i the weight of y_i in the intercept, e_i
-    its residual and h_i its leverage. Unlike the residuals' standard
-    deviation it counts the noise of the fitted coefficients and residuals
-    whose spread changes with the columns; unlike plain HC3 it leaves out
-    the spread between strata, which the stratified draw keeps out of the
-    mean. Without a varying column, with fewer samples than varying
-    columns plus 2, or when one sample alone fixes a coefficient (leverage
-    1), it is the plain mean and its sample standard error (0 for one
-    sample).
+
+def control_variate_mean(y: np.ndarray, strata: np.ndarray, columns: np.ndarray | None = None,
+                         means: float | tuple[float, ...] = 0.0) -> tuple[float, float]:
+    """Mean of the samples y and its standard error, by strata and steered by control variates.
+
+    strata holds one stratum label per sample, a non-negative integer,
+    columns one control variate per column, one row per sample, and means
+    their exact means. Columns that take one value throughout are dropped.
+    With a varying column, the estimate is the intercept of the
+    least-squares fit of y on the columns less their means, that is
+    mean(y) - b . (mean(columns) - means), solved rank-revealing so that
+    collinear columns share one coefficient. Its standard error is the
+    jackknife-like sandwich (HC3), its terms a_i e_i / (1 - h_i) centred
+    within the strata, each stratum's sum of squares scaled by
+    n_h / (n_h - 1), with a_i the weight of y_i in the intercept, e_i its
+    residual, h_i its leverage and n_h the stratum's count. Unlike the
+    residuals' standard deviation it counts the noise of the fitted
+    coefficients and residuals whose spread changes with the columns;
+    unlike plain HC3 it leaves out the spread between strata, which a
+    stratified draw keeps out of the mean.
+    Without a varying column, with fewer samples than varying columns plus
+    2, or when one sample alone fixes a coefficient (leverage 1), it is the
+    proportional-allocation stratified mean (1/H) sum_h ybar_h, computed as
+    the plain mean when every stratum holds the same count, with standard
+    error sqrt(sum_h s_h^2 / n_h) / H; H is the number of strata, read with
+    the counts from the labels, and ybar_h and s_h^2 are the mean and sample
+    variance of stratum h. While a stratum holds fewer than 2 samples
+    nothing is stratified: the mean is the plain one, HC3's terms are not
+    centred, and without columns the standard error is the sample one (0
+    for one sample).
     """
     n = len(y)
     y_bar = y.mean()
+    # bincount, not unique: unique's first call adds about 0.6 MiB to the peak RSS
+    counts = np.bincount(strata)
+    labels = np.flatnonzero(counts)
+    counts = counts[labels]
+    groups = [strata == h for h in labels] if counts.min() >= 2 else None
     if columns is not None:
         x = np.asarray(columns, dtype=float).reshape(n, -1)
         keep = x.min(axis=0) < x.max(axis=0)
@@ -223,52 +244,29 @@ def control_variate_mean(y: np.ndarray, columns: np.ndarray | None = None,
                 w = (vt[:rank] @ ((x_bar - x_mean) / norms)) / sv[:rank]
                 uy = u.T @ (y - y_bar)
                 resid = y - y_bar - u @ uy
-                weight = 1.0 / n - u @ w
-                return float(y_bar - w @ uy), _stratified_spread(weight * resid / (1.0 - leverage))
-    stderr = float(y.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return float(y_bar), stderr
-
-
-def _stratified_spread(terms: np.ndarray) -> float:
-    """Root of the sum of squares of the per-sample terms, each centred in its stratum.
-
-    Sample i lies in stratum i mod STRATA, and a stratum's sum of squares
-    about its mean is scaled by n_h / (n_h - 1), n_h its count. With fewer
-    than 2 STRATA samples, which leave a stratum without two, the terms
-    are not centred.
-    """
-    if len(terms) < 2 * STRATA:
-        return float(np.sqrt(np.sum(terms ** 2)))
-    total = 0.0
-    for h in range(STRATA):
-        part = terms[h::STRATA]
-        total += len(part) / (len(part) - 1) * float(np.sum((part - part.mean()) ** 2))
-    return math.sqrt(total)
-
-
-def stratified_mean(y: np.ndarray) -> tuple[float, float]:
-    """Mean of the samples y of trials 0, 1, ... and its standard error, by round one's strata.
-
-    Sample i lies in stratum i mod STRATA. With at least 2 samples in every
-    stratum (len(y) >= 2 STRATA) the mean is (1/H) sum_h ybar_h and the
-    standard error sqrt(sum_h s_h^2 / n_h) / H, with H = STRATA and ybar_h,
-    s_h^2 and n_h the mean, sample variance and count of stratum h. When
-    every stratum holds the same count that mean is the plain mean, and
-    it is computed as one. With fewer samples the row is the plain mean
-    and its sample standard error (0 for one sample).
-    """
-    n = len(y)
-    if n < 2 * STRATA:
-        return control_variate_mean(y)
-    strata = [y[h::STRATA] for h in range(STRATA)]
-    mean = y.mean() if n % STRATA == 0 else math.fsum(s.mean() for s in strata) / STRATA
-    variance = math.fsum(s.var(ddof=1) / len(s) for s in strata)
-    return float(mean), math.sqrt(variance) / STRATA
+                terms = (1.0 / n - u @ w) * resid / (1.0 - leverage)
+                if groups is None:
+                    return float(y_bar - w @ uy), float(np.sqrt(np.sum(terms ** 2)))
+                total = 0.0
+                for g in groups:
+                    part = terms[g]
+                    total += len(part) / (len(part) - 1) * float(np.sum((part - part.mean()) ** 2))
+                return float(y_bar - w @ uy), math.sqrt(total)
+    if groups is None:
+        return float(y_bar), float(y.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    parts = [y[g] for g in groups]
+    equal = counts.min() == counts.max()
+    mean = y_bar if equal else math.fsum(part.mean() for part in parts) / len(parts)
+    variance = math.fsum(part.var(ddof=1) / len(part) for part in parts)
+    return float(mean), math.sqrt(variance) / len(parts)
 
 
 def _control_variates(cfg: SystemConfig, scheme: str,
                       data: TrialData) -> tuple[np.ndarray, tuple[float, ...]]:
-    """The control-variate columns of an alg row's trials, and their exact means.
+    """The control-variate columns of a row's trials, and their exact means.
+
+    A conventional row has none: its rate is a function of round one's
+    squared overlap alone, which the strata steer.
 
     With x the conventional rate at round one's overlap (conventional_rates),
     p the probability that round one's blind estimate meets the threshold
@@ -290,6 +288,8 @@ def _control_variates(cfg: SystemConfig, scheme: str,
     stop decision sets the row's prelog, and p is its smooth part. Under a
     codeword or absent jammer p is constant (dropped) or collinear with x.
     """
+    if scheme == "conventional":
+        return np.empty((len(data.rates), 0)), ()
     x = conventional_rates(cfg, data.round_one_overlap_sq)
     p = stop_probability(cfg, data.round_one_overlap_sq)
     d = data.round_one_met - p
@@ -311,11 +311,11 @@ def _control_variates(cfg: SystemConfig, scheme: str,
 def average_rate(cfg: SystemConfig, scheme: str, n_trials: int, n_workers: int = 1) -> RateSummary:
     """Mean closed-form rate, its standard error, and the retransmission counts.
 
-    A conventional row is the stratified mean of its trials
-    (stratified_mean): a trial's rate is a function of round one's squared
-    overlap alone, which trial i draws in stratum i mod STRATA. An alg row
-    is the control-variate mean (control_variate_mean) on its trials' five
-    columns (_control_variates). At fig3's M = 500 and 200 trials, the
+    Every row is one estimator, control_variate_mean, over the trials'
+    strata (trial i draws round one in stratum trial_strata(i)) and their
+    control-variate columns (_control_variates). A conventional row has no
+    column, so it is the stratified mean of its trials; an alg row has five.
+    At fig3's M = 500 and 200 trials, the
     fifth, round one's stop probability, took the alg2 stderr from 0.57 to
     0.10 of the plain one and alg1's from 0.32 to 0.18; alg1's fourth at
     its better round and the stratum-centred stderr take them to 0.09 and
@@ -323,10 +323,8 @@ def average_rate(cfg: SystemConfig, scheme: str, n_trials: int, n_workers: int =
     0.46 to 0.24.
     """
     data = run_trials(cfg, scheme, n_trials, n_workers=n_workers)
-    if scheme == "conventional":
-        mean, stderr = stratified_mean(data.rates)
-    else:
-        mean, stderr = control_variate_mean(data.rates, *_control_variates(cfg, scheme, data))
+    mean, stderr = control_variate_mean(data.rates, trial_strata(np.arange(n_trials)),
+                                        *_control_variates(cfg, scheme, data))
     hist = {int(k): int(c) for k, c in enumerate(np.bincount(data.n_used)) if c > 0}
     return RateSummary(mean_rate=mean, stderr=stderr,
                        n_used_hist=hist, mean_n_used=float(data.n_used.mean()))

@@ -1,8 +1,9 @@
 """Every module of the package uses each name it imports, imports no
 underscore name of another module, loads no process-pool machinery at import
 time, and passes the jammer inside the config; the CLI imports nothing from
-the trial engine, the oracle states no map of t ~ Exp(1) of its own, and
-only the trial engine's round one draws a stratified overlap.
+the trial engine, the oracle states no map of t ~ Exp(1) of its own, only
+the trial engine's round one draws a stratified overlap, and only one
+function states which stratum a trial lies in.
 
 A name moved out of a module tends to leave its import behind; a private
 name another module reads is part of its owner's API under a name that
@@ -14,7 +15,11 @@ bare JammerSpec. The CLI parses, prints and writes, and sweep.py turns a
 config and its schemes into rows. The random kinds' overlap law is stated
 once, as channel.overlap_sq_law, which the trial engine draws through and
 the oracle integrates through. Only round one is stratified: alg1's later
-rounds must stay independent of it. These checks read the source with ast
+rounds must stay independent of it. The rule "trial i lies in stratum
+i mod STRATA" is montecarlo.trial_strata's alone: the draw and the row's
+labels both call it, and the row estimator reads its strata from the labels
+it is given, never from STRATA, so a change of the rule cannot leave the
+draw and the estimate on different strata. These checks read the source with ast
 alone. __init__.py is exempt from the first, since its imports are the
 package's public names.
 """
@@ -208,3 +213,48 @@ def test_only_the_trial_engine_stratifies_round_one():
     found = [f"{path.stem}.{function}" for path in MODULES
              for function in _stratified_draws(path.read_text(encoding="utf-8"))]
     assert found == ["montecarlo.simulate_one_trial"]
+
+
+def _stratum_rule(source: str) -> list[str]:
+    """The functions of source that compute with STRATA by % or as a slice step, once per use."""
+    def names_strata(node):
+        return node is not None and any(
+            isinstance(n, ast.Name) and n.id == "STRATA" or
+            isinstance(n, ast.Attribute) and n.attr == "STRATA" for n in ast.walk(node))
+
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod) and \
+                (names_strata(node.left) or names_strata(node.right)) or \
+                isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mod) and \
+                names_strata(node.value) or \
+                isinstance(node, ast.Slice) and names_strata(node.step):
+            found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_stratum_rule_uses_are_found():
+    source = ("def f(i):\n    return i % STRATA, (i + 1) % mc.STRATA, i % 5\n"
+              "def g(y, h):\n    i %= STRATA\n    return y[h::STRATA], y[:STRATA], STRATA * 2\n"
+              "x = STRATA % 3\n")
+    assert _stratum_rule(source) == ["f", "f", "g", "g", "<module>"]
+
+
+def test_one_function_owns_the_stratum_rule():
+    found = [f"{path.stem}.{function}" for path in sorted(PACKAGE.glob("*.py"))
+             for function in _stratum_rule(path.read_text(encoding="utf-8"))]
+    assert found == ["montecarlo.trial_strata"]
+
+
+def test_the_row_estimator_reads_its_strata_from_the_labels():
+    tree = ast.parse((PACKAGE / "montecarlo.py").read_text(encoding="utf-8"))
+    [estimator] = [node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "control_variate_mean"]
+    assert _references(ast.unparse(estimator), {"STRATA"}) == []

@@ -19,7 +19,7 @@ from jamsim.channel import crandn, make_codebook
 from jamsim.config import snr_db_to_power
 from jamsim.estimation import mmse_coefficients, run_training
 from jamsim.montecarlo import (STRATA, _control_variates, _usable_cpus, control_variate_mean,
-                               stratified_mean)
+                               trial_strata)
 from jamsim.oracle import (MOMENT_Z, Moment, conventional_mean, conventional_rates,
                            stop_probability)
 from jamsim.rates import rate_from_overlap
@@ -257,6 +257,23 @@ def test_seed_to_value_mapping_is_pinned(mode, scheme):
     cfg = SystemConfig(**{**_PINNED_BASE, **overrides}, jammer=jammer)
     mean = run_trials(cfg, scheme, 200).rates.mean()
     assert mean == pytest.approx(_PINNED_MEANS[mode, scheme], rel=1e-9)
+
+
+# recorded (mean_rate, stderr) of average_rate at _PINNED_BASE per (scheme,
+# trials): the rows a sweep reports, through the estimator. 203 trials leave
+# round one's strata unequal
+_PINNED_ROWS = {
+    ("conventional", 200): (1.9934504083622624, 0.008450920845919044),
+    ("alg1", 200): (2.019652977662352, 0.008749305538156433),
+    ("alg2", 200): (2.1984839043649105, 0.003458804980384289),
+    ("conventional", 203): (1.9929905768114888, 0.008426109606205868),
+}
+
+
+@pytest.mark.parametrize("scheme,n_trials", sorted(_PINNED_ROWS))
+def test_reported_rows_are_pinned(scheme, n_trials):
+    row = average_rate(SystemConfig(**_PINNED_BASE), scheme, n_trials)
+    assert (row.mean_rate, row.stderr) == pytest.approx(_PINNED_ROWS[scheme, n_trials], rel=1e-9)
 
 
 @pytest.mark.parametrize("scheme", ["conventional", "alg1", "alg2"])
@@ -531,7 +548,8 @@ def test_control_variate_rows_are_calibrated_and_unbiased(case, trials):
     data = trials(cfg, scheme, blocks * size)
     columns, known = _control_variates(cfg, scheme, data)
     ys = data.rates.reshape(blocks, size)
-    rows = np.array([control_variate_mean(y, c, known)
+    strata = trial_strata(np.arange(size))
+    rows = np.array([control_variate_mean(y, strata, c, known)
                      for y, c in zip(ys, columns.reshape(blocks, size, -1))])
     means, stderrs = rows.T
     plain = ys.mean(axis=1)
@@ -552,7 +570,8 @@ def test_control_variate_rows_are_calibrated_and_unbiased(case, trials):
         # is the plain mean's own noise and the pooled plain mean lies about
         # 30 row stderrs off; at fig3's M = 500 it lies about half a row
         # stderr off. z is taken against the pooled control-variate mean
-        pooled, _ = control_variate_mean(data.rates, columns, known)
+        pooled, _ = control_variate_mean(data.rates, trial_strata(np.arange(blocks * size)),
+                                         columns, known)
         z = (means - pooled) / stderrs
         # the mean z would mix the bias with the correlation of a row's
         # mean and stderr, which moves it off 0 even for an unbiased row: a
@@ -596,7 +615,8 @@ def test_stratified_conventional_rows_are_calibrated(case):
     assert size % STRATA == 0
     cfg = _cfg(**overrides)
     ys = run_trials(cfg, "conventional", blocks * size).rates.reshape(blocks, size)
-    means, stderrs = np.array([stratified_mean(y) for y in ys]).T
+    strata = trial_strata(np.arange(size))
+    means, stderrs = np.array([control_variate_mean(y, strata) for y in ys]).T
     plain_var = float(np.mean(ys.var(axis=1, ddof=1))) / size
     assert np.mean(stderrs ** 2) < plain_var / 5
     assert means.var(ddof=1) < plain_var / 5
@@ -635,13 +655,14 @@ def _regression_by_hand(y, columns, means):
     ("alg2", JammerSpec(kind="absent"), None),
     ("alg2", JammerSpec(kind="codeword", codeword_index=1), 1),
 ])
-def test_constant_control_variate_gives_the_plain_mean(scheme, jam, first_pilot):
+def test_constant_control_variate_gives_the_stratified_mean(scheme, jam, first_pilot):
     # every trial has the same round-one overlap, so the conventional rate x
     # and the stop probability p are constant: x is dropped, and d x is a
     # multiple of d = S - p, so the row regresses on d alone. Round one
     # fixes round two's draw, so the round-two column is 0 throughout. At
     # epsilon = 1 every round one stops, d is 0 too, and the row is the
-    # plain mean with the plain stderr
+    # stratified mean of its trials: with equal strata the plain mean, and
+    # the stratified stderr sqrt(sum_h s_h^2 / n_h) / H
     n = 120
     cfg = _cfg(M=16, tau=4, first_pilot=first_pilot, master_seed=8, jammer=jam)
     data = run_trials(cfg, scheme, n)
@@ -656,8 +677,9 @@ def test_constant_control_variate_gives_the_plain_mean(scheme, jam, first_pilot)
     cfg = dataclasses.replace(cfg, epsilon=1.0)
     data = run_trials(cfg, scheme, n)
     row = average_rate(cfg, scheme, n)
+    strata = [data.rates[h::STRATA] for h in range(STRATA)]
     assert row.mean_rate == float(data.rates.mean())
-    assert row.stderr == float(data.rates.std(ddof=1) / math.sqrt(n))
+    assert row.stderr == math.sqrt(math.fsum(s.var(ddof=1) / len(s) for s in strata)) / STRATA
 
 
 def test_absent_jammer_alg1_row_is_exact():
@@ -674,46 +696,71 @@ def test_absent_jammer_alg1_row_is_exact():
 
 
 def test_control_variate_mean_falls_back_and_regresses():
+    def estimate(y, *args):
+        # the samples of trials 0, 1, ..., labelled by round one's strata
+        return control_variate_mean(y, trial_strata(np.arange(len(y))), *args)
+
     y = np.array([1.0, 2.0, 4.0, 7.0, 3.0])
     x = np.array([0.0, 1.0, 1.0, 3.0, 2.0])
     n = len(y)
+    # one sample per stratum: nothing is stratified
     plain = (float(y.mean()), float(y.std(ddof=1) / math.sqrt(n)))
-    assert control_variate_mean(y) == plain
+    assert estimate(y) == plain
     # constant columns are dropped; with none left the row is the plain mean
-    assert control_variate_mean(y, np.full((n, 2), 2.5), (9.0, 1.0)) == plain
+    assert estimate(y, np.full((n, 2), 2.5), (9.0, 1.0)) == plain
     # too few samples for the columns that vary: 2 columns need 4
-    assert control_variate_mean(y[:3], np.column_stack([x, x ** 2])[:3], (9.0, 1.0)) == \
+    assert estimate(y[:3], np.column_stack([x, x ** 2])[:3], (9.0, 1.0)) == \
         (float(y[:3].mean()), float(y[:3].std(ddof=1) / math.sqrt(3)))
-    assert control_variate_mean(y[:2], x[:2], 9.0) == (1.5, 0.5)
-    assert control_variate_mean(y[:1], x[:1], 9.0) == (1.0, 0.0)
+    assert estimate(y[:2], x[:2], 9.0) == (1.5, 0.5)
+    assert estimate(y[:1], x[:1], 9.0) == (1.0, 0.0)
     # one sample alone fixes the coefficient (leverage 1)
-    assert control_variate_mean(y, np.array([0.0, 0.0, 0.0, 0.0, 1.0]), 0.5) == plain
+    assert estimate(y, np.array([0.0, 0.0, 0.0, 0.0, 1.0]), 0.5) == plain
     # one column: the mean is mean(y) - b (mean(x) - 1.5), b the slope
     xc, yc = x - x.mean(), y - y.mean()
     one = _regression_by_hand(y, x, 1.5)
     assert one[0] == pytest.approx(y.mean() - (xc @ yc / (xc @ xc)) * (x.mean() - 1.5))
-    assert control_variate_mean(y, x, 1.5) == pytest.approx(one, rel=1e-12)
+    assert estimate(y, x, 1.5) == pytest.approx(one, rel=1e-12)
     # a constant column beside it changes nothing, nor does a column that
     # repeats x scaled; the mean of the repeat must agree
-    assert control_variate_mean(y, np.column_stack([x, np.ones(n)]), (1.5, 7.0)) == \
+    assert estimate(y, np.column_stack([x, np.ones(n)]), (1.5, 7.0)) == \
         pytest.approx(one, rel=1e-12)
-    assert control_variate_mean(y, np.column_stack([x, -3 * x]), (1.5, -4.5)) == \
+    assert estimate(y, np.column_stack([x, -3 * x]), (1.5, -4.5)) == \
         pytest.approx(one, rel=1e-12)
     # two columns; no residual at all gives a zero stderr
     cols, known = np.column_stack([x, x ** 2]), np.array([1.5, 3.0])
-    assert control_variate_mean(y, cols, known) == \
-        pytest.approx(_regression_by_hand(y, cols, known), rel=1e-10)
+    assert estimate(y, cols, known) == pytest.approx(_regression_by_hand(y, cols, known), rel=1e-10)
     exact = 2.0 + cols @ [1.0, -0.5]
-    assert control_variate_mean(exact, cols, known) == \
-        pytest.approx((2.0 + 1.5 - 0.5 * 3.0, 0.0), abs=1e-12)
+    assert estimate(exact, cols, known) == pytest.approx((2.0 + 1.5 - 0.5 * 3.0, 0.0), abs=1e-12)
     # from 2 STRATA samples on, the stderr centres HC3's terms within the
-    # strata; 23 samples leave the strata unequal
+    # strata, and without a varying column the row is the stratified mean
+    # (1/H) sum_h ybar_h with stderr sqrt(sum_h s_h^2 / n_h) / H; 13 and 23
+    # samples leave the strata unequal
     rng = np.random.default_rng(4)
     x = rng.random((23, 2))
     y = x @ [1.0, 2.0] + rng.standard_normal(23)
-    for n in (2 * STRATA - 1, 2 * STRATA, 23):
-        assert control_variate_mean(y[:n], x[:n], (0.5, 0.5)) == \
+    for n in (2 * STRATA - 1, 2 * STRATA, 13, 23):
+        assert estimate(y[:n], x[:n], (0.5, 0.5)) == \
             pytest.approx(_regression_by_hand(y[:n], x[:n], (0.5, 0.5)), rel=1e-10)
+        if n < 2 * STRATA:
+            by_hand = (sum(y[:n]) / n, math.sqrt(sum((y[:n] - sum(y[:n]) / n) ** 2) / (n - 1) / n))
+        else:
+            parts = [y[h:n:STRATA] for h in range(STRATA)]
+            means = [sum(p) / len(p) for p in parts]
+            variances = [sum((p - m) ** 2) / (len(p) - 1) for p, m in zip(parts, means)]
+            by_hand = (sum(means) / STRATA,
+                       math.sqrt(sum(v / len(p) for v, p in zip(variances, parts))) / STRATA)
+        stratified = estimate(y[:n])
+        assert stratified == pytest.approx(by_hand, rel=1e-12)
+        if n >= 2 * STRATA:
+            if n % STRATA:
+                # unequal strata: not the plain mean
+                assert stratified[0] != pytest.approx(float(y[:n].mean()), rel=1e-6)
+            # a column that fixes a coefficient by one sample (leverage 1),
+            # or columns that are all constant, give the no-column row
+            lone = np.zeros(n)
+            lone[n // 2] = 1.0
+            assert estimate(y[:n], lone, 0.5) == stratified
+            assert estimate(y[:n], np.full((n, 2), 2.5), (9.0, 1.0)) == stratified
 
 
 # ---------------------------------------------------------------------------

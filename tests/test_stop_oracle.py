@@ -35,7 +35,7 @@ from jamsim import (JammerSpec, SystemConfig, draw_overlap_amplitude, gen_channe
                     run_trials, substream)
 from jamsim.config import snr_db_to_power
 from jamsim.estimation import run_training
-from jamsim.montecarlo import _control_variates, stratified_mean
+from jamsim.montecarlo import _control_variates, control_variate_mean, trial_strata
 from jamsim.oracle import (alg1_mean_n_used, alg1_stop_side_mean, better_round_mean,
                            conventional_mean, round_one_mean, stop_probability, stop_share)
 from jamsim.rates import rates_at
@@ -192,7 +192,8 @@ def test_alg1_stop_side_matches_the_engine(kind, m):
     # in units of its stderr
     cfg = _cfg(m, jammer=JammerSpec(kind=kind))
     data = run_trials(cfg, "alg1", N_TRIALS)
-    mean, stderr = stratified_mean(data.rates * (data.n_used == 1))
+    mean, stderr = control_variate_mean(data.rates * (data.n_used == 1),
+                                        trial_strata(np.arange(N_TRIALS)))
     exact = alg1_stop_side_mean(cfg)
     assert 0.0 < exact < conventional_mean(cfg)
     assert abs(mean - exact) <= Z_BOUND * stderr, (mean, exact, stderr)
