@@ -6,6 +6,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
+import numpy as np
+
 OPT_MODES = ("codebook", "eigen")
 JAMMER_KINDS = ("gaussian", "sphere", "absent", "codeword")
 SCHEMES = ("conventional", "alg1", "alg2")
@@ -216,10 +218,11 @@ class SystemConfig:
         scale = self.mmse_terms[1]
         return scale * self.M, self.p_t * self.beta_u / (self.q_t * self.beta_j), 1.0 / scale
 
-    def prelog(self, n_used: int = 1) -> float:
-        """Fraction of the coherence block left for data after n_used pilots."""
-        if n_used * self.tau >= self.T:
-            raise ValueError(f"{n_used} transmissions of {self.tau} symbols exceed T={self.T}")
+    def prelog(self, n_used=1):
+        """Fraction of the coherence block left for data after n_used pilots, one per count."""
+        most = np.max(n_used, initial=0)
+        if most * self.tau >= self.T:
+            raise ValueError(f"{most} transmissions of {self.tau} symbols exceed T={self.T}")
         return 1.0 - n_used * self.tau / self.T
 
     def overlap_below_threshold(self, overlap_sq: float) -> bool:

@@ -43,14 +43,15 @@ def despread(block: np.ndarray, s_u: np.ndarray) -> np.ndarray:
     return block @ np.conj(s_u)
 
 
-def mmse_coefficients(cfg: SystemConfig, overlap_sq: float) -> tuple[float, float]:
-    """MMSE scaling c_u and per-entry estimate variance gamma_u.
+def mmse_coefficients(cfg: SystemConfig, overlap_sq):
+    """MMSE scaling c_u and per-entry estimate variance gamma_u, elementwise over overlap_sq.
 
     c_u = sqrt(tau p_t) beta_u / (tau p_t beta_u + tau q_t beta_j overlap^2 + 1)
     gamma_u = c_u sqrt(tau p_t) beta_u
+    An overlap that is not finite and nonnegative raises ValueError.
     """
-    if overlap_sq < 0:
-        raise ValueError("overlap_sq must be nonnegative")
+    if not np.all(np.isfinite(overlap_sq) & np.greater_equal(overlap_sq, 0.0)):
+        raise ValueError("overlap_sq must be finite and nonnegative")
     pilot, jamming, root, beta_u = cfg.mmse_terms
     c_u = root * beta_u / (pilot + jamming * overlap_sq + 1.0)
     return c_u, c_u * root * beta_u

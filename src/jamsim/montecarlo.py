@@ -25,7 +25,8 @@ follow the exact law of the M-antenna draws at a cost that does not grow
 with M. Conventional decides nothing, so it draws neither channels nor
 noise. Keyed streams make scheme comparisons paired and keep any execution
 order or worker count bit-reproducible, so run_trials maps
-simulate_one_trial over the trial indices, in-process or on a process pool.
+simulate_one_trial over the trial indices, in-process or on a process pool,
+and rates the row's draws in one call of rates.rates_at, as the oracles rate.
 
 Every trial also returns round one's squared overlap and, on alg trials,
 whether round one's blind estimate met the threshold and round two's draw
@@ -53,10 +54,10 @@ import numpy as np
 
 from .channel import draw_overlap_amplitude, gen_channel_factor
 from .config import SystemConfig, check_count, validate_combination
-from .oracle import (better_round_mean, better_round_rates, conventional_mean, conventional_rates,
-                     retransmit_mean, retransmit_rates, stop_probability, stop_share)
+from .oracle import (better_round_mean, better_round_rates, conventional_mean, retransmit_mean,
+                     retransmit_rates, stop_probability, stop_share)
 from .protocols import run_algorithm1, run_algorithm2
-from .rates import sinr_and_rate
+from .rates import rates_at
 from .rng import TAG_CHANNEL, TAG_PROTOCOL, substream
 
 # the number of equal strata of round one's uniform; trial i draws in
@@ -115,22 +116,18 @@ class RateSummary:
 
 
 def simulate_one_trial(cfg: SystemConfig, scheme: str,
-                       index: int) -> tuple[float, int, float, float, bool, float]:
-    """One realization of one scheme.
+                       index: int) -> tuple[int, float, float, bool, float]:
+    """One realization of one scheme: its draws, which its row rates (run_trials).
 
-    Returns (rate, n_used, overlap_sq, round_one_overlap_sq, round_one_met,
-    round_two_sq), the fields of TrialData.
+    Returns (n_used, overlap_sq, round_one_overlap_sq, round_one_met,
+    round_two_sq), the fields of TrialData but the rate.
 
     Reproducible from (cfg.master_seed, index) alone. Round one, the pilot
     index and its overlap amplitude, is drawn here for every scheme, so
     schemes are paired at equal indices; its squared overlap is drawn in
-    stratum trial_strata(index) of its law (draw_overlap_amplitude). The rate
-    is the closed-form achievable rate (sinr_and_rate, bit-identical to
-    rate_from_overlap) at the true overlap of the round the receiver
-    decodes with, and pays for every transmission spent. The MR combiner's
-    SINR does not change when the MMSE coefficient is scaled, so a receiver
-    that builds its estimate from the blind overlap gets this rate too (the
-    use-and-forget bound).
+    stratum trial_strata(index) of its law (draw_overlap_amplitude).
+    overlap_sq is the true squared overlap of the round the receiver
+    decodes with, and n_used the transmissions it spent.
     round_one_overlap_sq is round one's squared overlap, at which a
     conventional trial of the same index is rated. round_one_met says
     whether round one's blind estimate met the threshold, and is False on a
@@ -154,13 +151,17 @@ def simulate_one_trial(cfg: SystemConfig, scheme: str,
         n_used, overlap = trace.n_used, trace.rounds[trace.chosen_round].overlap_true
         met = cfg.overlap_below_threshold(trace.rounds[0].overlap_est)
         round_two = trace.round_two_sq
-    value = sinr_and_rate(cfg, overlap, n_used)[1]
-    return value, n_used, overlap, overlap_one, met, round_two
+    return n_used, overlap, overlap_one, met, round_two
 
 
 def run_trials(cfg: SystemConfig, scheme: str, n_trials: int, n_workers: int = 1) -> TrialData:
-    """All trial outcomes for one scheme: simulate_one_trial mapped over the trial indices.
+    """All trial outcomes for one scheme: simulate_one_trial mapped over the trial indices, rated.
 
+    One call of rates_at, in this process after any pool, rates each trial
+    at the true overlap of the round its receiver decodes with, paying for
+    every transmission spent. The MR combiner's SINR does not change when
+    the MMSE coefficient is scaled, so a receiver that builds its estimate
+    from the blind overlap gets this rate too (the use-and-forget bound).
     Results are keyed by trial index, so the worker count only changes wall
     time, never values. The pool never starts more workers than there are
     CPUs this process may run on (_usable_cpus) or trials, and one worker
@@ -181,7 +182,8 @@ def run_trials(cfg: SystemConfig, scheme: str, n_trials: int, n_workers: int = 1
         with pool_class(max_workers=n_workers) as pool:
             outcomes = list(pool.map(trial, range(n_trials),
                                      chunksize=math.ceil(n_trials / (4 * n_workers))))
-    return TrialData(*map(np.array, zip(*outcomes)))
+    n_used, overlap_sq, *rest = map(np.array, zip(*outcomes))
+    return TrialData(rates_at(cfg, overlap_sq, n_used), n_used, overlap_sq, *rest)
 
 
 def trial_strata(index: int | np.ndarray) -> int | np.ndarray:
@@ -268,7 +270,7 @@ def _control_variates(cfg: SystemConfig, scheme: str,
     A conventional row has none: its rate is a function of round one's
     squared overlap alone, which the strata steer.
 
-    With x the conventional rate at round one's overlap (conventional_rates),
+    With x the conventional rate at round one's overlap (rates_at at 1),
     p the probability that round one's blind estimate meets the threshold
     given that overlap (stop_probability) and d = S - p, S the round-one
     stop indicator, the first three columns are x, of mean
@@ -290,7 +292,7 @@ def _control_variates(cfg: SystemConfig, scheme: str,
     """
     if scheme == "conventional":
         return np.empty((len(data.rates), 0)), ()
-    x = conventional_rates(cfg, data.round_one_overlap_sq)
+    x = rates_at(cfg, data.round_one_overlap_sq, 1)
     p = stop_probability(cfg, data.round_one_overlap_sq)
     d = data.round_one_met - p
     retx = ~data.round_one_met

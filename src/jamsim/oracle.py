@@ -1,10 +1,10 @@
 """Exact results the trial engine is checked and steered against.
 
 round_one_mean integrates a function of round one's squared overlap over
-that overlap's exact law. conventional_rates is the conventional rate at
-given overlaps, and conventional_mean its mean as that 1-D integral: the
-engine rates a conventional trial at that overlap alone, so the integral is
-exact up to quadrature error. stop_probability is
+that overlap's exact law. conventional_mean is the mean conventional rate,
+rates.rates_at at one transmission, as that 1-D integral: the engine rates
+a conventional trial at that overlap alone, so the integral is exact up to
+quadrature error. stop_probability is
 the exact probability, given that overlap, that round one's blind estimate
 meets the threshold, stop_share its mean, and alg1_mean_n_used the mean
 transmission count of alg1 it implies at n_max = 2. alg1_stop_side_mean is
@@ -19,7 +19,7 @@ its retransmit branch, is the smallest squared modulus of the other tau - 1
 coordinates of the jamming sequence; other_min_mean integrates over its law
 (scaled free of round one for sphere), retransmit_rates is the two-round
 rate at it, and retransmit_mean its mean. All of these rate through
-rates.rates_at, bit-identical to the trial engine's rate.
+rates.rates_at, the formula the trial engine rates its rows with.
 
 average_rate steers the alg rows with all of these, five columns in all:
 the conventional rate has mean conventional_mean; the round-one stop
@@ -30,7 +30,8 @@ less better_round_mean (alg1), or retransmit_rates less retransmit_mean
 
 verify_moments is the moment check: it compares Monte Carlo moments of the
 effective-noise decomposition behind the SINR formula with their closed
-forms, each in units of its own standard error.
+forms, each in units of its own standard error; its SINR's closed form is
+rates.effective_sinr.
 """
 
 import functools
@@ -110,18 +111,10 @@ def round_one_mean(cfg: SystemConfig, g: Callable[[np.ndarray], Sequence[float]]
     return float(hit / cfg.tau + miss * (1.0 - 1.0 / cfg.tau))
 
 
-def conventional_rates(cfg: SystemConfig, overlaps: np.ndarray) -> np.ndarray:
-    """Conventional rate rate(|a|^2, 1) under cfg at each squared overlap.
-
-    Bit-identical to the rate of a conventional trial at that overlap.
-    """
-    return rates_at(cfg, overlaps, 1)
-
-
 @functools.lru_cache(maxsize=256)
 def conventional_mean(cfg: SystemConfig) -> float:
     """Mean conventional rate E[rate(|a|^2, 1)] under cfg."""
-    return round_one_mean(cfg, functools.partial(conventional_rates, cfg))
+    return round_one_mean(cfg, functools.partial(rates_at, cfg))
 
 
 # _poisson_sum stops once every term is below _SUM_TOL. The terms shrink
@@ -231,7 +224,7 @@ def alg1_stop_side_mean(cfg: SystemConfig) -> float:
     if cfg.n_max == 1:
         return conventional_mean(cfg)
     return round_one_mean(cfg, lambda overlaps: (stop_probability(cfg, overlaps)
-                                                 * conventional_rates(cfg, overlaps)))
+                                                 * rates_at(cfg, overlaps, 1)))
 
 
 def better_round_rates(cfg: SystemConfig, overlap_one_sq, overlap_two_sq) -> np.ndarray:
@@ -436,7 +429,7 @@ def verify_moments(cfg: SystemConfig, overlap_sq: float, n_trials: int) -> dict[
         cfg.beta_j + cfg.M * gamma_u * (cfg.q_t / cfg.p_t)
         * (cfg.beta_j / cfg.beta_u) ** 2 * overlap_sq)
     ths = (cfg.M * gamma_u * cfg.p_d * cfg.beta_u, e2_th, cfg.M * gamma_u,
-           cfg.p_d * (cfg.M * gamma_u) ** 2, effective_sinr(cfg, gamma_u, overlap_sq))
+           cfg.p_d * (cfg.M * gamma_u) ** 2, float(effective_sinr(cfg, overlap_sq)))
     names = ("e1", "e2", "e3", "signal", "sinr")
     return {name: Moment(float(emp), th, float(se))
             for name, emp, th, se in zip(names, emps, ths, stderrs)}

@@ -2,7 +2,9 @@
 
 The achievable rate treats residual channel-estimation error and jamming as
 worst-case Gaussian noise, so every rate here is prelog * log2(1 + sinr)
-with prelog = 1 - n_used*tau/T.
+with prelog = 1 - n_used*tau/T. effective_sinr and rates_at state them
+once, elementwise: the trial engine rates its rows and the oracles their
+quadrature nodes through them, so the two agree bit for bit.
 """
 
 import math
@@ -25,73 +27,49 @@ class RateReport:
     prelog: float
 
 
-def effective_sinr(cfg: SystemConfig, gamma_u: float, overlap_sq: float) -> float:
-    """Effective SINR of the estimate-based maximum ratio combiner.
+def effective_sinr(cfg: SystemConfig, overlap_sq):
+    """Effective SINR of the estimate-based maximum ratio combiner, elementwise over overlap_sq.
 
     M p_d gamma_u over (p_d beta_u + q_d beta_j + contamination + 1), with
-    contamination M (q_d q_t / p_t) (beta_j / beta_u)^2 overlap^2 gamma_u.
-    The contamination term grows with M, which is what ultimately saturates
-    the rate when the training phase is hit by a non-orthogonal jammer.
-    Powers so large that the SINR's terms overflow raise ValueError.
+    contamination M (q_d q_t / p_t) (beta_j / beta_u)^2 overlap^2 gamma_u
+    and gamma_u from mmse_coefficients. The contamination term grows with
+    M, which is what ultimately saturates the rate when the training phase
+    is hit by a non-orthogonal jammer. An overlap that is not finite and
+    nonnegative raises ValueError, and so do powers so large that the
+    SINR's terms overflow.
     """
-    if gamma_u < 0:
-        raise ValueError("gamma_u must be nonnegative")
-    if overlap_sq < 0:
-        raise ValueError("overlap_sq must be nonnegative")
+    overlap_sq = np.asarray(overlap_sq, dtype=float)
     contamination, interference, signal = cfg.sinr_terms
-    den = interference + contamination * overlap_sq * gamma_u + 1.0
-    sinr = signal * gamma_u / den
-    if not (math.isfinite(den) and math.isfinite(sinr)):
+    with np.errstate(over="ignore", invalid="ignore"):    # the check below reports them
+        _, gamma_u = mmse_coefficients(cfg, overlap_sq)
+        den = interference + contamination * overlap_sq * gamma_u + 1.0
+        sinr = signal * gamma_u / den
+    if not (np.all(np.isfinite(den)) and np.all(np.isfinite(sinr))):
         raise ValueError(
             f"powers p_d={cfg.p_d:g}, q_t={cfg.q_t:g}, q_d={cfg.q_d:g} overflow the SINR")
     return sinr
 
 
-def rate(cfg: SystemConfig, rho: float, n_used: int = 1) -> float:
-    """Achievable rate (1 - n_used*tau/T) log2(1 + rho) in bits/s/Hz."""
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    return cfg.prelog(n_used) * math.log2(1.0 + rho)
+def rates_at(cfg: SystemConfig, overlaps, n_used=1) -> np.ndarray:
+    """Achievable rate prelog(n_used) log2(1 + effective_sinr) in bits/s/Hz, elementwise.
 
-
-def sinr_and_rate(cfg: SystemConfig, overlap_sq: float, n_used: int = 1) -> tuple[float, float]:
-    """Effective SINR and achievable rate at one squared overlap, as plain floats.
-
-    The trial engine rates every trial with it; rate_from_overlap wraps it.
+    overlaps is a float or an array of squared overlaps, and n_used a
+    transmission count or an array of them, one per overlap: the trial
+    engine rates a whole row in one call, the oracles their quadrature
+    nodes. The logarithm goes through math.log2 one float at a time, since
+    np.log2 differs from it in the last bit on some inputs. Raises
+    ValueError where effective_sinr does, and where a count overruns T
+    (SystemConfig.prelog).
     """
-    _, gamma_u = mmse_coefficients(cfg, overlap_sq)
-    rho = effective_sinr(cfg, gamma_u, overlap_sq)
-    return rho, rate(cfg, rho, n_used)
-
-
-def rates_at(cfg: SystemConfig, overlaps, n_used: int = 1) -> np.ndarray:
-    """sinr_and_rate's rate at each squared overlap of an array, bit for bit.
-
-    The SINR is sinr_and_rate's arithmetic, elementwise in the same order,
-    so every entry rounds as it does there; the logarithm goes through
-    math.log2 one float at a time, since np.log2 differs from it in the
-    last bit on some inputs. Raises ValueError where sinr_and_rate would.
-    """
-    overlaps = np.asarray(overlaps, dtype=float)
-    if np.any(overlaps < 0):
-        raise ValueError("overlap_sq must be nonnegative")
-    pilot, jamming, root, beta_u = cfg.mmse_terms
-    contamination, interference, signal = cfg.sinr_terms
-    with np.errstate(over="ignore", invalid="ignore"):    # the check below reports them
-        gamma_u = root * beta_u / (pilot + jamming * overlaps + 1.0) * root * beta_u
-        den = interference + contamination * overlaps * gamma_u + 1.0
-        sinr = signal * gamma_u / den
-    if not (np.all(np.isfinite(den)) and np.all(np.isfinite(sinr))):
-        raise ValueError(
-            f"powers p_d={cfg.p_d:g}, q_t={cfg.q_t:g}, q_d={cfg.q_d:g} overflow the SINR")
+    sinr = effective_sinr(cfg, overlaps)
     logs = np.fromiter(map(math.log2, (1.0 + sinr).ravel().tolist()), float, sinr.size)
-    return cfg.prelog(n_used) * logs.reshape(overlaps.shape)
+    return cfg.prelog(n_used) * logs.reshape(sinr.shape)
 
 
 def rate_from_overlap(cfg: SystemConfig, overlap_sq: float, n_used: int = 1) -> RateReport:
-    """Full chain overlap -> gamma_u -> SINR -> rate for one transmission count."""
-    rho, value = sinr_and_rate(cfg, overlap_sq, n_used)
-    return RateReport(rho=rho, rate=value, n_used=n_used,
+    """Full chain overlap -> gamma_u -> SINR -> rate for one transmission count, as plain floats."""
+    return RateReport(rho=float(effective_sinr(cfg, overlap_sq)),
+                      rate=float(rates_at(cfg, overlap_sq, n_used)), n_used=n_used,
                       overlap_sq_used=overlap_sq, prelog=cfg.prelog(n_used))
 
 

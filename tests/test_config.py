@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from jamsim import JammerSpec, SystemConfig, snr_db_to_power
@@ -77,6 +78,9 @@ def test_prelog():
     cfg = SystemConfig(T=200, tau=10)
     assert cfg.prelog(1) == pytest.approx(0.95)
     assert cfg.prelog(2) == pytest.approx(0.90)
+    # an array of counts gives one prelog per count, as each count alone does
+    assert (cfg.prelog(np.array([1, 2, 1])).tolist()
+            == [cfg.prelog(1), cfg.prelog(2), cfg.prelog(1)])
     with pytest.raises(ValueError):
         cfg.prelog(20)
 

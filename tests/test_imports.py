@@ -2,8 +2,10 @@
 underscore name of another module, loads no process-pool machinery at import
 time, and passes the jammer inside the config; the CLI imports nothing from
 the trial engine, the oracle states no map of t ~ Exp(1) of its own, only
-the trial engine's round one draws a stratified overlap, and only one
-function states which stratum a trial lies in.
+the trial engine's round one draws a stratified overlap, only one
+function states which stratum a trial lies in, and the achievable rate has
+one path: only rates.effective_sinr reads the SINR's terms, only
+rates.rates_at takes the rate's logarithm, and a trial draws without rating.
 
 A name moved out of a module tends to leave its import behind; a private
 name another module reads is part of its owner's API under a name that
@@ -19,7 +21,10 @@ rounds must stay independent of it. The rule "trial i lies in stratum
 i mod STRATA" is montecarlo.trial_strata's alone: the draw and the row's
 labels both call it, and the row estimator reads its strata from the labels
 it is given, never from STRATA, so a change of the rule cannot leave the
-draw and the estimate on different strata. These checks read the source with ast
+draw and the estimate on different strata. Two copies of the rate formula, one
+for the trials and one for the oracles, can drift apart where no test
+looks; with one path, run_trials rates a row through the formula the
+oracles integrate. These checks read the source with ast
 alone. __init__.py is exempt from the first, since its imports are the
 package's public names.
 """
@@ -258,3 +263,55 @@ def test_the_row_estimator_reads_its_strata_from_the_labels():
     [estimator] = [node for node in tree.body
                    if isinstance(node, ast.FunctionDef) and node.name == "control_variate_mean"]
     assert _references(ast.unparse(estimator), {"STRATA"}) == []
+
+
+def _functions_using(source: str, names: set[str]) -> list[str]:
+    """The function around each bare name or attribute in source spelled as one of names."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Attribute) and node.attr in names or \
+                isinstance(node, ast.Name) and node.id in names:
+            found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_functions_using_a_name_are_found():
+    source = ("import math\nfrom numpy import log2\n"
+              "def f(x):\n    return math.log2(x) + log2(x)\n"
+              "def g(cfg):\n    a, b, c = cfg.sinr_terms\n    return list(map(math.log2, a))\n"
+              "class C:\n    def h(self):\n        return self.sinr_terms\n"
+              "    def sinr_terms(self): pass\n"
+              "y = np.log2(2)\n'log2'\ndef log2_like(): pass\n")
+    assert _functions_using(source, {"log2", "sinr_terms"}) == ["f", "f", "g", "g", "h",
+                                                                "<module>"]
+
+
+def _package_uses(names: set[str]) -> list[str]:
+    return [f"{path.stem}.{function}" for path in sorted(PACKAGE.glob("*.py"))
+            for function in _functions_using(path.read_text(encoding="utf-8"), names)]
+
+
+def test_one_function_states_the_sinr():
+    assert _package_uses({"sinr_terms"}) == ["rates.effective_sinr"]
+
+
+def test_one_function_takes_the_logarithm_of_a_rate():
+    assert _package_uses({"log2"}) == ["rates.rates_at"]
+
+
+def test_a_trial_rates_nothing():
+    # a trial only draws; its row is rated after every trial has run
+    tree = ast.parse((PACKAGE / "rates.py").read_text(encoding="utf-8"))
+    names = {node.name for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))} | {"rates"}
+    assert {"effective_sinr", "rates_at", "rate_from_overlap"} <= names
+    found = _functions_using((PACKAGE / "montecarlo.py").read_text(encoding="utf-8"), names)
+    assert "simulate_one_trial" not in found
+    assert "run_trials" in found

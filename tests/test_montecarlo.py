@@ -20,9 +20,8 @@ from jamsim.config import snr_db_to_power
 from jamsim.estimation import mmse_coefficients, run_training
 from jamsim.montecarlo import (STRATA, _control_variates, _usable_cpus, control_variate_mean,
                                trial_strata)
-from jamsim.oracle import (MOMENT_Z, Moment, conventional_mean, conventional_rates,
-                           stop_probability)
-from jamsim.rates import rate_from_overlap
+from jamsim.oracle import MOMENT_Z, Moment, conventional_mean, stop_probability
+from jamsim.rates import rate_from_overlap, rates_at
 from jamsim.rng import TAG_CHANNEL, TAG_PROTOCOL
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -62,12 +61,11 @@ def test_same_seed_reproduces_everything():
 
 
 def test_single_trial_matches_batch_position():
-    # trial k run alone is bit-identical to trial k inside a batch
+    # trial k run alone draws bit for bit what trial k draws inside a batch
     cfg = _cfg(master_seed=9)
     batch = run_trials(cfg, "alg1", 50)
     for k in (0, 7, 49):
-        rate, n_used, overlap, overlap_one, met, round_two = simulate_one_trial(cfg, "alg1", k)
-        assert rate == batch.rates[k]
+        n_used, overlap, overlap_one, met, round_two = simulate_one_trial(cfg, "alg1", k)
         assert n_used == batch.n_used[k]
         assert overlap == batch.overlap_sq[k]
         assert overlap_one == batch.round_one_overlap_sq[k]
@@ -311,7 +309,7 @@ def test_schemes_share_first_round_draws():
         # each alg trial carries round one's overlap, and so its paired
         # conventional rate, bit for bit
         assert np.array_equal(data.round_one_overlap_sq, conv.overlap_sq)
-        assert np.array_equal(conventional_rates(cfg, data.round_one_overlap_sq), conv.rates)
+        assert np.array_equal(rates_at(cfg, data.round_one_overlap_sq, 1), conv.rates)
     assert np.array_equal(conv.round_one_overlap_sq, conv.overlap_sq)
     assert not conv.round_one_met.any()
 
@@ -366,6 +364,7 @@ def test_alg1_is_rated_at_the_round_its_receiver_picks():
     # at the true overlap of the round chosen by blind estimates, which at
     # M=50 is not always the round with the smallest true overlap
     cfg = _cfg(master_seed=13)
+    rates = run_trials(cfg, "alg1", 200).rates
     not_min = 0
     for i in range(200):
         rng = substream(cfg.master_seed, i, TAG_PROTOCOL)
@@ -379,22 +378,28 @@ def test_alg1_is_rated_at_the_round_its_receiver_picks():
         first = trace.rounds[0]
         met = cfg.overlap_below_threshold(first.overlap_est)
         second = trace.rounds[1].overlap_true if trace.n_used > 1 else 0.0
-        assert simulate_one_trial(cfg, "alg1", i) == (expected, trace.n_used, overlap,
-                                                      first.overlap_true, met, second)
+        assert simulate_one_trial(cfg, "alg1", i) == (trace.n_used, overlap, first.overlap_true,
+                                                      met, second)
+        assert rates[i] == expected
         not_min += overlap > min(r.overlap_true for r in trace.rounds)
     assert not_min > 0
 
 
-@pytest.mark.parametrize("scheme", ["conventional", "alg1", "alg2"])
-def test_engine_rates_through_rate_from_overlap(scheme):
-    # the engine's rate is rate_from_overlap's, bit for bit, on every scheme,
-    # and an overflowing config raises there rather than leaving a row
-    cfg = _cfg(master_seed=31)
-    for i in range(50):
-        rate, n_used, overlap, *_ = simulate_one_trial(cfg, scheme, i)
+@pytest.mark.parametrize("scheme,n_max", [("conventional", 2), ("alg1", 2), ("alg2", 2),
+                                          ("alg1", 3)],
+                         ids=["conventional", "alg1", "alg2", "alg1-n_max3"])
+def test_engine_rates_through_rate_from_overlap(scheme, n_max):
+    # a row's rates are rate_from_overlap's at each trial's overlap and
+    # count, bit for bit, on every scheme; alg1 at n_max = 3 rates one row
+    # at counts 1, 2 and 3 at once. An overflowing config raises rather
+    # than leaving a row
+    cfg = _cfg(master_seed=31, n_max=n_max)
+    data = run_trials(cfg, scheme, 200)
+    if n_max == 3:
+        assert set(data.n_used.tolist()) == {1, 2, 3}
+    for rate, overlap, n_used in zip(data.rates.tolist(), data.overlap_sq.tolist(),
+                                     data.n_used.tolist()):
         assert rate == rate_from_overlap(cfg, overlap, n_used).rate
-    with pytest.raises(ValueError, match="overflow the SINR"):
-        simulate_one_trial(_cfg(P=1e160, Q=1e160), scheme, 0)
     with pytest.raises(ValueError, match="overflow the SINR"):
         run_trials(_cfg(P=1e160, Q=1e160), scheme, 3)
 

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from jamsim import SystemConfig
 from jamsim.estimation import mmse_coefficients
-from jamsim.rates import (effective_sinr, rate, rate_from_overlap, rate_random_jamming, rates_at,
-                          sinr_and_rate)
+from jamsim.rates import effective_sinr, rate_from_overlap, rate_random_jamming, rates_at
 from jamsim.sweep import PRESET_NAMES, derive_config, preset_specs
 
 
@@ -26,14 +25,14 @@ def test_sinr_without_overlap():
     cfg = _cfg()
     _, gamma = mmse_coefficients(cfg, 0.0)
     assert gamma == pytest.approx(10 / 11)
-    assert effective_sinr(cfg, gamma, 0.0) == pytest.approx(500 / 33, rel=1e-12)
+    assert effective_sinr(cfg, 0.0) == pytest.approx(500 / 33, rel=1e-12)
 
 
 def test_sinr_with_full_overlap():
     cfg = _cfg()
     _, gamma = mmse_coefficients(cfg, 1.0)
     assert gamma == pytest.approx(10 / 21)
-    assert effective_sinr(cfg, gamma, 1.0) == pytest.approx(500 / 563, rel=1e-12)
+    assert effective_sinr(cfg, 1.0) == pytest.approx(500 / 563, rel=1e-12)
 
 
 def test_sinr_jam_free_grows_with_antennas():
@@ -41,7 +40,7 @@ def test_sinr_jam_free_grows_with_antennas():
     for m in (10, 100, 1000):
         cfg = _cfg(M=m, Q=0.0)
         _, gamma = mmse_coefficients(cfg, 0.0)
-        rho = effective_sinr(cfg, gamma, 0.0)
+        rho = effective_sinr(cfg, 0.0)
         expected = m * cfg.p_d * gamma / (cfg.p_d * cfg.beta_u + 1.0)
         assert rho == pytest.approx(expected, rel=1e-12)
         assert rho > previous
@@ -51,12 +50,11 @@ def test_sinr_jam_free_grows_with_antennas():
 def test_sinr_rejects_bad_inputs():
     cfg = _cfg(P=0.0)
     with pytest.raises(ValueError):
-        effective_sinr(cfg, 0.5, 0.0)
+        effective_sinr(cfg, 0.0)
     cfg = _cfg()
-    with pytest.raises(ValueError):
-        effective_sinr(cfg, -0.1, 0.0)
-    with pytest.raises(ValueError):
-        effective_sinr(cfg, 0.5, -0.2)
+    for overlap in (-0.2, math.nan, math.inf, np.array([0.1, -math.inf])):
+        with pytest.raises(ValueError, match="overlap_sq must be finite and nonnegative"):
+            effective_sinr(cfg, overlap)
 
 
 def test_sinr_overflow_raises():
@@ -74,9 +72,27 @@ def _preset_configs():
             for value in spec.values]
 
 
-def test_rates_at_is_sinr_and_rate_bit_for_bit():
+def _closed_form_rate(cfg, ov, n_used):
+    """The achievable rate at one squared overlap, written out in plain floats.
+
+    prelog log2(1 + M p_d gamma / (p_d beta_u + q_d beta_j
+    + M (q_d q_t / p_t) (beta_j / beta_u)^2 ov gamma + 1)), with
+    gamma = tau p_t beta_u^2 / (tau p_t beta_u + tau q_t beta_j ov + 1),
+    each product grouped as rates.py groups it, so the two round alike.
+    """
+    root = math.sqrt(cfg.tau * cfg.p_t)
+    gamma = (root * cfg.beta_u / (cfg.tau * cfg.p_t * cfg.beta_u
+                                  + cfg.tau * cfg.q_t * cfg.beta_j * ov + 1.0) * root * cfg.beta_u)
+    contamination = cfg.M * (cfg.q_d * cfg.q_t / cfg.p_t) * (cfg.beta_j / cfg.beta_u) ** 2
+    den = cfg.p_d * cfg.beta_u + cfg.q_d * cfg.beta_j + contamination * ov * gamma + 1.0
+    return (1.0 - n_used * cfg.tau / cfg.T) * math.log2(1.0 + cfg.M * cfg.p_d * gamma / den)
+
+
+def test_rates_at_is_the_closed_form_bit_for_bit():
     # on every point of both presets, at the ends 0 and 1, at a draw of
-    # round one's law and at uniform overlaps, for every transmission count
+    # round one's law and at uniform overlaps, for every transmission count.
+    # The reference takes math.log2; np.log2 differs from it in the last bit
+    # on some of these inputs, so rates_at must take it too
     rng = np.random.default_rng(11)
     configs = _preset_configs()
     assert len(configs) == 29
@@ -84,19 +100,29 @@ def test_rates_at_is_sinr_and_rate_bit_for_bit():
         overlaps = np.concatenate([[0.0, 1.0, 5e-324, 1e-300], rng.exponential(1 / cfg.tau, 300),
                                    rng.random(300)])
         for n_used in range(1, cfg.n_max + 1):
-            expected = [sinr_and_rate(cfg, ov, n_used)[1] for ov in overlaps.tolist()]
+            expected = [_closed_form_rate(cfg, ov, n_used) for ov in overlaps.tolist()]
             assert rates_at(cfg, overlaps, n_used).tolist() == expected, (cfg, n_used)
+        # an array of counts, one per overlap, as the trial engine rates a row
+        counts = rng.integers(1, cfg.n_max + 1, len(overlaps))
+        expected = [_closed_form_rate(cfg, ov, n) for ov, n in zip(overlaps.tolist(),
+                                                                    counts.tolist())]
+        assert rates_at(cfg, overlaps, counts).tolist() == expected, cfg
     # any shape, a scalar included
     cfg = configs[0]
     grid = rng.random((3, 4))
     assert rates_at(cfg, grid).shape == (3, 4)
-    assert rates_at(cfg, grid)[2, 1] == sinr_and_rate(cfg, float(grid[2, 1]))[1]
-    assert rates_at(cfg, 0.25, 2) == sinr_and_rate(cfg, 0.25, 2)[1]
+    assert rates_at(cfg, grid)[2, 1] == _closed_form_rate(cfg, float(grid[2, 1]), 1)
+    assert rates_at(cfg, 0.25, 2) == _closed_form_rate(cfg, 0.25, 2)
 
 
-def test_rates_at_raises_where_sinr_and_rate_does():
-    with pytest.raises(ValueError, match="nonnegative"):
-        rates_at(_cfg(), np.array([0.1, -0.2]))
+def test_rates_at_raises_on_bad_input():
+    # a bad overlap names overlap_sq, not the powers; the powers are named
+    # only when the SINR really overflows
+    for bad in (-0.2, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="overlap_sq must be finite and nonnegative"):
+            rates_at(_cfg(), np.array([0.1, bad]))
+        with pytest.raises(ValueError, match="overlap_sq must be finite and nonnegative"):
+            rate_from_overlap(_cfg(), bad)
     with pytest.raises(ValueError, match="overflow the SINR"):
         rates_at(SystemConfig(P=1e160, Q=1e160), np.array([0.0, 0.1]))
     with pytest.raises(ValueError, match="exceed T"):
@@ -112,14 +138,11 @@ def test_sinr_monotone_in_overlap_and_jammer_power(ov, bump, p, q):
         return SystemConfig(M=32, T=200, tau=10, P=p, Q=max(q_t, q_d),
                             powers=(p, p, q_t, q_d))
 
-    def rho_at(config, overlap):
-        _, gamma = mmse_coefficients(config, overlap)
-        return effective_sinr(config, gamma, overlap)
-
     cfg = cfg_with(q, q)
-    assert rho_at(cfg, min(ov + bump, 1.0)) <= rho_at(cfg, ov) + 1e-12
-    assert rho_at(cfg_with(q + bump, q), ov) <= rho_at(cfg, ov) + 1e-12
-    assert rho_at(cfg_with(q, q + bump), ov) <= rho_at(cfg, ov) + 1e-12
+    rho = effective_sinr(cfg, ov)
+    assert effective_sinr(cfg, min(ov + bump, 1.0)) <= rho + 1e-12
+    assert effective_sinr(cfg_with(q + bump, q), ov) <= rho + 1e-12
+    assert effective_sinr(cfg_with(q, q + bump), ov) <= rho + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -127,28 +150,33 @@ def test_sinr_monotone_in_overlap_and_jammer_power(ov, bump, p, q):
 # ---------------------------------------------------------------------------
 
 def test_rate_zero_sinr():
-    assert rate(_cfg(), 0.0) == 0.0
+    # no data power leaves an SINR of 0 and a rate of exactly 0
+    assert rates_at(_cfg(powers=(1.0, 0.0, 1.0, 1.0)), 0.3) == 0.0
 
 
 def test_rate_single_transmission_value():
+    # SINR 500/33 at overlap 0 (test_sinr_without_overlap)
     cfg = _cfg()
     rho = 500 / 33
-    assert rate(cfg, rho, 1) == pytest.approx(0.95 * math.log2(1 + rho), rel=1e-12)
-    assert rate(cfg, rho, 1) == pytest.approx(3.8129, abs=5e-4)
+    assert rates_at(cfg, 0.0, 1) == pytest.approx(0.95 * math.log2(1 + rho), rel=1e-12)
+    assert rates_at(cfg, 0.0, 1) == pytest.approx(3.8129, abs=5e-4)
 
 
 def test_rate_second_transmission_only_changes_prelog():
     cfg = _cfg()
-    rho = 4.2
-    assert rate(cfg, rho, 2) == pytest.approx(0.90 * math.log2(1 + rho), rel=1e-12)
+    rho = effective_sinr(cfg, 0.42)
+    assert rates_at(cfg, 0.42, 2) == pytest.approx(0.90 * math.log2(1 + rho), rel=1e-12)
+    assert rates_at(cfg, 0.42, 2) / rates_at(cfg, 0.42, 1) == pytest.approx(0.90 / 0.95,
+                                                                            rel=1e-12)
 
 
 def test_rate_rejects_training_overrun():
     cfg = _cfg(tau=60, T=200, n_max=2)
-    with pytest.raises(ValueError):
-        rate(cfg, 1.0, 4)
-    with pytest.raises(ValueError):
-        rate(cfg, -1.0, 1)
+    for n_used in (4, np.array([1, 4])):
+        with pytest.raises(ValueError, match="exceed T"):
+            cfg.prelog(n_used)
+        with pytest.raises(ValueError, match="exceed T"):
+            rates_at(cfg, 0.5, n_used)
 
 
 def test_rate_report_invariant():
